@@ -92,7 +92,7 @@ impl ProgramTs {
         let mut ts = TransitionSystem::new(cfg.num_nodes * n);
         let sem = Concrete::new(universe);
         for (from, e, to) in &cfg.edges {
-            for (i, _store) in universe.iter_stores() {
+            for i in 0..n {
                 let single = BitVecSet::from_indices(n, [i]);
                 let post = sem.exec_exp(e, &single)?;
                 for j in post.iter() {

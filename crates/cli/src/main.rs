@@ -12,8 +12,10 @@
 //! air top --connect 127.0.0.1:4777 [--interval-ms N]          # live daemon summary
 //! ```
 //!
-//! `--stats` prints cache hit/miss counters and wall times (`--stats-json`
-//! prints the same as one JSON object); `--uncached` disables the memo
+//! `--stats` prints cache hit/miss counters and wall times — for `verify`
+//! and `analyze` the time to the verdict, from universe set-up through the
+//! printed report (`--stats-json` prints the same as one JSON object, the
+//! time as `wall_ms`); `--uncached` disables the memo
 //! tables (the reference path — results are bitwise identical either way).
 //! `--trace FILE` writes a structured JSONL event log (`--trace-format dot`
 //! on `prove` writes the LCL derivation as Graphviz DOT) and `--profile`

@@ -569,7 +569,9 @@ fn cache_stats_json(stats: &CacheStats) -> String {
 
 /// The `--stats-json` rendering: everything `print_stats` shows, as one
 /// JSON object on one line (machine-consumable; the human table stays the
-/// `--stats` default).
+/// `--stats` default). `wall_ms` is the command's time-to-verdict: for
+/// `verify` and `analyze`, from the first step (universe and domain
+/// construction, parsing, `sat` of pre/spec) through the printed report.
 fn stats_json(label: &str, cache: Option<&SemCache>, dom: &EnumDomain, elapsed: f64) -> String {
     let mut out = String::from("{\"label\":");
     json::escape_str(label, &mut out);
@@ -608,6 +610,8 @@ fn report_stats(
 }
 
 fn verify(task: Task) -> Result<Outcome, AirError> {
+    // `wall_ms` is time-to-verdict (see `stats_json`).
+    let started = Instant::now();
     let u = build_universe(&task)?;
     let dom = build_domain(&task, &u);
     let (prog, pre, spec) = build_sets(&task, &u)?;
@@ -623,7 +627,6 @@ fn verify(task: Task) -> Result<Outcome, AirError> {
     let verifier = build_verifier(&u, task.engine, task.uncached)
         .tracer(session.tracer())
         .governor(governor);
-    let started = Instant::now();
     let result = match task.strategy {
         StrategyKind::Backward => verifier.backward(dom, &prog, &pre, &spec),
         StrategyKind::Forward => verifier.forward(dom, &prog, &pre, &spec),
@@ -636,7 +639,6 @@ fn verify(task: Task) -> Result<Outcome, AirError> {
             return Err(air);
         }
     };
-    let elapsed = started.elapsed().as_secs_f64();
     print!("{}", verdict.report(&u));
     if !verdict.is_proved() {
         println!(
@@ -644,6 +646,7 @@ fn verify(task: Task) -> Result<Outcome, AirError> {
             display_set(&u, &verdict.valid_input().intersection(&pre))
         );
     }
+    let elapsed = started.elapsed().as_secs_f64();
     report_stats(&task, "verify", verifier.cache(), verdict.domain(), elapsed);
     session.finish()?;
     Ok(match verdict {
@@ -653,6 +656,7 @@ fn verify(task: Task) -> Result<Outcome, AirError> {
 }
 
 fn analyze(task: Task) -> Result<Outcome, AirError> {
+    let started = Instant::now();
     let u = build_universe(&task)?;
     let dom = build_domain(&task, &u);
     let (prog, pre, spec) = build_sets(&task, &u)?;
@@ -664,7 +668,6 @@ fn analyze(task: Task) -> Result<Outcome, AirError> {
     let verifier = build_verifier(&u, task.engine, task.uncached)
         .tracer(session.tracer())
         .governor(governor);
-    let started = Instant::now();
     let counts = match verifier.alarm_counts(&dom, &prog, &pre, &spec) {
         Ok(c) => c,
         Err(e) => {
@@ -673,12 +676,12 @@ fn analyze(task: Task) -> Result<Outcome, AirError> {
             return Err(air);
         }
     };
-    let elapsed = started.elapsed().as_secs_f64();
     println!("program:      {prog}");
     println!("domain:       {}", dom.base_name());
     println!("alarms:       {}", counts.total);
     println!("true alarms:  {}", counts.true_alarms);
     println!("false alarms: {}", counts.false_alarms);
+    let elapsed = started.elapsed().as_secs_f64();
     report_stats(&task, "analyze", verifier.cache(), &dom, elapsed);
     session.finish()?;
     Ok(if counts.total == 0 {

@@ -9,8 +9,9 @@
 //! simply the base join of the first pair).
 
 use air_lang::ast::{AExp, BExp};
+use air_lang::{StateSet, Universe};
 
-use crate::traits::{Abstraction, Transfer};
+use crate::traits::{alpha_fold, Abstraction, Transfer};
 
 /// The bounded disjunctive completion `℘≤k(A)` of a base domain.
 ///
@@ -153,6 +154,13 @@ impl<A: Abstraction> Abstraction for Disjunctive<A> {
 
     fn alpha_store(&self, store: &[i64]) -> Self::Elem {
         vec![self.base.alpha_store(store)]
+    }
+
+    /// The plain fold. The width-bounded join is not the least upper
+    /// bound, so the covered-store skip's Galois argument does not apply
+    /// as stated; this domain does not rely on it.
+    fn alpha_set(&self, universe: &Universe, set: &StateSet) -> Self::Elem {
+        alpha_fold(self, universe, set)
     }
 
     fn gamma_contains(&self, e: &Self::Elem, store: &[i64]) -> bool {

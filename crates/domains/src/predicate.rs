@@ -14,7 +14,8 @@
 use std::fmt;
 
 use air_lang::ast::BExp;
-use air_lang::{Concrete, Universe};
+use air_lang::resolve::ResolvedBExp;
+use air_lang::Universe;
 
 use crate::traits::Abstraction;
 
@@ -106,20 +107,19 @@ impl fmt::Display for PredElem {
 /// ```
 #[derive(Clone, Debug)]
 pub struct PredicateDomain {
-    universe: Universe,
     names: Vec<String>,
-    preds: Vec<BExp>,
+    /// The predicates, resolved to the universe's store slots once.
+    preds: Vec<ResolvedBExp>,
 }
 
 impl PredicateDomain {
     /// Creates the domain from `(name, predicate)` pairs.
     pub fn new<S: Into<String>>(universe: &Universe, preds: Vec<(S, BExp)>) -> Self {
-        let (names, preds) = preds.into_iter().map(|(n, p)| (n.into(), p)).unzip();
-        PredicateDomain {
-            universe: universe.clone(),
-            names,
-            preds,
-        }
+        let (names, preds) = preds
+            .into_iter()
+            .map(|(n, p)| (n.into(), ResolvedBExp::new(universe, &p)))
+            .unzip();
+        PredicateDomain { names, preds }
     }
 
     /// The predicate names.
@@ -128,9 +128,7 @@ impl PredicateDomain {
     }
 
     fn eval_pred(&self, i: usize, store: &[i64]) -> bool {
-        Concrete::new(&self.universe)
-            .eval_bexp(&self.preds[i], store)
-            .unwrap_or(false)
+        self.preds[i].eval(store).unwrap_or(false)
     }
 
     /// Builds an element from explicit statuses.
@@ -226,8 +224,8 @@ impl Abstraction for PredicateDomain {
 /// Example 7.9.
 #[derive(Clone, Debug)]
 pub struct BooleanPredicateDomain {
-    universe: Universe,
-    preds: Vec<BExp>,
+    /// The predicates, resolved to the universe's store slots once.
+    preds: Vec<ResolvedBExp>,
 }
 
 /// An element of the Boolean predicate domain: the set of allowed minterms.
@@ -244,16 +242,17 @@ impl BooleanPredicateDomain {
     pub fn new(universe: &Universe, preds: Vec<BExp>) -> Self {
         assert!(preds.len() <= 5, "too many predicates for minterm masks");
         BooleanPredicateDomain {
-            universe: universe.clone(),
-            preds,
+            preds: preds
+                .iter()
+                .map(|p| ResolvedBExp::new(universe, p))
+                .collect(),
         }
     }
 
     fn minterm(&self, store: &[i64]) -> u32 {
-        let sem = Concrete::new(&self.universe);
         let mut m = 0;
         for (i, p) in self.preds.iter().enumerate() {
-            if sem.eval_bexp(p, store).unwrap_or(false) {
+            if p.eval(store).unwrap_or(false) {
                 m |= 1 << i;
             }
         }

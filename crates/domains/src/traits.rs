@@ -68,11 +68,21 @@ pub trait Abstraction {
     fn gamma_contains(&self, e: &Self::Elem, store: &[i64]) -> bool;
 
     /// Additive abstraction of a state set: `α(S) = ∨{α({σ}) | σ ∈ S}`.
+    ///
+    /// A store already covered by the running join is skipped: in a
+    /// Galois insertion `α({σ}) ≤ acc ⇔ σ ∈ γ(acc)`, and the least upper
+    /// bound of `acc` and an element below it is `acc` itself. A domain
+    /// whose `join` is not the exact least upper bound (so joining a
+    /// covered store may still rewrite `acc`) must override this with
+    /// [`alpha_fold`].
     fn alpha_set(&self, universe: &Universe, set: &StateSet) -> Self::Elem {
         let mut acc = self.bottom();
+        let mut cursor = universe.cursor();
         for i in set.iter() {
-            let store = universe.store_at(i);
-            acc = self.join(&acc, &self.alpha_store(&store));
+            let store = cursor.seek(i);
+            if !self.gamma_contains(&acc, store) {
+                acc = self.join(&acc, &self.alpha_store(store));
+            }
         }
         acc
     }
@@ -86,6 +96,22 @@ pub trait Abstraction {
     fn closure_set(&self, universe: &Universe, set: &StateSet) -> StateSet {
         self.gamma_set(universe, &self.alpha_set(universe, set))
     }
+}
+
+/// The plain additive fold `α(S) = ⊥ ⊔ α({σ₁}) ⊔ … ⊔ α({σₙ})`, joining
+/// every store in index order: the `alpha_set` of domains whose `join` is
+/// not the exact least upper bound.
+pub fn alpha_fold<A: Abstraction + ?Sized>(
+    dom: &A,
+    universe: &Universe,
+    set: &StateSet,
+) -> A::Elem {
+    let mut acc = dom.bottom();
+    let mut cursor = universe.cursor();
+    for i in set.iter() {
+        acc = dom.join(&acc, &dom.alpha_store(cursor.seek(i)));
+    }
+    acc
 }
 
 /// Abstract transfer functions of basic commands, enabling a standard

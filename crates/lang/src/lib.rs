@@ -45,6 +45,9 @@ pub mod cache;
 pub mod gen;
 pub mod parser;
 pub mod pretty;
+#[cfg(test)]
+mod reference;
+pub mod resolve;
 pub mod semantics;
 pub mod store;
 pub mod sym;

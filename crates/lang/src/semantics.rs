@@ -29,6 +29,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::ast::{AExp, BExp, Exp, Reg};
+use crate::resolve::{ResolvedAExp, ResolvedBExp};
 use crate::store::{StateSet, Store, Universe};
 
 /// Errors raised by concrete evaluation.
@@ -131,53 +132,25 @@ impl<'u> Concrete<'u> {
         self.strict
     }
 
-    /// Evaluates an arithmetic expression in a store.
+    /// Evaluates an arithmetic expression in a store (one-off; loops over
+    /// many stores resolve once with [`ResolvedAExp`]).
     ///
     /// # Errors
     ///
     /// [`SemError::UnknownVar`] for undeclared variables and
     /// [`SemError::Overflow`] on `i64` overflow.
     pub fn eval_aexp(&self, a: &AExp, store: &[i64]) -> Result<i64, SemError> {
-        match a {
-            AExp::Num(n) => Ok(*n),
-            AExp::Var(x) => {
-                let i = self
-                    .universe
-                    .var_index(x)
-                    .ok_or_else(|| SemError::UnknownVar(x.clone()))?;
-                Ok(store[i])
-            }
-            AExp::Add(l, r) => self
-                .eval_aexp(l, store)?
-                .checked_add(self.eval_aexp(r, store)?)
-                .ok_or(SemError::Overflow),
-            AExp::Sub(l, r) => self
-                .eval_aexp(l, store)?
-                .checked_sub(self.eval_aexp(r, store)?)
-                .ok_or(SemError::Overflow),
-            AExp::Mul(l, r) => self
-                .eval_aexp(l, store)?
-                .checked_mul(self.eval_aexp(r, store)?)
-                .ok_or(SemError::Overflow),
-        }
+        ResolvedAExp::new(self.universe, a).eval(store)
     }
 
-    /// Evaluates a Boolean expression in a store.
+    /// Evaluates a Boolean expression in a store (one-off; see
+    /// [`ResolvedBExp`]).
     ///
     /// # Errors
     ///
     /// Propagates arithmetic-evaluation errors.
     pub fn eval_bexp(&self, b: &BExp, store: &[i64]) -> Result<bool, SemError> {
-        match b {
-            BExp::Tt => Ok(true),
-            BExp::Ff => Ok(false),
-            BExp::Cmp(op, l, r) => {
-                Ok(op.eval(self.eval_aexp(l, store)?, self.eval_aexp(r, store)?))
-            }
-            BExp::And(l, r) => Ok(self.eval_bexp(l, store)? && self.eval_bexp(r, store)?),
-            BExp::Or(l, r) => Ok(self.eval_bexp(l, store)? || self.eval_bexp(r, store)?),
-            BExp::Not(inner) => Ok(!self.eval_bexp(inner, store)?),
-        }
+        ResolvedBExp::new(self.universe, b).eval(store)
     }
 
     /// The set of all universe stores satisfying `b` (the paper's
@@ -187,9 +160,11 @@ impl<'u> Concrete<'u> {
     ///
     /// Propagates evaluation errors.
     pub fn sat(&self, b: &BExp) -> Result<StateSet, SemError> {
+        let b = ResolvedBExp::new(self.universe, b);
         let mut out = self.universe.empty();
-        for (i, s) in self.universe.iter_stores() {
-            if self.eval_bexp(b, &s)? {
+        let mut cursor = self.universe.cursor();
+        for i in 0..self.universe.size() {
+            if b.eval(cursor.seek(i))? {
                 out.insert(i);
             }
         }
@@ -198,64 +173,64 @@ impl<'u> Concrete<'u> {
 
     /// Executes a basic command on a state set.
     ///
+    /// Assignments and havoc work on store indices: the successor of
+    /// store `i` under `x := v` is `i + (v − σ[x])·stride(x)` once `v` is
+    /// known to lie in `x`'s range ([`Universe`]'s mixed-radix layout).
+    ///
     /// # Errors
     ///
     /// Evaluation errors; in [`Concrete::strict`] mode additionally
     /// [`SemError::UniverseEscape`] if an assignment leaves the universe
     /// (otherwise the escaping store is dropped).
     pub fn exec_exp(&self, e: &Exp, s: &StateSet) -> Result<StateSet, SemError> {
+        let u = self.universe;
         match e {
             Exp::Skip => Ok(s.clone()),
             Exp::Assume(b) => {
-                let mut out = self.universe.empty();
+                let b = ResolvedBExp::new(u, b);
+                let mut out = u.empty();
+                let mut cursor = u.cursor();
                 for i in s.iter() {
-                    let store = self.universe.store_at(i);
-                    if self.eval_bexp(b, &store)? {
+                    if b.eval(cursor.seek(i))? {
                         out.insert(i);
                     }
                 }
                 Ok(out)
             }
             Exp::Havoc(x) => {
-                let xi = self
-                    .universe
+                let xi = u
                     .var_index(x)
                     .ok_or_else(|| SemError::UnknownVar(x.clone()))?;
-                let (lo, hi) = self.universe.var_range(xi);
-                let mut out = self.universe.empty();
+                let mut out = u.empty();
                 for i in s.iter() {
-                    let mut store = self.universe.store_at(i);
-                    for v in lo..=hi {
-                        store[xi] = v;
-                        out.insert(
-                            self.universe
-                                .store_index(&store)
-                                .expect("havoc stays in range"),
-                        );
+                    // `i` is in `out` exactly when its fiber already is.
+                    if !out.contains(i) {
+                        for j in u.fiber(i, xi) {
+                            out.insert(j);
+                        }
                     }
                 }
                 Ok(out)
             }
             Exp::Assign(x, a) => {
-                let xi = self
-                    .universe
+                let xi = u
                     .var_index(x)
                     .ok_or_else(|| SemError::UnknownVar(x.clone()))?;
-                let mut out = self.universe.empty();
+                let a = ResolvedAExp::new(u, a);
+                let mut out = u.empty();
+                let mut cursor = u.cursor();
                 for i in s.iter() {
-                    let mut store = self.universe.store_at(i);
-                    let v = self.eval_aexp(a, &store)?;
-                    store[xi] = v;
-                    match self.universe.store_index(&store) {
+                    let store = cursor.seek(i);
+                    let v = a.eval(store)?;
+                    match u.reassign(i, xi, store[xi], v) {
                         Some(j) => {
                             out.insert(j);
                         }
                         None if self.strict => {
-                            store[xi] = self.universe.store_at(i)[xi];
                             return Err(SemError::UniverseEscape {
                                 var: x.clone(),
                                 value: v,
-                                store,
+                                store: store.to_vec(),
                             });
                         }
                         None => {} // universe-restricted: no successor

@@ -215,30 +215,71 @@ impl Universe {
         Some(idx)
     }
 
+    /// The index of the store at `idx` after variable `var` changes from
+    /// `old` (its value there) to `new`, or `None` when `new` leaves the
+    /// variable's range: one range check and a stride delta, no re-encode.
+    #[inline]
+    pub(crate) fn reassign(&self, idx: usize, var: usize, old: i64, new: i64) -> Option<usize> {
+        let v = &self.inner.vars[var];
+        if new < v.lo || new > v.hi {
+            return None;
+        }
+        // Both values lie in the range, so `new - old` and the product stay
+        // below MAX_SIZE in magnitude.
+        Some((idx as i64 + (new - old) * self.inner.strides[var] as i64) as usize)
+    }
+
+    /// The indices of `{σ[var ↦ v] | v ∈ range(var)}` for the store `σ` at
+    /// `idx`, ascending: the `idx`-th store's fiber along `var`.
+    pub(crate) fn fiber(&self, idx: usize, var: usize) -> impl Iterator<Item = usize> {
+        let v = &self.inner.vars[var];
+        let stride = self.inner.strides[var];
+        let span = stride * (v.hi - v.lo + 1) as usize;
+        let base = idx - idx % span + idx % stride;
+        (base..base + span).step_by(stride)
+    }
+
     /// The store at a given index.
     ///
     /// # Panics
     ///
     /// Panics if `idx >= size()`.
     pub fn store_at(&self, idx: usize) -> Store {
+        let mut store = vec![0; self.inner.vars.len()];
+        self.decode_into(idx, &mut store);
+        store
+    }
+
+    /// Decodes the store at `idx` into `buf` (one slot per variable),
+    /// without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= size()`.
+    fn decode_into(&self, idx: usize, buf: &mut [i64]) {
         assert!(
             idx < self.inner.size,
             "store index {idx} out of universe size {}",
             self.inner.size
         );
         let mut rem = idx;
-        let mut store = Vec::with_capacity(self.inner.vars.len());
-        for (i, v) in self.inner.vars.iter().enumerate() {
-            let q = rem / self.inner.strides[i];
-            rem %= self.inner.strides[i];
-            store.push(v.lo + q as i64);
+        for ((slot, v), &stride) in buf
+            .iter_mut()
+            .zip(&self.inner.vars)
+            .zip(&self.inner.strides)
+        {
+            *slot = v.lo + (rem / stride) as i64;
+            rem %= stride;
         }
-        store
     }
 
-    /// Iterates over all stores, paired with their indices.
-    pub fn iter_stores(&self) -> impl Iterator<Item = (usize, Store)> + '_ {
-        (0..self.inner.size).map(|i| (i, self.store_at(i)))
+    /// A reusable store buffer for per-store loops; see [`StoreCursor`].
+    pub fn cursor(&self) -> StoreCursor<'_> {
+        StoreCursor {
+            universe: self,
+            next: usize::MAX,
+            store: vec![0; self.inner.vars.len()],
+        }
     }
 
     /// The empty state set `⊥ = ∅`.
@@ -252,10 +293,11 @@ impl Universe {
     }
 
     /// The set of stores satisfying a predicate.
-    pub fn filter(&self, pred: impl Fn(&[i64]) -> bool) -> StateSet {
+    pub fn filter(&self, mut pred: impl FnMut(&[i64]) -> bool) -> StateSet {
         let mut set = self.empty();
-        for (i, s) in self.iter_stores() {
-            if pred(&s) {
+        let mut cursor = self.cursor();
+        for i in 0..self.inner.size {
+            if pred(cursor.seek(i)) {
                 set.insert(i);
             }
         }
@@ -317,6 +359,47 @@ impl Universe {
     }
 }
 
+/// A store buffer that walks a universe by index without allocating.
+///
+/// [`StoreCursor::seek`] moves to an index: to the index right after the
+/// previous one by an odometer step (the last variable varies fastest, so
+/// one increment plus an occasional carry), to any other index by a
+/// decode into the same buffer. Full-universe loops (`0..size`) therefore
+/// never divide, and sparse loops over a set's members pay one decode per
+/// gap.
+#[derive(Debug)]
+pub struct StoreCursor<'u> {
+    universe: &'u Universe,
+    /// The index after the current one (`usize::MAX` before the first seek).
+    next: usize,
+    store: Store,
+}
+
+impl StoreCursor<'_> {
+    /// Positions the cursor at `idx` and returns that store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= size()`.
+    #[inline]
+    pub fn seek(&mut self, idx: usize) -> &[i64] {
+        if idx == self.next {
+            assert!(idx < self.universe.size(), "store index {idx} out of range");
+            for (x, v) in self.store.iter_mut().zip(&self.universe.inner.vars).rev() {
+                if *x < v.hi {
+                    *x += 1;
+                    break;
+                }
+                *x = v.lo;
+            }
+        } else {
+            self.universe.decode_into(idx, &mut self.store);
+        }
+        self.next = idx + 1;
+        &self.store
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,9 +408,16 @@ mod tests {
     fn universe_size_and_indexing_roundtrip() {
         let u = Universe::new(&[("x", -3, 3), ("y", 0, 4)]).unwrap();
         assert_eq!(u.size(), 35);
-        for (i, s) in u.iter_stores() {
+        let mut cursor = u.cursor();
+        for i in 0..u.size() {
+            let s = u.store_at(i);
             assert_eq!(u.store_index(&s), Some(i));
             assert!(u.contains_store(&s));
+            assert_eq!(cursor.seek(i), &s[..], "odometer step at {i}");
+        }
+        // Sparse seeks decode, and stepping resumes after a jump.
+        for i in [30, 7, 8, 9, 34, 0, 1] {
+            assert_eq!(cursor.seek(i), &u.store_at(i)[..], "seek to {i}");
         }
     }
 

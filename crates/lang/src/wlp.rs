@@ -15,6 +15,7 @@
 //! would be misleading.
 
 use crate::ast::{BExp, Exp, Reg};
+use crate::resolve::ResolvedAExp;
 use crate::semantics::{Concrete, SemError};
 use crate::store::{StateSet, Universe};
 
@@ -69,44 +70,24 @@ impl<'u> Wlp<'u> {
                 Ok(sat_b.complement().union(post))
             }
             // wlp(x := ?, z) = {σ | ∀v ∈ range(x). σ[x ↦ v] ∈ z}
-            Exp::Havoc(x) => {
-                let xi = u
-                    .var_index(x)
-                    .ok_or_else(|| SemError::UnknownVar(x.clone()))?;
-                let (lo, hi) = u.var_range(xi);
-                let mut out = u.empty();
-                for (i, mut store) in u.iter_stores() {
-                    let all_in = (lo..=hi).all(|v| {
-                        store[xi] = v;
-                        u.store_index(&store)
-                            .map(|j| post.contains(j))
-                            .unwrap_or(false)
-                    });
-                    if all_in {
-                        out.insert(i);
-                    }
-                }
-                Ok(out)
-            }
+            //              = ¬⟦x := ?⟧¬z (no σ[x ↦ v] leaves z)
+            Exp::Havoc(_) => Ok(self.sem.exec_exp(e, &post.complement())?.complement()),
             // wlp(x := a, z) = {σ | σ[x ↦ ⟦a⟧σ] ∈ z}
             Exp::Assign(x, a) => {
                 let xi = u
                     .var_index(x)
                     .ok_or_else(|| SemError::UnknownVar(x.clone()))?;
+                let a = ResolvedAExp::new(u, a);
                 let mut out = u.empty();
-                for (i, mut store) in u.iter_stores() {
-                    let v = self.sem.eval_aexp(a, &store)?;
-                    store[xi] = v;
-                    match u.store_index(&store) {
-                        Some(j) => {
-                            if post.contains(j) {
-                                out.insert(i);
-                            }
-                        }
-                        // Restricted semantics: no successor ⇒ vacuously in.
-                        None => {
-                            out.insert(i);
-                        }
+                let mut cursor = u.cursor();
+                for i in 0..u.size() {
+                    let store = cursor.seek(i);
+                    let v = a.eval(store)?;
+                    // Restricted semantics: no successor ⇒ vacuously in.
+                    if u.reassign(i, xi, store[xi], v)
+                        .is_none_or(|j| post.contains(j))
+                    {
+                        out.insert(i);
                     }
                 }
                 Ok(out)

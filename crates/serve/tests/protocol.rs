@@ -59,6 +59,32 @@ fn boot(config: ServeConfig) -> RunningServer {
     .expect("server boots")
 }
 
+/// A verify job that holds a worker for as long as a test needs: the
+/// enumerative engine on `corpus/large/countdown-cube.imp`'s
+/// 1,030,301-store universe, tens of seconds of 10^6-bit set sweeps,
+/// against microseconds for the probes around it. A test that relies on
+/// a job still being in flight uses this instead of a "heavy enough" job,
+/// which a faster engine finishes first. Tests cancel it at teardown.
+/// `fields` is spliced into the frame (id, tenant, fuel).
+fn holder(fields: &str) -> String {
+    format!(
+        r#"{{{fields},"job":"verify","vars":"x:0..100,y:0..100,z:0..100",
+           "code":"while (y >= 1) do {{ x := x + 1; y := y - 1 }}",
+           "pre":"x = 0 && y = 100","spec":"x = 100 && y = 0"}}"#
+    )
+}
+
+fn id_of(doc: &Value) -> &str {
+    doc.get("id").and_then(Value::as_str).unwrap_or("")
+}
+
+/// Asserts `doc` is the code-3 response of a cancelled job.
+fn assert_cancelled(doc: &Value) {
+    assert_eq!(status(doc), "error", "{doc:?}");
+    assert_eq!(error_code(doc), Some(3.0), "{doc:?}");
+    assert_eq!(error_reason(doc), Some("cancelled"), "{doc:?}");
+}
+
 fn status(doc: &Value) -> &str {
     doc.get("status").and_then(Value::as_str).unwrap_or("")
 }
@@ -138,21 +164,16 @@ fn zero_fuel_request_exhausts_with_code_3() {
 
 #[test]
 fn cancellation_reaches_a_request_from_another_connection() {
-    // One worker, so a long-running head-of-line job keeps later jobs
-    // queued: cancelling a *queued* request is deterministic.
+    // One worker, held by a job no speed-up finishes while this test
+    // runs, so the victim behind it stays queued: cancelling a *queued*
+    // request is deterministic.
     let server = boot(ServeConfig {
         workers: 1,
         ..ServeConfig::default()
     });
     let addr = server.addr().unwrap();
     let mut submitter = Client::connect(addr);
-    // A queue-filler the worker will chew on (bounded but not instant),
-    // then the victim we cancel while it still sits in the queue.
-    submitter.send(
-        r#"{"id":"head","job":"verify","vars":"x:-9..9,y:-9..9",
-           "code":"while (x < 9) do { x := x + 1 ; y := 0 - x }",
-           "pre":"x = 0 - 9 && y = 9","spec":"x = 9"}"#,
-    );
+    submitter.send(&holder(r#""id":"head""#));
     submitter.send(
         r#"{"id":"victim","job":"verify","vars":"x:0..7",
            "code":"while (x < 7) do { x := x + 1 }","pre":"x = 0","spec":"x = 7"}"#,
@@ -171,15 +192,23 @@ fn cancellation_reaches_a_request_from_another_connection() {
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
     assert!(cancelled, "victim never became cancellable");
-    // The victim's response is a code-3 cancellation whether it was
-    // still queued or already running when the signal landed.
+    // Release the worker. The holder dies mid-run; the worker then pops
+    // the victim and answers it without running it.
+    let doc = canceller.roundtrip(r#"{"id":"c2","job":"cancel","target":"head"}"#);
+    let detail = doc.get("detail").and_then(Value::as_str).unwrap_or("");
+    assert!(detail.contains("signalled"), "{detail}");
     let mut saw_victim = false;
     for _ in 0..2 {
         let doc = submitter.recv();
-        if doc.get("id").and_then(Value::as_str) == Some("victim") {
-            assert_eq!(status(&doc), "error", "{doc:?}");
-            assert_eq!(error_code(&doc), Some(3.0));
-            assert_eq!(error_reason(&doc), Some("cancelled"));
+        assert_cancelled(&doc);
+        if id_of(&doc) == "victim" {
+            assert_eq!(
+                doc.get("error")
+                    .and_then(|e| e.get("message"))
+                    .and_then(Value::as_str),
+                Some("cancelled while queued"),
+                "{doc:?}"
+            );
             saw_victim = true;
         }
     }
@@ -207,26 +236,23 @@ fn cancel_is_tenant_scoped_and_duplicate_ids_are_rejected() {
     let server = boot(ServeConfig::default());
     let addr = server.addr().unwrap();
     let mut submitter = Client::connect(addr);
-    // The victim is deliberately heavy (a cold ~6.5k-store universe plus
-    // a loop fixpoint) so it is still in flight while the probes below
-    // land; every probe is answered inline by reader threads and takes
-    // microseconds against the victim's tens of milliseconds.
-    let victim = r#"{"id":"victim","job":"verify","tenant":"alice","vars":"x:-40..40,y:-40..40",
-           "code":"while (x < 40) do { x := x + 1 ; y := 0 - x }",
-           "pre":"x = 0 - 40 && y = 40","spec":"x = 40"}"#;
-    submitter.send(victim);
+    // The victim is a holder job: it is still in flight while every
+    // probe below lands, however fast the engine, and only the
+    // cancellation at the end stops it.
+    let victim = holder(r#""id":"victim","tenant":"alice""#);
+    submitter.send(&victim);
     // The reader thread admits frames in order, so a pong proves the
     // victim is registered in flight before we probe it.
     submitter.send(r#"{"id":"barrier","job":"ping"}"#);
     let doc = submitter.recv();
-    assert_eq!(doc.get("id").and_then(Value::as_str), Some("barrier"));
+    assert_eq!(id_of(&doc), "barrier");
     // Reusing an in-flight (tenant, id) is a usage error — it must not
     // overwrite the live registration.
     let doc = {
-        submitter.send(victim);
+        submitter.send(&victim);
         submitter.recv()
     };
-    assert_eq!(doc.get("id").and_then(Value::as_str), Some("victim"));
+    assert_eq!(id_of(&doc), "victim");
     assert_eq!(error_code(&doc), Some(2.0));
     let msg = doc
         .get("error")
@@ -235,13 +261,16 @@ fn cancel_is_tenant_scoped_and_duplicate_ids_are_rejected() {
         .unwrap_or("");
     assert!(msg.contains("already in flight"), "{msg}");
     // A different tenant may reuse the id freely: namespaces are per
-    // tenant, so this is admitted and runs alongside alice's.
+    // tenant, so this (light) job is admitted and runs alongside alice's.
     let doc = {
-        submitter.send(&victim.replace("\"alice\"", "\"carol\""));
+        submitter.send(
+            r#"{"id":"victim","job":"verify","tenant":"carol","vars":"x:0..7",
+               "code":"while (x < 7) do { x := x + 1 }","pre":"x = 0","spec":"x = 7"}"#,
+        );
         submitter.send(r#"{"id":"barrier2","job":"ping"}"#);
         submitter.recv()
     };
-    assert_eq!(doc.get("id").and_then(Value::as_str), Some("barrier2"));
+    assert_eq!(id_of(&doc), "barrier2");
     // Another tenant cannot cancel alice's job, even knowing its id.
     let mut canceller = Client::connect(addr);
     let doc =
@@ -254,17 +283,16 @@ fn cancel_is_tenant_scoped_and_duplicate_ids_are_rejected() {
     let detail = doc.get("detail").and_then(Value::as_str).unwrap_or("");
     assert!(detail.contains("signalled"), "{detail}");
     // Alice's victim dies cancelled; carol's same-id job is untouched
-    // and completes normally once the worker reaches it.
+    // and proves normally.
     let mut saw_cancelled = false;
     let mut saw_carol = false;
     while !(saw_cancelled && saw_carol) {
         let doc = submitter.recv();
-        if doc.get("id").and_then(Value::as_str) != Some("victim") {
+        if id_of(&doc) != "victim" {
             continue;
         }
         if status(&doc) == "error" {
-            assert_eq!(error_code(&doc), Some(3.0));
-            assert_eq!(error_reason(&doc), Some("cancelled"));
+            assert_cancelled(&doc);
             saw_cancelled = true;
         } else {
             assert_eq!(status(&doc), "proved");
@@ -280,34 +308,35 @@ fn quota_reservations_bound_concurrent_admissions() {
     // Lifetime allowance 10M: while a 600k-fuel request is in flight its
     // fuel is reserved, so a concurrent 9.5M ask from the same tenant
     // must be rejected at admission — requests may never each be
-    // admitted against the same remainder. The head job is heavy (a
-    // cold ~6.5k-store universe) so it is reliably still in flight when
-    // the probe, admitted microseconds later by the same reader thread,
-    // hits the quota check. Margins are wide on purpose: head can spend
-    // at most its declared 600k, so probe2's 9M always fits afterwards
-    // and only a still-held reservation could reject the 9.5M probe.
+    // admitted against the same remainder. The head job is a holder, so
+    // it is in flight when the probe, admitted microseconds later by the
+    // same reader thread, hits the quota check, and it settles only when
+    // cancelled. Margins are wide on purpose: head can spend at most its
+    // declared 600k, so probe2's 9M always fits afterwards and only a
+    // still-held reservation could reject the 9.5M probe.
     let server = boot(ServeConfig {
         workers: 1,
         quota: Some(10_000_000),
         ..ServeConfig::default()
     });
-    let mut client = Client::connect(server.addr().unwrap());
-    client.send(
-        r#"{"id":"head","job":"verify","tenant":"t0","fuel":600000,
-           "vars":"x:-40..40,y:-40..40",
-           "code":"while (x < 40) do { x := x + 1 ; y := 0 - x }",
-           "pre":"x = 0 - 40 && y = 40","spec":"x = 40"}"#,
-    );
+    let addr = server.addr().unwrap();
+    let mut client = Client::connect(addr);
+    client.send(&holder(r#""id":"head","tenant":"t0","fuel":600000"#));
     let doc = client.roundtrip(
         r#"{"id":"probe","job":"verify","tenant":"t0","fuel":9500000,
            "vars":"x:0..1","code":"skip","pre":"true","spec":"true"}"#,
     );
     assert_eq!(error_code(&doc), Some(3.0), "{doc:?}");
     assert_eq!(error_reason(&doc), Some("quota"));
-    // Once head settles (verdict or fuel cutoff), its reservation is
-    // released and only actual spend is charged — 9M now fits.
+    // Once head settles, its reservation is released and only actual
+    // spend is charged — 9M now fits.
+    let doc = Client::connect(addr)
+        .roundtrip(r#"{"id":"c","job":"cancel","tenant":"t0","target":"head"}"#);
+    let detail = doc.get("detail").and_then(Value::as_str).unwrap_or("");
+    assert!(detail.contains("signalled"), "{detail}");
     let doc = client.recv();
-    assert_eq!(doc.get("id").and_then(Value::as_str), Some("head"));
+    assert_eq!(id_of(&doc), "head");
+    assert_cancelled(&doc);
     let doc = client.roundtrip(
         r#"{"id":"probe2","job":"verify","tenant":"t0","fuel":9000000,
            "vars":"x:0..1","code":"skip","pre":"true","spec":"true"}"#,

@@ -166,10 +166,8 @@ fn e3_variable_boundary() {
     // At least one added point is genuinely relational in n (it must
     // distinguish stores by n, not only by i and j).
     let relational = v.added_points().iter().any(|p| {
-        u.iter_stores().any(|(idx, s)| {
-            if !p.contains(idx) {
-                return false;
-            }
+        p.iter().any(|idx| {
+            let s = u.store_at(idx);
             // same (i, j), different n, not in the point
             (0..=4).any(|n2| {
                 n2 != s[0]

@@ -72,6 +72,32 @@ fn bad_flags_are_usage_exit_two() {
 }
 
 #[test]
+fn deeply_nested_programs_are_usage_exit_two() {
+    // Each shape overflowed the stack (exit 134) before the parser
+    // bounded nesting; each now fails as a parse error.
+    let shapes = [
+        (
+            "parens",
+            format!("x := {}x{}", "(".repeat(200_000), ")".repeat(200_000)),
+        ),
+        ("plus", format!("x := x{}", " + 0".repeat(50_000))),
+        ("skips", format!("{}skip", "skip; ".repeat(50_000))),
+    ];
+    for (name, code) in shapes {
+        let path = std::env::temp_dir().join(format!("air_cli_nesting_{name}.imp"));
+        std::fs::write(&path, code).unwrap();
+        let file = path.display().to_string();
+        let out = air(&[
+            "verify", "--file", &file, "--vars", "x:0..3", "--pre", "true", "--spec", "true",
+        ]);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(out.status.code(), Some(2), "{name}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("nesting deeper"), "{name}: {stderr}");
+    }
+}
+
+#[test]
 fn exhausted_fuel_exits_three_with_partial_report() {
     let out = air(&[
         "verify",

@@ -1,18 +1,18 @@
-//! The abstract semantics `⟦·⟧♯_{A⊞N}` over enumerated domains.
+//! The abstract semantics `⟦·⟧♯_{A⊞N}`, once for every [`StateAlgebra`].
 //!
 //! Basic commands are interpreted by their *best correct approximation*
-//! `⟦e⟧_A = A ∘ ⟦e⟧ ∘ γ` (paper, Section 3.2) — on an [`EnumDomain`] whose
+//! `⟦e⟧_A = A ∘ ⟦e⟧ ∘ γ` (paper, Section 3.2) — on a domain whose
 //! elements are already concretized state sets this is just
 //! `A_N(⟦e⟧(a))`. Kleene stars iterate to the least fixpoint, optionally
 //! accelerated by the pointed widening `∇_N` (Definition 7.11) to mirror
 //! the paper's widened analyses.
 
 use air_lang::ast::Reg;
-use air_lang::{Concrete, SemCache, SemError, StateSet, TermId, TermNode};
+use air_lang::{Concrete, SemCache, SemError, Universe};
 use air_lattice::Governor;
 use air_trace::{EventKind, Tracer};
 
-use crate::domain::EnumDomain;
+use crate::algebra::{EnumAlgebra, PointedDomain, StateAlgebra, StoreSet};
 
 /// Star acceleration strategy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -26,7 +26,8 @@ pub enum StarStrategy {
     PointedWidening,
 }
 
-/// An abstract interpreter over an [`EnumDomain`].
+/// An abstract interpreter over a [`StateAlgebra`] — by default the
+/// enumerative one ([`EnumAlgebra`]).
 ///
 /// # Example
 ///
@@ -48,16 +49,10 @@ pub enum StarStrategy {
 /// # }
 /// ```
 #[derive(Clone, Debug)]
-pub struct AbstractSemantics<'u> {
-    sem: Concrete<'u>,
+pub struct AbstractSemantics<'u, A = EnumAlgebra<'u>> {
+    universe: &'u Universe,
+    alg: A,
     strategy: StarStrategy,
-    cache: Option<SemCache>,
-    /// Whether leaf images go through the cache's concrete exec table.
-    /// Resolved once at construction from the cache's bypass threshold,
-    /// so small universes never pay a per-call probe: their leaves call
-    /// the concrete semantics directly while the id-space image memo
-    /// (which wins from the first repeated subterm) stays on.
-    exec_table: bool,
     trace: Tracer,
     governor: Governor,
 }
@@ -65,31 +60,35 @@ pub struct AbstractSemantics<'u> {
 impl<'u> AbstractSemantics<'u> {
     /// Creates the abstract interpreter with exact star fixpoints and a
     /// fresh transfer-function cache.
-    pub fn new(universe: &'u air_lang::Universe) -> Self {
+    pub fn new(universe: &'u Universe) -> Self {
         Self::with_cache(universe, SemCache::new())
     }
 
     /// Creates the interpreter memoizing concrete transfer images into
     /// `cache` (shareable across engines and threads).
-    pub fn with_cache(universe: &'u air_lang::Universe, cache: SemCache) -> Self {
-        let exec_table = !cache.is_bypassed(universe.size());
-        AbstractSemantics {
-            sem: Concrete::new(universe),
-            strategy: StarStrategy::Lfp,
-            cache: Some(cache),
-            exec_table,
-            trace: Tracer::disabled(),
-            governor: Governor::unlimited(),
-        }
+    pub fn with_cache(universe: &'u Universe, cache: SemCache) -> Self {
+        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, cache))
     }
 
     /// Creates the interpreter without memoization (the reference path).
-    pub fn uncached(universe: &'u air_lang::Universe) -> Self {
+    pub fn uncached(universe: &'u Universe) -> Self {
+        Self::from_algebra(universe, EnumAlgebra::uncached(universe))
+    }
+
+    /// The underlying concrete semantics.
+    pub fn concrete(&self) -> &Concrete<'u> {
+        self.alg.concrete()
+    }
+}
+
+impl<'u, A: StateAlgebra> AbstractSemantics<'u, A> {
+    /// Creates the abstract interpreter over `alg` with exact star
+    /// fixpoints.
+    pub fn from_algebra(universe: &'u Universe, alg: A) -> Self {
         AbstractSemantics {
-            sem: Concrete::new(universe),
+            universe,
+            alg,
             strategy: StarStrategy::Lfp,
-            cache: None,
-            exec_table: false,
             trace: Tracer::disabled(),
             governor: Governor::unlimited(),
         }
@@ -101,12 +100,10 @@ impl<'u> AbstractSemantics<'u> {
         self
     }
 
-    /// Emits `widening` events (and the cache's hit/miss/bypass
+    /// Emits `widening` events (and the algebra's cache hit/miss/bypass
     /// telemetry) through `tracer`.
     pub fn tracer(mut self, tracer: Tracer) -> Self {
-        if let Some(cache) = &self.cache {
-            cache.set_tracer(&tracer);
-        }
+        self.alg.set_tracer(&tracer);
         self.trace = tracer;
         self
     }
@@ -119,129 +116,63 @@ impl<'u> AbstractSemantics<'u> {
         self
     }
 
-    fn exec_exp(&self, e: &air_lang::ast::Exp, a: &StateSet) -> Result<StateSet, SemError> {
-        match &self.cache {
-            Some(cache) => cache.exec_exp(&self.sem, e, a),
-            None => self.sem.exec_exp(e, a),
-        }
+    /// The algebra this interpreter runs in.
+    pub(crate) fn algebra(&self) -> &A {
+        &self.alg
     }
 
     /// `⟦r⟧♯_{A⊞N} a` for an expressible `a` (callers pass `dom.close`d
     /// inputs; the function also accepts raw sets and closes basic-command
     /// outputs).
     ///
-    /// With a cache attached, the term is interned once and interpreted
-    /// in id space, memoizing the *abstract* image of every node in the
-    /// domain's per-`N` image memo — so re-analyses of a subterm on an
-    /// input already seen in this refinement are O(1). Universes at or
-    /// under the bypass cutoff skip only the concrete exec table (leaves
-    /// evaluate directly); see the `exec_table` field. The uncached
-    /// interpreter below is the reference path and recomputes everything.
+    /// With a memoizing algebra the term is interned once and the
+    /// abstract image of every node is memoized per refinement, so
+    /// re-analyses of a subterm on an input already seen are O(1).
+    /// Widened images are never memoized (the memo key does not carry the
+    /// strategy).
     ///
     /// # Errors
     ///
     /// Propagates [`SemError`] from concrete transfer functions (universe
     /// escapes, overflow).
-    pub fn exec(&self, dom: &EnumDomain, r: &Reg, a: &StateSet) -> Result<StateSet, SemError> {
-        if let Some(cache) = &self.cache {
-            if self.strategy == StarStrategy::Lfp {
-                let root = cache.intern(r).root;
-                return self.exec_node(dom, cache, root, a);
-            }
-        }
-        self.exec_plain(dom, r, a)
+    pub fn exec(&self, dom: &A::Domain, r: &Reg, a: &A::Set) -> Result<A::Set, SemError> {
+        let t = match self.strategy {
+            StarStrategy::Lfp => self.alg.term(r),
+            StarStrategy::PointedWidening => A::Term::default(),
+        };
+        self.exec_term(dom, r, t, a)
     }
 
-    /// Id-keyed [`exec`](Self::exec): `id` must come from the arena of the
-    /// cache this interpreter was built with. Engines that intern their
-    /// program once drive this entry point to skip the per-call interning
-    /// walk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SemError`]; panics if this interpreter has no cache.
-    pub fn exec_id(
+    /// [`exec`](Self::exec) of the node `r` whose handle is `t`.
+    pub(crate) fn exec_term(
         &self,
-        dom: &EnumDomain,
-        id: TermId,
-        a: &StateSet,
-    ) -> Result<StateSet, SemError> {
-        let cache = self.cache.as_ref().expect("exec_id requires a cache");
-        if self.strategy == StarStrategy::Lfp {
-            self.exec_node(dom, cache, id, a)
-        } else {
-            self.exec_plain(dom, &cache.arena().resolve(id), a)
-        }
-    }
-
-    /// The memoized id-space interpreter: one `absmemo` entry per
-    /// `(node, input)` reached in this refinement.
-    fn exec_node(
-        &self,
-        dom: &EnumDomain,
-        cache: &SemCache,
-        id: TermId,
-        a: &StateSet,
-    ) -> Result<StateSet, SemError> {
-        let key = (cache.arena().token(), id, a.clone());
-        dom.abs_memo()
-            .try_get_or_insert_with(&key, || match cache.arena().node(id) {
-                TermNode::Basic(e) => {
-                    let image = if self.exec_table {
-                        cache.exec_exp(&self.sem, &e, a)?
-                    } else {
-                        self.sem.exec_exp(&e, a)?
-                    };
-                    Ok(dom.close(&image))
-                }
-                TermNode::Seq(r1, r2) => {
-                    let mid = self.exec_node(dom, cache, r1, a)?;
-                    self.exec_node(dom, cache, r2, &mid)
-                }
-                TermNode::Choice(r1, r2) => {
-                    let l = self.exec_node(dom, cache, r1, a)?;
-                    let rr = self.exec_node(dom, cache, r2, a)?;
-                    Ok(dom.close(&l.union(&rr)))
-                }
-                TermNode::Star(body) => {
-                    let mut x = dom.close(a);
-                    // Same strictly-increasing Lfp iteration as the plain
-                    // path; each round's body image is memoized.
-                    for _ in 0..=self.sem.universe().size() {
-                        self.governor.check_with(|| "absint.star".to_string())?;
-                        let step = self.exec_node(dom, cache, body, &x)?;
-                        let grown = dom.close(&x.union(&step));
-                        if grown.is_subset(&x) {
-                            return Ok(x);
-                        }
-                        x = grown;
-                    }
-                    Err(SemError::Divergence)
-                }
-            })
-    }
-
-    /// The reference interpreter over the plain AST (no image memo).
-    fn exec_plain(&self, dom: &EnumDomain, r: &Reg, a: &StateSet) -> Result<StateSet, SemError> {
-        match r {
-            Reg::Basic(e) => Ok(dom.close(&self.exec_exp(e, a)?)),
+        dom: &A::Domain,
+        r: &Reg,
+        t: A::Term,
+        a: &A::Set,
+    ) -> Result<A::Set, SemError> {
+        self.alg.abs_image(dom, t, a, || match r {
+            Reg::Basic(e) => Ok(dom.close(&self.alg.image(t, e, a)?)),
             Reg::Seq(r1, r2) => {
-                let mid = self.exec_plain(dom, r1, a)?;
-                self.exec_plain(dom, r2, &mid)
+                let (t1, t2) = self.alg.children(t);
+                let mid = self.exec_term(dom, r1, t1, a)?;
+                self.exec_term(dom, r2, t2, &mid)
             }
             Reg::Choice(r1, r2) => {
-                let l = self.exec_plain(dom, r1, a)?;
-                let rr = self.exec_plain(dom, r2, a)?;
-                Ok(dom.close(&l.union(&rr)))
+                let (t1, t2) = self.alg.children(t);
+                let l = self.exec_term(dom, r1, t1, a)?;
+                let rr = self.exec_term(dom, r2, t2, a)?;
+                Ok(dom.join(&l, &rr))
             }
             Reg::Star(body) => {
+                let (tb, _) = self.alg.children(t);
                 let mut x = dom.close(a);
                 // Strictly increasing on a finite lattice: ≤ |Σ|+1 rounds
                 // for Lfp; pointed widening converges at least as fast.
-                for _ in 0..=self.sem.universe().size() {
+                for _ in 0..=self.universe.size() {
                     self.governor.check_with(|| "absint.star".to_string())?;
-                    let step = self.exec_plain(dom, body, &x)?;
-                    let grown = dom.close(&x.union(&step));
+                    let step = self.exec_term(dom, body, tb, &x)?;
+                    let grown = dom.join(&x, &step);
                     if grown.is_subset(&x) {
                         return Ok(x);
                     }
@@ -257,18 +188,14 @@ impl<'u> AbstractSemantics<'u> {
                 }
                 Err(SemError::Divergence)
             }
-        }
-    }
-
-    /// The underlying concrete semantics.
-    pub fn concrete(&self) -> &Concrete<'u> {
-        &self.sem
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::EnumDomain;
     use air_domains::IntervalEnv;
     use air_lang::{parse_program, Universe};
 

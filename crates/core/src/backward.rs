@@ -5,19 +5,23 @@
 //! repair it continues along the existing abstract computation instead of
 //! restarting (the key advantage over forward repair, Section 5 (iv)).
 //!
-//! The implementation follows the paper's pseudocode line by line; the
-//! Kleene-star unroll can use either the abstract join (the printed
-//! algorithm) or the pointed widening `∇_N` of Definition 7.11 (the
-//! widened variant of Section 7.2, Example 7.13).
+//! The implementation follows the paper's pseudocode line by line, once,
+//! over any [`StateAlgebra`]: explicit bitsets ([`EnumAlgebra`], the
+//! default) or decision diagrams
+//! ([`SymAlgebra`](crate::symbolic::SymAlgebra)). The Kleene-star unroll
+//! can use either the abstract join (the printed algorithm) or the
+//! pointed widening `∇_N` of Definition 7.11 (the widened variant of
+//! Section 7.2, Example 7.13).
 
 use std::collections::HashMap;
 
 use air_lang::ast::Reg;
-use air_lang::{SemCache, StateSet, TermId, TermNode, Universe, Wlp};
+use air_lang::{SemCache, StateSet, Universe};
 use air_lattice::{ExhaustReason, Exhaustion, Governor};
 use air_trace::{EventKind, Tracer};
 
 use crate::absint::AbstractSemantics;
+use crate::algebra::{EnumAlgebra, PointedDomain, StateAlgebra, StoreSet};
 use crate::domain::EnumDomain;
 use crate::forward::RepairError;
 
@@ -55,7 +59,8 @@ impl BackwardOutcome {
     }
 }
 
-/// The backward repair strategy (Algorithm 2).
+/// The backward repair strategy (Algorithm 2) over a [`StateAlgebra`] —
+/// by default the enumerative one ([`EnumAlgebra`]).
 ///
 /// # Example
 ///
@@ -79,38 +84,28 @@ impl BackwardOutcome {
 /// # }
 /// ```
 #[derive(Clone, Debug)]
-pub struct BackwardRepair<'u> {
+pub struct BackwardRepair<'u, A = EnumAlgebra<'u>> {
     universe: &'u Universe,
-    wlp: Wlp<'u>,
+    alg: A,
     strategy: UnrollStrategy,
-    cache: Option<SemCache>,
     max_calls: usize,
     trace: Tracer,
     governor: Governor,
 }
 
-/// Per-repair mutable state. The recursion used to clone whole
-/// `Vec<StateSet>` point lists at every `bRepair` split; the arena keeps
-/// each distinct point once (`points`, in discovery order) and the
-/// in-flight `N` travels as a small `Vec<PointId>` — splitting copies a
-/// handful of `u32`s.
-struct Ctx<'u> {
+/// Per-repair mutable state. The arena keeps each distinct point once
+/// (`points`, in discovery order) and the in-flight `N` travels as a
+/// small `Vec<PointId>` — splitting copies a handful of `u32`s.
+struct Ctx<'u, A: StateAlgebra> {
     calls: usize,
     inv_iterations: usize,
-    max_calls: usize,
-    /// Hoisted abstract interpreter: one engine for the whole run instead
-    /// of one per `abs_exec` call.
-    sem: AbstractSemantics<'u>,
-    /// The strategy's cache (arena and memo tables), when caching is on.
-    cache: Option<SemCache>,
-    /// Whether `wlp` goes through the cache's memo table. Decided once
-    /// per run by [`SemCache::demote_for`]: small universes run with the
-    /// tables demoted and zero per-call probes in the hot loop.
-    use_tables: bool,
+    /// Hoisted abstract interpreter over the run's algebra: one engine
+    /// for the whole run instead of one per `abs_exec` call.
+    sem: AbstractSemantics<'u, A>,
     /// The point arena: every distinct point discovered, in order.
-    points: Vec<StateSet>,
+    points: Vec<A::Set>,
     /// Reverse index of `points` for O(1) dedup on push.
-    ids: HashMap<StateSet, PointId>,
+    ids: HashMap<A::Set, PointId>,
     /// The longest point set seen on any `bRepair` path — the best
     /// partial refinement to report if the budget runs out (the error
     /// path of Algorithm 2 discards the in-flight `N`).
@@ -118,12 +113,12 @@ struct Ctx<'u> {
     /// Refinement domains `A ⊞ N` by point-id list: `with_points` re-runs
     /// expressibility closures per point, so recursion siblings sharing
     /// an `N` must share the built domain instead of rebuilding it.
-    dom_cache: HashMap<Vec<PointId>, EnumDomain>,
+    dom_cache: HashMap<Vec<PointId>, A::Domain>,
 }
 
-impl<'u> Ctx<'u> {
+impl<A: StateAlgebra> Ctx<'_, A> {
     /// Arena id for `p`, interning it on first sight.
-    fn point_id(&mut self, p: &StateSet) -> PointId {
+    fn point_id(&mut self, p: &A::Set) -> PointId {
         if let Some(&id) = self.ids.get(p) {
             return id;
         }
@@ -135,7 +130,7 @@ impl<'u> Ctx<'u> {
 
     /// Pushes `p` onto `n` unless already present; reports whether it was
     /// new (so call sites only trace points that actually refine).
-    fn push(&mut self, n: &mut Vec<PointId>, p: &StateSet) -> bool {
+    fn push(&mut self, n: &mut Vec<PointId>, p: &A::Set) -> bool {
         let id = self.point_id(p);
         if n.contains(&id) {
             false
@@ -156,35 +151,34 @@ impl<'u> Ctx<'u> {
     }
 
     /// The state sets behind an id list (outcome boundaries only).
-    fn materialize(&self, n: &[PointId]) -> Vec<StateSet> {
+    fn materialize(&self, n: &[PointId]) -> Vec<A::Set> {
         n.iter()
             .map(|&id| self.points[id as usize].clone())
             .collect()
     }
 
-    /// The arena children of `rid`, aligned with the structural children
-    /// of the matched [`Reg`] node (`None`s when the run is uncached).
-    /// Interning is structural, so a `Seq` reg always resolves to a `Seq`
-    /// node, and so on.
-    fn child_ids(&self, rid: Option<TermId>) -> (Option<TermId>, Option<TermId>) {
-        match (rid, &self.cache) {
-            (Some(id), Some(cache)) => match cache.arena().node(id) {
-                TermNode::Seq(a, b) | TermNode::Choice(a, b) => (Some(a), Some(b)),
-                TermNode::Star(body) => (Some(body), None),
-                TermNode::Basic(_) => (None, None),
-            },
-            _ => (None, None),
-        }
+    /// `⟦r⟧♯_{A⊞N} P` in the current refinement (domain and interpreter
+    /// both come from the per-run caches).
+    fn abs_exec(
+        &mut self,
+        base: &A::Domain,
+        n: &[PointId],
+        r: &Reg,
+        t: A::Term,
+        p: &A::Set,
+    ) -> Result<A::Set, RepairError> {
+        let dom = Self::domain(&mut self.dom_cache, &self.points, base, n);
+        Ok(self.sem.exec_term(dom, r, t, &dom.close(p))?)
     }
 
     /// The refinement `base ⊞ N` for an id list, built once per distinct
     /// `N` and shared by every recursive call that reaches it.
     fn domain<'a>(
-        dom_cache: &'a mut HashMap<Vec<PointId>, EnumDomain>,
-        points: &[StateSet],
-        base: &EnumDomain,
+        dom_cache: &'a mut HashMap<Vec<PointId>, A::Domain>,
+        points: &[A::Set],
+        base: &A::Domain,
         n: &[PointId],
-    ) -> &'a EnumDomain {
+    ) -> &'a A::Domain {
         dom_cache
             .entry(n.to_vec())
             .or_insert_with(|| base.with_points(n.iter().map(|&id| points[id as usize].clone())))
@@ -201,41 +195,38 @@ impl<'u> BackwardRepair<'u> {
 
     /// Creates the strategy memoizing into `cache`.
     pub fn with_cache(universe: &'u Universe, cache: SemCache) -> Self {
-        BackwardRepair {
-            universe,
-            wlp: Wlp::new(universe),
-            strategy: UnrollStrategy::Join,
-            cache: Some(cache),
-            max_calls: 1_000_000,
-            trace: Tracer::disabled(),
-            governor: Governor::unlimited(),
-        }
+        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, cache))
     }
 
     /// Creates the strategy without memoization (the reference path).
     pub fn uncached(universe: &'u Universe) -> Self {
+        Self::from_algebra(universe, EnumAlgebra::uncached(universe))
+    }
+
+    /// The shared semantic cache, if caching is enabled.
+    pub fn cache(&self) -> Option<&SemCache> {
+        self.alg.cache()
+    }
+}
+
+impl<'u, A: StateAlgebra> BackwardRepair<'u, A> {
+    /// Creates the strategy over `alg` with exact joins and a generous
+    /// call budget.
+    pub fn from_algebra(universe: &'u Universe, alg: A) -> Self {
         BackwardRepair {
             universe,
-            wlp: Wlp::new(universe),
+            alg,
             strategy: UnrollStrategy::Join,
-            cache: None,
             max_calls: 1_000_000,
             trace: Tracer::disabled(),
             governor: Governor::unlimited(),
         }
     }
 
-    /// The shared semantic cache, if caching is enabled.
-    pub fn cache(&self) -> Option<&SemCache> {
-        self.cache.as_ref()
-    }
-
     /// Emits `incompleteness`/`shell_point`/`widening` events (and the
-    /// cache's hit/miss/bypass telemetry) through `tracer`.
+    /// algebra's cache hit/miss/bypass telemetry) through `tracer`.
     pub fn tracer(mut self, tracer: Tracer) -> Self {
-        if let Some(cache) = &self.cache {
-            cache.set_tracer(&tracer);
-        }
+        self.alg.set_tracer(&tracer);
         self.trace = tracer;
         self
     }
@@ -264,7 +255,10 @@ impl<'u> BackwardRepair<'u> {
     /// Algorithm 2 entry point: `bRepair_A(∅, A(P), r, S)`.
     ///
     /// `p` is closed in the base domain first (Lemma 7.5 suggests starting
-    /// from an expressible input; passing any `p` analyzes `A(p)`).
+    /// from an expressible input; passing any `p` analyzes `A(p)`). `p`
+    /// and `spec` are lifted into the algebra here and the outcome is
+    /// lowered back to bitsets, so callers see one outcome type whichever
+    /// algebra ran.
     ///
     /// # Errors
     ///
@@ -274,56 +268,30 @@ impl<'u> BackwardRepair<'u> {
     /// set reached and a sound partial invariant in that refinement.
     pub fn repair(
         &self,
-        base: &EnumDomain,
+        base: &A::Domain,
         p: &StateSet,
         r: &Reg,
         spec: &StateSet,
     ) -> Result<BackwardOutcome, RepairError> {
         let _span = self.trace.span(|| "repair.backward".to_string());
-        // One engine-level bypass decision for the whole run (counted and
-        // traced once): at or under the threshold the wlp/exec memo
-        // tables are demoted — they cannot amortize on sets this small —
-        // so the hot loops carry no per-call probes either way.
-        let use_tables = self
-            .cache
-            .as_ref()
-            .is_some_and(|c| !c.demote_for(self.universe.size()));
-        // Intern the program once; the recursion then travels in id space
-        // and every abstract image lookup keys on a `u32`. On a demoted
-        // (small) universe the image memo only pays off when warm, so the
-        // first sight of a program — `fresh_nodes > 0`, nothing memoized
-        // under these ids yet — runs the pure reference path instead of
-        // funding memo writes it will never read; re-repairs of a known
-        // program take the id path and reap them.
-        let interned = self.cache.as_ref().map(|c| c.intern(r));
-        let use_ids = match &interned {
-            Some(outcome) => use_tables || outcome.fresh_nodes == 0,
-            None => false,
-        };
-        let cache = self.cache.clone().filter(|_| use_ids);
-        let sem = match &cache {
-            Some(cache) => AbstractSemantics::with_cache(self.universe, cache.clone()),
-            None => AbstractSemantics::uncached(self.universe),
-        }
-        .governor(self.governor.clone());
-        let root = interned.filter(|_| use_ids).map(|o| o.root);
+        let (alg, root) = self.alg.for_repair(r);
+        let p = alg.lift(p);
+        let spec = alg.lift(spec);
         let mut ctx = Ctx {
             calls: 0,
             inv_iterations: 0,
-            max_calls: self.max_calls,
-            sem,
-            cache,
-            use_tables,
+            sem: AbstractSemantics::from_algebra(self.universe, alg)
+                .governor(self.governor.clone()),
             points: Vec::new(),
             ids: HashMap::new(),
             best_points: Vec::new(),
             dom_cache: HashMap::new(),
         };
-        let p_hat = base.close(p);
+        let p_hat = base.close(&p);
         let (valid_input, points) =
-            match self.brepair(base, Vec::new(), p_hat, r, root, spec, &mut ctx) {
+            match self.brepair(base, Vec::new(), p_hat, r, root, &spec, &mut ctx) {
                 Ok((v, n)) => (v, ctx.materialize(&n)),
-                Err(e) => return Err(self.exhausted(e, base, &ctx, r, p)),
+                Err(e) => return Err(self.exhausted(e, base, &ctx, r, &p)),
             };
         self.trace.emit_detail_with(|| EventKind::Counter {
             name: "backward.calls".to_string(),
@@ -334,8 +302,8 @@ impl<'u> BackwardRepair<'u> {
             delta: ctx.inv_iterations as u64,
         });
         Ok(BackwardOutcome {
-            valid_input,
-            points,
+            valid_input: self.alg.lower(valid_input),
+            points: points.into_iter().map(|p| self.alg.lower(p)).collect(),
             calls: ctx.calls,
             inv_iterations: ctx.inv_iterations,
         })
@@ -349,26 +317,27 @@ impl<'u> BackwardRepair<'u> {
     fn exhausted(
         &self,
         err: RepairError,
-        base: &EnumDomain,
-        ctx: &Ctx,
+        base: &A::Domain,
+        ctx: &Ctx<'u, A>,
         r: &Reg,
-        p: &StateSet,
+        p: &A::Set,
     ) -> RepairError {
         let RepairError::Exhausted(mut partial) = err else {
             return err;
         };
-        if partial.points.is_empty() {
-            partial.points = ctx.materialize(&ctx.best_points);
-        }
+        let best = ctx.materialize(&ctx.best_points);
         if partial.invariant.is_none() {
             // Ungoverned pass: the absint fixpoint is bounded by the
             // universe size, so this terminates despite the spent budget.
-            let dom = base.with_points(partial.points.iter().cloned());
-            let sem = match &self.cache {
-                Some(cache) => AbstractSemantics::with_cache(self.universe, cache.clone()),
-                None => AbstractSemantics::uncached(self.universe),
-            };
-            partial.invariant = sem.exec(&dom, r, &dom.close(p)).ok();
+            let dom = base.with_points(best.iter().cloned());
+            let sem = AbstractSemantics::from_algebra(self.universe, self.alg.clone());
+            partial.invariant = sem
+                .exec(&dom, r, &dom.close(p))
+                .ok()
+                .map(|inv| self.alg.lower(inv));
+        }
+        if partial.points.is_empty() {
+            partial.points = best.into_iter().map(|p| self.alg.lower(p)).collect();
         }
         self.trace.emit_with(|| EventKind::BudgetExhausted {
             phase: partial.exhaustion.phase.clone(),
@@ -378,71 +347,28 @@ impl<'u> BackwardRepair<'u> {
         RepairError::Exhausted(partial)
     }
 
-    /// `⟦r⟧♯_{A⊞N} P` in the current refinement (domain and interpreter
-    /// both come from the per-run context caches).
-    fn abs_exec(
-        &self,
-        base: &EnumDomain,
-        ctx: &mut Ctx<'_>,
-        n: &[PointId],
-        r: &Reg,
-        rid: Option<TermId>,
-        p: &StateSet,
-    ) -> Result<StateSet, RepairError> {
-        let Ctx {
-            sem,
-            points,
-            dom_cache,
-            ..
-        } = ctx;
-        let dom = Ctx::domain(dom_cache, points, base, n);
-        let a = dom.close(p);
-        Ok(match rid {
-            Some(id) => sem.exec_id(dom, id, &a)?,
-            None => sem.exec(dom, r, &a)?,
-        })
-    }
-
-    /// `V⟨P, r, S⟩ = P ∩ wlp(r, S)`, through the run's effective cache
-    /// when enabled.
-    fn valid_input(
-        &self,
-        ctx: &Ctx<'_>,
-        p: &StateSet,
-        r: &Reg,
-        rid: Option<TermId>,
-        s: &StateSet,
-    ) -> Result<StateSet, RepairError> {
-        let w = match (&ctx.cache, rid) {
-            (Some(cache), Some(id)) if ctx.use_tables => cache.wlp_id(&self.wlp, id, s)?,
-            (Some(cache), None) if ctx.use_tables => cache.wlp_reg(&self.wlp, r, s)?,
-            _ => self.wlp.reg(r, s)?,
-        };
-        Ok(p.intersection(&w))
-    }
-
-    fn trace_point(&self, rule: &str, exp: &impl std::fmt::Display, point: &StateSet) {
+    fn trace_point(&self, rule: &str, exp: &impl std::fmt::Display, point: &A::Set) {
         self.trace.emit_detail_with(|| EventKind::ShellPoint {
             rule: rule.to_string(),
             exp: exp.to_string(),
-            point_size: point.len(),
+            point_size: point.size(),
         });
     }
 
     #[allow(clippy::too_many_arguments)]
     fn brepair(
         &self,
-        base: &EnumDomain,
+        base: &A::Domain,
         mut n: Vec<PointId>,
-        p: StateSet,
+        p: A::Set,
         r: &Reg,
-        rid: Option<TermId>,
-        s: &StateSet,
-        ctx: &mut Ctx<'_>,
-    ) -> Result<(StateSet, Vec<PointId>), RepairError> {
+        t: A::Term,
+        s: &A::Set,
+        ctx: &mut Ctx<'u, A>,
+    ) -> Result<(A::Set, Vec<PointId>), RepairError> {
         ctx.calls += 1;
         self.governor.check_with(|| "repair.backward".to_string())?;
-        if ctx.calls > ctx.max_calls {
+        if ctx.calls > self.max_calls {
             return Err(Exhaustion {
                 phase: "repair.backward.max_calls".to_string(),
                 spent: ctx.calls as u64,
@@ -454,7 +380,7 @@ impl<'u> BackwardRepair<'u> {
             ctx.best_points = n.clone();
         }
         // Line 2: if ⟦r⟧♯_{A⊞N} P ≤ S then return ⟨P, N⟩.
-        if self.abs_exec(base, ctx, &n, r, rid, &p)?.is_subset(s) {
+        if ctx.abs_exec(base, &n, r, t, &p)?.is_subset(s) {
             return Ok((p, n));
         }
         match r {
@@ -465,10 +391,11 @@ impl<'u> BackwardRepair<'u> {
                 // witness in the sense of Def. 4.1.
                 self.trace.emit_detail_with(|| EventKind::Incompleteness {
                     exp: e.to_string(),
-                    input_size: p.len(),
+                    input_size: p.size(),
                 });
-                let v = self.valid_input(ctx, &p, r, rid, s)?;
-                let q = s.intersection(&self.abs_exec(base, ctx, &n, r, rid, &p)?);
+                // V⟨P, e, S⟩ = P ∩ wlp(e, S).
+                let v = p.intersection(&ctx.sem.algebra().wlp(t, r, s)?);
+                let q = s.intersection(&ctx.abs_exec(base, &n, r, t, &p)?);
                 if ctx.push(&mut n, &v) {
                     self.trace_point("bRepair basic: V⟨P,e,S⟩ (Alg 2 l.5)", e, &v);
                 }
@@ -479,19 +406,19 @@ impl<'u> BackwardRepair<'u> {
             }
             // Lines 7–10: sequential composition.
             Reg::Seq(r0, r1) => {
-                let (id0, id1) = ctx.child_ids(rid);
-                let mid = self.abs_exec(base, ctx, &n, r0, id0, &p)?;
-                let (v1, n1) = self.brepair(base, n.clone(), mid, r1, id1, s, ctx)?;
-                let (v0, n0) = self.brepair(base, n, p, r0, id0, &v1, ctx)?;
-                Ok((v0, Ctx::union_ids(n0, n1)))
+                let (t0, t1) = ctx.sem.algebra().children(t);
+                let mid = ctx.abs_exec(base, &n, r0, t0, &p)?;
+                let (v1, n1) = self.brepair(base, n.clone(), mid, r1, t1, s, ctx)?;
+                let (v0, n0) = self.brepair(base, n, p, r0, t0, &v1, ctx)?;
+                Ok((v0, Ctx::<A>::union_ids(n0, n1)))
             }
             // Lines 11–15: choice.
             Reg::Choice(r0, r1) => {
-                let (id0, id1) = ctx.child_ids(rid);
-                let (v0, n0) = self.brepair(base, n.clone(), p.clone(), r0, id0, s, ctx)?;
-                let (v1, n1) = self.brepair(base, n.clone(), p.clone(), r1, id1, s, ctx)?;
-                let q = s.intersection(&self.abs_exec(base, ctx, &n, r, rid, &p)?);
-                let mut out = Ctx::union_ids(n0, n1);
+                let (t0, t1) = ctx.sem.algebra().children(t);
+                let (v0, n0) = self.brepair(base, n.clone(), p.clone(), r0, t0, s, ctx)?;
+                let (v1, n1) = self.brepair(base, n.clone(), p.clone(), r1, t1, s, ctx)?;
+                let q = s.intersection(&ctx.abs_exec(base, &n, r, t, &p)?);
+                let mut out = Ctx::<A>::union_ids(n0, n1);
                 if ctx.push(&mut out, &q) {
                     self.trace_point("bRepair choice: S ∧ ⟦r⟧♯P (Alg 2 l.14)", r, &q);
                 }
@@ -499,15 +426,12 @@ impl<'u> BackwardRepair<'u> {
             }
             // Lines 16–21: Kleene star.
             Reg::Star(r0) => {
-                let (body_id, _) = ctx.child_ids(rid);
-                let r_step = self.abs_exec(base, ctx, &n, r0, body_id, &p)?;
+                let (body, _) = ctx.sem.algebra().children(t);
+                let r_step = ctx.abs_exec(base, &n, r0, body, &p)?;
                 if r_step.is_subset(&p) {
-                    self.inv(base, n, p, r0, body_id, s.clone(), ctx)
+                    self.inv(base, n, p, r0, body, s.clone(), ctx)
                 } else {
-                    let Ctx {
-                        points, dom_cache, ..
-                    } = &mut *ctx;
-                    let dom = Ctx::domain(dom_cache, points, base, &n);
+                    let dom = Ctx::<A>::domain(&mut ctx.dom_cache, &ctx.points, base, &n);
                     let grown = dom.join(&p, &r_step);
                     let unrolled = match self.strategy {
                         UnrollStrategy::Join => grown,
@@ -518,7 +442,7 @@ impl<'u> BackwardRepair<'u> {
                             dom.pointed_widen(&p, &grown)
                         }
                     };
-                    let (v1, n1) = self.brepair(base, n, unrolled, r, rid, s, ctx)?;
+                    let (v1, n1) = self.brepair(base, n, unrolled, r, t, s, ctx)?;
                     Ok((p.intersection(&v1), n1))
                 }
             }
@@ -529,14 +453,14 @@ impl<'u> BackwardRepair<'u> {
     #[allow(clippy::too_many_arguments)]
     fn inv(
         &self,
-        base: &EnumDomain,
+        base: &A::Domain,
         n: Vec<PointId>,
-        p: StateSet,
+        p: A::Set,
         r: &Reg,
-        rid: Option<TermId>,
-        mut v1: StateSet,
-        ctx: &mut Ctx<'_>,
-    ) -> Result<(StateSet, Vec<PointId>), RepairError> {
+        t: A::Term,
+        mut v1: A::Set,
+        ctx: &mut Ctx<'u, A>,
+    ) -> Result<(A::Set, Vec<PointId>), RepairError> {
         loop {
             ctx.inv_iterations += 1;
             self.governor
@@ -546,7 +470,7 @@ impl<'u> BackwardRepair<'u> {
             if ctx.push(&mut n0, &v0) {
                 self.trace_point("bRepair inv: P ∧ V₁ (Alg 2 l.24)", r, &v0);
             }
-            let (next_v1, n1) = self.brepair(base, n0, v0.clone(), r, rid, &v0, ctx)?;
+            let (next_v1, n1) = self.brepair(base, n0, v0.clone(), r, t, &v0, ctx)?;
             if next_v1 == v0 {
                 return Ok((next_v1, n1));
             }
@@ -560,7 +484,7 @@ mod tests {
     use super::*;
     use crate::local::LocalCompleteness;
     use air_domains::{IntervalEnv, OctagonDomain};
-    use air_lang::{parse_program, Concrete};
+    use air_lang::{parse_program, Concrete, Wlp};
 
     /// Example 7.8: the countdown loop. Backward repair on Int discovers
     /// the relational invariant x ∈ [0, K] ∧ y = x and its companions.

@@ -16,12 +16,16 @@
 //! Module map (paper section in parentheses):
 //!
 //! - [`domain`] — `A ⊞ N` pointed refinements of enumerated domains (§3.1).
+//! - [`algebra`] — the state-algebra seam under Algorithm 2 and
+//!   `⟦·⟧♯_{A⊞N}`, and its enumerative implementation ([`EnumAlgebra`]).
 //! - [`absint`] — the abstract semantics `⟦·⟧♯_{A⊞N}` with best correct
 //!   approximations of basic commands, plus pointed widening (§3.2, §7).
 //! - [`local`] — local completeness, the set `L^A_{c,f}`, pointed shells
 //!   and the Boolean-guard shell (§4).
 //! - [`forward`] — Algorithm 1, `fRepair` (§7.1).
 //! - [`backward`] — Algorithm 2, `bRepair` and `inv` (§7.2).
+//! - [`symbolic`] — the symbolic algebra ([`SymAlgebra`]): `Int ⊞ N` on
+//!   decision diagrams under the same engines.
 //! - [`verify`] — the user-facing verifier built on Corollary 7.7.
 //! - [`session`] — incremental re-repair: warm [`RepairSession`]s whose
 //!   re-verification cost tracks the structural distance of an edit.
@@ -65,6 +69,7 @@
 #![deny(clippy::redundant_clone)]
 
 pub mod absint;
+pub mod algebra;
 pub mod backward;
 pub mod domain;
 pub mod forward;
@@ -78,6 +83,7 @@ pub mod symbolic;
 pub mod verify;
 
 pub use absint::{AbstractSemantics, StarStrategy};
+pub use algebra::{EnumAlgebra, PointedDomain, StateAlgebra, StoreSet};
 pub use backward::{BackwardOutcome, BackwardRepair, UnrollStrategy};
 pub use domain::EnumDomain;
 pub use forward::{ForwardRepair, PartialRepair, RepairError, RepairOutcome, RepairRule};
@@ -86,5 +92,5 @@ pub use local::{LocalCompleteness, ShellResult};
 pub use oracles::{run_oracle, OracleInstance, OracleOutcome, ORACLES};
 pub use session::{RepairSession, ReuseStats, SessionOutcome};
 pub use summarize::{summarize, BoxSummary};
-pub use symbolic::{SymDomain, SymbolicAbsint, SymbolicBackward};
+pub use symbolic::{SymAlgebra, SymDomain};
 pub use verify::{Verdict, Verifier};

@@ -18,11 +18,12 @@ use air_lang::{Concrete, EngineBackend, SemCache, StateSet, Store, Universe};
 use air_lattice::Governor;
 use air_trace::{EventKind, Tracer};
 
+use crate::algebra::{EnumAlgebra, PointedDomain, StateAlgebra};
 use crate::backward::{BackwardOutcome, BackwardRepair};
 use crate::domain::EnumDomain;
 use crate::forward::{ForwardRepair, RepairError};
 use crate::summarize::display_set;
-use crate::symbolic::SymbolicBackward;
+use crate::symbolic::{SymAlgebra, SymDomain};
 
 /// The verification result.
 #[derive(Clone, Debug)]
@@ -182,13 +183,10 @@ impl<'u> Verifier<'u> {
         self
     }
 
-    fn backward_engine(&self) -> BackwardRepair<'u> {
-        match &self.cache {
-            Some(cache) => BackwardRepair::with_cache(self.universe, cache.clone()),
-            None => BackwardRepair::uncached(self.universe),
-        }
-        .tracer(self.trace.clone())
-        .governor(self.governor.clone())
+    fn backward_engine<A: StateAlgebra>(&self, alg: A) -> BackwardRepair<'u, A> {
+        BackwardRepair::from_algebra(self.universe, alg)
+            .tracer(self.trace.clone())
+            .governor(self.governor.clone())
     }
 
     fn forward_engine(&self) -> ForwardRepair<'u> {
@@ -207,19 +205,11 @@ impl<'u> Verifier<'u> {
         });
     }
 
-    /// `true` when backward verification runs on the native symbolic
-    /// pipeline: the semantic cache selects the symbolic backend and the
-    /// base domain is `Int`, the one base whose closure has a cheap
-    /// diagram form ([`SymDomain`](crate::SymDomain)). Other bases keep
-    /// the enumerative engines (their semantic queries still route
-    /// through the symbolic cache backend).
-    fn backward_is_symbolic(&self, domain: &EnumDomain) -> bool {
-        self.cache
-            .as_ref()
-            .is_some_and(|c| c.backend() == EngineBackend::Symbolic)
-            && domain.base_name() == "Int"
-    }
-
+    /// Runs Algorithm 2 in the algebra this verifier selects: the
+    /// symbolic one ([`SymAlgebra`]) when the cache runs the symbolic
+    /// backend and the base domain is `Int`, the one base whose closure
+    /// has a cheap diagram form ([`SymDomain`]); the enumerative one
+    /// otherwise (its semantic queries still reach a symbolic backend).
     fn backward_outcome(
         &self,
         domain: &EnumDomain,
@@ -227,21 +217,24 @@ impl<'u> Verifier<'u> {
         input: &StateSet,
         spec: &StateSet,
     ) -> Result<BackwardOutcome, RepairError> {
-        if self.backward_is_symbolic(domain) {
-            SymbolicBackward::new(self.universe)
-                .tracer(self.trace.clone())
-                .governor(self.governor.clone())
-                .repair(domain.points(), input, r, spec)
-        } else {
-            self.backward_engine().repair(domain, input, r, spec)
-        }
+        let alg = match &self.cache {
+            Some(c) if c.backend() == EngineBackend::Symbolic && domain.base_name() == "Int" => {
+                let alg = SymAlgebra::new(self.universe);
+                let base = SymDomain::interval(self.universe)
+                    .with_points(domain.points().iter().map(|p| alg.lift(p)));
+                return self.backward_engine(alg).repair(&base, input, r, spec);
+            }
+            Some(cache) => EnumAlgebra::with_cache(self.universe, cache.clone()),
+            None => EnumAlgebra::uncached(self.universe),
+        };
+        self.backward_engine(alg).repair(domain, input, r, spec)
     }
 
     /// Verifies `⟦r⟧input ≤ spec` by backward repair (Algorithm 2 +
-    /// Corollary 7.7), dispatching to the native symbolic pipeline when
-    /// this verifier's cache selects the symbolic backend and the base
-    /// domain is `Int` — same verdict either way, the symbolic path just
-    /// scales to universes the bitset engine cannot enumerate.
+    /// Corollary 7.7), run in the symbolic algebra when this verifier's
+    /// cache selects the symbolic backend and the base domain is `Int` —
+    /// same verdict either way, the symbolic algebra just scales to
+    /// universes the bitset algebra cannot enumerate.
     ///
     /// # Errors
     ///

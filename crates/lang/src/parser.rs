@@ -19,6 +19,14 @@
 //! Boolean operators: `!` binds tighter than `&&`, which binds tighter than
 //! `||`. Arithmetic: unary `-`, then `*`, then `+`/`-`.
 //!
+//! Programs come from outside, and the parser, the engines, printing and
+//! `Drop` all recurse over the syntax tree, so nesting is bounded at
+//! ingress: parentheses, blocks, `!` and unary `-` each open one level,
+//! and every operator of a `+`/`-`/`*`/`&&`/`||` chain, every `;` of a
+//! statement sequence and every `or` branch adds one, since chains build
+//! trees as deep as they are long. Past [`MAX_NESTING`] levels the parse
+//! fails with a [`ParseError`] instead of overflowing the stack.
+//!
 //! # Example
 //!
 //! ```
@@ -31,6 +39,8 @@
 //! ```
 
 use std::fmt;
+
+pub use air_trace::json::MAX_NESTING;
 
 use crate::ast::{AExp, BExp, CmpOp, Reg};
 
@@ -261,6 +271,11 @@ struct Parser {
     toks: Vec<(usize, Tok)>,
     pos: usize,
     src_len: usize,
+    /// Nesting levels open at `pos` (see the module docs).
+    depth: usize,
+    /// Set once `depth` passed [`MAX_NESTING`]: backtracking must not
+    /// retry (or mask) that failure.
+    too_deep: bool,
 }
 
 impl Parser {
@@ -316,31 +331,51 @@ impl Parser {
         matches!(self.peek(), Some(Tok::Ident(s)) if s == kw)
     }
 
+    /// Opens one nesting level; callers restore `depth` when the level
+    /// closes.
+    fn nest(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            self.too_deep = true;
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        Ok(())
+    }
+
     // ---- arithmetic expressions ----
 
     fn aexp(&mut self) -> Result<AExp, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.term()?;
         loop {
             match self.peek() {
                 Some(Tok::Plus) => {
                     self.pos += 1;
+                    self.nest()?;
                     lhs = lhs.add(self.term()?);
                 }
                 Some(Tok::Minus) => {
                     self.pos += 1;
+                    self.nest()?;
                     lhs = lhs.sub(self.term()?);
                 }
-                _ => return Ok(lhs),
+                _ => {
+                    self.depth = depth;
+                    return Ok(lhs);
+                }
             }
         }
     }
 
     fn term(&mut self) -> Result<AExp, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.factor()?;
         while self.peek() == Some(&Tok::Star) {
             self.pos += 1;
+            self.nest()?;
             lhs = lhs.mul(self.factor()?);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
@@ -355,7 +390,12 @@ impl Parser {
                     self.pos += 1;
                     Ok(AExp::Num(-n))
                 }
-                _ => Ok(self.factor()?.neg()),
+                _ => {
+                    self.nest()?;
+                    let e = self.factor()?.neg();
+                    self.depth -= 1;
+                    Ok(e)
+                }
             },
             Some(Tok::Ident(name)) => {
                 if KEYWORDS.contains(&name.as_str()) {
@@ -366,8 +406,10 @@ impl Parser {
                 }
             }
             Some(Tok::LParen) => {
+                self.nest()?;
                 let e = self.aexp()?;
                 self.expect(&Tok::RParen)?;
+                self.depth -= 1;
                 Ok(e)
             }
             Some(t) => {
@@ -381,27 +423,36 @@ impl Parser {
     // ---- boolean expressions ----
 
     fn bexp(&mut self) -> Result<BExp, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.band()?;
         while self.peek() == Some(&Tok::OrOr) {
             self.pos += 1;
+            self.nest()?;
             lhs = lhs.or(self.band()?);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn band(&mut self) -> Result<BExp, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.bnot()?;
         while self.peek() == Some(&Tok::AndAnd) {
             self.pos += 1;
+            self.nest()?;
             lhs = lhs.and(self.bnot()?);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn bnot(&mut self) -> Result<BExp, ParseError> {
         if self.peek() == Some(&Tok::Bang) {
             self.pos += 1;
-            return Ok(BExp::Not(Box::new(self.bnot()?)));
+            self.nest()?;
+            let b = BExp::Not(Box::new(self.bnot()?));
+            self.depth -= 1;
+            return Ok(b);
         }
         self.batom()
     }
@@ -416,15 +467,18 @@ impl Parser {
             return Ok(BExp::Ff);
         }
         // Try a comparison first; fall back to a parenthesized bexp.
-        let save = self.pos;
+        let (pos, depth) = (self.pos, self.depth);
         match self.comparison() {
             Ok(b) => Ok(b),
+            Err(cmp_err) if self.too_deep => Err(cmp_err),
             Err(cmp_err) => {
-                self.pos = save;
+                (self.pos, self.depth) = (pos, depth);
                 if self.peek() == Some(&Tok::LParen) {
                     self.pos += 1;
+                    self.nest()?;
                     let b = self.bexp()?;
                     self.expect(&Tok::RParen)?;
+                    self.depth -= 1;
                     Ok(b)
                 } else {
                     Err(cmp_err)
@@ -457,12 +511,15 @@ impl Parser {
             self.pos += 1;
             return Ok(Reg::skip());
         }
+        self.nest()?;
         let body = self.stmts()?;
         self.expect(&Tok::RBrace)?;
+        self.depth -= 1;
         Ok(body)
     }
 
     fn stmts(&mut self) -> Result<Reg, ParseError> {
+        let depth = self.depth;
         let mut cmds = vec![self.stmt()?];
         while self.peek() == Some(&Tok::Semi) {
             self.pos += 1;
@@ -470,8 +527,10 @@ impl Parser {
             if self.peek().is_none() || self.peek() == Some(&Tok::RBrace) {
                 break;
             }
+            self.nest()?;
             cmds.push(self.stmt()?);
         }
+        self.depth = depth;
         Ok(Reg::seq_all(cmds))
     }
 
@@ -522,13 +581,16 @@ impl Parser {
                 }
                 "either" => {
                     self.pos += 1;
+                    let depth = self.depth;
                     let mut branches = vec![self.block()?];
                     self.expect_keyword("or")?;
                     branches.push(self.block()?);
                     while self.at_keyword("or") {
                         self.pos += 1;
+                        self.nest()?;
                         branches.push(self.block()?);
                     }
+                    self.depth = depth;
                     let mut it = branches.into_iter();
                     let first = it.next().expect("at least two branches parsed");
                     Ok(it.fold(first, Reg::choice))
@@ -563,7 +625,8 @@ impl Parser {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] with a byte offset on malformed input.
+/// Returns a [`ParseError`] with a byte offset on malformed input or
+/// nesting deeper than [`MAX_NESTING`].
 ///
 /// # Example
 ///
@@ -579,6 +642,8 @@ pub fn parse_program(src: &str) -> Result<Reg, ParseError> {
         toks,
         pos: 0,
         src_len: src.len(),
+        depth: 0,
+        too_deep: false,
     };
     let r = p.stmts()?;
     if p.pos != p.toks.len() {
@@ -601,6 +666,8 @@ pub fn parse_bexp(src: &str) -> Result<BExp, ParseError> {
         toks,
         pos: 0,
         src_len: src.len(),
+        depth: 0,
+        too_deep: false,
     };
     let b = p.bexp()?;
     if p.pos != p.toks.len() {
@@ -714,6 +781,26 @@ mod tests {
         assert!(e.message.contains("out of range"), "{e}");
         let e = parse_program("x := 1 & y").unwrap_err();
         assert!(e.message.contains("&&"), "{e}");
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_nesting() {
+        let parens = |n: usize| format!("x := {}x{}", "(".repeat(n), ")".repeat(n));
+        let plus = |n: usize| format!("x := x{}", " + 0".repeat(n));
+        let skips = |n: usize| format!("{}skip", "skip; ".repeat(n));
+        let nots = |n: usize| format!("assume {}x > 0", "!".repeat(n));
+        for shape in [parens, plus, skips, nots] {
+            assert!(parse_program(&shape(MAX_NESTING)).is_ok());
+            let err = parse_program(&shape(MAX_NESTING + 1)).unwrap_err();
+            assert!(err.message.contains("nesting deeper"), "{err}");
+            assert!(parse_program(&shape(100_000)).is_err());
+        }
+        // Parenthesized guards backtrack from a comparison to a boolean
+        // expression; the bound must survive the backtracking.
+        let guard = |n: usize| format!("assume {}x > 0{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse_program(&guard(MAX_NESTING)).is_ok());
+        let err = parse_program(&guard(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.message.contains("nesting deeper"), "{err}");
     }
 
     #[test]

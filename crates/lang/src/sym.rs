@@ -794,7 +794,7 @@ mod tests {
         let mut rng = XorShift(seed);
         let mut out = u.empty();
         for i in 0..u.size() {
-            if rng.next() % 3 == 0 {
+            if rng.next().is_multiple_of(3) {
                 out.insert(i);
             }
         }

@@ -126,6 +126,23 @@ fn malformed_payloads_answer_code_2_and_keep_the_connection() {
 }
 
 #[test]
+fn deeply_nested_frame_answers_code_2_and_the_daemon_keeps_serving() {
+    let server = boot(ServeConfig::default());
+    let mut client = Client::connect(server.addr().unwrap());
+    // 600 KB, under the frame cap: this used to overflow the stack.
+    let bomb = format!("{}{}", "[".repeat(300_000), "]".repeat(300_000));
+    let doc = client.roundtrip(&bomb);
+    assert_eq!(status(&doc), "error", "{doc:?}");
+    assert_eq!(error_code(&doc), Some(2.0), "{doc:?}");
+    assert_eq!(
+        status(&client.roundtrip(r#"{"id":"p","job":"ping"}"#)),
+        "ok"
+    );
+    server.stop();
+    server.join();
+}
+
+#[test]
 fn oversized_payload_is_rejected_before_allocation() {
     let server = boot(ServeConfig {
         max_frame: 64,

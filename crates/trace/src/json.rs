@@ -1,9 +1,22 @@
 //! Minimal JSON support: string escaping for the writers and a small
 //! recursive-descent parser for the readers (`summary`, the bench
-//! validator). Hand-rolled so the crate stays dependency-free.
+//! validator, serve and dist frames). Hand-rolled so the crate stays
+//! dependency-free.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// The nesting bound every ingress parser enforces: arrays and objects
+/// here, and the `.imp` syntax tree of `air_lang::parse_program`.
+///
+/// A stack overflow aborts the process and cannot be caught, so hostile
+/// input must be cut off before it nests deep. The bound is sized for the
+/// smallest stack that runs engines — serve pool workers on the default
+/// 2 MiB thread stack — with room left for the engines' own recursion
+/// over a program this deep: in a release build such a worker first
+/// overflows between 1,000 and 2,000 levels (nested `if`s), a margin of
+/// four or more. Real programs and documents nest a few dozen levels.
+pub const MAX_NESTING: usize = 256;
 
 /// Append `s` to `out` as a JSON string literal (including the quotes).
 pub fn escape_str(s: &str, out: &mut String) {
@@ -90,11 +103,13 @@ impl Value {
     }
 }
 
-/// Parse a complete JSON document; trailing garbage is an error.
+/// Parse a complete JSON document; trailing garbage and arrays or objects
+/// nested deeper than [`MAX_NESTING`] are errors.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -108,6 +123,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -149,11 +166,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object a level deeper than the current one.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_NESTING {
+            return Err(format!(
+                "nesting deeper than {MAX_NESTING} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = f(self)?;
+        self.depth -= 1;
+        Ok(v)
     }
 
     fn number(&mut self) -> Result<Value, String> {
@@ -301,6 +332,16 @@ mod tests {
         );
         assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Bool(true)));
         assert_eq!(v.get("e").unwrap().as_str(), Some("x"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let doc = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&doc(MAX_NESTING)).is_ok());
+        let err = parse(&doc(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        // Far past the bound the parser stops at the bound, not the stack.
+        assert!(parse(&doc(300_000)).is_err());
     }
 
     #[test]

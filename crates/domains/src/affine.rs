@@ -456,6 +456,42 @@ impl Abstraction for AffineDomain {
             }),
         }
     }
+
+    /// One solve per constraint row. With the row prefix fixed, a row
+    /// `Σ cᵢ·xᵢ = b` either does not mention the last variable (a constant
+    /// test) or pins it to `v = (b − Σ_prefix cᵢ·xᵢ) / c_last`, which must
+    /// be an integer in range. The answer is the whole row, one value, or
+    /// nothing.
+    fn gamma_row(&self, e: &Aff, store: &mut [i64], lo: i64, hi: i64, runs: &mut Vec<(i64, i64)>) {
+        runs.clear();
+        let Aff::Rows(rows) = e else {
+            return;
+        };
+        let last = store.len() - 1;
+        let (mut vlo, mut vhi) = (i128::from(lo), i128::from(hi));
+        for r in rows {
+            let prefix = r.coeffs[..last]
+                .iter()
+                .zip(&store[..last])
+                .fold(Ratio::ZERO, |acc, (c, &v)| acc.add(c.mul(Ratio::int(v))));
+            let c = r.coeffs[last];
+            if c.is_zero() {
+                if prefix != r.rhs {
+                    return;
+                }
+                continue;
+            }
+            match r.rhs.sub(prefix).div(c).as_int() {
+                Some(v) if vlo <= v && v <= vhi => (vlo, vhi) = (v, v),
+                _ => return,
+            }
+        }
+        runs.push((vlo as i64, vhi as i64));
+    }
+
+    fn convex_rows(&self, _: &Universe) -> bool {
+        true
+    }
 }
 
 impl Transfer for AffineDomain {

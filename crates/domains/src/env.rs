@@ -19,7 +19,7 @@ use crate::constant::Constant;
 use crate::interval::Interval;
 use crate::parity::Parity;
 use crate::sign::Sign;
-use crate::traits::{Abstraction, Transfer};
+use crate::traits::{gamma_row_scan, Abstraction, Transfer};
 use crate::value::AbstractValue;
 
 /// The paper's interval abstraction `Int`, lifted to stores.
@@ -292,11 +292,51 @@ impl<V: AbstractValue> Abstraction for EnvDomain<V> {
         EnvElem::Vals(store.iter().map(|&v| V::from_const(v)).collect())
     }
 
+    fn join_store(&self, acc: &mut EnvElem<V>, store: &[i64]) {
+        match acc {
+            EnvElem::Bot => *acc = self.alpha_store(store),
+            EnvElem::Vals(xs) => {
+                xs.truncate(store.len());
+                for (x, &v) in xs.iter_mut().zip(store) {
+                    *x = x.join(&V::from_const(v));
+                }
+            }
+        }
+    }
+
     fn gamma_contains(&self, e: &EnvElem<V>, store: &[i64]) -> bool {
         match e {
             EnvElem::Bot => false,
             EnvElem::Vals(vs) => vs.iter().zip(store).all(|(v, &x)| v.contains(x)),
         }
+    }
+
+    /// The row prefix is tested once, then the last variable's value
+    /// answers the row through [`AbstractValue::runs_in`].
+    fn gamma_row(
+        &self,
+        e: &EnvElem<V>,
+        store: &mut [i64],
+        lo: i64,
+        hi: i64,
+        runs: &mut Vec<(i64, i64)>,
+    ) {
+        match e {
+            EnvElem::Bot => runs.clear(),
+            EnvElem::Vals(vs) if vs.len() == store.len() => {
+                let (last, prefix) = vs.split_last().expect("a store has a variable");
+                if prefix.iter().zip(&*store).all(|(v, &x)| v.contains(x)) {
+                    last.runs_in(lo, hi, runs);
+                } else {
+                    runs.clear();
+                }
+            }
+            EnvElem::Vals(_) => gamma_row_scan(self, e, store, lo, hi, runs),
+        }
+    }
+
+    fn convex_rows(&self, _: &Universe) -> bool {
+        V::CONVEX
     }
 }
 

@@ -298,6 +298,29 @@ impl AbstractValue for Interval {
         }
     }
 
+    const CONVEX: bool = true;
+
+    /// `[lo, hi] ∩ γ(self)` by clamping the bounds: one run or none.
+    fn runs_in(&self, lo: i64, hi: i64, runs: &mut Vec<(i64, i64)>) {
+        runs.clear();
+        let Interval::Range(a, b) = self else {
+            return;
+        };
+        let a = match a {
+            Fin(a) => (*a).max(lo),
+            NegInf => lo,
+            PosInf => return,
+        };
+        let b = match b {
+            Fin(b) => (*b).min(hi),
+            PosInf => hi,
+            NegInf => return,
+        };
+        if a <= b {
+            runs.push((a, b));
+        }
+    }
+
     fn refine_cmp(op: CmpOp, l: &Self, r: &Self) -> (Self, Self) {
         let (Interval::Range(l_lo, _), Interval::Range(_, r_hi)) = (l, r) else {
             return (Interval::Empty, Interval::Empty);

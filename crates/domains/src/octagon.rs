@@ -19,11 +19,17 @@ use air_lang::ast::{AExp, BExp, CmpOp};
 use air_lang::Universe;
 
 use crate::interval::Interval;
-use crate::traits::{Abstraction, Transfer};
+use crate::traits::{gamma_row_scan, Abstraction, Transfer};
 use crate::value::AbstractValue;
 
 /// "Unconstrained" sentinel weight.
 const INF: i64 = i64::MAX;
+
+/// `true` when `±v ± w` cannot overflow `i64` for any `w` passing the
+/// same test: the range where the bound arithmetic on stores is exact.
+fn fits_bounds(v: i64) -> bool {
+    v.unsigned_abs() <= (i64::MAX / 2) as u64
+}
 
 fn wadd(a: i64, b: i64) -> i64 {
     if a == INF || b == INF {
@@ -597,6 +603,29 @@ impl Abstraction for OctagonDomain {
         }
     }
 
+    /// The pointwise max with `α({store})`'s bounds `V_i − V_j`, in place.
+    fn join_store(&self, acc: &mut Oct, store: &[i64]) {
+        let Some(m) = &mut acc.m else {
+            *acc = self.alpha_store(store);
+            return;
+        };
+        let dim = 2 * self.n();
+        let val = |i: usize| {
+            let v = store[i / 2];
+            if i.is_multiple_of(2) {
+                v
+            } else {
+                -v
+            }
+        };
+        for i in 0..dim {
+            for j in 0..dim {
+                let b = &mut m[i * dim + j];
+                *b = (*b).max(val(i) - val(j));
+            }
+        }
+    }
+
     fn gamma_contains(&self, e: &Oct, store: &[i64]) -> bool {
         let Some(m) = &e.m else {
             return false;
@@ -619,6 +648,86 @@ impl Abstraction for OctagonDomain {
             }
         }
         true
+    }
+
+    /// One pass over the bounds. The last variable `v` owns the final two
+    /// indices, `V_p = v` and `V_{p+1} = −v`. With the row prefix fixed,
+    /// a bound between `±v` and a prefix index bounds `v` by a constant, the
+    /// unary bounds `±2v ≤ c` bound it by `⌊c/2⌋`, and the bounds among
+    /// prefix indices hold for the whole row or for none of it. The row is
+    /// the single run between the tightest bounds. A row with a value past
+    /// `±i64::MAX / 2` takes the scan instead.
+    fn gamma_row(&self, e: &Oct, store: &mut [i64], lo: i64, hi: i64, runs: &mut Vec<(i64, i64)>) {
+        let prefix = &store[..store.len() - 1];
+        if !(fits_bounds(lo) && fits_bounds(hi) && prefix.iter().all(|&x| fits_bounds(x))) {
+            // `gamma_contains` wraps here: only the scan reproduces it.
+            return gamma_row_scan(self, e, store, lo, hi, runs);
+        }
+        runs.clear();
+        let Some(m) = &e.m else {
+            return;
+        };
+        let dim = 2 * self.n();
+        let (up, dn) = (dim - 2, dim - 1);
+        let bound = |i: usize, j: usize| match m[i * dim + j] {
+            INF => None,
+            c => Some(i128::from(c)),
+        };
+        let val = |i: usize| {
+            let v = i128::from(store[i / 2]);
+            if i.is_multiple_of(2) {
+                v
+            } else {
+                -v
+            }
+        };
+        if bound(up, up).is_some_and(|c| c < 0) || bound(dn, dn).is_some_and(|c| c < 0) {
+            return;
+        }
+        let (mut vlo, mut vhi) = (i128::from(lo), i128::from(hi));
+        if let Some(c) = bound(up, dn) {
+            vhi = vhi.min(c.div_euclid(2)); // v − (−v) ≤ c
+        }
+        if let Some(c) = bound(dn, up) {
+            vlo = vlo.max(-c.div_euclid(2)); // −v − v ≤ c
+        }
+        for j in 0..up {
+            let vj = val(j);
+            if let Some(c) = bound(up, j) {
+                vhi = vhi.min(c + vj); // v − V_j ≤ c
+            }
+            if let Some(c) = bound(dn, j) {
+                vlo = vlo.max(-(c + vj)); // −v − V_j ≤ c
+            }
+            if let Some(c) = bound(j, up) {
+                vlo = vlo.max(vj - c); // V_j − v ≤ c
+            }
+            if let Some(c) = bound(j, dn) {
+                vhi = vhi.min(c - vj); // V_j + v ≤ c
+            }
+        }
+        if vlo > vhi {
+            return;
+        }
+        for i in 0..up {
+            let vi = val(i);
+            for j in 0..up {
+                if bound(i, j).is_some_and(|c| vi - val(j) > c) {
+                    return;
+                }
+            }
+        }
+        runs.push((vlo as i64, vhi as i64));
+    }
+
+    /// Only where no bound `V_i − V_j` of a store can overflow `i64`:
+    /// past that, `alpha_store` and `gamma_contains` wrap, and their `γ`
+    /// is neither an octagon nor row-convex.
+    fn convex_rows(&self, universe: &Universe) -> bool {
+        (0..universe.num_vars()).all(|k| {
+            let (lo, hi) = universe.var_range(k);
+            fits_bounds(lo) && fits_bounds(hi)
+        })
     }
 }
 
@@ -765,7 +874,39 @@ impl OctagonDomain {
 mod tests {
     use super::*;
     use crate::traits::laws;
+    use air_lang::gen::XorShift;
     use air_lang::{parse_bexp, Concrete, Universe};
+
+    /// `gamma_row` equals the `gamma_contains` scan on arbitrary bound
+    /// matrices, not only the closed ones the transfers build: odd unary
+    /// bounds, negative diagonals, unclosed and `INF` entries.
+    #[test]
+    fn gamma_row_matches_the_scan_on_arbitrary_matrices() {
+        let mut rng = XorShift::new(17);
+        for n in 1..=3 {
+            let decls: Vec<(&str, i64, i64)> =
+                ["x", "y", "z"][..n].iter().map(|&v| (v, -3, 3)).collect();
+            let u = Universe::new(&decls).unwrap();
+            let dom = OctagonDomain::new(&u);
+            let dim = 2 * n;
+            for _ in 0..200 {
+                let m = (0..dim * dim)
+                    .map(|_| match rng.below(4) {
+                        0 => INF,
+                        _ => rng.range_i64(-7, 7),
+                    })
+                    .collect();
+                let e = Oct { n, m: Some(m) };
+                let (mut runs, mut scanned) = (Vec::new(), Vec::new());
+                for base in (0..u.size()).step_by(u.row_len()) {
+                    let mut store = u.store_at(base);
+                    dom.gamma_row(&e, &mut store, -3, 3, &mut runs);
+                    gamma_row_scan(&dom, &e, &mut store, -3, 3, &mut scanned);
+                    assert_eq!(runs, scanned, "{e:?} at row {base}");
+                }
+            }
+        }
+    }
 
     fn universe() -> Universe {
         Universe::new(&[("x", -6, 6), ("y", -6, 6)]).unwrap()

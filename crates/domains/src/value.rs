@@ -62,6 +62,23 @@ pub trait AbstractValue: Clone + PartialEq + fmt::Debug + 'static {
     /// Membership: `v ∈ γ(self)`.
     fn contains(&self, v: i64) -> bool;
 
+    /// `true` when [`runs_in`](Self::runs_in) is a closed form and `γ` of
+    /// every element is an integer interval, so it meets `[lo, hi]` in at
+    /// most one run.
+    const CONVEX: bool = false;
+
+    /// Overwrites `runs` with the maximal runs `(a, b)` (inclusive,
+    /// ascending) of `[lo, hi] ∩ γ(self)`. The default tests every value
+    /// with [`contains`](Self::contains).
+    fn runs_in(&self, lo: i64, hi: i64, runs: &mut Vec<(i64, i64)>) {
+        runs.clear();
+        for v in lo..=hi {
+            if self.contains(v) {
+                crate::traits::push_run_value(runs, v);
+            }
+        }
+    }
+
     /// Refines `(l, r)` under the assumption `l op r` holds for some pair
     /// of concrete values. Must be a sound *reduction*: the returned pair
     /// over-approximates `{(x, y) ∈ γ(l)×γ(r) | x op y}` componentwise.

@@ -47,20 +47,20 @@ pub fn differential_sweep(b: &BuiltCase) -> Result<Vec<String>, SemError> {
         ForwardRepair::uncached(u)
             .max_repairs(4_000)
             .repair(b.domain.clone(), r, &b.pre);
-    match (fwd_cached, fwd_plain) {
+    match (&fwd_cached, &fwd_plain) {
         (Ok(c), Ok(p)) => {
             if c.under != p.under {
                 diffs.push("fRepair: cached and uncached under-approximations differ".into());
             }
         }
         (Err(e), Ok(_)) | (Ok(_), Err(e)) => {
-            if let Some(msg) = repair_error_diff("fRepair cache asymmetry", &e)? {
+            if let Some(msg) = repair_error_diff("fRepair cache asymmetry", e)? {
                 diffs.push(msg);
             }
         }
         (Err(a), Err(b2)) => {
-            check_repair_error(&a)?;
-            check_repair_error(&b2)?;
+            check_repair_error(a)?;
+            check_repair_error(b2)?;
         }
     }
 
@@ -301,14 +301,12 @@ pub fn differential_sweep(b: &BuiltCase) -> Result<Vec<String>, SemError> {
                 check_repair_error(b2)?;
             }
         }
+        // The enumerative side is axis 1's uncached forward repair: the
+        // same call on the same instance, so it is reused, not rerun.
         let fwd_symbolic = ForwardRepair::with_cache(u, SemCache::symbolic())
             .max_repairs(4_000)
             .repair(b.domain.clone(), r, &b.pre);
-        let fwd_plain =
-            ForwardRepair::uncached(u)
-                .max_repairs(4_000)
-                .repair(b.domain.clone(), r, &b.pre);
-        match (fwd_symbolic, fwd_plain) {
+        match (&fwd_symbolic, &fwd_plain) {
             (Ok(s), Ok(p)) => {
                 if s.under != p.under {
                     diffs.push(
@@ -317,13 +315,13 @@ pub fn differential_sweep(b: &BuiltCase) -> Result<Vec<String>, SemError> {
                 }
             }
             (Err(e), Ok(_)) | (Ok(_), Err(e)) => {
-                if let Some(msg) = repair_error_diff("symbolic axis fRepair asymmetry", &e)? {
+                if let Some(msg) = repair_error_diff("symbolic axis fRepair asymmetry", e)? {
                     diffs.push(msg);
                 }
             }
             (Err(a), Err(b2)) => {
-                check_repair_error(&a)?;
-                check_repair_error(&b2)?;
+                check_repair_error(a)?;
+                check_repair_error(b2)?;
             }
         }
     }

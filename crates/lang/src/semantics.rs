@@ -202,6 +202,19 @@ impl<'u> Concrete<'u> {
                     .var_index(x)
                     .ok_or_else(|| SemError::UnknownVar(x.clone()))?;
                 let mut out = u.empty();
+                if xi + 1 == u.num_vars() {
+                    // The fastest variable's fiber is the member's whole
+                    // row: fill it in one range insert, then jump to the
+                    // first member past it.
+                    let row = u.row_len();
+                    let mut from = 0;
+                    while let Some(i) = s.first_in(from, u.size()) {
+                        let base = i - i % row;
+                        out.insert_range(base, base + row);
+                        from = base + row;
+                    }
+                    return Ok(out);
+                }
                 for i in s.iter() {
                     // `i` is in `out` exactly when its fiber already is.
                     if !out.contains(i) {

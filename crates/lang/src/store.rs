@@ -168,6 +168,16 @@ impl Universe {
         self.inner.size
     }
 
+    /// The number of stores in one *row*: a run of consecutive indices
+    /// whose stores differ only in the last variable, which varies fastest
+    /// in the mixed-radix layout. Row `r` spans the indices
+    /// `r·row_len .. (r+1)·row_len`, the last variable ascending from its
+    /// lower bound.
+    pub fn row_len(&self) -> usize {
+        let last = self.inner.vars.last().expect("a universe has a variable");
+        (last.hi - last.lo + 1) as usize
+    }
+
     /// Number of declared variables.
     pub fn num_vars(&self) -> usize {
         self.inner.vars.len()
@@ -466,6 +476,19 @@ mod tests {
         assert_eq!(u.var_range(1), (2, 3));
         assert_eq!(u.var_names().collect::<Vec<_>>(), vec!["a", "b"]);
         assert_eq!(u.display_store(&[0, 3]), "a=0, b=3");
+    }
+
+    #[test]
+    fn rows_are_runs_of_the_last_variable() {
+        let u = Universe::new(&[("a", -1, 1), ("b", 2, 5)]).unwrap();
+        assert_eq!(u.row_len(), 4);
+        for i in 0..u.size() {
+            let (row, col) = (i / u.row_len(), i % u.row_len());
+            let s = u.store_at(i);
+            assert_eq!(s[0], -1 + row as i64);
+            assert_eq!(s[1], 2 + col as i64);
+        }
+        assert_eq!(Universe::new(&[("x", 0, 9)]).unwrap().row_len(), 10);
     }
 
     #[test]

@@ -30,6 +30,13 @@ use crate::order::{JoinSemilattice, MeetSemilattice, Poset};
 
 const WORD_BITS: usize = 64;
 
+/// The bits of the word holding index `end - 1` that lie below `end`
+/// (`end > 0`): all of them when `end` falls on a word boundary.
+#[inline]
+fn tail_mask(end: usize) -> u64 {
+    u64::MAX >> (WORD_BITS - 1 - (end - 1) % WORD_BITS)
+}
+
 /// The shared word block: the bits plus a cached hash of the whole set
 /// (`0` = not computed yet; a computed hash of `0` is stored as `1`).
 struct Words {
@@ -172,6 +179,87 @@ impl BitVecSet {
         }
         self.bits_mut()[w] |= 1 << b;
         true
+    }
+
+    /// Inserts every index in `lo..hi`: the words strictly inside the range
+    /// are filled whole, the two edge words by one mask each, all behind a
+    /// single unsharing. An empty range (`lo >= hi`) changes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hi > capacity()` on a non-empty range.
+    pub fn insert_range(&mut self, lo: usize, hi: usize) {
+        if lo >= hi {
+            return;
+        }
+        assert!(
+            hi <= self.nbits,
+            "range end {hi} out of capacity {}",
+            self.nbits
+        );
+        let (first, last) = (lo / WORD_BITS, (hi - 1) / WORD_BITS);
+        let head = u64::MAX << (lo % WORD_BITS);
+        let tail = tail_mask(hi);
+        let bits = self.bits_mut();
+        if first == last {
+            bits[first] |= head & tail;
+        } else {
+            bits[first] |= head;
+            bits[first + 1..last].fill(u64::MAX);
+            bits[last] |= tail;
+        }
+    }
+
+    /// The smallest index of the set in `lo..hi`, found a word at a time.
+    /// Indices past the capacity are never members.
+    pub fn first_in(&self, lo: usize, hi: usize) -> Option<usize> {
+        let hi = hi.min(self.nbits);
+        if lo >= hi {
+            return None;
+        }
+        let bits = self.bits();
+        let (first, last) = (lo / WORD_BITS, (hi - 1) / WORD_BITS);
+        let mut wi = first;
+        let mut w = bits[first] & (u64::MAX << (lo % WORD_BITS));
+        loop {
+            if wi == last {
+                w &= tail_mask(hi);
+            }
+            if w != 0 {
+                return Some(wi * WORD_BITS + w.trailing_zeros() as usize);
+            }
+            if wi == last {
+                return None;
+            }
+            wi += 1;
+            w = bits[wi];
+        }
+    }
+
+    /// The largest index of the set in `lo..hi`, found a word at a time.
+    /// Indices past the capacity are never members.
+    pub fn last_in(&self, lo: usize, hi: usize) -> Option<usize> {
+        let hi = hi.min(self.nbits);
+        if lo >= hi {
+            return None;
+        }
+        let bits = self.bits();
+        let (first, last) = (lo / WORD_BITS, (hi - 1) / WORD_BITS);
+        let mut wi = last;
+        let mut w = bits[last] & tail_mask(hi);
+        loop {
+            if wi == first {
+                w &= u64::MAX << (lo % WORD_BITS);
+            }
+            if w != 0 {
+                return Some(wi * WORD_BITS + (WORD_BITS - 1 - w.leading_zeros() as usize));
+            }
+            if wi == first {
+                return None;
+            }
+            wi -= 1;
+            w = bits[wi];
+        }
     }
 
     /// Removes `index`, returning `true` if it was present.
@@ -621,6 +709,60 @@ mod tests {
         assert_eq!(via_fn, s.iter().collect::<Vec<_>>());
         let empty = BitVecSet::new(300);
         empty.for_each_index(|_| panic!("no indices in the empty set"));
+    }
+
+    #[test]
+    fn insert_range_fills_across_word_seams() {
+        let mut s = BitVecSet::new(200);
+        s.insert_range(60, 130);
+        assert_eq!(s.iter().collect::<Vec<_>>(), (60..130).collect::<Vec<_>>());
+        s.insert_range(5, 5);
+        s.insert_range(9, 3);
+        assert_eq!(s.len(), 70, "empty ranges insert nothing");
+        // Exactly one word, and the last partial word up to the capacity.
+        let mut t = BitVecSet::new(200);
+        t.insert_range(64, 128);
+        t.insert_range(190, 200);
+        assert_eq!(t.len(), 74);
+        assert!(t.contains(64) && t.contains(127) && !t.contains(128));
+        assert!(t.contains(199) && !t.contains(189));
+        assert_eq!(t.complement().len(), 126, "no ghost bits past the capacity");
+    }
+
+    #[test]
+    fn empty_insert_range_keeps_the_share() {
+        let a = BitVecSet::from_indices(100, [1]);
+        let mut b = a.clone();
+        b.insert_range(50, 50);
+        assert!(Arc::ptr_eq(&a.words, &b.words));
+        b.insert_range(50, 51);
+        assert!(!Arc::ptr_eq(&a.words, &b.words) && !a.contains(50));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of capacity")]
+    fn insert_range_past_capacity_panics() {
+        BitVecSet::new(70).insert_range(60, 71);
+    }
+
+    #[test]
+    fn first_and_last_in_scan_words() {
+        let s = BitVecSet::from_indices(200, [3, 63, 64, 130, 199]);
+        assert_eq!(s.first_in(0, 200), Some(3));
+        assert_eq!(s.first_in(4, 200), Some(63));
+        assert_eq!(s.first_in(65, 130), None, "the end is exclusive");
+        assert_eq!(s.first_in(65, 131), Some(130));
+        assert_eq!(
+            s.first_in(131, 1_000),
+            Some(199),
+            "ends clamp to the capacity"
+        );
+        assert_eq!(s.last_in(0, 200), Some(199));
+        assert_eq!(s.last_in(0, 199), Some(130));
+        assert_eq!(s.last_in(64, 130), Some(64));
+        assert_eq!(s.last_in(4, 63), None);
+        assert_eq!(s.first_in(10, 10), None);
+        assert_eq!(s.last_in(10, 2), None);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! per-bit reference model (`Vec<bool>`) on randomly generated sets whose
 //! capacities straddle word boundaries. A kernel bug that mishandles ghost
 //! bits, word seams, or the copy-on-write/cached-hash fast paths shows up
-//! as a divergence from the model here.
+//! as a divergence from the model here. The range kernels
+//! (`insert_range`, `first_in`, `last_in`) are checked against per-bit
+//! loops over the same range.
 
 use air_lattice::bitset::BitVecSet;
 use proptest::prelude::*;
@@ -149,5 +151,38 @@ proptest! {
         let rebuilt = BitVecSet::from_indices(nbits, ma.indices());
         prop_assert_eq!(&a, &rebuilt);
         prop_assert_eq!(hash_of(&a), hash_of(&rebuilt));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Range kernels: `insert_range` against a per-bit insert loop, and
+    /// `first_in`/`last_in` against a filter over the range, on ranges that
+    /// start and end anywhere (word seams, empty and reversed ranges, the
+    /// last partial word, ends past the capacity).
+    #[test]
+    fn range_kernels_match_reference(
+        nbits in 1usize..=200,
+        xs in proptest::collection::vec(0usize..200, 0..40),
+        lo in 0usize..=210,
+        hi in 0usize..=210,
+    ) {
+        let (a, ma) = build(nbits, &xs);
+        let naive_first = (lo..hi.min(nbits)).find(|&i| ma.0[i]);
+        let naive_last = (lo..hi.min(nbits)).rev().find(|&i| ma.0[i]);
+        prop_assert_eq!(a.first_in(lo, hi), naive_first);
+        prop_assert_eq!(a.last_in(lo, hi), naive_last);
+
+        let (lo, hi) = (lo.min(nbits), hi.min(nbits));
+        let mut filled = a.clone();
+        filled.insert_range(lo, hi);
+        let mut model = ma.clone();
+        for i in lo..hi {
+            model.0[i] = true;
+        }
+        assert_matches(&filled, &model, "insert_range");
+        prop_assert_eq!(&filled, &BitVecSet::from_indices(nbits, model.indices()));
+        assert_matches(&a, &ma, "insert_range leaves the clone untouched");
     }
 }

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use air_lang::gen::DOMAIN_NAMES;
+
 /// Usage text shown on parse errors and `--help`.
 pub const USAGE: &str = "\
 usage:
@@ -120,17 +122,27 @@ pub enum DomainKind {
 }
 
 impl DomainKind {
+    const ALL: [DomainKind; 7] = [
+        DomainKind::Int,
+        DomainKind::Oct,
+        DomainKind::Sign,
+        DomainKind::Parity,
+        DomainKind::Const,
+        DomainKind::Cong,
+        DomainKind::Karr,
+    ];
+
+    /// The `--domain` spelling: variants are declared in
+    /// [`DOMAIN_NAMES`] order.
+    pub(crate) fn name(self) -> &'static str {
+        DOMAIN_NAMES[self as usize]
+    }
+
     pub(crate) fn parse(s: &str) -> Result<Self, ArgError> {
-        Ok(match s {
-            "int" => DomainKind::Int,
-            "oct" => DomainKind::Oct,
-            "sign" => DomainKind::Sign,
-            "parity" => DomainKind::Parity,
-            "const" => DomainKind::Const,
-            "cong" => DomainKind::Cong,
-            "karr" => DomainKind::Karr,
-            other => return Err(ArgError(format!("unknown domain `{other}`"))),
-        })
+        Self::ALL
+            .into_iter()
+            .find(|k| k.name() == s)
+            .ok_or_else(|| ArgError(format!("unknown domain `{s}`")))
     }
 }
 

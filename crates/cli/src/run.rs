@@ -6,10 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use air_core::summarize::display_set;
-use air_core::{EnumDomain, Lcl, RepairError, Verdict, Verifier};
-use air_domains::{
-    AffineDomain, CongruenceEnv, ConstantEnv, IntervalEnv, OctagonDomain, ParityEnv, SignEnv,
-};
+use air_core::{EnumAlgebra, EnumDomain, Lcl, RepairError, Verdict, Verifier};
 use air_lang::{parse_bexp, parse_program, Concrete, SemCache, SemError, StateSet, Universe};
 use air_lattice::{par_map_governed, Budget, CacheStats, Exhaustion, Governor};
 use air_resilience::Checkpointer;
@@ -140,15 +137,7 @@ pub(crate) fn build_universe(task: &Task) -> Result<Universe, AirError> {
 }
 
 pub(crate) fn build_domain(task: &Task, u: &Universe) -> EnumDomain {
-    match task.domain {
-        DomainKind::Int => EnumDomain::from_abstraction(u, IntervalEnv::new(u)),
-        DomainKind::Oct => EnumDomain::from_abstraction(u, OctagonDomain::new(u)),
-        DomainKind::Sign => EnumDomain::from_abstraction(u, SignEnv::new(u)),
-        DomainKind::Parity => EnumDomain::from_abstraction(u, ParityEnv::new(u)),
-        DomainKind::Const => EnumDomain::from_abstraction(u, ConstantEnv::new(u)),
-        DomainKind::Cong => EnumDomain::from_abstraction(u, CongruenceEnv::new(u)),
-        DomainKind::Karr => EnumDomain::from_abstraction(u, AffineDomain::new(u)),
-    }
+    air_core::build_domain(task.domain.name(), u).expect("every `DomainKind` names a domain")
 }
 
 pub(crate) fn build_sets(
@@ -527,21 +516,14 @@ fn trace_summarize(file: &str) -> Result<Outcome, AirError> {
     Ok(Outcome::Positive)
 }
 
-/// The semantic cache a task's `--engine` flag asks for. `--uncached`
-/// returns `None` (the reference path); args parsing already rejects
-/// `--uncached --engine symbolic`.
-fn build_cache(engine: EngineKind, uncached: bool) -> Option<SemCache> {
+/// The algebra a task's `--engine` flag asks for: memoizing into a cache
+/// of that backend, or the reference path under `--uncached` (args
+/// parsing already rejects `--uncached --engine symbolic`).
+fn build_algebra(u: &Universe, engine: EngineKind, uncached: bool) -> EnumAlgebra<'_> {
     match (engine, uncached) {
-        (_, true) => None,
-        (EngineKind::Enumerative, false) => Some(SemCache::new()),
-        (EngineKind::Symbolic, false) => Some(SemCache::symbolic()),
-    }
-}
-
-fn build_verifier<'u>(u: &'u Universe, engine: EngineKind, uncached: bool) -> Verifier<'u> {
-    match build_cache(engine, uncached) {
-        Some(cache) => Verifier::with_cache(u, cache),
-        None => Verifier::uncached(u),
+        (_, true) => EnumAlgebra::uncached(u),
+        (EngineKind::Enumerative, false) => EnumAlgebra::with_cache(u, SemCache::new()),
+        (EngineKind::Symbolic, false) => EnumAlgebra::with_cache(u, SemCache::symbolic()),
     }
 }
 
@@ -624,7 +606,7 @@ fn verify(task: Task) -> Result<Outcome, AirError> {
     println!("domain:    {}\n", dom.base_name());
     let session = TraceSession::open(task.trace.as_deref(), task.profile)?;
     let governor = Governor::new(build_budget(task.fuel, task.timeout_ms));
-    let verifier = build_verifier(&u, task.engine, task.uncached)
+    let verifier = Verifier::from_algebra(&u, build_algebra(&u, task.engine, task.uncached))
         .tracer(session.tracer())
         .governor(governor);
     let result = match task.strategy {
@@ -665,7 +647,7 @@ fn analyze(task: Task) -> Result<Outcome, AirError> {
     };
     let session = TraceSession::open(task.trace.as_deref(), task.profile)?;
     let governor = Governor::new(build_budget(task.fuel, task.timeout_ms));
-    let verifier = build_verifier(&u, task.engine, task.uncached)
+    let verifier = Verifier::from_algebra(&u, build_algebra(&u, task.engine, task.uncached))
         .tracer(session.tracer())
         .governor(governor);
     let counts = match verifier.alarm_counts(&dom, &prog, &pre, &spec) {
@@ -708,12 +690,9 @@ fn prove(task: Task) -> Result<Outcome, AirError> {
     };
     let session = TraceSession::open(jsonl_path, task.profile)?;
     let governor = Governor::new(build_budget(task.fuel, task.timeout_ms));
-    let lcl = match build_cache(task.engine, task.uncached) {
-        Some(cache) => Lcl::with_cache(&u, cache),
-        None => Lcl::uncached(&u),
-    }
-    .tracer(session.tracer())
-    .governor(governor);
+    let lcl = Lcl::from_algebra(&u, build_algebra(&u, task.engine, task.uncached))
+        .tracer(session.tracer())
+        .governor(governor);
     let write_dot = |derivation: &air_core::Derivation| -> Result<(), AirError> {
         if let Some(path) = &dot_path {
             std::fs::write(path, derivation.to_dot(&u))
@@ -1069,7 +1048,7 @@ pub(crate) fn run_corpus_program(
             "{name}: corpus header produced no spec"
         )));
     };
-    let verifier = build_verifier(&u, task.engine, task.uncached)
+    let verifier = Verifier::from_algebra(&u, build_algebra(&u, task.engine, task.uncached))
         .tracer(tracer)
         .governor(governor);
     let verdict = match task.strategy {
@@ -1772,7 +1751,7 @@ mod tests {
     #[test]
     fn stats_json_renders_valid_json() {
         let u = Universe::new(&[("x", -8, 8)]).unwrap();
-        let dom = EnumDomain::from_abstraction(&u, IntervalEnv::new(&u));
+        let dom = air_core::build_domain("int", &u).unwrap();
         let cache = SemCache::new();
         let line = stats_json("verify", Some(&cache), &dom, 0.001);
         let doc = json::parse(&line).unwrap();

@@ -54,6 +54,32 @@ fn refuted_run_exits_one() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
 }
 
+/// The octagon's store bounds `±x ± y` leave `i64` at the ends of its
+/// range; they must stay exact and sound there, with the same verdict
+/// as intervals (debug builds used to panic on the overflow).
+#[test]
+fn octagon_bounds_at_the_ends_of_i64_prove_like_intervals() {
+    let near_max = (
+        "x:9223372036854775800..9223372036854775806",
+        "x >= 9223372036854775801",
+    );
+    let near_min = (
+        "x:-9223372036854775808..-9223372036854775807",
+        "x <= -9223372036854775807",
+    );
+    for (vars, cond) in [near_max, near_min] {
+        for domain in ["oct", "int"] {
+            let out = air(&[
+                "verify", "--code", "x := x", "--vars", vars, "--pre", cond, "--spec", cond,
+                "--domain", domain,
+            ]);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(out.status.code(), Some(0), "{vars} {domain}: {out:?}");
+            assert!(stdout.contains("PROVED"), "{vars} {domain}: {stdout}");
+        }
+    }
+}
+
 #[test]
 fn missing_spec_is_usage_exit_two() {
     // Regression: `verify` without `--spec` used to panic in run.rs.

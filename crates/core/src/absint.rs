@@ -8,7 +8,7 @@
 //! the paper's widened analyses.
 
 use air_lang::ast::Reg;
-use air_lang::{Concrete, SemCache, SemError, Universe};
+use air_lang::{SemCache, SemError, Universe};
 use air_lattice::Governor;
 use air_trace::{EventKind, Tracer};
 
@@ -73,11 +73,6 @@ impl<'u> AbstractSemantics<'u> {
     /// Creates the interpreter without memoization (the reference path).
     pub fn uncached(universe: &'u Universe) -> Self {
         Self::from_algebra(universe, EnumAlgebra::uncached(universe))
-    }
-
-    /// The underlying concrete semantics.
-    pub fn concrete(&self) -> &Concrete<'u> {
-        self.alg.concrete()
     }
 }
 
@@ -211,7 +206,7 @@ mod tests {
         let sem = AbstractSemantics::new(&u);
         let prog =
             parse_program("i := 1; j := 0; while (i <= 5) do { j := j + i; i := i + 1 }").unwrap();
-        let conc = sem.concrete().exec(&prog, &u.full()).unwrap();
+        let conc = air_lang::Concrete::new(&u).exec(&prog, &u.full()).unwrap();
         let abst = sem.exec(&dom, &prog, &u.full()).unwrap();
         assert!(conc.is_subset(&abst));
         // The Int analysis loses the i-j relation: j's upper bound at exit

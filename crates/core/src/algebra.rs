@@ -1,20 +1,26 @@
-//! The state-algebra seam: one Algorithm 2, two representations of sets.
+//! The state-algebra seam: one engine per algorithm, two representations
+//! of sets.
 //!
-//! The paper states `bRepair`/`inv` (Algorithm 2) and `⟦·⟧♯_{A⊞N}` once,
-//! over sets of states; neither depends on how the sets are stored.
-//! [`StateAlgebra`] names what the two use: set operations
+//! The paper states `fRepair` (Algorithm 1), `bRepair`/`inv`
+//! (Algorithm 2), the pointed shells (Thm. 4.9/4.11) and `⟦·⟧♯_{A⊞N}`
+//! once, over sets of states; none of them depends on how the sets are
+//! stored. [`StateAlgebra`] names what they use: set operations
 //! ([`StoreSet`]), the closure, join and pointed widening of `A ⊞ N`
-//! ([`PointedDomain`]), the basic-command image, `wlp`, an abstract-image
-//! memo hook, and the bitset bridge at the outcome boundary.
-//! [`AbstractSemantics`](crate::AbstractSemantics) and
-//! [`BackwardRepair`](crate::BackwardRepair) are generic over it (static
-//! dispatch) and default to [`EnumAlgebra`];
+//! ([`PointedDomain`]), the concrete image, `wlp` and guard sets, an
+//! abstract-image memo hook, and the bitset bridge at the outcome
+//! boundary. [`AbstractSemantics`](crate::AbstractSemantics),
+//! [`BackwardRepair`](crate::BackwardRepair),
+//! [`ForwardRepair`](crate::ForwardRepair) and
+//! [`LocalCompleteness`](crate::LocalCompleteness) are generic over it
+//! (static dispatch) and default to [`EnumAlgebra`];
 //! [`SymAlgebra`](crate::SymAlgebra) runs the same code on decision
 //! diagrams. Every intermediate set is equal under the bridge, so the two
 //! algebras give byte-identical outcomes.
 
-use air_lang::ast::{Exp, Reg};
-use air_lang::{Concrete, SemCache, SemError, StateSet, TermId, TermNode, Universe, Wlp};
+use air_lang::ast::{BExp, Exp, Reg};
+use air_lang::{
+    Concrete, EngineBackend, SemCache, SemError, StateSet, TermId, TermNode, Universe, Wlp,
+};
 use air_trace::Tracer;
 
 use crate::domain::EnumDomain;
@@ -23,6 +29,12 @@ use crate::domain::EnumDomain;
 pub trait StoreSet: Clone + Eq + std::hash::Hash {
     /// `self ∩ other`.
     fn intersection(&self, other: &Self) -> Self;
+    /// `self ∪ other`.
+    fn union(&self, other: &Self) -> Self;
+    /// `self ∖ other`.
+    fn difference(&self, other: &Self) -> Self;
+    /// The stores of the universe not in `self`.
+    fn complement(&self) -> Self;
     /// `self ⊆ other`.
     fn is_subset(&self, other: &Self) -> bool;
     /// The number of stores (for trace events).
@@ -32,6 +44,18 @@ pub trait StoreSet: Clone + Eq + std::hash::Hash {
 impl StoreSet for StateSet {
     fn intersection(&self, other: &Self) -> Self {
         StateSet::intersection(self, other)
+    }
+
+    fn union(&self, other: &Self) -> Self {
+        StateSet::union(self, other)
+    }
+
+    fn difference(&self, other: &Self) -> Self {
+        StateSet::difference(self, other)
+    }
+
+    fn complement(&self) -> Self {
+        StateSet::complement(self)
     }
 
     fn is_subset(&self, other: &Self) -> bool {
@@ -56,6 +80,8 @@ pub trait PointedDomain: Clone {
     /// A fresh domain with the given extra points; points already
     /// expressible are skipped (`self` unchanged).
     fn with_points<I: IntoIterator<Item = Self::Set>>(&self, ps: I) -> Self;
+    /// The added points `N`, in the order they refined the domain.
+    fn points(&self) -> &[Self::Set];
 }
 
 impl PointedDomain for EnumDomain {
@@ -76,9 +102,14 @@ impl PointedDomain for EnumDomain {
     fn with_points<I: IntoIterator<Item = StateSet>>(&self, ps: I) -> Self {
         EnumDomain::with_points(self, ps)
     }
+
+    fn points(&self) -> &[StateSet] {
+        EnumDomain::points(self)
+    }
 }
 
-/// What Algorithm 2 and `⟦·⟧♯_{A⊞N}` need of a representation of states.
+/// What Algorithms 1 and 2, the local-completeness queries and
+/// `⟦·⟧♯_{A⊞N}` need of a representation of states.
 ///
 /// Programs travel through the shared engines as a [`Reg`] plus a
 /// [`Term`](Self::Term) handle for the same node, whose meaning is the
@@ -89,8 +120,9 @@ pub trait StateAlgebra: Clone + std::fmt::Debug {
     type Set: StoreSet;
     /// Pointed refinements over those sets.
     type Domain: PointedDomain<Set = Self::Set>;
-    /// A program-node handle. The default handle names no node: images
-    /// under it are computed, never memoized.
+    /// A program-node handle. The default handle names no node: abstract
+    /// images under it are never memoized, and concrete queries under it
+    /// are answered per call.
     type Term: Copy + Default;
 
     /// Routes the algebra's own telemetry (cache events) through `tracer`.
@@ -120,12 +152,21 @@ pub trait StateAlgebra: Clone + std::fmt::Debug {
     }
     /// The concrete image `⟦e⟧a` of the basic command `e` (handle `t`).
     fn image(&self, t: Self::Term, e: &Exp, a: &Self::Set) -> Result<Self::Set, SemError>;
+    /// The concrete image `⟦r⟧a` of the whole program `r`.
+    fn exec(&self, r: &Reg, a: &Self::Set) -> Result<Self::Set, SemError>;
     /// The weakest liberal precondition `wlp(r, post)` (handle `t`).
     fn wlp(&self, t: Self::Term, r: &Reg, post: &Self::Set) -> Result<Self::Set, SemError>;
+    /// The stores satisfying the guard `b`.
+    fn sat(&self, b: &BExp) -> Result<Self::Set, SemError>;
     /// The algebra one backward repair of `r` runs in, and the handle of
     /// `r`'s root. Called once per repair.
     fn for_repair(&self, r: &Reg) -> (Self, Self::Term) {
         (self.clone(), self.term(r))
+    }
+    /// The algebra forward repair's concrete `find` oracle runs in for
+    /// one whole repair. Called once per repair.
+    fn for_find(&self) -> Self {
+        self.clone()
     }
     /// Imports an explicit state set.
     fn lift(&self, s: &StateSet) -> Self::Set;
@@ -140,7 +181,9 @@ pub trait StateAlgebra: Clone + std::fmt::Debug {
 /// Every cached/uncached/demoted decision is made here, so the shared
 /// engines never branch on it. With a cache, programs are interned, term
 /// handles are arena ids and each node's abstract image is memoized in
-/// the domain's per-`N` image memo.
+/// the domain's per-`N` image memo. Queries without a handle (the
+/// local-completeness queries, `find`'s images) ask the cache per call,
+/// which steps aside on small universes by itself.
 #[derive(Clone, Debug)]
 pub struct EnumAlgebra<'u> {
     sem: Concrete<'u>,
@@ -178,9 +221,12 @@ impl<'u> EnumAlgebra<'u> {
         self.cache.as_ref()
     }
 
-    /// The underlying concrete semantics.
-    pub fn concrete(&self) -> &Concrete<'u> {
-        &self.sem
+    /// Whether the cache answers its misses on decision diagrams — the
+    /// runs [`SymAlgebra`](crate::SymAlgebra) can take over outright.
+    pub fn is_symbolic(&self) -> bool {
+        self.cache
+            .as_ref()
+            .is_some_and(|c| c.backend() == EngineBackend::Symbolic)
     }
 }
 
@@ -235,10 +281,25 @@ impl StateAlgebra for EnumAlgebra<'_> {
         }
     }
 
+    fn exec(&self, r: &Reg, a: &StateSet) -> Result<StateSet, SemError> {
+        match &self.cache {
+            Some(cache) => cache.exec(&self.sem, r, a),
+            None => self.sem.exec(r, a),
+        }
+    }
+
     fn wlp(&self, t: Option<TermId>, r: &Reg, post: &StateSet) -> Result<StateSet, SemError> {
         match (&self.cache, t) {
             (Some(cache), Some(id)) if self.tables => cache.wlp_id(&self.wlp, id, post),
+            (Some(cache), None) => cache.wlp_reg(&self.wlp, r, post),
             _ => self.wlp.reg(r, post),
+        }
+    }
+
+    fn sat(&self, b: &BExp) -> Result<StateSet, SemError> {
+        match &self.cache {
+            Some(cache) => cache.sat(&self.sem, b),
+            None => self.sem.sat(b),
         }
     }
 
@@ -257,6 +318,18 @@ impl StateAlgebra for EnumAlgebra<'_> {
             (self.clone(), Some(interned.root))
         } else {
             (EnumAlgebra::uncached(self.sem.universe()), None)
+        }
+    }
+
+    fn for_find(&self) -> Self {
+        // The same bypass predicate, decided once for the run (one
+        // counted and traced bypass): a demoted `find` walk contains no
+        // cache code at all.
+        match &self.cache {
+            Some(cache) if cache.demote_for(self.sem.universe().size()) => {
+                EnumAlgebra::uncached(self.sem.universe())
+            }
+            _ => self.clone(),
         }
     }
 

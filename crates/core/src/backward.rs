@@ -339,12 +339,7 @@ impl<'u, A: StateAlgebra> BackwardRepair<'u, A> {
         if partial.points.is_empty() {
             partial.points = best.into_iter().map(|p| self.alg.lower(p)).collect();
         }
-        self.trace.emit_with(|| EventKind::BudgetExhausted {
-            phase: partial.exhaustion.phase.clone(),
-            spent: partial.exhaustion.spent,
-            reason: partial.exhaustion.reason.name().to_string(),
-        });
-        RepairError::Exhausted(partial)
+        partial.traced(&self.trace)
     }
 
     fn trace_point(&self, rule: &str, exp: &impl std::fmt::Display, point: &A::Set) {

@@ -16,8 +16,10 @@ use air_lang::{SemCache, SemError, StateSet, Universe};
 use air_lattice::{ExhaustReason, Exhaustion, Governor};
 use air_trace::{EventKind, Tracer};
 
+use crate::absint::AbstractSemantics;
+use crate::algebra::{EnumAlgebra, PointedDomain, StateAlgebra, StoreSet};
 use crate::domain::EnumDomain;
-use crate::local::{LocalCompleteness, ShellResult};
+use crate::local::LocalCompleteness;
 
 /// The best partial result available when a repair ran out of budget.
 ///
@@ -48,6 +50,17 @@ impl PartialRepair {
             points: Vec::new(),
             invariant: None,
         }
+    }
+
+    /// The enriched cutoff as an error, after emitting its
+    /// `budget_exhausted` event through `trace`.
+    pub(crate) fn traced(self: Box<Self>, trace: &Tracer) -> RepairError {
+        trace.emit_with(|| EventKind::BudgetExhausted {
+            phase: self.exhaustion.phase.clone(),
+            spent: self.exhaustion.spent,
+            reason: self.exhaustion.reason.name().to_string(),
+        });
+        RepairError::Exhausted(self)
     }
 }
 
@@ -128,10 +141,10 @@ impl fmt::Display for RepairRule {
 
 /// The outcome of a successful forward repair.
 #[derive(Clone, Debug)]
-pub struct RepairOutcome {
+pub struct RepairOutcome<D = EnumDomain> {
     /// The repaired domain `A ⊞ N'` — locally complete for the program on
     /// the input.
-    pub domain: EnumDomain,
+    pub domain: D,
     /// The under-approximation `Q ≤ ⟦r⟧P` with `A_{N'}(Q) = A_{N'}(⟦r⟧P)`
     /// (Theorem 7.1). With the concrete `find` oracle this is exact.
     pub under: StateSet,
@@ -147,17 +160,18 @@ pub struct RepairOutcome {
 }
 
 /// One violated proof obligation found by the oracle.
-struct Obligation {
-    input: StateSet,
+struct Obligation<S> {
+    input: S,
     exp: Exp,
 }
 
-enum FindOutcome {
-    Under(StateSet),
-    Incomplete(Obligation),
+enum FindOutcome<S> {
+    Under(S),
+    Incomplete(Obligation<S>),
 }
 
-/// The forward repair strategy (Algorithm 1).
+/// The forward repair strategy (Algorithm 1) over a [`StateAlgebra`] —
+/// by default the enumerative one ([`EnumAlgebra`]).
 ///
 /// # Example
 ///
@@ -180,10 +194,9 @@ enum FindOutcome {
 /// # }
 /// ```
 #[derive(Clone, Debug)]
-pub struct ForwardRepair<'u> {
+pub struct ForwardRepair<'u, A = EnumAlgebra<'u>> {
     universe: &'u Universe,
-    lc: LocalCompleteness<'u>,
-    cache: Option<SemCache>,
+    alg: A,
     max_repairs: usize,
     trace: Tracer,
     governor: Governor,
@@ -199,31 +212,31 @@ impl<'u> ForwardRepair<'u> {
 
     /// Creates the strategy memoizing into `cache`.
     pub fn with_cache(universe: &'u Universe, cache: SemCache) -> Self {
-        ForwardRepair {
-            universe,
-            lc: LocalCompleteness::with_cache(universe, cache.clone()),
-            cache: Some(cache),
-            max_repairs: 10_000,
-            trace: Tracer::disabled(),
-            governor: Governor::unlimited(),
-        }
+        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, cache))
     }
 
     /// Creates the strategy without memoization (the reference path).
     pub fn uncached(universe: &'u Universe) -> Self {
-        ForwardRepair {
-            universe,
-            lc: LocalCompleteness::uncached(universe),
-            cache: None,
-            max_repairs: 10_000,
-            trace: Tracer::disabled(),
-            governor: Governor::unlimited(),
-        }
+        Self::from_algebra(universe, EnumAlgebra::uncached(universe))
     }
 
     /// The shared semantic cache, if caching is enabled.
     pub fn cache(&self) -> Option<&SemCache> {
-        self.cache.as_ref()
+        self.alg.cache()
+    }
+}
+
+impl<'u, A: StateAlgebra> ForwardRepair<'u, A> {
+    /// Creates the strategy over `alg` with a default budget of 10 000
+    /// refinements.
+    pub fn from_algebra(universe: &'u Universe, alg: A) -> Self {
+        ForwardRepair {
+            universe,
+            alg,
+            max_repairs: 10_000,
+            trace: Tracer::disabled(),
+            governor: Governor::unlimited(),
+        }
     }
 
     /// Sets the refinement budget.
@@ -240,19 +253,19 @@ impl<'u> ForwardRepair<'u> {
         self
     }
 
-    /// Emits `incompleteness`/`shell_point` events (and the cache's
-    /// hit/miss/bypass telemetry) through `tracer`.
+    /// Emits `incompleteness`/`shell_point` events (and the algebra's
+    /// cache hit/miss/bypass telemetry) through `tracer`.
     pub fn tracer(mut self, tracer: Tracer) -> Self {
-        if let Some(cache) = &self.cache {
-            cache.set_tracer(&tracer);
-        }
+        self.alg.set_tracer(&tracer);
         self.trace = tracer;
         self
     }
 
     /// Algorithm 1: repairs `dom` until every local completeness proof
     /// obligation raised by `r` on input `p` holds. Returns the repaired
-    /// domain and the exact under-approximation of `⟦r⟧p`.
+    /// domain and the exact under-approximation of `⟦r⟧p`. `p` is lifted
+    /// into the algebra here and the under-approximation is lowered back
+    /// to bitsets, so callers see one outcome type whichever algebra ran.
     ///
     /// # Errors
     ///
@@ -262,19 +275,14 @@ impl<'u> ForwardRepair<'u> {
     /// carries the points added so far and a sound partial invariant.
     pub fn repair(
         &self,
-        mut dom: EnumDomain,
+        mut dom: A::Domain,
         r: &Reg,
         p: &StateSet,
-    ) -> Result<RepairOutcome, RepairError> {
+    ) -> Result<RepairOutcome<A::Domain>, RepairError> {
         let _span = self.trace.span(|| "repair.forward".to_string());
-        // Engine-level demotion: on universes at or under the bypass
-        // threshold the memo tables cannot win, so drop the cache once
-        // here (one counted/traced bypass) and run the whole loop on the
-        // plain path with zero per-obligation probes.
-        let cache = self
-            .cache
-            .as_ref()
-            .filter(|c| !c.demote_for(self.universe.size()));
+        let find = self.alg.for_find();
+        let lc = LocalCompleteness::from_algebra(self.universe, self.alg.clone());
+        let p = self.alg.lift(p);
         let mut repairs = 0;
         let mut analysis_runs = 0;
         let mut obligations_checked = 0;
@@ -282,10 +290,10 @@ impl<'u> ForwardRepair<'u> {
         loop {
             analysis_runs += 1;
             if let Err(e) = self.governor.check_with(|| "repair.forward".to_string()) {
-                return Err(self.exhausted(e.into(), &dom, r, p));
+                return Err(self.exhausted(e.into(), &dom, r, &p));
             }
-            match self.find(&dom, cache, r, p, &mut obligations_checked) {
-                Err(e) => return Err(self.exhausted(e, &dom, r, p)),
+            match self.find(&find, &lc, &dom, r, &p, &mut obligations_checked) {
+                Err(e) => return Err(self.exhausted(e, &dom, r, &p)),
                 Ok(FindOutcome::Under(q)) => {
                     self.trace.emit_detail_with(|| EventKind::Counter {
                         name: "forward.analysis_runs".to_string(),
@@ -297,7 +305,7 @@ impl<'u> ForwardRepair<'u> {
                     });
                     return Ok(RepairOutcome {
                         domain: dom,
-                        under: q,
+                        under: self.alg.lower(q),
                         repairs,
                         analysis_runs,
                         obligations_checked,
@@ -307,7 +315,7 @@ impl<'u> ForwardRepair<'u> {
                 Ok(FindOutcome::Incomplete(ob)) => {
                     self.trace.emit_detail_with(|| EventKind::Incompleteness {
                         exp: ob.exp.to_string(),
-                        input_size: ob.input.len(),
+                        input_size: ob.input.size(),
                     });
                     if repairs >= self.max_repairs {
                         let cap = Exhaustion {
@@ -315,19 +323,19 @@ impl<'u> ForwardRepair<'u> {
                             spent: repairs as u64,
                             reason: ExhaustReason::Fuel,
                         };
-                        return Err(self.exhausted(cap.into(), &dom, r, p));
+                        return Err(self.exhausted(cap.into(), &dom, r, &p));
                     }
-                    let (point, rule) = match self.refine_point(&dom, &ob) {
+                    let (point, rule) = match lc.refine(&dom, &ob.exp, &ob.input) {
                         Ok(found) => found,
-                        Err(e) => return Err(self.exhausted(e, &dom, r, p)),
+                        Err(e) => return Err(self.exhausted(e.into(), &dom, r, &p)),
                     };
                     self.trace.emit_detail_with(|| EventKind::ShellPoint {
                         rule: rule.to_string(),
                         exp: ob.exp.to_string(),
-                        point_size: point.len(),
+                        point_size: point.size(),
                     });
                     provenance.push((rule, ob.exp.clone()));
-                    dom.add_point(point);
+                    dom = dom.with_points([point]);
                     repairs += 1;
                 }
             }
@@ -337,80 +345,48 @@ impl<'u> ForwardRepair<'u> {
     /// Enriches a budget cutoff with the best partial result: the points
     /// added so far and the (always sound) abstract invariant in the
     /// partially repaired domain. Non-exhaustion errors pass through.
-    fn exhausted(&self, err: RepairError, dom: &EnumDomain, r: &Reg, p: &StateSet) -> RepairError {
+    fn exhausted(&self, err: RepairError, dom: &A::Domain, r: &Reg, p: &A::Set) -> RepairError {
         let RepairError::Exhausted(mut partial) = err else {
             return err;
         };
         if partial.points.is_empty() {
-            partial.points = dom.points().to_vec();
+            partial.points = dom
+                .points()
+                .iter()
+                .map(|q| self.alg.lower(q.clone()))
+                .collect();
         }
         if partial.invariant.is_none() {
             // An ungoverned pass: the absint fixpoint is bounded by the
             // universe size, so this terminates even though the budget
             // is spent; soundness needs no completed repair.
-            let sem = match &self.cache {
-                Some(cache) => {
-                    crate::absint::AbstractSemantics::with_cache(self.universe, cache.clone())
-                }
-                None => crate::absint::AbstractSemantics::uncached(self.universe),
-            };
-            partial.invariant = sem.exec(dom, r, &dom.close(p)).ok();
+            let sem = AbstractSemantics::from_algebra(self.universe, self.alg.clone());
+            partial.invariant = sem
+                .exec(dom, r, &dom.close(p))
+                .ok()
+                .map(|inv| self.alg.lower(inv));
         }
-        self.trace.emit_with(|| EventKind::BudgetExhausted {
-            phase: partial.exhaustion.phase.clone(),
-            spent: partial.exhaustion.spent,
-            reason: partial.exhaustion.reason.name().to_string(),
-        });
-        RepairError::Exhausted(partial)
-    }
-
-    /// `refine_A(N, R, e)`: the pointed shell for the violated obligation.
-    fn refine_point(
-        &self,
-        dom: &EnumDomain,
-        ob: &Obligation,
-    ) -> Result<(StateSet, RepairRule), RepairError> {
-        match &ob.exp {
-            // Theorem 4.11: guards always have a pointed shell.
-            Exp::Assume(b) => Ok((
-                self.lc.guard_shell(dom, b, &ob.input)?,
-                RepairRule::GuardShell,
-            )),
-            // Theorem 4.9 for assignments (skip is globally complete and
-            // never raises an obligation).
-            e => {
-                let r = Reg::Basic(e.clone());
-                match self.lc.pointed_shell(dom, &r, &ob.input)? {
-                    ShellResult::Shell { point } => Ok((point, RepairRule::PointedShell)),
-                    // No shell: take the most concrete pointed refinement,
-                    // as the paper suggests (Section 5).
-                    ShellResult::NoShell { .. } => Ok((ob.input.clone(), RepairRule::MostConcrete)),
-                }
-            }
-        }
+        partial.traced(&self.trace)
     }
 
     /// The structural `find_A` oracle: returns an under-approximation when
     /// every obligation along the (concrete) computation holds, or the
-    /// first violated obligation.
+    /// first violated obligation. Its concrete images run in `find` (the
+    /// run's algebra); obligations are checked through `lc`.
     fn find(
         &self,
-        dom: &EnumDomain,
-        cache: Option<&SemCache>,
+        find: &A,
+        lc: &LocalCompleteness<'u, A>,
+        dom: &A::Domain,
         r: &Reg,
-        p: &StateSet,
+        p: &A::Set,
         checked: &mut usize,
-    ) -> Result<FindOutcome, RepairError> {
-        let sem = air_lang::Concrete::new(self.universe);
+    ) -> Result<FindOutcome<A::Set>, RepairError> {
         match r {
             Reg::Basic(e) => {
                 *checked += 1;
-                if self.lc.check_exp(dom, e, p)? {
-                    let image = match cache {
-                        Some(cache) => cache.exec_exp(&sem, e, p)?,
-                        None => sem.exec_exp(e, p)?,
-                    };
-                    Ok(FindOutcome::Under(image))
+                if lc.check_exp(dom, e, p)? {
+                    Ok(FindOutcome::Under(find.image(A::Term::default(), e, p)?))
                 } else {
                     Ok(FindOutcome::Incomplete(Obligation {
                         input: p.clone(),
@@ -418,16 +394,16 @@ impl<'u> ForwardRepair<'u> {
                     }))
                 }
             }
-            Reg::Seq(r1, r2) => match self.find(dom, cache, r1, p, checked)? {
-                FindOutcome::Under(q) => self.find(dom, cache, r2, &q, checked),
+            Reg::Seq(r1, r2) => match self.find(find, lc, dom, r1, p, checked)? {
+                FindOutcome::Under(q) => self.find(find, lc, dom, r2, &q, checked),
                 incomplete => Ok(incomplete),
             },
             Reg::Choice(r1, r2) => {
-                let q1 = match self.find(dom, cache, r1, p, checked)? {
+                let q1 = match self.find(find, lc, dom, r1, p, checked)? {
                     FindOutcome::Under(q) => q,
                     incomplete => return Ok(incomplete),
                 };
-                let q2 = match self.find(dom, cache, r2, p, checked)? {
+                let q2 = match self.find(find, lc, dom, r2, p, checked)? {
                     FindOutcome::Under(q) => q,
                     incomplete => return Ok(incomplete),
                 };
@@ -440,7 +416,7 @@ impl<'u> ForwardRepair<'u> {
                 for _ in 0..=self.universe.size() {
                     self.governor
                         .check_with(|| "repair.forward.find".to_string())?;
-                    let step = match self.find(dom, cache, body, &acc, checked)? {
+                    let step = match self.find(find, lc, dom, body, &acc, checked)? {
                         FindOutcome::Under(q) => q,
                         incomplete => return Ok(incomplete),
                     };

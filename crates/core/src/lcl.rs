@@ -37,13 +37,14 @@
 use std::fmt;
 
 use air_lang::ast::{Exp, Reg};
-use air_lang::{Concrete, SemCache, SemError, StateSet, Universe};
+use air_lang::{SemCache, SemError, StateSet, Universe};
 use air_lattice::{ExhaustReason, Exhaustion, Governor};
 use air_trace::{DotBuilder, EventKind, Tracer};
 
+use crate::algebra::{EnumAlgebra, StateAlgebra};
 use crate::domain::EnumDomain;
-use crate::forward::{RepairError, RepairRule};
-use crate::local::{LocalCompleteness, ShellResult};
+use crate::forward::RepairError;
+use crate::local::LocalCompleteness;
 
 /// A judgement `⊢_A [pre] reg [post]`.
 #[derive(Clone, Debug, PartialEq)]
@@ -245,6 +246,18 @@ pub enum LclError {
     Divergence,
 }
 
+/// `Ok` when a rule's side condition holds, else the violation.
+fn side(holds: bool, rule: &'static str, reason: &str) -> Result<(), LclError> {
+    if holds {
+        Ok(())
+    } else {
+        Err(LclError::SideCondition {
+            rule,
+            reason: reason.into(),
+        })
+    }
+}
+
 impl fmt::Display for LclError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -296,9 +309,7 @@ impl From<SemError> for LclError {
 #[derive(Clone, Debug)]
 pub struct Lcl<'u> {
     universe: &'u Universe,
-    sem: Concrete<'u>,
     lc: LocalCompleteness<'u>,
-    cache: Option<SemCache>,
     trace: Tracer,
     governor: Governor,
 }
@@ -312,23 +323,19 @@ impl<'u> Lcl<'u> {
 
     /// Creates the proof system memoizing into `cache`.
     pub fn with_cache(universe: &'u Universe, cache: SemCache) -> Self {
-        Lcl {
-            universe,
-            sem: Concrete::new(universe),
-            lc: LocalCompleteness::with_cache(universe, cache.clone()),
-            cache: Some(cache),
-            trace: Tracer::disabled(),
-            governor: Governor::unlimited(),
-        }
+        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, cache))
     }
 
     /// Creates the proof system without memoization (the reference path).
     pub fn uncached(universe: &'u Universe) -> Self {
+        Self::from_algebra(universe, EnumAlgebra::uncached(universe))
+    }
+
+    /// Creates the proof system over `alg`.
+    pub fn from_algebra(universe: &'u Universe, alg: EnumAlgebra<'u>) -> Self {
         Lcl {
             universe,
-            sem: Concrete::new(universe),
-            lc: LocalCompleteness::uncached(universe),
-            cache: None,
+            lc: LocalCompleteness::from_algebra(universe, alg),
             trace: Tracer::disabled(),
             governor: Governor::unlimited(),
         }
@@ -336,15 +343,13 @@ impl<'u> Lcl<'u> {
 
     /// The shared semantic cache, if caching is enabled.
     pub fn cache(&self) -> Option<&SemCache> {
-        self.cache.as_ref()
+        self.lc.cache()
     }
 
     /// Emits `lcl_rule`/`incompleteness`/`shell_point`/`verdict` events
     /// (and the cache's hit/miss/bypass telemetry) through `tracer`.
     pub fn tracer(mut self, tracer: Tracer) -> Self {
-        if let Some(cache) = &self.cache {
-            cache.set_tracer(&tracer);
-        }
+        self.lc.algebra().set_tracer(&tracer);
         self.trace = tracer;
         self
     }
@@ -363,18 +368,9 @@ impl<'u> Lcl<'u> {
         });
     }
 
+    /// `⟦e⟧p`, asked of the algebra per call.
     fn exec_exp(&self, e: &Exp, p: &StateSet) -> Result<StateSet, SemError> {
-        match &self.cache {
-            Some(cache) => cache.exec_exp(&self.sem, e, p),
-            None => self.sem.exec_exp(e, p),
-        }
-    }
-
-    fn exec(&self, r: &Reg, p: &StateSet) -> Result<StateSet, SemError> {
-        match &self.cache {
-            Some(cache) => cache.exec(&self.sem, r, p),
-            None => self.sem.exec(r, p),
-        }
+        self.lc.algebra().image(None, e, p)
     }
 
     /// Checks a derivation against the domain `A`: every rule's side
@@ -388,10 +384,7 @@ impl<'u> Lcl<'u> {
         match d {
             Derivation::Transfer { triple } => {
                 let Reg::Basic(e) = &triple.reg else {
-                    return Err(LclError::SideCondition {
-                        rule: "transfer",
-                        reason: "program is not a basic command".into(),
-                    });
+                    return side(false, "transfer", "program is not a basic command");
                 };
                 if !self.lc.check_exp(dom, e, &triple.pre)? {
                     return Err(LclError::Obligation {
@@ -400,13 +393,7 @@ impl<'u> Lcl<'u> {
                     });
                 }
                 let post = self.exec_exp(e, &triple.pre)?;
-                if post != triple.post {
-                    return Err(LclError::SideCondition {
-                        rule: "transfer",
-                        reason: "postcondition is not ⟦e⟧P".into(),
-                    });
-                }
-                Ok(())
+                side(post == triple.post, "transfer", "postcondition is not ⟦e⟧P")
             }
             Derivation::Seq {
                 left,
@@ -417,24 +404,18 @@ impl<'u> Lcl<'u> {
                 self.check(dom, right)?;
                 let (lt, rt) = (left.triple(), right.triple());
                 let Reg::Seq(r1, r2) = &triple.reg else {
-                    return Err(LclError::SideCondition {
-                        rule: "seq",
-                        reason: "program is not a sequence".into(),
-                    });
+                    return side(false, "seq", "program is not a sequence");
                 };
-                if lt.reg != **r1 || rt.reg != **r2 {
-                    return Err(LclError::SideCondition {
-                        rule: "seq",
-                        reason: "premise programs do not match".into(),
-                    });
-                }
-                if lt.pre != triple.pre || rt.pre != lt.post || rt.post != triple.post {
-                    return Err(LclError::SideCondition {
-                        rule: "seq",
-                        reason: "pre/intermediate/post conditions do not chain".into(),
-                    });
-                }
-                Ok(())
+                side(
+                    lt.reg == **r1 && rt.reg == **r2,
+                    "seq",
+                    "premise programs do not match",
+                )?;
+                side(
+                    lt.pre == triple.pre && rt.pre == lt.post && rt.post == triple.post,
+                    "seq",
+                    "pre/intermediate/post conditions do not chain",
+                )
             }
             Derivation::Join {
                 left,
@@ -445,113 +426,83 @@ impl<'u> Lcl<'u> {
                 self.check(dom, right)?;
                 let (lt, rt) = (left.triple(), right.triple());
                 let Reg::Choice(r1, r2) = &triple.reg else {
-                    return Err(LclError::SideCondition {
-                        rule: "join",
-                        reason: "program is not a choice".into(),
-                    });
+                    return side(false, "join", "program is not a choice");
                 };
-                if lt.reg != **r1 || rt.reg != **r2 {
-                    return Err(LclError::SideCondition {
-                        rule: "join",
-                        reason: "premise programs do not match".into(),
-                    });
-                }
-                if lt.pre != triple.pre || rt.pre != triple.pre {
-                    return Err(LclError::SideCondition {
-                        rule: "join",
-                        reason: "premise preconditions differ from the conclusion".into(),
-                    });
-                }
-                if triple.post != lt.post.union(&rt.post) {
-                    return Err(LclError::SideCondition {
-                        rule: "join",
-                        reason: "postcondition is not Q₁ ∨ Q₂".into(),
-                    });
-                }
-                Ok(())
+                side(
+                    lt.reg == **r1 && rt.reg == **r2,
+                    "join",
+                    "premise programs do not match",
+                )?;
+                side(
+                    lt.pre == triple.pre && rt.pre == triple.pre,
+                    "join",
+                    "premise preconditions differ from the conclusion",
+                )?;
+                side(
+                    triple.post == lt.post.union(&rt.post),
+                    "join",
+                    "postcondition is not Q₁ ∨ Q₂",
+                )
             }
             Derivation::Rec { step, rest, triple } => {
                 self.check(dom, step)?;
                 self.check(dom, rest)?;
                 let (st, rt) = (step.triple(), rest.triple());
                 let Reg::Star(body) = &triple.reg else {
-                    return Err(LclError::SideCondition {
-                        rule: "rec",
-                        reason: "program is not a star".into(),
-                    });
+                    return side(false, "rec", "program is not a star");
                 };
-                if st.reg != **body || rt.reg != triple.reg {
-                    return Err(LclError::SideCondition {
-                        rule: "rec",
-                        reason: "premise programs do not match".into(),
-                    });
-                }
-                if st.pre != triple.pre
-                    || rt.pre != triple.pre.union(&st.post)
-                    || rt.post != triple.post
-                {
-                    return Err(LclError::SideCondition {
-                        rule: "rec",
-                        reason: "conditions do not chain through the unroll".into(),
-                    });
-                }
-                Ok(())
+                side(
+                    st.reg == **body && rt.reg == triple.reg,
+                    "rec",
+                    "premise programs do not match",
+                )?;
+                side(
+                    st.pre == triple.pre
+                        && rt.pre == triple.pre.union(&st.post)
+                        && rt.post == triple.post,
+                    "rec",
+                    "conditions do not chain through the unroll",
+                )
             }
             Derivation::Iterate { step, triple } => {
                 self.check(dom, step)?;
                 let st = step.triple();
                 let Reg::Star(body) = &triple.reg else {
-                    return Err(LclError::SideCondition {
-                        rule: "iterate",
-                        reason: "program is not a star".into(),
-                    });
+                    return side(false, "iterate", "program is not a star");
                 };
-                if st.reg != **body || st.pre != triple.pre {
-                    return Err(LclError::SideCondition {
-                        rule: "iterate",
-                        reason: "premise does not match".into(),
-                    });
-                }
-                if !st.post.is_subset(&triple.pre) {
-                    return Err(LclError::SideCondition {
-                        rule: "iterate",
-                        reason: "R ≤ P fails: the body escapes the invariant".into(),
-                    });
-                }
-                if triple.post != triple.pre {
-                    return Err(LclError::SideCondition {
-                        rule: "iterate",
-                        reason: "postcondition must equal the invariant P".into(),
-                    });
-                }
-                Ok(())
+                side(
+                    st.reg == **body && st.pre == triple.pre,
+                    "iterate",
+                    "premise does not match",
+                )?;
+                side(
+                    st.post.is_subset(&triple.pre),
+                    "iterate",
+                    "R ≤ P fails: the body escapes the invariant",
+                )?;
+                side(
+                    triple.post == triple.pre,
+                    "iterate",
+                    "postcondition must equal the invariant P",
+                )
             }
             Derivation::Relax { inner, triple } => {
                 self.check(dom, inner)?;
                 let it = inner.triple();
-                if it.reg != triple.reg {
-                    return Err(LclError::SideCondition {
-                        rule: "relax",
-                        reason: "programs differ".into(),
-                    });
-                }
+                side(it.reg == triple.reg, "relax", "programs differ")?;
                 // P ≤ P' ≤ A(P)
-                if !it.pre.is_subset(&triple.pre) || !triple.pre.is_subset(&dom.close(&it.pre)) {
-                    return Err(LclError::SideCondition {
-                        rule: "relax",
-                        reason: "precondition not within [P, A(P)]".into(),
-                    });
-                }
+                side(
+                    it.pre.is_subset(&triple.pre) && triple.pre.is_subset(&dom.close(&it.pre)),
+                    "relax",
+                    "precondition not within [P, A(P)]",
+                )?;
                 // Q' ≤ Q with A(Q') = A(Q)
-                if !triple.post.is_subset(&it.post)
-                    || dom.close(&triple.post) != dom.close(&it.post)
-                {
-                    return Err(LclError::SideCondition {
-                        rule: "relax",
-                        reason: "postcondition not an abstraction-preserving shrink".into(),
-                    });
-                }
-                Ok(())
+                side(
+                    triple.post.is_subset(&it.post)
+                        && dom.close(&triple.post) == dom.close(&it.post),
+                    "relax",
+                    "postcondition not an abstraction-preserving shrink",
+                )
             }
         }
     }
@@ -687,22 +638,7 @@ impl<'u> Lcl<'u> {
                         exp: exp.to_string(),
                         input_size: input.len(),
                     });
-                    let shell = match &exp {
-                        Exp::Assume(b) => self
-                            .lc
-                            .guard_shell(&dom, b, &input)
-                            .map(|point| (point, RepairRule::GuardShell)),
-                        e => self
-                            .lc
-                            .pointed_shell(&dom, &Reg::Basic(e.clone()), &input)
-                            .map(|res| match res {
-                                ShellResult::Shell { point } => (point, RepairRule::PointedShell),
-                                ShellResult::NoShell { .. } => {
-                                    (input.clone(), RepairRule::MostConcrete)
-                                }
-                            }),
-                    };
-                    let (point, rule) = match shell {
+                    let (point, rule) = match self.lc.refine(&dom, &exp, &input) {
                         Ok(found) => found,
                         Err(e) => return Err(self.exhausted(e.into(), &dom)),
                     };
@@ -741,12 +677,7 @@ impl<'u> Lcl<'u> {
         if partial.points.is_empty() {
             partial.points = dom.points().to_vec();
         }
-        self.trace.emit_with(|| EventKind::BudgetExhausted {
-            phase: partial.exhaustion.phase.clone(),
-            spent: partial.exhaustion.spent,
-            reason: partial.exhaustion.reason.name().to_string(),
-        });
-        RepairError::Exhausted(partial)
+        partial.traced(&self.trace)
     }
 
     /// The soundness invariant of a triple (used by tests and callers):
@@ -756,7 +687,7 @@ impl<'u> Lcl<'u> {
     ///
     /// Propagates evaluation errors.
     pub fn triple_sound(&self, dom: &EnumDomain, t: &Triple) -> Result<bool, SemError> {
-        let post = self.exec(&t.reg, &t.pre)?;
+        let post = self.lc.algebra().exec(&t.reg, &t.pre)?;
         Ok(t.post.is_subset(&post) && post.is_subset(&dom.close(&t.post)))
     }
 
@@ -1017,7 +948,7 @@ mod tests {
         // Spec2 = x ≥ 2: Q ⊄ Spec2, so a true alarm exists (x = 1).
         let spec2 = u.filter(|s| s[0] >= 2);
         assert!(!q.is_subset(&spec2));
-        let sem = Concrete::new(&u);
+        let sem = air_lang::Concrete::new(&u);
         let real = sem.exec(&prog, &odd).unwrap();
         assert!(!real.is_subset(&spec2), "the alarm is real");
     }

@@ -16,8 +16,9 @@
 //! Module map (paper section in parentheses):
 //!
 //! - [`domain`] — `A ⊞ N` pointed refinements of enumerated domains (§3.1).
-//! - [`algebra`] — the state-algebra seam under Algorithm 2 and
-//!   `⟦·⟧♯_{A⊞N}`, and its enumerative implementation ([`EnumAlgebra`]).
+//! - [`algebra`] — the state-algebra seam under Algorithms 1 and 2,
+//!   local completeness and `⟦·⟧♯_{A⊞N}`, and its enumerative
+//!   implementation ([`EnumAlgebra`]).
 //! - [`absint`] — the abstract semantics `⟦·⟧♯_{A⊞N}` with best correct
 //!   approximations of basic commands, plus pointed widening (§3.2, §7).
 //! - [`local`] — local completeness, the set `L^A_{c,f}`, pointed shells
@@ -85,7 +86,7 @@ pub mod verify;
 pub use absint::{AbstractSemantics, StarStrategy};
 pub use algebra::{EnumAlgebra, PointedDomain, StateAlgebra, StoreSet};
 pub use backward::{BackwardOutcome, BackwardRepair, UnrollStrategy};
-pub use domain::EnumDomain;
+pub use domain::{build_domain, EnumDomain};
 pub use forward::{ForwardRepair, PartialRepair, RepairError, RepairOutcome, RepairRule};
 pub use lcl::{Derivation, Lcl, LclError, SpecVerdict, Triple};
 pub use local::{LocalCompleteness, ShellResult};

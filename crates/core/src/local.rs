@@ -13,30 +13,31 @@
 //!   `u = (A(P∩b)∩b) ∪ (A(P∩¬b)∩¬b)`.
 
 use air_lang::ast::{BExp, Exp, Reg};
-use air_lang::{Concrete, SemCache, SemError, StateSet, Universe, Wlp};
+use air_lang::{SemCache, SemError, StateSet, Universe};
 
-use crate::domain::EnumDomain;
+use crate::algebra::{EnumAlgebra, PointedDomain, StateAlgebra, StoreSet};
+use crate::forward::RepairRule;
 
 /// The result of a pointed-shell construction (Theorem 4.9).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ShellResult {
+pub enum ShellResult<S = StateSet> {
     /// The pointed shell exists; `A ⊞ {point}` is the most abstract
     /// locally complete pointed refinement.
     Shell {
         /// The new point `u = ∨L^A_{c,f}`.
-        point: StateSet,
+        point: S,
     },
     /// No pointed shell exists (Theorem 4.9's condition fails); callers
     /// may fall back to the most concrete pointed refinement `A ⊞ {c}`.
     NoShell {
         /// The candidate `u = ∨L^A_{c,f}` that failed the condition.
-        candidate: StateSet,
+        candidate: S,
     },
 }
 
-impl ShellResult {
+impl<S> ShellResult<S> {
     /// The shell point if one exists.
-    pub fn shell_point(&self) -> Option<&StateSet> {
+    pub fn shell_point(&self) -> Option<&S> {
         match self {
             ShellResult::Shell { point } => Some(point),
             ShellResult::NoShell { .. } => None,
@@ -44,18 +45,17 @@ impl ShellResult {
     }
 }
 
-/// Local-completeness queries over a universe.
+/// Local-completeness queries over a [`StateAlgebra`] — by default the
+/// enumerative one ([`EnumAlgebra`]).
 ///
 /// Created [`cached`](LocalCompleteness::new) by default: concrete
 /// images, `wlp`s and guard sets are memoized in a [`SemCache`] shared
 /// by all clones. Use [`uncached`](LocalCompleteness::uncached) for the
 /// reference path (differential tests, baseline benchmarks).
 #[derive(Clone, Debug)]
-pub struct LocalCompleteness<'u> {
+pub struct LocalCompleteness<'u, A = EnumAlgebra<'u>> {
     universe: &'u Universe,
-    sem: Concrete<'u>,
-    wlp: Wlp<'u>,
-    cache: Option<SemCache>,
+    alg: A,
 }
 
 impl<'u> LocalCompleteness<'u> {
@@ -67,49 +67,25 @@ impl<'u> LocalCompleteness<'u> {
     /// Creates the query context memoizing into `cache` (share one cache
     /// across engines and threads working on the same universe).
     pub fn with_cache(universe: &'u Universe, cache: SemCache) -> Self {
-        LocalCompleteness {
-            universe,
-            sem: Concrete::new(universe),
-            wlp: Wlp::new(universe),
-            cache: Some(cache),
-        }
+        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, cache))
     }
 
     /// Creates the query context without any memoization — every image is
     /// recomputed. The reference path for differential tests.
     pub fn uncached(universe: &'u Universe) -> Self {
-        LocalCompleteness {
-            universe,
-            sem: Concrete::new(universe),
-            wlp: Wlp::new(universe),
-            cache: None,
-        }
+        Self::from_algebra(universe, EnumAlgebra::uncached(universe))
     }
 
     /// The shared semantic cache, if caching is enabled.
     pub fn cache(&self) -> Option<&SemCache> {
-        self.cache.as_ref()
+        self.alg.cache()
     }
+}
 
-    fn exec(&self, r: &Reg, c: &StateSet) -> Result<StateSet, SemError> {
-        match &self.cache {
-            Some(cache) => cache.exec(&self.sem, r, c),
-            None => self.sem.exec(r, c),
-        }
-    }
-
-    fn wlp_reg(&self, r: &Reg, post: &StateSet) -> Result<StateSet, SemError> {
-        match &self.cache {
-            Some(cache) => cache.wlp_reg(&self.wlp, r, post),
-            None => self.wlp.reg(r, post),
-        }
-    }
-
-    fn sat(&self, b: &BExp) -> Result<StateSet, SemError> {
-        match &self.cache {
-            Some(cache) => cache.sat(&self.sem, b),
-            None => self.sem.sat(b),
-        }
+impl<'u, A: StateAlgebra> LocalCompleteness<'u, A> {
+    /// Creates the query context over `alg`.
+    pub fn from_algebra(universe: &'u Universe, alg: A) -> Self {
+        LocalCompleteness { universe, alg }
     }
 
     /// Definition 4.1: is `dom` locally complete for `⟦r⟧` on `c`?
@@ -117,8 +93,8 @@ impl<'u> LocalCompleteness<'u> {
     /// # Errors
     ///
     /// Propagates [`SemError`] from concrete execution.
-    pub fn check(&self, dom: &EnumDomain, r: &Reg, c: &StateSet) -> Result<bool, SemError> {
-        Ok(self.defect(dom, r, c)?.is_empty())
+    pub fn check(&self, dom: &A::Domain, r: &Reg, c: &A::Set) -> Result<bool, SemError> {
+        Ok(self.defect(dom, r, c)?.size() == 0)
     }
 
     /// The *incompleteness defect* `A f A(c) ∖ A f(c)`: the spurious
@@ -128,9 +104,9 @@ impl<'u> LocalCompleteness<'u> {
     /// # Errors
     ///
     /// Propagates [`SemError`].
-    pub fn defect(&self, dom: &EnumDomain, r: &Reg, c: &StateSet) -> Result<StateSet, SemError> {
-        let exact = dom.close(&self.exec(r, c)?);
-        let through = dom.close(&self.exec(r, &dom.close(c))?);
+    pub fn defect(&self, dom: &A::Domain, r: &Reg, c: &A::Set) -> Result<A::Set, SemError> {
+        let exact = dom.close(&self.alg.exec(r, c)?);
+        let through = dom.close(&self.alg.exec(r, &dom.close(c))?);
         Ok(through.difference(&exact))
     }
 
@@ -140,9 +116,9 @@ impl<'u> LocalCompleteness<'u> {
     /// # Errors
     ///
     /// Propagates [`SemError`].
-    pub fn sup_l(&self, dom: &EnumDomain, r: &Reg, c: &StateSet) -> Result<StateSet, SemError> {
-        let afc = dom.close(&self.exec(r, c)?);
-        let pre = self.wlp_reg(r, &afc)?;
+    pub fn sup_l(&self, dom: &A::Domain, r: &Reg, c: &A::Set) -> Result<A::Set, SemError> {
+        let afc = dom.close(&self.alg.exec(r, c)?);
+        let pre = self.alg.wlp(A::Term::default(), r, &afc)?;
         Ok(dom.close(c).intersection(&pre))
     }
 
@@ -151,8 +127,9 @@ impl<'u> LocalCompleteness<'u> {
     /// # Errors
     ///
     /// Propagates [`SemError`].
-    pub fn check_via_sup(&self, dom: &EnumDomain, r: &Reg, c: &StateSet) -> Result<bool, SemError> {
-        Ok(dom.is_expressible(&self.sup_l(dom, r, c)?))
+    pub fn check_via_sup(&self, dom: &A::Domain, r: &Reg, c: &A::Set) -> Result<bool, SemError> {
+        let u = self.sup_l(dom, r, c)?;
+        Ok(dom.close(&u) == u)
     }
 
     /// Theorem 4.9(ii): constructs the pointed shell of `dom` for `⟦r⟧` on
@@ -164,14 +141,14 @@ impl<'u> LocalCompleteness<'u> {
     /// Propagates [`SemError`].
     pub fn pointed_shell(
         &self,
-        dom: &EnumDomain,
+        dom: &A::Domain,
         r: &Reg,
-        c: &StateSet,
-    ) -> Result<ShellResult, SemError> {
+        c: &A::Set,
+    ) -> Result<ShellResult<A::Set>, SemError> {
         let u = self.sup_l(dom, r, c)?;
-        let fc = self.exec(r, c)?;
+        let fc = self.alg.exec(r, c)?;
         let exists = if fc.is_subset(&u) {
-            self.exec(r, &u)?.is_subset(&u)
+            self.alg.exec(r, &u)?.is_subset(&u)
         } else {
             true
         };
@@ -189,17 +166,32 @@ impl<'u> LocalCompleteness<'u> {
     /// # Errors
     ///
     /// Propagates [`SemError`] from guard evaluation.
-    pub fn guard_shell(
-        &self,
-        dom: &EnumDomain,
-        b: &BExp,
-        p: &StateSet,
-    ) -> Result<StateSet, SemError> {
-        let sat_b = self.sat(b)?;
+    pub fn guard_shell(&self, dom: &A::Domain, b: &BExp, p: &A::Set) -> Result<A::Set, SemError> {
+        let sat_b = self.alg.sat(b)?;
         let not_b = sat_b.complement();
         let pos = dom.close(&p.intersection(&sat_b)).intersection(&sat_b);
         let neg = dom.close(&p.intersection(&not_b)).intersection(&not_b);
         Ok(pos.union(&neg))
+    }
+
+    /// `refine_A(N, R, e)` of Algorithm 1: the point repairing the
+    /// violated obligation of the basic command `e` on `c`. Guards always
+    /// have a pointed shell (Theorem 4.11); other commands take the shell
+    /// of Theorem 4.9, or the most concrete refinement `A ⊞ {c}` when none
+    /// exists (Section 5).
+    pub(crate) fn refine(
+        &self,
+        dom: &A::Domain,
+        e: &Exp,
+        c: &A::Set,
+    ) -> Result<(A::Set, RepairRule), SemError> {
+        Ok(match e {
+            Exp::Assume(b) => (self.guard_shell(dom, b, c)?, RepairRule::GuardShell),
+            e => match self.pointed_shell(dom, &Reg::Basic(e.clone()), c)? {
+                ShellResult::Shell { point } => (point, RepairRule::PointedShell),
+                ShellResult::NoShell { .. } => (c.clone(), RepairRule::MostConcrete),
+            },
+        })
     }
 
     /// Local completeness of a single basic command (`Definition 4.1` with
@@ -208,7 +200,7 @@ impl<'u> LocalCompleteness<'u> {
     /// # Errors
     ///
     /// Propagates [`SemError`].
-    pub fn check_exp(&self, dom: &EnumDomain, e: &Exp, c: &StateSet) -> Result<bool, SemError> {
+    pub fn check_exp(&self, dom: &A::Domain, e: &Exp, c: &A::Set) -> Result<bool, SemError> {
         self.check(dom, &Reg::Basic(e.clone()), c)
     }
 
@@ -216,11 +208,17 @@ impl<'u> LocalCompleteness<'u> {
     pub fn universe(&self) -> &'u Universe {
         self.universe
     }
+
+    /// The algebra the queries run in.
+    pub(crate) fn algebra(&self) -> &A {
+        &self.alg
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::EnumDomain;
     use air_domains::IntervalEnv;
     use air_lang::{parse_bexp, parse_program};
 

@@ -1,4 +1,4 @@
-//! The symbolic state algebra — Algorithm 2 on decision diagrams.
+//! The symbolic state algebra — Algorithms 1 and 2 on decision diagrams.
 //!
 //! Routing the enumerative algebra's *semantic* queries through a
 //! symbolic [`SemCache`](air_lang::SemCache) (the Level-A backend switch)
@@ -12,12 +12,13 @@
 //! bounding box of the diagram (exactly `γ(α(c))` of `IntervalEnv` on a
 //! finite universe) and points are diagrams, so the refined closure never
 //! enumerates a store. [`SymAlgebra`] plugs it into the crate's one
-//! Algorithm 2 and one abstract semantics: one algorithm, two algebras.
+//! forward repair, one backward repair, one set of local-completeness
+//! queries and one abstract semantics: one algorithm, two algebras.
 //! The symbolic concrete semantics is exact and the closures coincide, so
 //! verdicts are byte-identical — the property fuzz axis 9 and the
 //! backend-agreement suites check on enumerable universes.
 
-use air_lang::ast::{Exp, Reg};
+use air_lang::ast::{BExp, Exp, Reg};
 use air_lang::{SemError, StateSet, SymEngine, Universe};
 use air_lattice::{SymShape, SymState};
 
@@ -89,6 +90,18 @@ impl StoreSet for SymState {
         self.intersect(other)
     }
 
+    fn union(&self, other: &Self) -> Self {
+        SymState::union(self, other)
+    }
+
+    fn difference(&self, other: &Self) -> Self {
+        SymState::difference(self, other)
+    }
+
+    fn complement(&self) -> Self {
+        SymState::complement(self)
+    }
+
     fn is_subset(&self, other: &Self) -> bool {
         SymState::is_subset(self, other)
     }
@@ -134,6 +147,10 @@ impl PointedDomain for SymDomain {
         }
         d
     }
+
+    fn points(&self) -> &[SymState] {
+        &self.points
+    }
 }
 
 /// The symbolic algebra: [`SymState`] diagrams, [`SymDomain`] closures and
@@ -163,8 +180,16 @@ impl StateAlgebra for SymAlgebra<'_> {
         self.engine.exec_exp(false, e, a)
     }
 
+    fn exec(&self, r: &Reg, a: &SymState) -> Result<SymState, SemError> {
+        self.engine.exec(false, r, a)
+    }
+
     fn wlp(&self, _t: (), r: &Reg, post: &SymState) -> Result<SymState, SemError> {
         self.engine.wlp_reg(r, post)
+    }
+
+    fn sat(&self, b: &BExp) -> Result<SymState, SemError> {
+        self.engine.sat(b)
     }
 
     fn lift(&self, s: &StateSet) -> SymState {
@@ -182,6 +207,7 @@ mod tests {
     use crate::absint::{AbstractSemantics, StarStrategy};
     use crate::backward::{BackwardRepair, UnrollStrategy};
     use crate::domain::EnumDomain;
+    use crate::forward::ForwardRepair;
     use air_domains::IntervalEnv;
     use air_lang::{parse_bexp, parse_program};
     use air_lattice::ExhaustReason;
@@ -315,6 +341,46 @@ mod tests {
                 assert_eq!(sym.calls, enm.calls, "{case}");
                 assert_eq!(sym.inv_iterations, enm.inv_iterations, "{case}");
             }
+        }
+    }
+
+    /// Algorithm 1 in the two algebras agrees outcome for outcome — the
+    /// under-approximation, points in discovery order with their
+    /// provenance, and the repair, restart and obligation counts — on the
+    /// countdown loop and every corpus program.
+    #[test]
+    fn symbolic_forward_matches_enumerative() {
+        let u = Universe::new(&[("x", -2, 6), ("y", -2, 6)]).unwrap();
+        let prog = parse_program("while (x > 0) do { x := x - 1; y := y - 1 }").unwrap();
+        let pre = u.filter(|s| s[0] > 0 && s[0] <= 3);
+        let mut cases = vec![("countdown".to_string(), prog, u, pre)];
+        cases.extend(
+            corpus()
+                .into_iter()
+                .map(|(name, prog, u, pre, _)| (name, prog, u, pre)),
+        );
+        for (name, prog, u, pre) in &cases {
+            let alg = SymAlgebra::new(u);
+            let enm = ForwardRepair::new(u).repair(int_dom(u), prog, pre).unwrap();
+            let sym = ForwardRepair::from_algebra(u, alg.clone())
+                .repair(SymDomain::interval(u), prog, pre)
+                .unwrap();
+            let sym_points: Vec<StateSet> = sym
+                .domain
+                .points()
+                .iter()
+                .map(|p| alg.lower(p.clone()))
+                .collect();
+            assert_eq!(sym.under, enm.under, "{name}");
+            assert_eq!(
+                sym_points,
+                enm.domain.points(),
+                "{name}: point discovery order"
+            );
+            assert_eq!(sym.provenance, enm.provenance, "{name}");
+            assert_eq!(sym.repairs, enm.repairs, "{name}");
+            assert_eq!(sym.analysis_runs, enm.analysis_runs, "{name}");
+            assert_eq!(sym.obligations_checked, enm.obligations_checked, "{name}");
         }
     }
 

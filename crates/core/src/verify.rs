@@ -14,12 +14,13 @@
 //! `⟦r⟧P' ≤ Spec ⇔ P' ≤ V` for every `P' ≤ A(P)` at once.
 
 use air_lang::ast::Reg;
-use air_lang::{Concrete, EngineBackend, SemCache, StateSet, Store, Universe};
+use air_lang::{Concrete, SemCache, StateSet, Store, Universe};
 use air_lattice::Governor;
 use air_trace::{EventKind, Tracer};
 
+use crate::absint::AbstractSemantics;
 use crate::algebra::{EnumAlgebra, PointedDomain, StateAlgebra};
-use crate::backward::{BackwardOutcome, BackwardRepair};
+use crate::backward::BackwardRepair;
 use crate::domain::EnumDomain;
 use crate::forward::{ForwardRepair, RepairError};
 use crate::summarize::display_set;
@@ -129,7 +130,7 @@ impl Verdict {
 #[derive(Clone, Debug)]
 pub struct Verifier<'u> {
     universe: &'u Universe,
-    cache: Option<SemCache>,
+    alg: EnumAlgebra<'u>,
     trace: Tracer,
     governor: Governor,
 }
@@ -144,19 +145,19 @@ impl<'u> Verifier<'u> {
     /// Creates a verifier memoizing into `cache` (shareable across
     /// verifiers and threads).
     pub fn with_cache(universe: &'u Universe, cache: SemCache) -> Self {
-        Verifier {
-            universe,
-            cache: Some(cache),
-            trace: Tracer::disabled(),
-            governor: Governor::unlimited(),
-        }
+        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, cache))
     }
 
     /// Creates a verifier without memoization (the reference path).
     pub fn uncached(universe: &'u Universe) -> Self {
+        Self::from_algebra(universe, EnumAlgebra::uncached(universe))
+    }
+
+    /// Creates a verifier over `alg`.
+    pub fn from_algebra(universe: &'u Universe, alg: EnumAlgebra<'u>) -> Self {
         Verifier {
             universe,
-            cache: None,
+            alg,
             trace: Tracer::disabled(),
             governor: Governor::unlimited(),
         }
@@ -164,15 +165,13 @@ impl<'u> Verifier<'u> {
 
     /// The shared semantic cache, if caching is enabled.
     pub fn cache(&self) -> Option<&SemCache> {
-        self.cache.as_ref()
+        self.alg.cache()
     }
 
     /// Routes this verifier's events — verdict assembly plus everything the
     /// repair engines and the semantic cache emit — through `tracer`.
     pub fn tracer(mut self, tracer: Tracer) -> Self {
-        if let Some(cache) = &self.cache {
-            cache.set_tracer(&tracer);
-        }
+        self.alg.set_tracer(&tracer);
         self.trace = tracer;
         self
     }
@@ -189,13 +188,10 @@ impl<'u> Verifier<'u> {
             .governor(self.governor.clone())
     }
 
-    fn forward_engine(&self) -> ForwardRepair<'u> {
-        match &self.cache {
-            Some(cache) => ForwardRepair::with_cache(self.universe, cache.clone()),
-            None => ForwardRepair::uncached(self.universe),
-        }
-        .tracer(self.trace.clone())
-        .governor(self.governor.clone())
+    fn forward_engine<A: StateAlgebra>(&self, alg: A) -> ForwardRepair<'u, A> {
+        ForwardRepair::from_algebra(self.universe, alg)
+            .tracer(self.trace.clone())
+            .governor(self.governor.clone())
     }
 
     fn trace_verdict(&self, phase: &'static str, proved: bool) {
@@ -205,29 +201,20 @@ impl<'u> Verifier<'u> {
         });
     }
 
-    /// Runs Algorithm 2 in the algebra this verifier selects: the
-    /// symbolic one ([`SymAlgebra`]) when the cache runs the symbolic
-    /// backend and the base domain is `Int`, the one base whose closure
-    /// has a cheap diagram form ([`SymDomain`]); the enumerative one
-    /// otherwise (its semantic queries still reach a symbolic backend).
-    fn backward_outcome(
-        &self,
-        domain: &EnumDomain,
-        r: &Reg,
-        input: &StateSet,
-        spec: &StateSet,
-    ) -> Result<BackwardOutcome, RepairError> {
-        let alg = match &self.cache {
-            Some(c) if c.backend() == EngineBackend::Symbolic && domain.base_name() == "Int" => {
-                let alg = SymAlgebra::new(self.universe);
-                let base = SymDomain::interval(self.universe)
-                    .with_points(domain.points().iter().map(|p| alg.lift(p)));
-                return self.backward_engine(alg).repair(&base, input, r, spec);
-            }
-            Some(cache) => EnumAlgebra::with_cache(self.universe, cache.clone()),
-            None => EnumAlgebra::uncached(self.universe),
-        };
-        self.backward_engine(alg).repair(domain, input, r, spec)
+    /// The symbolic algebra ([`SymAlgebra`]) and `domain` rebuilt over
+    /// it ([`SymDomain`]) when the repair should run on decision
+    /// diagrams: the cache runs the symbolic backend and the base domain
+    /// is `Int`, the one base whose closure has a cheap diagram form.
+    /// `None` runs the verifier's own enumerative algebra (whose semantic
+    /// queries still reach a symbolic backend).
+    fn symbolic(&self, domain: &EnumDomain) -> Option<(SymAlgebra<'u>, SymDomain)> {
+        if !self.alg.is_symbolic() || domain.base_name() != "Int" {
+            return None;
+        }
+        let alg = SymAlgebra::new(self.universe);
+        let base = SymDomain::interval(self.universe)
+            .with_points(domain.points().iter().map(|p| alg.lift(p)));
+        Some((alg, base))
     }
 
     /// Verifies `⟦r⟧input ≤ spec` by backward repair (Algorithm 2 +
@@ -247,7 +234,12 @@ impl<'u> Verifier<'u> {
         spec: &StateSet,
     ) -> Result<Verdict, RepairError> {
         let _span = self.trace.span(|| "verify.backward".to_string());
-        let out = self.backward_outcome(&domain, r, input, spec)?;
+        let out = match self.symbolic(&domain) {
+            Some((alg, base)) => self.backward_engine(alg).repair(&base, input, r, spec),
+            None => self
+                .backward_engine(self.alg.clone())
+                .repair(&domain, input, r, spec),
+        }?;
         let repaired = out.domain(&domain);
         if input.is_subset(&out.valid_input) {
             self.trace_verdict("verify.backward", true);
@@ -272,9 +264,10 @@ impl<'u> Verifier<'u> {
         }
     }
 
-    /// Verifies `⟦r⟧input ≤ spec` by forward repair (Algorithm 1). The
-    /// exactness of the concrete `find` oracle decides the verdict; the
-    /// repaired domain certifies it abstractly (Theorem 7.1).
+    /// Verifies `⟦r⟧input ≤ spec` by forward repair (Algorithm 1), run in
+    /// the algebra [`backward`](Self::backward) would pick. The exactness
+    /// of the concrete `find` oracle decides the verdict; the repaired
+    /// domain certifies it abstractly (Theorem 7.1).
     ///
     /// # Errors
     ///
@@ -287,47 +280,49 @@ impl<'u> Verifier<'u> {
         spec: &StateSet,
     ) -> Result<Verdict, RepairError> {
         let _span = self.trace.span(|| "verify.forward".to_string());
-        let out = self.forward_engine().repair(domain, r, input)?;
-        let post_closure = out.domain.close(&out.under);
-        let points: Vec<StateSet> = out.domain.points().to_vec();
+        let (repaired, under) = match self.symbolic(&domain) {
+            Some((alg, base)) => {
+                let out = self.forward_engine(alg.clone()).repair(base, r, input)?;
+                let points = out.domain.points().iter().map(|p| alg.lower(p.clone()));
+                (domain.with_points(points), out.under)
+            }
+            None => {
+                let out = self
+                    .forward_engine(self.alg.clone())
+                    .repair(domain, r, input)?;
+                (out.domain, out.under)
+            }
+        };
+        let post_closure = repaired.close(&under);
+        let points: Vec<StateSet> = repaired.points().to_vec();
         if post_closure.is_subset(spec) {
             self.trace_verdict("verify.forward", true);
             Ok(Verdict::Proved {
-                valid_input: out.domain.close(input),
-                domain: out.domain,
+                valid_input: repaired.close(input),
+                domain: repaired,
                 added_points: points,
             })
-        } else if !out.under.is_subset(spec) {
-            // Q ≤ ⟦r⟧input violates the spec: find an input store that
-            // produces a bad output (exists because Q is exact here).
+        } else if !under.is_subset(spec) {
+            // Q ≤ ⟦r⟧input violates the spec (Q is exact here): the valid
+            // inputs are those whose runs stay in the spec, and the least
+            // other input store is the witness.
             let sem = Concrete::new(self.universe);
-            let Some(witness_idx) = input.iter().find(|&i| {
-                let single = StateSet::from_indices(self.universe.size(), [i]);
-                sem.exec(r, &single)
-                    .map(|post| !post.is_subset(spec))
-                    .unwrap_or(true)
-            }) else {
+            let n = self.universe.size();
+            let valid_input = StateSet::from_indices(
+                n,
+                input.iter().filter(|&i| {
+                    sem.exec(r, &StateSet::from_indices(n, [i]))
+                        .is_ok_and(|post| post.is_subset(spec))
+                }),
+            );
+            let Some(witness_idx) = input.difference(&valid_input).min_index() else {
                 return Err(RepairError::Internal(
                     "Q ⊄ Spec but no input store violates the spec".to_string(),
                 ));
             };
-            // The valid inputs among `input` are those whose runs stay in
-            // the spec.
-            let valid_input = self.universe.filter(|s| {
-                let Some(i) = self.universe.store_index(s) else {
-                    return false;
-                };
-                if !input.contains(i) {
-                    return false;
-                }
-                let single = StateSet::from_indices(self.universe.size(), [i]);
-                sem.exec(r, &single)
-                    .map(|post| post.is_subset(spec))
-                    .unwrap_or(false)
-            });
             self.trace_verdict("verify.forward", false);
             Ok(Verdict::Refuted {
-                domain: out.domain,
+                domain: repaired,
                 valid_input,
                 added_points: points,
                 witness: self.universe.store_at(witness_idx),
@@ -337,8 +332,8 @@ impl<'u> Verifier<'u> {
             // domain is locally complete, so A(Q) = A(⟦r⟧input) and the
             // residual alarm means the spec is not expressible enough —
             // repair once more against the spec by intersecting.
-            let tightened = out.domain.with_point(spec.clone());
-            if tightened.close(&out.under).is_subset(spec) {
+            let tightened = repaired.with_point(spec.clone());
+            if tightened.close(&under).is_subset(spec) {
                 self.trace_verdict("verify.forward", true);
                 Ok(Verdict::Proved {
                     valid_input: tightened.close(input),
@@ -368,20 +363,11 @@ impl<'u> Verifier<'u> {
         input: &StateSet,
         spec: &StateSet,
     ) -> Result<AlarmCounts, RepairError> {
-        let asem = match &self.cache {
-            Some(cache) => {
-                crate::absint::AbstractSemantics::with_cache(self.universe, cache.clone())
-            }
-            None => crate::absint::AbstractSemantics::uncached(self.universe),
-        }
-        .tracer(self.trace.clone())
-        .governor(self.governor.clone());
+        let asem = AbstractSemantics::from_algebra(self.universe, self.alg.clone())
+            .tracer(self.trace.clone())
+            .governor(self.governor.clone());
         let abstract_out = asem.exec(domain, r, &domain.close(input))?;
-        let sem = Concrete::new(self.universe);
-        let concrete_out = match &self.cache {
-            Some(cache) => cache.exec(&sem, r, input)?,
-            None => sem.exec(r, input)?,
-        };
+        let concrete_out = self.alg.exec(r, input)?;
         let total = abstract_out.difference(spec).len();
         let true_alarms = concrete_out.difference(spec).len();
         Ok(AlarmCounts {

@@ -25,10 +25,30 @@ use crate::value::AbstractValue;
 /// "Unconstrained" sentinel weight.
 const INF: i64 = i64::MAX;
 
-/// `true` when `±v ± w` cannot overflow `i64` for any `w` passing the
-/// same test: the range where the bound arithmetic on stores is exact.
+/// `true` when `±v ± w` cannot leave `i64` for any `w` passing the same
+/// test: the range where every bound of a store is exact in the matrix.
 fn fits_bounds(v: i64) -> bool {
     v.unsigned_abs() <= (i64::MAX / 2) as u64
+}
+
+/// The bound `V_i − V_j` of one store, exact (`V_{2k} = x_k`,
+/// `V_{2k+1} = −x_k`).
+fn store_bound(store: &[i64], i: usize, j: usize) -> i128 {
+    let val = |k: usize| {
+        let v = i128::from(store[k / 2]);
+        if k.is_multiple_of(2) {
+            v
+        } else {
+            -v
+        }
+    };
+    val(i) - val(j)
+}
+
+/// A store bound as a matrix entry: one past `i64` is widened to `INF`
+/// above and `i64::MIN` below, which only weakens the constraint.
+fn clamp_bound(c: i128) -> i64 {
+    i64::try_from(c).unwrap_or(if c > 0 { INF } else { i64::MIN })
 }
 
 fn wadd(a: i64, b: i64) -> i64 {
@@ -583,18 +603,10 @@ impl Abstraction for OctagonDomain {
 
     fn alpha_store(&self, store: &[i64]) -> Oct {
         let dim = 2 * self.n();
-        let val = |i: usize| {
-            let v = store[i / 2];
-            if i.is_multiple_of(2) {
-                v
-            } else {
-                -v
-            }
-        };
         let mut m = vec![0; dim * dim];
         for i in 0..dim {
             for j in 0..dim {
-                m[i * dim + j] = val(i) - val(j);
+                m[i * dim + j] = clamp_bound(store_bound(store, i, j));
             }
         }
         Oct {
@@ -610,18 +622,10 @@ impl Abstraction for OctagonDomain {
             return;
         };
         let dim = 2 * self.n();
-        let val = |i: usize| {
-            let v = store[i / 2];
-            if i.is_multiple_of(2) {
-                v
-            } else {
-                -v
-            }
-        };
         for i in 0..dim {
             for j in 0..dim {
                 let b = &mut m[i * dim + j];
-                *b = (*b).max(val(i) - val(j));
+                *b = (*b).max(clamp_bound(store_bound(store, i, j)));
             }
         }
     }
@@ -631,18 +635,10 @@ impl Abstraction for OctagonDomain {
             return false;
         };
         let dim = 2 * self.n();
-        let val = |i: usize| {
-            let v = store[i / 2];
-            if i.is_multiple_of(2) {
-                v
-            } else {
-                -v
-            }
-        };
         for i in 0..dim {
             for j in 0..dim {
                 let bound = m[i * dim + j];
-                if bound != INF && val(i) - val(j) > bound {
+                if bound != INF && store_bound(store, i, j) > i128::from(bound) {
                     return false;
                 }
             }
@@ -660,7 +656,7 @@ impl Abstraction for OctagonDomain {
     fn gamma_row(&self, e: &Oct, store: &mut [i64], lo: i64, hi: i64, runs: &mut Vec<(i64, i64)>) {
         let prefix = &store[..store.len() - 1];
         if !(fits_bounds(lo) && fits_bounds(hi) && prefix.iter().all(|&x| fits_bounds(x))) {
-            // `gamma_contains` wraps here: only the scan reproduces it.
+            // Such stores' bounds leave `i64`: keep the per-store reference.
             return gamma_row_scan(self, e, store, lo, hi, runs);
         }
         runs.clear();
@@ -720,9 +716,9 @@ impl Abstraction for OctagonDomain {
         runs.push((vlo as i64, vhi as i64));
     }
 
-    /// Only where no bound `V_i − V_j` of a store can overflow `i64`:
-    /// past that, `alpha_store` and `gamma_contains` wrap, and their `γ`
-    /// is neither an octagon nor row-convex.
+    /// Only where no bound `V_i − V_j` of a store can leave `i64`: past
+    /// that, `alpha_store` widens such bounds and the row kernels keep the
+    /// per-store reference path.
     fn convex_rows(&self, universe: &Universe) -> bool {
         (0..universe.num_vars()).all(|k| {
             let (lo, hi) = universe.var_range(k);
@@ -876,6 +872,26 @@ mod tests {
     use crate::traits::laws;
     use air_lang::gen::XorShift;
     use air_lang::{parse_bexp, Concrete, Universe};
+
+    /// Store bounds `±x ± y` past `i64` are widened, never wrapped: the
+    /// store stays in `γ(α({σ}))`, and the bounds that fit stay exact.
+    #[test]
+    fn store_bounds_at_the_ends_of_i64_are_sound() {
+        let (min, max) = (i64::MIN, i64::MAX - 1);
+        let u = Universe::new(&[("x", min, min + 2), ("y", max - 2, max)]).unwrap();
+        let dom = OctagonDomain::new(&u);
+        for s in [[min, max], [min + 2, max - 2], [min + 1, max]] {
+            let e = dom.alpha_store(&s);
+            assert!(dom.gamma_contains(&e, &s), "{s:?}");
+            let mut acc = dom.alpha_store(&[min + 2, max - 2]);
+            dom.join_store(&mut acc, &s);
+            assert!(dom.gamma_contains(&acc, &s), "{s:?}");
+        }
+        // The sum bound `x + y = −3` fits `i64`: both neighbours are out.
+        let e = dom.alpha_store(&[min, max - 2]);
+        assert!(!dom.gamma_contains(&e, &[min + 1, max - 2]));
+        assert!(!dom.gamma_contains(&e, &[min, max - 3]));
+    }
 
     /// `gamma_row` equals the `gamma_contains` scan on arbitrary bound
     /// matrices, not only the closed ones the transfers build: odd unary

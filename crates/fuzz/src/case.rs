@@ -2,10 +2,7 @@
 //! instance, plus the machinery to *build* it into the concrete objects
 //! the engines and oracles consume.
 
-use air_core::EnumDomain;
-use air_domains::{
-    AffineDomain, CongruenceEnv, ConstantEnv, IntervalEnv, OctagonDomain, ParityEnv, SignEnv,
-};
+use air_core::{build_domain, EnumDomain};
 use air_lang::gen::{sample_domain, sample_universe, GenConfig, ProgramGen, XorShift};
 use air_lang::{BExp, Concrete, Reg, StateSet, Universe};
 
@@ -124,25 +121,9 @@ pub struct BuiltCase {
     pub spec: StateSet,
 }
 
-/// Builds the named enumerated domain (same names as the `air` CLI's
-/// `--domain` flag and `air_lang::gen::DOMAIN_NAMES`).
-pub fn build_domain(name: &str, u: &Universe) -> Option<EnumDomain> {
-    Some(match name {
-        "int" => EnumDomain::from_abstraction(u, IntervalEnv::new(u)),
-        "oct" => EnumDomain::from_abstraction(u, OctagonDomain::new(u)),
-        "sign" => EnumDomain::from_abstraction(u, SignEnv::new(u)),
-        "parity" => EnumDomain::from_abstraction(u, ParityEnv::new(u)),
-        "const" => EnumDomain::from_abstraction(u, ConstantEnv::new(u)),
-        "cong" => EnumDomain::from_abstraction(u, CongruenceEnv::new(u)),
-        "karr" => EnumDomain::from_abstraction(u, AffineDomain::new(u)),
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use air_lang::gen::DOMAIN_NAMES;
 
     #[test]
     fn generation_is_deterministic() {
@@ -161,14 +142,5 @@ mod tests {
             }
         }
         assert!(built >= 95, "only {built}/100 generated cases build");
-    }
-
-    #[test]
-    fn every_domain_name_builds() {
-        let u = Universe::new(&[("x", -2, 2)]).unwrap();
-        for name in DOMAIN_NAMES {
-            assert!(build_domain(name, &u).is_some(), "{name}");
-        }
-        assert!(build_domain("nope", &u).is_none());
     }
 }

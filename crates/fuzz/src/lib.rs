@@ -29,7 +29,8 @@ pub mod runner;
 pub mod seed;
 pub mod shrink;
 
-pub use case::{build_domain, BuiltCase, FuzzCase};
+pub use air_core::build_domain;
+pub use case::{BuiltCase, FuzzCase};
 pub use runner::{
     minimize, rebuild_failures, replay_case, run_campaign, CampaignReport, CampaignWatch,
     CaseOutcome, Failure, FuzzOptions, OracleRow,

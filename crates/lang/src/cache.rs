@@ -189,13 +189,13 @@ impl SemCache {
     /// a whole engine run over `universe_size` states should drop this
     /// cache and take the direct path.
     ///
-    /// The per-call [`bypass`](Self::bypass) check keeps tiny universes
-    /// off the tables, but each call still pays the branch, the shared
-    /// counter bump and the tracer probe — measurably slower than never
-    /// asking. Engines (`Verifier`, the repair strategies) instead ask
-    /// once up front and, when demoted, run their unmemoized reference
-    /// path for the entire call: the hot loop then contains no cache code
-    /// at all. One bypass is counted (and traced, when a tracer is
+    /// The per-call bypass check keeps tiny universes off the tables, but
+    /// each call still pays the branch, the shared counter bump and the
+    /// tracer probe — measurably slower than never asking. The engines'
+    /// enumerative algebra (`air_core::EnumAlgebra`) instead asks once per
+    /// repair run and, when demoted, runs the unmemoized reference path
+    /// for the entire run: the hot loop then contains no cache code at
+    /// all. One bypass is counted (and traced, when a tracer is
     /// attached) for the whole run. A symbolic cache never demotes: its
     /// callers must keep every semantic query on the cache so it reaches
     /// the symbolic engine.

@@ -19,10 +19,7 @@
 
 use crate::protocol::{CacheSnapshot, JobKind, JobRequest, Response, ReuseSnapshot};
 use air_core::summarize::display_set;
-use air_core::{EnumDomain, RepairError, Verifier};
-use air_domains::{
-    AffineDomain, CongruenceEnv, ConstantEnv, IntervalEnv, OctagonDomain, ParityEnv, SignEnv,
-};
+use air_core::{build_domain, EnumDomain, RepairError, Verifier};
 use air_lang::{
     parse_bexp, parse_program, Concrete, SemCache, SemError, StateSet, TermArena, Universe,
 };
@@ -35,20 +32,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Builds the named enumerated domain (same names as the CLI `--domain`).
-fn build_domain(name: &str, u: &Universe) -> Option<EnumDomain> {
-    Some(match name {
-        "int" => EnumDomain::from_abstraction(u, IntervalEnv::new(u)),
-        "oct" => EnumDomain::from_abstraction(u, OctagonDomain::new(u)),
-        "sign" => EnumDomain::from_abstraction(u, SignEnv::new(u)),
-        "parity" => EnumDomain::from_abstraction(u, ParityEnv::new(u)),
-        "const" => EnumDomain::from_abstraction(u, ConstantEnv::new(u)),
-        "cong" => EnumDomain::from_abstraction(u, CongruenceEnv::new(u)),
-        "karr" => EnumDomain::from_abstraction(u, AffineDomain::new(u)),
-        _ => return None,
-    })
-}
 
 /// The canonical registry key for a declaration list: `"x:-8..8,y:0..20"`.
 fn normalize_vars(decls: &[(String, i64, i64)]) -> String {
@@ -673,7 +656,7 @@ mod tests {
         };
         // The CLI path: fresh verifier, fresh caches, same inputs.
         let u = Universe::new(&[("x", -8, 8)]).unwrap();
-        let dom = EnumDomain::from_abstraction(&u, IntervalEnv::new(&u));
+        let dom = build_domain("int", &u).unwrap();
         let prog = parse_program("if (x >= 0) then { skip } else { x := 0 - x }").unwrap();
         let conc = Concrete::new(&u);
         let pre = conc.sat(&parse_bexp("x != 0").unwrap()).unwrap();

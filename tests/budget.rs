@@ -287,51 +287,55 @@ fn symbolic_cancellation_stops_the_engine() {
 
 #[test]
 fn symbolic_fuel_sweep_yields_sound_partial_or_the_enumerative_answer() {
-    // Sweep the cutoff across the symbolic run: every exhaustion must
-    // carry a sound invariant, and every completion must agree with the
-    // *enumerative* unbudgeted answer — soundness and backend agreement
-    // in one pass.
-    let u = Universe::new(&[("x", 0, 30), ("y", 0, 30)]).unwrap();
+    // Sweep the cutoff across the symbolic run of both strategies: every
+    // exhaustion must carry a sound invariant, and every completion must
+    // agree with the *enumerative* unbudgeted answer — soundness and
+    // backend agreement in one pass. Forward repair restarts the loop
+    // after each of its ~n² points, so it sweeps a shorter countdown.
     let code = "while (y >= 1) do { x := x + 1; y := y - 1 }";
     let prog = parse_program(code).unwrap();
-    let sem = Concrete::new(&u);
-    let input = u.filter(|s| s[0] == 0 && s[1] == 30);
-    let spec = u.filter(|s| s[0] == 30 && s[1] == 0);
-    let dom = EnumDomain::from_abstraction(&u, IntervalEnv::new(&u));
-    let conc = sem.exec(&prog, &input).unwrap();
-    let unbudgeted = BackwardRepair::new(&u)
-        .repair(&dom, &input, &prog, &spec)
-        .unwrap();
-    let mut exhausted = 0;
-    for fuel in [0, 1, 2, 3, 5, 8, 1_000_000] {
-        let verifier = Verifier::with_cache(&u, SemCache::symbolic())
-            .governor(Governor::new(Budget::fuel(fuel)));
-        match verifier.backward(dom.clone(), &prog, &input, &spec) {
-            Ok(v) => {
-                assert_eq!(
-                    v.valid_input(),
-                    &unbudgeted.valid_input,
-                    "fuel {fuel}: completed symbolic run must match the enumerative answer"
-                );
+    for (n, forward) in [(30, false), (8, true)] {
+        let u = Universe::new(&[("x", 0, n), ("y", 0, n)]).unwrap();
+        let input = u.filter(|s| s[0] == 0 && s[1] == n);
+        let spec = u.filter(|s| s[0] == n && s[1] == 0);
+        let dom = EnumDomain::from_abstraction(&u, IntervalEnv::new(&u));
+        let conc = Concrete::new(&u).exec(&prog, &input).unwrap();
+        let run = |verifier: Verifier| {
+            if forward {
+                verifier.forward(dom.clone(), &prog, &input, &spec)
+            } else {
+                verifier.backward(dom.clone(), &prog, &input, &spec)
             }
-            Err(RepairError::Exhausted(partial)) => {
-                exhausted += 1;
-                assert_eq!(
-                    partial.exhaustion.reason,
-                    ExhaustReason::Fuel,
-                    "fuel {fuel}"
-                );
-                if let Some(inv) = &partial.invariant {
+        };
+        let unbudgeted = run(Verifier::new(&u)).unwrap();
+        let mut exhausted = 0;
+        for fuel in [0, 1, 2, 3, 5, 8, 1_000_000] {
+            let case = format!("forward {forward}, fuel {fuel}");
+            let verifier = Verifier::with_cache(&u, SemCache::symbolic())
+                .governor(Governor::new(Budget::fuel(fuel)));
+            match run(verifier) {
+                Ok(v) => {
+                    assert_eq!(
+                        v.valid_input(),
+                        unbudgeted.valid_input(),
+                        "{case}: completed symbolic run must match the enumerative answer"
+                    );
+                    assert_eq!(v.report(&u), unbudgeted.report(&u), "{case}");
+                }
+                Err(RepairError::Exhausted(partial)) => {
+                    exhausted += 1;
+                    assert_eq!(partial.exhaustion.reason, ExhaustReason::Fuel, "{case}");
+                    let inv = partial.invariant.as_ref().expect("partial invariant");
                     assert!(
                         conc.is_subset(inv),
-                        "fuel {fuel}: symbolic partial invariant must over-approximate"
+                        "{case}: symbolic partial invariant must over-approximate"
                     );
                 }
+                Err(e) => panic!("{case}: unexpected error {e:?}"),
             }
-            Err(e) => panic!("fuel {fuel}: unexpected error {e:?}"),
         }
+        assert!(exhausted >= 3, "the tight fuel levels must actually trip");
     }
-    assert!(exhausted >= 3, "the tight fuel levels must actually trip");
 }
 
 #[test]

@@ -52,7 +52,10 @@ fn every_seed_agrees_across_engine_backends() {
     // ten oracle verdicts must be identical whether the engines run the
     // enumerative or the symbolic backend. `symbolic-star.imp` is the
     // dedicated regression for this axis (a star over a product
-    // universe); the rest of the corpus rides along for free.
+    // universe); the rest of the corpus rides along for free. On `int`
+    // seeds the verifier's forward repair runs in the symbolic algebra,
+    // so its reports must match the enumerative ones byte for byte.
+    use air::core::Verifier;
     use air::fuzz::oracles::{registry, run_with_cache};
     use air::lang::SemCache;
     let files = corpus_files();
@@ -74,6 +77,20 @@ fn every_seed_agrees_across_engine_backends() {
                 (Err(_), Err(_)) => {}
                 (a, b) => panic!("{name}: {oracle} skip asymmetry: {a:?} vs {b:?}"),
             }
+        }
+        if case.domain == "int" {
+            let u = &built.universe;
+            let forward = |cache| {
+                Verifier::with_cache(u, cache)
+                    .forward(built.domain.clone(), &case.program, &built.pre, &built.spec)
+                    .map(|v| v.report(u))
+                    .map_err(|e| e.to_string())
+            };
+            assert_eq!(
+                forward(SemCache::new()),
+                forward(SemCache::symbolic()),
+                "{name}: forward reports diverge across backends"
+            );
         }
     }
 }

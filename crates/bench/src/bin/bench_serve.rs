@@ -15,7 +15,7 @@
 //!   requests are in flight at once.
 //!
 //! Results go to `BENCH_serve.json` (`--out`); `--dump-responses FILE`
-//! records every response line for `serve_validate`; `--require-speedup
+//! records every response line for `schema_check`; `--require-speedup
 //! X` turns the warm-cache acceptance criterion (warm p50 at least X
 //! times lower than cold p50) into the exit code, and `--shutdown` sends
 //! a shutdown frame so a `--connect`ed daemon drains and exits.
@@ -25,7 +25,7 @@
 //! what the load generator actually sent — exact equality in-process
 //! (nobody else is talking to the server), `>=` against a `--connect`ed
 //! daemon. `--metrics-out FILE` saves the snapshot for
-//! `metrics_validate`; `--measure-overhead` times the request path on
+//! `schema_check`; `--measure-overhead` times the request path on
 //! two fresh engines (metrics disabled vs the daemon's enabled wiring)
 //! and records the relative cost, and `--require-overhead-below PCT`
 //! turns that cost into the exit code (the acceptance bar is 2%).
@@ -47,7 +47,7 @@ use std::time::Instant;
 use air_fuzz::FuzzCase;
 use air_serve::protocol::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 use air_serve::{start, ServeConfig, ServeEngine};
-use air_trace::json::{self, Value};
+use air_trace::json::{self, str_lit, Value};
 use air_trace::Tracer;
 
 struct Config {
@@ -155,13 +155,6 @@ fn parse_args(argv: &[String]) -> Result<Config, String> {
 
 fn num<T: std::str::FromStr>(raw: &str) -> Result<T, String> {
     raw.parse().map_err(|_| format!("bad number `{raw}`"))
-}
-
-/// Renders `s` as a quoted, escaped JSON string literal.
-fn q(s: &str) -> String {
-    let mut out = String::new();
-    json::escape_str(s, &mut out);
-    out
 }
 
 /// One request template: everything after the `id` field of the frame.
@@ -572,13 +565,13 @@ fn corpus_items(root: &str) -> Result<Vec<WorkItem>, String> {
         let job = ["verify", "repair", "analyze"][idx % 3];
         let mut body = format!(
             r#""job":"{job}","vars":{},"code":{},"pre":{},"spec":{}"#,
-            q(&vars),
-            q(&text),
-            q(pre),
-            q(spec),
+            str_lit(&vars),
+            str_lit(&text),
+            str_lit(pre),
+            str_lit(spec),
         );
         if let Some(domain) = clause("domain") {
-            body.push_str(&format!(r#","domain":{}"#, q(domain)));
+            body.push_str(&format!(r#","domain":{}"#, str_lit(domain)));
         }
         let name = path
             .file_stem()
@@ -612,11 +605,11 @@ fn fuzz_item(seed: u64) -> WorkItem {
     let job = ["verify", "repair", "analyze"][(seed % 3) as usize];
     let body = format!(
         r#""job":"{job}","vars":{},"domain":{},"code":{},"pre":{},"spec":{}"#,
-        q(&vars),
-        q(&case.domain),
-        q(&case.program.to_source()),
-        q(&case.pre.to_string()),
-        q(&case.spec.to_string()),
+        str_lit(&vars),
+        str_lit(&case.domain),
+        str_lit(&case.program.to_source()),
+        str_lit(&case.pre.to_string()),
+        str_lit(&case.spec.to_string()),
     );
     WorkItem {
         name: format!("fuzz-{seed}"),

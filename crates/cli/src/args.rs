@@ -286,40 +286,72 @@ impl DistOpts {
     pub fn requested(&self) -> bool {
         self.shards > 0
     }
-
-    /// True when any dist flag besides `--shards`/`--dist-worker` was
-    /// given (used to reject them without `--shards`).
-    fn any_tuning(&self) -> bool {
-        self.lease > 0
-            || self.hang_ms > 0
-            || self.kill_workers > 0
-            || self.kill_seed > 0
-            || self.frame_log.is_some()
-    }
 }
 
 /// Consumes one distributed-campaign flag into `opts`; returns
 /// `Ok(false)` when `flag` is not a dist flag.
-fn dist_flag(
-    opts: &mut DistOpts,
-    flag: &str,
-    value: &mut dyn FnMut() -> Result<String, ArgError>,
-) -> Result<bool, ArgError> {
-    let num = |v: String, flag: &str| -> Result<u64, ArgError> {
-        v.parse()
-            .map_err(|_| ArgError(format!("bad {flag} value `{v}`")))
-    };
+fn dist_flag(opts: &mut DistOpts, flag: &str, it: &mut Args<'_>) -> Result<bool, ArgError> {
     match flag {
-        "--shards" => opts.shards = num(value()?, flag)?,
-        "--lease" => opts.lease = num(value()?, flag)?,
-        "--hang-timeout-ms" => opts.hang_ms = num(value()?, flag)?,
-        "--kill-workers" => opts.kill_workers = num(value()?, flag)?,
-        "--kill-seed" => opts.kill_seed = num(value()?, flag)?,
-        "--dist-frame-log" => opts.frame_log = Some(value()?),
-        "--dist-worker" => opts.worker = Some(num(value()?, flag)?),
+        "--shards" => opts.shards = num_flag(flag, &value(it, flag)?)?,
+        "--lease" => opts.lease = num_flag(flag, &value(it, flag)?)?,
+        "--hang-timeout-ms" => opts.hang_ms = num_flag(flag, &value(it, flag)?)?,
+        "--kill-workers" => opts.kill_workers = num_flag(flag, &value(it, flag)?)?,
+        "--kill-seed" => opts.kill_seed = num_flag(flag, &value(it, flag)?)?,
+        "--dist-frame-log" => opts.frame_log = Some(value(it, flag)?),
+        "--dist-worker" => opts.worker = Some(num_flag(flag, &value(it, flag)?)?),
         _ => return Ok(false),
     }
     Ok(true)
+}
+
+/// The output and budget flags shared by several subcommands. Each
+/// takes `--stats-json` and `--trace`; `verify`/`analyze`/`prove`/
+/// `corpus` and `repair` take both budget flags, `chaos` only `--fuel`,
+/// `fuzz run` neither.
+#[derive(Default)]
+struct CommonFlags {
+    stats_json: bool,
+    trace: Option<String>,
+    fuel: Option<u64>,
+    timeout_ms: Option<u64>,
+}
+
+impl CommonFlags {
+    /// Consumes `flag` when it is `--stats-json`, `--trace` or one of
+    /// the `budget` flags the caller takes; returns `Ok(false)` otherwise.
+    fn take(&mut self, flag: &str, budget: &[&str], it: &mut Args<'_>) -> Result<bool, ArgError> {
+        match flag {
+            "--stats-json" => self.stats_json = true,
+            "--trace" => self.trace = Some(value(it, flag)?),
+            "--fuel" if budget.contains(&flag) => {
+                self.fuel = Some(num_flag(flag, &value(it, flag)?)?)
+            }
+            "--timeout-ms" if budget.contains(&flag) => {
+                self.timeout_ms = Some(num_flag(flag, &value(it, flag)?)?)
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// Both budget flags, for the subcommands that take them.
+const BUDGET: &[&str] = &["--fuel", "--timeout-ms"];
+
+/// The arguments after the subcommand.
+type Args<'a> = std::slice::Iter<'a, String>;
+
+/// The value that follows `flag`.
+fn value(it: &mut Args<'_>, flag: &str) -> Result<String, ArgError> {
+    it.next()
+        .cloned()
+        .ok_or_else(|| ArgError(format!("flag `{flag}` needs a value")))
+}
+
+/// Parses the numeric value of `flag`.
+fn num_flag<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, ArgError> {
+    v.parse()
+        .map_err(|_| ArgError(format!("bad {flag} value `{v}`")))
 }
 
 /// Rejects dist tuning flags without `--shards`, and `--shards`
@@ -330,7 +362,8 @@ fn check_dist(opts: &DistOpts) -> Result<(), ArgError> {
             "--dist-worker is mutually exclusive with --shards".into(),
         ));
     }
-    if !opts.requested() && opts.worker.is_none() && opts.any_tuning() {
+    // Without --shards or --dist-worker, any other dist flag is a tuning flag.
+    if !opts.requested() && opts.worker.is_none() && *opts != DistOpts::default() {
         return Err(ArgError(
             "distributed flags (--lease, --hang-timeout-ms, --kill-workers, --kill-seed, \
              --dist-frame-log) require --shards N"
@@ -541,7 +574,7 @@ pub fn parse_vars(spec: &str) -> Result<Vec<VarDecl>, ArgError> {
     Ok(out)
 }
 
-fn parse_fuzz(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ArgError> {
+fn parse_fuzz(it: &mut Args<'_>) -> Result<Command, ArgError> {
     let action = it
         .next()
         .ok_or_else(|| ArgError("`fuzz` needs an action (run, replay, minimize)".into()))?;
@@ -552,47 +585,23 @@ fn parse_fuzz(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ArgError
             let mut oracle = None;
             let mut corpus_dir = String::from("corpus/fuzz");
             let mut shrink = true;
-            let mut stats_json = false;
-            let mut trace = None;
+            let mut common = CommonFlags::default();
             let mut checkpoint = None;
             let mut resume = false;
             let mut halt_after = None;
             let mut dist = DistOpts::default();
             while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| ArgError(format!("flag `{flag}` needs a value")))
-                };
                 match flag.as_str() {
-                    "--seed" => {
-                        let v = value()?;
-                        seed = v
-                            .parse()
-                            .map_err(|_| ArgError(format!("bad --seed value `{v}`")))?;
-                    }
-                    "--cases" => {
-                        let v = value()?;
-                        cases = v
-                            .parse()
-                            .map_err(|_| ArgError(format!("bad --cases value `{v}`")))?;
-                    }
-                    "--oracle" => oracle = Some(value()?),
-                    "--corpus-dir" => corpus_dir = value()?,
+                    "--seed" => seed = num_flag(flag, &value(it, flag)?)?,
+                    "--cases" => cases = num_flag(flag, &value(it, flag)?)?,
+                    "--oracle" => oracle = Some(value(it, flag)?),
+                    "--corpus-dir" => corpus_dir = value(it, flag)?,
                     "--no-shrink" => shrink = false,
-                    "--stats-json" => stats_json = true,
-                    "--trace" => trace = Some(value()?),
-                    "--checkpoint" => checkpoint = Some(value()?),
+                    "--checkpoint" => checkpoint = Some(value(it, flag)?),
                     "--resume" => resume = true,
-                    "--halt-after" => {
-                        let v = value()?;
-                        halt_after = Some(
-                            v.parse()
-                                .map_err(|_| ArgError(format!("bad --halt-after value `{v}`")))?,
-                        );
-                    }
+                    "--halt-after" => halt_after = Some(num_flag(flag, &value(it, flag)?)?),
                     other => {
-                        if !dist_flag(&mut dist, other, &mut value)? {
+                        if !common.take(other, &[], it)? && !dist_flag(&mut dist, other, it)? {
                             return Err(ArgError(format!("unknown fuzz flag `{other}`")));
                         }
                     }
@@ -608,8 +617,8 @@ fn parse_fuzz(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ArgError
                 oracle,
                 corpus_dir,
                 shrink,
-                stats_json,
-                trace,
+                stats_json: common.stats_json,
+                trace: common.trace,
                 checkpoint,
                 resume,
                 halt_after,
@@ -630,13 +639,7 @@ fn parse_fuzz(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ArgError
             let mut oracle = None;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
-                    "--oracle" => {
-                        oracle = Some(
-                            it.next()
-                                .cloned()
-                                .ok_or_else(|| ArgError("flag `--oracle` needs a value".into()))?,
-                        );
-                    }
+                    "--oracle" => oracle = Some(value(it, flag)?),
                     other => return Err(ArgError(format!("unknown fuzz flag `{other}`"))),
                 }
             }
@@ -646,52 +649,26 @@ fn parse_fuzz(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ArgError
     }
 }
 
-fn parse_chaos(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ArgError> {
+fn parse_chaos(it: &mut Args<'_>) -> Result<Command, ArgError> {
     let mut dir = String::from("corpus");
     let mut plans = 64u64;
     let mut seed = 0u64;
-    let mut fuel = None;
-    let mut stats_json = false;
-    let mut trace = None;
+    let mut common = CommonFlags::default();
     let mut dist = DistOpts::default();
     while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| ArgError(format!("flag `{flag}` needs a value")))
-        };
         match flag.as_str() {
-            "--dir" => dir = value()?,
-            "--plans" => {
-                let v = value()?;
-                plans = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad --plans value `{v}`")))?;
-            }
-            "--seed" => {
-                let v = value()?;
-                seed = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad --seed value `{v}`")))?;
-            }
-            "--fuel" => {
-                let v = value()?;
-                fuel = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| ArgError(format!("bad --fuel value `{v}`")))?,
-                );
-            }
-            "--stats-json" => stats_json = true,
-            "--trace" => trace = Some(value()?),
+            "--dir" => dir = value(it, flag)?,
+            "--plans" => plans = num_flag(flag, &value(it, flag)?)?,
+            "--seed" => seed = num_flag(flag, &value(it, flag)?)?,
             other => {
-                if !dist_flag(&mut dist, other, &mut value)? {
+                if !common.take(other, &["--fuel"], it)? && !dist_flag(&mut dist, other, it)? {
                     return Err(ArgError(format!("unknown chaos flag `{other}`")));
                 }
             }
         }
     }
     check_dist(&dist)?;
-    if dist.requested() && trace.is_some() {
+    if dist.requested() && common.trace.is_some() {
         return Err(ArgError(
             "--shards is incompatible with chaos --trace (workers own their sinks)".into(),
         ));
@@ -700,14 +677,14 @@ fn parse_chaos(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ArgErro
         dir,
         plans,
         seed,
-        fuel,
-        stats_json,
-        trace,
+        fuel: common.fuel,
+        stats_json: common.stats_json,
+        trace: common.trace,
         dist,
     }))
 }
 
-fn parse_serve(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ArgError> {
+fn parse_serve(it: &mut Args<'_>) -> Result<Command, ArgError> {
     let mut stdio = false;
     let mut tcp = None;
     let mut workers = 2usize;
@@ -717,37 +694,15 @@ fn parse_serve(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ArgErro
     let mut metrics_addr = None;
     let mut metrics = true;
     while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| ArgError(format!("flag `{flag}` needs a value")))
-        };
         match flag.as_str() {
             "--stdio" => stdio = true,
-            "--tcp" => tcp = Some(value()?),
-            "--metrics-addr" => metrics_addr = Some(value()?),
+            "--tcp" => tcp = Some(value(it, flag)?),
+            "--metrics-addr" => metrics_addr = Some(value(it, flag)?),
             "--no-metrics" => metrics = false,
-            "--workers" => {
-                let v = value()?;
-                workers = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad --workers value `{v}`")))?;
-            }
-            "--quota" => {
-                let v = value()?;
-                quota = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| ArgError(format!("bad --quota value `{v}`")))?,
-                );
-            }
-            "--max-frame" => {
-                let v = value()?;
-                max_frame = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| ArgError(format!("bad --max-frame value `{v}`")))?,
-                );
-            }
-            "--trace" => trace = Some(value()?),
+            "--workers" => workers = num_flag(flag, &value(it, flag)?)?,
+            "--quota" => quota = Some(num_flag(flag, &value(it, flag)?)?),
+            "--max-frame" => max_frame = Some(num_flag(flag, &value(it, flag)?)?),
+            "--trace" => trace = Some(value(it, flag)?),
             other => return Err(ArgError(format!("unknown serve flag `{other}`"))),
         }
     }
@@ -773,43 +728,21 @@ fn parse_serve(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ArgErro
     }))
 }
 
-fn parse_repair(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ArgError> {
+fn parse_repair(it: &mut Args<'_>) -> Result<Command, ArgError> {
     let mut file = None;
     let mut edits = Vec::new();
     let mut domain = DomainKind::default();
     let mut stats = false;
-    let mut stats_json = false;
-    let mut trace = None;
-    let mut fuel = None;
-    let mut timeout_ms = None;
+    let mut common = CommonFlags::default();
     while let Some(arg) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| ArgError(format!("flag `{arg}` needs a value")))
-        };
         match arg.as_str() {
-            "--edit" => edits.push(value()?),
-            "--domain" => domain = DomainKind::parse(&value()?)?,
+            "--edit" => edits.push(value(it, arg)?),
+            "--domain" => domain = DomainKind::parse(&value(it, arg)?)?,
             "--stats" => stats = true,
-            "--stats-json" => stats_json = true,
-            "--trace" => trace = Some(value()?),
-            "--fuel" => {
-                let v = value()?;
-                fuel = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| ArgError(format!("bad --fuel value `{v}`")))?,
-                );
-            }
-            "--timeout-ms" => {
-                let v = value()?;
-                timeout_ms = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| ArgError(format!("bad --timeout-ms value `{v}`")))?,
-                );
-            }
             other if other.starts_with("--") => {
-                return Err(ArgError(format!("unknown repair flag `{other}`")))
+                if !common.take(other, BUDGET, it)? {
+                    return Err(ArgError(format!("unknown repair flag `{other}`")));
+                }
             }
             _ if file.is_none() => file = Some(arg.clone()),
             other => return Err(ArgError(format!("unexpected argument `{other}`"))),
@@ -820,38 +753,23 @@ fn parse_repair(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ArgErr
         edits,
         domain,
         stats,
-        stats_json,
-        trace,
-        fuel,
-        timeout_ms,
+        stats_json: common.stats_json,
+        trace: common.trace,
+        fuel: common.fuel,
+        timeout_ms: common.timeout_ms,
     }))
 }
 
-fn parse_top(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ArgError> {
+fn parse_top(it: &mut Args<'_>) -> Result<Command, ArgError> {
     let mut connect = None;
     let mut interval_ms = 1000u64;
     let mut iterations = 0u64;
     let mut plain = false;
     while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| ArgError(format!("flag `{flag}` needs a value")))
-        };
         match flag.as_str() {
-            "--connect" => connect = Some(value()?),
-            "--interval-ms" => {
-                let v = value()?;
-                interval_ms = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad --interval-ms value `{v}`")))?;
-            }
-            "--iterations" => {
-                let v = value()?;
-                iterations = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad --iterations value `{v}`")))?;
-            }
+            "--connect" => connect = Some(value(it, flag)?),
+            "--interval-ms" => interval_ms = num_flag(flag, &value(it, flag)?)?,
+            "--iterations" => iterations = num_flag(flag, &value(it, flag)?)?,
             "--plain" => plain = true,
             other => return Err(ArgError(format!("unknown top flag `{other}`"))),
         }
@@ -889,20 +807,13 @@ pub fn parse(argv: &[String]) -> Result<Command, ArgError> {
         }
         return Ok(Command::TraceSummarize { file });
     }
-    if sub == "fuzz" {
-        return parse_fuzz(&mut it);
-    }
-    if sub == "chaos" {
-        return parse_chaos(&mut it);
-    }
-    if sub == "serve" {
-        return parse_serve(&mut it);
-    }
-    if sub == "top" {
-        return parse_top(&mut it);
-    }
-    if sub == "repair" {
-        return parse_repair(&mut it);
+    match sub.as_str() {
+        "fuzz" => return parse_fuzz(&mut it),
+        "chaos" => return parse_chaos(&mut it),
+        "serve" => return parse_serve(&mut it),
+        "top" => return parse_top(&mut it),
+        "repair" => return parse_repair(&mut it),
+        _ => {}
     }
     let mut vars = None;
     let mut code = None;
@@ -913,81 +824,60 @@ pub fn parse(argv: &[String]) -> Result<Command, ArgError> {
     let mut strategy = StrategyKind::default();
     let mut engine = EngineKind::default();
     let mut stats = false;
-    let mut stats_json = false;
     let mut uncached = false;
     let mut dir = String::from("corpus");
     let mut jobs = 0usize;
-    let mut trace = None;
+    let mut common = CommonFlags::default();
     let mut trace_format = None;
     let mut profile = false;
-    let mut fuel = None;
-    let mut timeout_ms = None;
     let mut checkpoint = None;
     let mut resume = false;
     let mut dist = DistOpts::default();
     while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| ArgError(format!("flag `{flag}` needs a value")))
-        };
         match flag.as_str() {
-            "--vars" => vars = Some(parse_vars(&value()?)?),
-            "--code" => code = Some(value()?),
-            "--file" => file = Some(value()?),
-            "--pre" => pre = Some(value()?),
-            "--spec" => spec = Some(value()?),
-            "--domain" => domain = DomainKind::parse(&value()?)?,
+            "--vars" => vars = Some(parse_vars(&value(&mut it, flag)?)?),
+            "--code" => code = Some(value(&mut it, flag)?),
+            "--file" => file = Some(value(&mut it, flag)?),
+            "--pre" => pre = Some(value(&mut it, flag)?),
+            "--spec" => spec = Some(value(&mut it, flag)?),
+            "--domain" => domain = DomainKind::parse(&value(&mut it, flag)?)?,
             "--strategy" => {
-                strategy = match value()?.as_str() {
+                strategy = match value(&mut it, flag)?.as_str() {
                     "backward" => StrategyKind::Backward,
                     "forward" => StrategyKind::Forward,
                     other => return Err(ArgError(format!("unknown strategy `{other}`"))),
                 }
             }
-            "--engine" => engine = EngineKind::parse(&value()?)?,
+            "--engine" => engine = EngineKind::parse(&value(&mut it, flag)?)?,
             "--stats" => stats = true,
-            "--stats-json" => stats_json = true,
             "--uncached" => uncached = true,
-            "--trace" => trace = Some(value()?),
             "--trace-format" => {
-                trace_format = Some(match value()?.as_str() {
+                trace_format = Some(match value(&mut it, flag)?.as_str() {
                     "jsonl" => TraceFormat::Jsonl,
                     "dot" => TraceFormat::Dot,
                     other => return Err(ArgError(format!("unknown trace format `{other}`"))),
                 })
             }
             "--profile" => profile = true,
-            "--fuel" => {
-                let v = value()?;
-                fuel = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| ArgError(format!("bad --fuel value `{v}`")))?,
-                );
-            }
-            "--timeout-ms" => {
-                let v = value()?;
-                timeout_ms = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| ArgError(format!("bad --timeout-ms value `{v}`")))?,
-                );
-            }
-            "--dir" => dir = value()?,
-            "--jobs" => {
-                let v = value()?;
-                jobs = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad --jobs value `{v}`")))?;
-            }
-            "--checkpoint" => checkpoint = Some(value()?),
+            "--dir" => dir = value(&mut it, flag)?,
+            "--jobs" => jobs = num_flag(flag, &value(&mut it, flag)?)?,
+            "--checkpoint" => checkpoint = Some(value(&mut it, flag)?),
             "--resume" => resume = true,
             other => {
-                if sub != "corpus" || !dist_flag(&mut dist, other, &mut value)? {
+                if !common.take(other, BUDGET, &mut it)?
+                    && (sub != "corpus" || !dist_flag(&mut dist, other, &mut it)?)
+                {
                     return Err(ArgError(format!("unknown flag `{other}`")));
                 }
             }
         }
     }
+    let CommonFlags {
+        stats_json,
+        trace,
+        fuel,
+        timeout_ms,
+    } = common;
     if (checkpoint.is_some() || resume) && sub != "corpus" {
         return Err(ArgError(
             "--checkpoint/--resume are only available for `corpus` and `fuzz run`".into(),
@@ -1555,6 +1445,29 @@ mod tests {
         );
         assert!(parse(&argv(&["chaos", "--plans", "x"])).is_err());
         assert!(parse(&argv(&["chaos", "--bogus"])).is_err());
+    }
+
+    #[test]
+    fn budget_flags_reach_only_the_subcommands_that_take_them() {
+        let parse_words =
+            |args: &str| parse(&args.split(' ').map(String::from).collect::<Vec<_>>());
+        for (args, err) in [
+            ("fuzz run --fuel 5", "unknown fuzz flag `--fuel`"),
+            (
+                "fuzz run --timeout-ms 5",
+                "unknown fuzz flag `--timeout-ms`",
+            ),
+            ("chaos --timeout-ms 5", "unknown chaos flag `--timeout-ms`"),
+        ] {
+            assert_eq!(parse_words(args), Err(ArgError(err.into())), "{args}");
+        }
+        for args in [
+            "fuzz run --stats-json --trace t",
+            "chaos --fuel 5 --stats-json",
+        ] {
+            assert!(parse_words(args).is_ok(), "{args}");
+        }
+        assert!(parse_words("repair f --fuel 5 --timeout-ms 5 --trace t").is_ok());
     }
 
     #[test]

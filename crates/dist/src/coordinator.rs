@@ -116,7 +116,8 @@ pub struct DistHooks {
     /// Gauges and counters under `air_dist_*`.
     pub metrics: MetricsRegistry,
     /// When set, every frame sent/received is appended as JSONL
-    /// (`{"dir":…,"shard":…,"frame":…}`) for `dist_validate`.
+    /// (`{"dir":…,"shard":…,"frame":…}`), the document format of
+    /// `schemas/dist-frame.schema.json`.
     pub frame_log: Option<PathBuf>,
     /// Cooperative cancellation (SIGINT/SIGTERM): when it flips true
     /// the coordinator truncates all active leases and drains.

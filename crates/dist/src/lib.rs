@@ -49,5 +49,5 @@ pub mod worker;
 pub use coordinator::{
     run_distributed, DistConfig, DistError, DistHooks, DistOutcome, DistStats, RecoverFn, Tile,
 };
-pub use protocol::{Frame, KNOWN_FRAMES};
+pub use protocol::Frame;
 pub use worker::{run_worker, FrameWriter, LeaseCtx, LeaseDone};

@@ -2,10 +2,10 @@
 //!
 //! Each frame is one JSON object carried over the length-prefixed
 //! transport of [`air_serve`] (`read_frame`/`write_frame`), with a
-//! `"frame"` tag naming the variant. The set is closed and documented
-//! in `schemas/dist-frame.schema.json`; `cargo run -p air-bench --bin
-//! dist_validate` cross-checks a recorded `--dist-frame-log` against
-//! that schema and against [`KNOWN_FRAMES`] in CI.
+//! `"frame"` tag naming the variant. The set is closed, and
+//! `schemas/dist-frame.schema.json` is its one source: the tests below
+//! check it against the variants, and in CI `cargo run -p air-bench
+//! --bin schema_check` checks a recorded `--dist-frame-log` against it.
 //!
 //! Direction of each frame:
 //!
@@ -28,18 +28,6 @@
 use std::fmt::Write as _;
 
 use air_trace::json::{self, str_lit, Value};
-
-/// Every `"frame"` tag on the wire, in one place so the schema
-/// validator and the docs cannot drift from the implementation.
-pub const KNOWN_FRAMES: &[&str] = &[
-    "hello",
-    "lease",
-    "truncate",
-    "heartbeat",
-    "result",
-    "error",
-    "shutdown",
-];
 
 /// One coordinator ⇄ worker message. See the module table for
 /// directions and semantics.
@@ -175,62 +163,45 @@ impl Frame {
 mod tests {
     use super::*;
 
-    fn roundtrip(f: Frame) {
-        let text = f.render();
-        assert_eq!(Frame::parse(&text).expect("parse"), f, "wire: {text}");
+    /// One frame of every kind, each logged in its direction: the
+    /// `schema_check` tests run the same file through the direction check.
+    const LOG: &str = include_str!("../../../schemas/fixtures/dist-frame.valid.jsonl");
+
+    /// The frame text of every line of [`LOG`].
+    fn samples() -> impl Iterator<Item = &'static str> {
+        LOG.lines().map(|line| {
+            let frame = line.split_once(",\"frame\":").unwrap().1;
+            &frame[..frame.len() - 1]
+        })
     }
 
     #[test]
     fn frames_roundtrip() {
-        roundtrip(Frame::Hello { shard: 3, pid: 42 });
-        roundtrip(Frame::Lease {
-            lease: 7,
-            lo: 100,
-            hi: 164,
-        });
-        roundtrip(Frame::Truncate { lease: 7, hi: 132 });
-        roundtrip(Frame::Heartbeat {
-            lease: 7,
-            next: 120,
-        });
-        roundtrip(Frame::Result {
-            lease: 7,
-            lo: 100,
-            stopped: 132,
-            payload: "{\"schema\":\"air-fuzz-checkpoint/1\"}".to_string(),
-        });
-        roundtrip(Frame::Error {
-            message: "boom \"quoted\"\nline".to_string(),
-        });
-        roundtrip(Frame::Shutdown);
+        for text in samples() {
+            let f = Frame::parse(text).expect("parse");
+            assert_eq!(f.render(), text);
+        }
     }
 
+    /// Every line of [`LOG`] passes the checked-in schema, and its
+    /// frames are exactly the schema's.
     #[test]
-    fn every_known_frame_has_a_variant() {
-        let rendered = [
-            Frame::Hello { shard: 0, pid: 0 }.name(),
-            Frame::Lease {
-                lease: 0,
-                lo: 0,
-                hi: 0,
-            }
-            .name(),
-            Frame::Truncate { lease: 0, hi: 0 }.name(),
-            Frame::Heartbeat { lease: 0, next: 0 }.name(),
-            Frame::Result {
-                lease: 0,
-                lo: 0,
-                stopped: 0,
-                payload: String::new(),
-            }
-            .name(),
-            Frame::Error {
-                message: String::new(),
-            }
-            .name(),
-            Frame::Shutdown.name(),
-        ];
-        assert_eq!(rendered.as_slice(), KNOWN_FRAMES);
+    fn every_frame_logs_a_schema_valid_line_and_the_schema_names_them_all() {
+        let text = include_str!("../../../schemas/dist-frame.schema.json");
+        let schema = air_trace::Schema::parse(text).unwrap();
+        let mut rendered = std::collections::BTreeSet::new();
+        for (line, frame) in LOG.lines().zip(samples()) {
+            let name = Frame::parse(frame).unwrap().name();
+            assert_eq!(schema.check(&json::parse(line).unwrap()), Ok(Some(name)));
+            assert!(rendered.insert(name), "{line}: a second sample");
+        }
+        let doc = json::parse(text).unwrap();
+        let frames = ["properties", "frame", "variants"]
+            .iter()
+            .try_fold(&doc, |v, key| v.get(key))
+            .and_then(Value::as_obj)
+            .unwrap();
+        assert!(rendered.iter().eq(frames.keys()), "{rendered:?}");
     }
 
     #[test]

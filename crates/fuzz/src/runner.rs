@@ -576,16 +576,16 @@ mod tests {
     }
 
     #[test]
-    fn report_json_parses_and_carries_the_schema_tag() {
+    fn report_json_passes_the_checked_in_schema() {
         let report = run_campaign(&FuzzOptions {
             cases: 3,
             ..FuzzOptions::default()
         });
         let doc = air_trace::json::parse(&report.to_json()).unwrap();
-        assert_eq!(
-            doc.get("schema").unwrap().as_str(),
-            Some("air-fuzz-report/1")
-        );
+        let schema =
+            air_trace::Schema::parse(include_str!("../../../schemas/fuzz-report.schema.json"))
+                .unwrap();
+        assert_eq!(schema.check(&doc), Ok(None));
         assert_eq!(doc.get("cases").unwrap().as_num(), Some(3.0));
         assert_eq!(doc.get("oracles").unwrap().as_arr().unwrap().len(), 10);
     }

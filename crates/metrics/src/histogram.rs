@@ -16,7 +16,7 @@
 //! `sum(buckets) >= count` — a snapshot taken mid-observation can only
 //! over-report buckets, never lose one. Once writers are quiescent the
 //! two are exactly equal; the thread-stress test below and the
-//! `metrics_validate` bin both gate on that invariant.
+//! `schema_check` bin both gate on that invariant.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -7,7 +7,7 @@
 //!
 //! * [`Snapshot::to_json`] — the closed document described by
 //!   `schemas/metrics-snapshot.schema.json` and checked by the
-//!   `metrics_validate` bin. Histogram buckets are **non-cumulative**
+//!   `schema_check` bin. Histogram buckets are **non-cumulative**
 //!   `(le, count)` pairs with zero buckets elided, so
 //!   `sum(buckets[].count) == count` is a validatable invariant.
 //! * [`Snapshot::to_prometheus`] — Prometheus text exposition format
@@ -313,6 +313,12 @@ mod tests {
     #[test]
     fn json_document_shape_is_stable() {
         let json = sample().to_json();
+        let schema = air_trace::Schema::parse(include_str!(
+            "../../../schemas/metrics-snapshot.schema.json"
+        ))
+        .unwrap();
+        let doc = air_trace::json::parse(&json).unwrap();
+        assert_eq!(schema.check(&doc), Ok(None), "{json}");
         assert!(json.starts_with("{\"schema\":\"air-metrics-snapshot/1\""));
         assert!(json
             .contains("{\"name\":\"air_req_total\",\"labels\":{\"tenant\":\"anon\"},\"value\":3}"));

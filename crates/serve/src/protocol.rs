@@ -654,7 +654,29 @@ fn push_cache(out: &mut String, cache: &CacheSnapshot) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use air_trace::Schema;
     use std::io::Cursor;
+
+    const REQUEST_SCHEMA: &str = include_str!("../../../schemas/serve-request.schema.json");
+    const RESPONSE_SCHEMA: &str = include_str!("../../../schemas/serve-response.schema.json");
+
+    /// Panics unless `text` passes the checked-in `schema`.
+    fn conforms(schema: &str, text: &str) {
+        let doc = json::parse(text).unwrap();
+        if let Err(e) = Schema::parse(schema).unwrap().check(&doc) {
+            panic!("{text}: {e}");
+        }
+    }
+
+    /// [`parse_request`], checking that every request it accepts also
+    /// passes the request schema.
+    fn parse(text: &str) -> Result<Request, ProtoError> {
+        let req = parse_request(text);
+        if req.is_ok() {
+            conforms(REQUEST_SCHEMA, text);
+        }
+        req
+    }
 
     fn frame(payload: &str) -> Vec<u8> {
         let mut out = Vec::new();
@@ -733,7 +755,7 @@ mod tests {
 
     #[test]
     fn parses_a_full_verify_request() {
-        let req = parse_request(
+        let req = parse(
             r#"{"id":"r1","job":"verify","tenant":"t0","priority":5,
                "vars":"x:-8..8","code":"x := x + 1","pre":"x = 0","spec":"x = 1",
                "domain":"oct","strategy":"forward","fuel":500,"timeout_ms":2000}"#,
@@ -755,10 +777,10 @@ mod tests {
 
     #[test]
     fn defaults_fill_optional_fields() {
-        let Request::Job(job) = parse_request(
-            r#"{"id":"r2","job":"repair","vars":"x:0..3","code":"skip","spec":"true"}"#,
-        )
-        .unwrap() else {
+        let Request::Job(job) =
+            parse(r#"{"id":"r2","job":"repair","vars":"x:0..3","code":"skip","spec":"true"}"#)
+                .unwrap()
+        else {
             panic!("expected job");
         };
         assert_eq!(job.tenant, "anon");
@@ -772,11 +794,11 @@ mod tests {
     #[test]
     fn admin_requests_parse() {
         assert_eq!(
-            parse_request(r#"{"id":"p","job":"ping"}"#).unwrap(),
+            parse(r#"{"id":"p","job":"ping"}"#).unwrap(),
             Request::Ping { id: "p".into() }
         );
         assert_eq!(
-            parse_request(r#"{"id":"c","job":"cancel","target":"r9"}"#).unwrap(),
+            parse(r#"{"id":"c","job":"cancel","target":"r9"}"#).unwrap(),
             Request::Cancel {
                 id: "c".into(),
                 tenant: "anon".into(),
@@ -784,7 +806,7 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_request(r#"{"id":"c","job":"cancel","tenant":"t0","target":"r9"}"#).unwrap(),
+            parse(r#"{"id":"c","job":"cancel","tenant":"t0","target":"r9"}"#).unwrap(),
             Request::Cancel {
                 id: "c".into(),
                 tenant: "t0".into(),
@@ -792,7 +814,7 @@ mod tests {
             }
         );
         for job in ["stats", "flush", "shutdown"] {
-            assert!(parse_request(&format!("{{\"id\":\"x\",\"job\":\"{job}\"}}")).is_ok());
+            assert!(parse(&format!("{{\"id\":\"x\",\"job\":\"{job}\"}}")).is_ok());
         }
     }
 
@@ -812,7 +834,7 @@ mod tests {
             r#"{"id":"x","job":"verify","vars":"x:0..1","code":"skip","spec":"true","fuel":-3}"#,
             r#"{"id":"x","job":"verify","vars":"x:0..1","code":"skip","spec":"true","priority":1.5}"#,
         ] {
-            let err = parse_request(bad).unwrap_err();
+            let err = parse(bad).unwrap_err();
             assert_eq!(err.code, 2, "{bad}: {}", err.message);
         }
     }
@@ -861,6 +883,7 @@ mod tests {
         ];
         for (resp, status) in responses.iter().zip(["proved", "alarms", "ok", "error"]) {
             let line = resp.to_json();
+            conforms(RESPONSE_SCHEMA, &line);
             let doc = json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(doc.get("status").and_then(Value::as_str), Some(status));
             assert_eq!(doc.get("id").and_then(Value::as_str), Some(resp.id()));
@@ -883,6 +906,7 @@ mod tests {
             reuse: None,
         };
         assert_eq!(refuted.status(), "refuted");
+        conforms(RESPONSE_SCHEMA, &refuted.to_json());
         let doc = json::parse(&refuted.to_json()).unwrap();
         assert_eq!(doc.get("witness").and_then(Value::as_str), Some("{x → 5}"));
         let clean = Response::Alarms {
@@ -895,14 +919,14 @@ mod tests {
             cache: CacheSnapshot::default(),
         };
         assert_eq!(clean.status(), "clean");
+        conforms(RESPONSE_SCHEMA, &clean.to_json());
     }
 
     #[test]
     fn reverify_parses_and_renders_reuse() {
-        let req = parse_request(
-            r#"{"id":"e1","job":"reverify","vars":"x:0..3","code":"skip","spec":"true"}"#,
-        )
-        .unwrap();
+        let req =
+            parse(r#"{"id":"e1","job":"reverify","vars":"x:0..3","code":"skip","spec":"true"}"#)
+                .unwrap();
         let Request::Job(job) = req else {
             panic!("expected a job");
         };
@@ -924,6 +948,7 @@ mod tests {
                 fresh_nodes: 3,
             }),
         };
+        conforms(RESPONSE_SCHEMA, &resp.to_json());
         let doc = json::parse(&resp.to_json()).unwrap();
         assert_eq!(doc.get("job").and_then(Value::as_str), Some("reverify"));
         let reuse = doc.get("reuse").expect("reuse object");
@@ -933,5 +958,17 @@ mod tests {
         );
         assert_eq!(reuse.get("fresh_nodes").and_then(Value::as_num), Some(3.0));
         assert_eq!(reuse.get("reused_nodes").and_then(Value::as_num), Some(5.0));
+    }
+
+    #[test]
+    fn request_schema_domains_are_the_registry_names() {
+        let doc = json::parse(REQUEST_SCHEMA).unwrap();
+        let domains = ["properties", "domain", "enum"]
+            .iter()
+            .try_fold(&doc, |v, key| v.get(key))
+            .and_then(Value::as_arr)
+            .unwrap();
+        let names: Vec<&str> = domains.iter().filter_map(Value::as_str).collect();
+        assert_eq!(names, air_lang::gen::DOMAIN_NAMES);
     }
 }

@@ -1,14 +1,19 @@
 //! Wire-contract tests against a live in-process server: malformed
 //! frames, oversized payloads, zero-fuel requests, mid-request
 //! cancellation, and the differential guarantee that a served repair
-//! verdict is byte-identical to the one-shot CLI path.
+//! verdict is byte-identical to the one-shot CLI path. Every request a
+//! test sends that `parse_request` accepts, and every response it
+//! receives, must pass the checked-in wire schema.
 
-use air_serve::protocol::{read_frame, write_frame, DEFAULT_MAX_FRAME};
+use air_serve::protocol::{parse_request, read_frame, write_frame, DEFAULT_MAX_FRAME};
 use air_serve::{start, RunningServer, ServeConfig};
 use air_trace::json::{self, Value};
-use air_trace::Tracer;
+use air_trace::{Schema, Tracer};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
+
+const REQUEST_SCHEMA: &str = include_str!("../../../schemas/serve-request.schema.json");
+const RESPONSE_SCHEMA: &str = include_str!("../../../schemas/serve-response.schema.json");
 
 struct Client {
     reader: BufReader<TcpStream>,
@@ -26,6 +31,9 @@ impl Client {
     }
 
     fn send(&mut self, payload: &str) {
+        if parse_request(payload).is_ok() {
+            conforms(REQUEST_SCHEMA, &json::parse(payload).unwrap());
+        }
         write_frame(&mut self.writer, payload).expect("send frame");
     }
 
@@ -39,12 +47,21 @@ impl Client {
         let text = read_frame(&mut self.reader, DEFAULT_MAX_FRAME)
             .expect("read frame")
             .expect("server response");
-        json::parse(&text).unwrap_or_else(|e| panic!("bad response JSON `{text}`: {e}"))
+        let doc = json::parse(&text).unwrap_or_else(|e| panic!("bad response JSON `{text}`: {e}"));
+        conforms(RESPONSE_SCHEMA, &doc);
+        doc
     }
 
     fn roundtrip(&mut self, payload: &str) -> Value {
         self.send(payload);
         self.recv()
+    }
+}
+
+/// Panics unless `doc` passes the checked-in `schema`.
+fn conforms(schema: &str, doc: &Value) {
+    if let Err(e) = Schema::parse(schema).unwrap().check(doc) {
+        panic!("{doc:?}: {e}");
     }
 }
 

@@ -5,7 +5,8 @@
 //! [`Event`]: a monotone sequence number, a nanosecond timestamp relative
 //! to the tracer's epoch, and a typed [`EventKind`] payload. The JSONL
 //! wire format is one object per line with a `kind` discriminant; the
-//! set of kinds is closed (see [`KNOWN_KINDS`]) and validated in CI.
+//! set of kinds is closed, and `schemas/trace-event.schema.json` is its
+//! one source (the tests below check it against the variants).
 
 use crate::json::escape_str;
 use std::fmt::Write as _;
@@ -140,40 +141,6 @@ pub enum EventKind {
     /// the 1-based restart number for that slot.
     WorkerRestarted { shard: u64, attempt: u64 },
 }
-
-/// Every wire-format `kind` value the engine can emit, in one place so
-/// the schema validator and docs cannot drift from the implementation.
-pub const KNOWN_KINDS: &[&str] = &[
-    "span_enter",
-    "span_exit",
-    "incompleteness",
-    "shell_point",
-    "widening",
-    "lcl_rule",
-    "cegar_iteration",
-    "cegar_refinement",
-    "cegar_split",
-    "cache_hit",
-    "cache_miss",
-    "cache_bypass",
-    "counter",
-    "verdict",
-    "budget_exhausted",
-    "cancelled",
-    "fuzz_case",
-    "fuzz_shrink",
-    "fault_injected",
-    "task_retried",
-    "shard_quarantined",
-    "checkpoint_written",
-    "request_received",
-    "request_completed",
-    "worker_spawned",
-    "lease_issued",
-    "lease_stolen",
-    "worker_lost",
-    "worker_restarted",
-];
 
 impl EventKind {
     /// The JSONL `kind` discriminant.
@@ -397,6 +364,8 @@ fn field_str(out: &mut String, key: &str, value: &str) {
 mod tests {
     use super::*;
     use crate::json;
+    use crate::Schema;
+    use std::collections::BTreeSet;
 
     fn line(kind: EventKind) -> String {
         let mut s = String::new();
@@ -409,8 +378,12 @@ mod tests {
         s
     }
 
+    /// One sample per variant: each renders a line the checked-in schema
+    /// accepts, and the variants are exactly the schema's kinds.
     #[test]
-    fn every_kind_serializes_to_valid_json_with_known_kind() {
+    fn every_kind_renders_a_schema_valid_line_and_the_schema_names_them_all() {
+        let text = include_str!("../../../schemas/trace-event.schema.json");
+        let schema = Schema::parse(text).unwrap();
         let samples = vec![
             EventKind::SpanEnter {
                 phase: "verify.backward".into(),
@@ -524,15 +497,18 @@ mod tests {
                 attempt: 1,
             },
         ];
-        assert_eq!(samples.len(), KNOWN_KINDS.len(), "sample per kind");
+        let mut rendered = BTreeSet::new();
         for kind in samples {
             let name = kind.kind_name();
-            assert!(KNOWN_KINDS.contains(&name), "{name} not in KNOWN_KINDS");
-            let doc = json::parse(&line(kind)).expect("valid JSON");
-            assert_eq!(doc.get("kind").unwrap().as_str(), Some(name));
-            assert_eq!(doc.get("seq").unwrap().as_num(), Some(7.0));
-            assert_eq!(doc.get("t_ns").unwrap().as_num(), Some(42.0));
+            let line = line(kind);
+            let doc = json::parse(&line).expect("valid JSON");
+            assert_eq!(schema.check(&doc), Ok(Some(name)), "{line}");
+            assert!(rendered.insert(name), "two samples of {name}");
         }
+        let doc = json::parse(text).unwrap();
+        let variants = doc.get("variants").and_then(json::Value::as_obj).unwrap();
+        let kinds: BTreeSet<&str> = variants.keys().map(String::as_str).collect();
+        assert_eq!(rendered, kinds);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Minimal JSON support: string escaping for the writers and a small
-//! recursive-descent parser for the readers (`summary`, the bench
-//! validator, serve and dist frames). Hand-rolled so the crate stays
+//! recursive-descent parser for the readers (`summary`, the [`schema`]
+//! checker, serve and dist frames). Hand-rolled so the crate stays
 //! dependency-free.
+//!
+//! [`schema`]: crate::schema
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

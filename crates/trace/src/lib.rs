@@ -21,8 +21,9 @@
 //!    pointers, thread ids, or times — so the stream (modulo `seq`,
 //!    `t_ns` and cache telemetry) is reproducible across runs,
 //!    cached/uncached, and thread counts.
-//! 3. **Closed schema.** The wire format's `kind` set is
-//!    [`KNOWN_KINDS`]; CI validates every emitted line against it.
+//! 3. **Closed schema.** The wire format's `kind` set is closed and
+//!    lives in `schemas/trace-event.schema.json` alone; CI checks every
+//!    emitted line against it with the [`schema`] checker.
 //!
 //! Paper correspondence (Bruni, Giacobazzi, Gori, Ranzato — PLDI 2022):
 //! `incompleteness` events witness Def. 4.1 violations, `shell_point`
@@ -33,7 +34,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`event`] | [`Event`], [`EventKind`], JSONL serialization, [`KNOWN_KINDS`] |
+//! | [`event`] | [`Event`], [`EventKind`], JSONL serialization |
 //! | [`tracer`] | [`Tracer`], [`Sink`], RAII [`Span`], [`MemorySink`], [`MultiSink`] |
 //! | [`jsonl`] | [`JsonlSink`] file/writer sink |
 //! | [`profile`] | [`Profiler`] aggregating sink |
@@ -41,6 +42,7 @@
 //! | [`bridge`] | [`MetricsBridge`] sink folding span exits into metric histograms |
 //! | [`dot`] | [`DotBuilder`] Graphviz export |
 //! | [`json`] | dependency-free JSON escape/parse helpers |
+//! | [`schema`] | [`Schema`]: the wire-schema dialect of `schemas/*.json` and its checker |
 
 pub mod bridge;
 pub mod dot;
@@ -48,13 +50,15 @@ pub mod event;
 pub mod json;
 pub mod jsonl;
 pub mod profile;
+pub mod schema;
 pub mod summary;
 pub mod tracer;
 
 pub use bridge::{MetricsBridge, PHASE_DURATION_METRIC};
 pub use dot::{DotBuilder, NodeId};
-pub use event::{Event, EventKind, KNOWN_KINDS};
+pub use event::{Event, EventKind};
 pub use jsonl::JsonlSink;
 pub use profile::Profiler;
+pub use schema::Schema;
 pub use summary::{PhaseStat, Summary};
 pub use tracer::{MemorySink, MultiSink, Sink, Span, Tracer};

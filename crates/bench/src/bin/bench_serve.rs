@@ -44,6 +44,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::process::ExitCode;
 use std::time::Instant;
 
+use air_core::question::{clause, corpus_files, corpus_header, render_vars};
 use air_fuzz::FuzzCase;
 use air_serve::protocol::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 use air_serve::{start, ServeConfig, ServeEngine};
@@ -525,18 +526,10 @@ fn build_workload(config: &Config) -> Result<Vec<WorkItem>, String> {
 /// intentionally skipped). Jobs rotate verify -> repair -> analyze so the
 /// mix exercises every engine path.
 fn corpus_items(root: &str) -> Result<Vec<WorkItem>, String> {
-    let mut files: Vec<std::path::PathBuf> = Vec::new();
-    for dir in [root.to_string(), format!("{root}/fuzz")] {
-        let Ok(entries) = std::fs::read_dir(&dir) else {
-            continue;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().is_some_and(|e| e == "imp") {
-                files.push(path);
-            }
-        }
-    }
+    let mut files: Vec<std::path::PathBuf> = [root.to_string(), format!("{root}/fuzz")]
+        .iter()
+        .flat_map(|dir| corpus_files(dir).unwrap_or_default())
+        .collect();
     files.sort();
     let mut items = Vec::new();
     for (idx, path) in files.iter().enumerate() {
@@ -545,16 +538,14 @@ fn corpus_items(root: &str) -> Result<Vec<WorkItem>, String> {
         // Two header conventions coexist in the corpus: the sweep's
         // `# Verified with: vars "x:-8..8", ...` and the fuzz corpus's
         // `# fuzz: domain "int" vars "x=-4..4" ...` (ranges use `=`).
-        let Some(header) = text
-            .lines()
-            .find(|l| l.contains("Verified with:") || l.contains("# fuzz:"))
+        let Some(header) =
+            corpus_header(&text).or_else(|| text.lines().find(|l| l.contains("# fuzz:")))
         else {
             eprintln!("bench_serve: skipping {} (no header)", path.display());
             continue;
         };
-        let clause = |key: &str| header_clause(header, key);
-        let (Some(vars), Some(pre), Some(spec)) = (clause("vars"), clause("pre"), clause("spec"))
-        else {
+        let get = |key: &str| clause(header, key);
+        let (Some(vars), Some(pre), Some(spec)) = (get("vars"), get("pre"), get("spec")) else {
             eprintln!(
                 "bench_serve: skipping {} (incomplete header)",
                 path.display()
@@ -570,7 +561,7 @@ fn corpus_items(root: &str) -> Result<Vec<WorkItem>, String> {
             str_lit(pre),
             str_lit(spec),
         );
-        if let Some(domain) = clause("domain") {
+        if let Some(domain) = get("domain") {
             body.push_str(&format!(r#","domain":{}"#, str_lit(domain)));
         }
         let name = path
@@ -582,26 +573,12 @@ fn corpus_items(root: &str) -> Result<Vec<WorkItem>, String> {
     Ok(items)
 }
 
-/// Extracts the quoted value of `key "..."` from a corpus header line
-/// (same convention as the CLI's corpus sweeper).
-fn header_clause<'a>(header: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("{key} \"");
-    let start = header.find(&pat)? + pat.len();
-    let rest = &header[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
 /// Renders a generated fuzz case as a request body. `Reg::to_source` is
 /// the parseable program form (Display is pretty-printed); pre and spec
 /// Display round-trips through `parse_bexp`.
 fn fuzz_item(seed: u64) -> WorkItem {
     let case = FuzzCase::generate(seed);
-    let vars = case
-        .decls
-        .iter()
-        .map(|(name, lo, hi)| format!("{name}:{lo}..{hi}"))
-        .collect::<Vec<_>>()
-        .join(",");
+    let vars = render_vars(&case.decls);
     let job = ["verify", "repair", "analyze"][(seed % 3) as usize];
     let body = format!(
         r#""job":"{job}","vars":{},"domain":{},"code":{},"pre":{},"spec":{}"#,
@@ -946,17 +923,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn header_clause_extracts_quoted_values() {
-        let header = r#"# Verified with: vars "x:-8..8", pre "x != 0", spec "x >= 1"."#;
-        assert_eq!(header_clause(header, "vars"), Some("x:-8..8"));
-        assert_eq!(header_clause(header, "pre"), Some("x != 0"));
-        assert_eq!(header_clause(header, "spec"), Some("x >= 1"));
-        assert_eq!(header_clause(header, "domain"), None);
-    }
-
-    #[test]
     fn fuzz_items_render_parseable_request_bodies() {
-        use air_lang::{parse_bexp, parse_program};
         for seed in 0..16 {
             let item = fuzz_item(seed);
             let payload = format!(r#"{{"id":"t",{}}}"#, item.body);
@@ -968,9 +935,8 @@ mod tests {
             // The server re-parses these with the engine's own parsers;
             // a rendering the engine rejects would skew the benchmark
             // toward cheap code-2 errors.
-            parse_program(&job.code).unwrap_or_else(|e| panic!("{}: {e}", job.code));
-            parse_bexp(&job.pre).unwrap_or_else(|e| panic!("{}: {e}", job.pre));
-            parse_bexp(&job.spec).unwrap_or_else(|e| panic!("{}: {e}", job.spec));
+            let q = &job.question;
+            q.build().unwrap_or_else(|e| panic!("{payload}: {e}"));
         }
     }
 

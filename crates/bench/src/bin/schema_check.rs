@@ -356,6 +356,8 @@ mod tests {
         serve-response.bad-code            error.code: 7 is not 2 or 3 or 4
         serve-request.unknown-job          unknown job "transmogrify"
         serve-request.unknown-domain       domain: "intervals" is not "int"
+        serve-request.mistyped-tenant      tenant: expected string, found number
+        serve-request.mistyped-domain      domain: 7 is not "int"
     "#;
 
     #[test]

@@ -131,8 +131,8 @@ pub fn alarm_corpus() -> Vec<(&'static str, Reg, Universe, StateSet, StateSet)> 
     corpus
 }
 
-/// One corpus verification task, loaded from `corpus/*.imp`.
-pub struct CorpusTask {
+/// One corpus verification program, loaded from `corpus/*.imp`.
+pub struct CorpusProgram {
     /// Program name (file stem).
     pub name: String,
     /// Parsed program.
@@ -145,73 +145,23 @@ pub struct CorpusTask {
     pub spec: StateSet,
 }
 
-fn header_clause(header: &str, key: &str) -> Option<String> {
-    let pat = format!("{key} \"");
-    let start = header.find(&pat)? + pat.len();
-    let rest = &header[start..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
 /// Loads every program of the repository `corpus/` directory with its
-/// `# Verified with:` header — the same tasks the CLI `air corpus`
-/// subcommand sweeps, so benchmark and CLI numbers describe identical
-/// workloads.
-pub fn verification_corpus() -> Vec<CorpusTask> {
+/// `# Verified with:` header — the same questions the CLI `air corpus`
+/// subcommand sweeps, through the same loader, so benchmark and CLI
+/// numbers describe identical workloads.
+pub fn verification_corpus() -> Vec<CorpusProgram> {
     let dir = format!("{}/../../corpus", env!("CARGO_MANIFEST_DIR"));
-    let mut files: Vec<_> = std::fs::read_dir(&dir)
-        .expect("corpus directory exists")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "imp"))
-        .collect();
-    files.sort();
-    files
-        .iter()
-        .map(|path| {
-            let text = std::fs::read_to_string(path).expect("corpus file reads");
-            let header = text
-                .lines()
-                .find(|l| l.contains("Verified with:"))
-                .expect("corpus header present");
-            let decls: Vec<(String, i64, i64)> = header_clause(header, "vars")
-                .expect("vars clause")
-                .split(',')
-                .map(|part| {
-                    let (name, range) = part.trim().split_once(':').expect("name:lo..hi");
-                    let (lo, hi) = range.split_once("..").expect("lo..hi");
-                    (
-                        name.to_string(),
-                        lo.parse().expect("lower bound"),
-                        hi.parse().expect("upper bound"),
-                    )
-                })
-                .collect();
-            let borrowed: Vec<(&str, i64, i64)> = decls
-                .iter()
-                .map(|(n, lo, hi)| (n.as_str(), *lo, *hi))
-                .collect();
-            let universe = Universe::new(&borrowed).expect("corpus universe");
-            let sem = air_lang::Concrete::new(&universe);
-            let pre = sem
-                .sat(
-                    &air_lang::parse_bexp(&header_clause(header, "pre").expect("pre clause"))
-                        .expect("pre parses"),
-                )
-                .expect("pre evaluates");
-            let spec = sem
-                .sat(
-                    &air_lang::parse_bexp(&header_clause(header, "spec").expect("spec clause"))
-                        .expect("spec parses"),
-                )
-                .expect("spec evaluates");
-            CorpusTask {
-                name: path
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-                    .unwrap_or_default(),
-                prog: parse_program(&text).expect("corpus program parses"),
-                universe,
-                pre,
-                spec,
+    air_core::question::load_corpus(&dir, air_core::DomainKind::Int)
+        .expect("corpus loads")
+        .into_iter()
+        .map(|(name, question)| {
+            let built = question.build().expect("corpus program builds");
+            CorpusProgram {
+                name,
+                prog: built.program,
+                universe: built.universe,
+                pre: built.pre,
+                spec: built.spec,
             }
         })
         .collect()

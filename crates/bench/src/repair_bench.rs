@@ -31,7 +31,7 @@ use air_lang::{Reg, SemCache};
 use air_lattice::{Budget, Governor};
 use air_trace::{Profiler, Tracer};
 
-use crate::{int_domain, table_row, verification_corpus, CorpusTask};
+use crate::{int_domain, table_row, verification_corpus, CorpusProgram};
 
 /// Best-of runs for every per-program measurement.
 pub const RUNS: usize = 7;
@@ -90,7 +90,7 @@ impl ProgramRow {
 }
 
 /// Per-program uncached vs cold-cached vs steady-state measurements.
-pub fn measure_programs(corpus: &[CorpusTask]) -> Vec<ProgramRow> {
+pub fn measure_programs(corpus: &[CorpusProgram]) -> Vec<ProgramRow> {
     let mut rows = Vec::new();
     for task in corpus {
         let mut uncached_ms = f64::INFINITY;
@@ -190,7 +190,7 @@ impl SweepResult {
 }
 
 /// Sequential-uncached full recompute vs cached passes over warm tables.
-pub fn measure_sweep(corpus: &[CorpusTask]) -> SweepResult {
+pub fn measure_sweep(corpus: &[CorpusProgram]) -> SweepResult {
     let jobs = air_lattice::available_jobs();
     let (_, uncached_ms) = timed(|| {
         for _ in 0..SWEEP_PASSES {
@@ -257,7 +257,7 @@ impl EditLoopRow {
 
 /// The verify → edit → re-verify loop: every single-statement edit of
 /// every corpus program, warm session vs from-scratch.
-pub fn measure_edit_loop(corpus: &[CorpusTask]) -> Vec<EditLoopRow> {
+pub fn measure_edit_loop(corpus: &[CorpusProgram]) -> Vec<EditLoopRow> {
     let mut rows = Vec::new();
     for task in corpus {
         let edits: Vec<Reg> = {
@@ -359,7 +359,7 @@ impl GovernorResult {
 
 /// Best-of corpus verification, no governor vs fuel + deadline budgets
 /// generous enough never to trip (every check site pays full cost).
-pub fn measure_governor(corpus: &[CorpusTask]) -> GovernorResult {
+pub fn measure_governor(corpus: &[CorpusProgram]) -> GovernorResult {
     const RUNS: usize = 9;
     let generous = || {
         Governor::new(Budget {

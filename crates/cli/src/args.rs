@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use air_lang::gen::DOMAIN_NAMES;
+pub use air_core::{DomainKind, Question, Strategy};
 
 /// Usage text shown on parse errors and `--help`.
 pub const USAGE: &str = "\
@@ -101,51 +101,6 @@ usage:
 exit codes: 0 proved / no alarms, 1 refuted / alarms, 2 usage error,
   3 budget exhausted, 4 internal error";
 
-/// The base abstract domain to start from.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DomainKind {
-    /// Intervals (the paper's `Int`). Default.
-    #[default]
-    Int,
-    /// Octagons.
-    Oct,
-    /// Signs.
-    Sign,
-    /// Parity.
-    Parity,
-    /// Constant propagation.
-    Const,
-    /// Congruences.
-    Cong,
-    /// Karr's affine equalities.
-    Karr,
-}
-
-impl DomainKind {
-    const ALL: [DomainKind; 7] = [
-        DomainKind::Int,
-        DomainKind::Oct,
-        DomainKind::Sign,
-        DomainKind::Parity,
-        DomainKind::Const,
-        DomainKind::Cong,
-        DomainKind::Karr,
-    ];
-
-    /// The `--domain` spelling: variants are declared in
-    /// [`DOMAIN_NAMES`] order.
-    pub(crate) fn name(self) -> &'static str {
-        DOMAIN_NAMES[self as usize]
-    }
-
-    pub(crate) fn parse(s: &str) -> Result<Self, ArgError> {
-        Self::ALL
-            .into_iter()
-            .find(|k| k.name() == s)
-            .ok_or_else(|| ArgError(format!("unknown domain `{s}`")))
-    }
-}
-
 /// The output format of `--trace`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum TraceFormat {
@@ -167,34 +122,20 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    pub(crate) fn parse(s: &str) -> Result<Self, ArgError> {
-        Ok(match s {
-            "enumerative" => EngineKind::Enumerative,
-            "symbolic" => EngineKind::Symbolic,
-            other => return Err(ArgError(format!("unknown engine `{other}`"))),
-        })
+    /// The `--engine` spelling.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            EngineKind::Enumerative => "enumerative",
+            EngineKind::Symbolic => "symbolic",
+        }
     }
-}
 
-/// The repair strategy for `verify`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum StrategyKind {
-    /// Backward repair (Algorithm 2). Default.
-    #[default]
-    Backward,
-    /// Forward repair (Algorithm 1).
-    Forward,
-}
-
-/// A declared variable with bounds.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VarDecl {
-    /// Variable name.
-    pub name: String,
-    /// Lower bound.
-    pub lo: i64,
-    /// Upper bound.
-    pub hi: i64,
+    fn parse(s: &str) -> Result<Self, ArgError> {
+        [EngineKind::Enumerative, EngineKind::Symbolic]
+            .into_iter()
+            .find(|k| k.name() == s)
+            .ok_or_else(|| ArgError(format!("unknown engine `{s}`")))
+    }
 }
 
 /// A parsed CLI invocation.
@@ -435,21 +376,13 @@ pub enum FuzzCmd {
     },
 }
 
-/// The common task payload.
+/// The common task payload: the question plus how to run it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Task {
-    /// Declared variables.
-    pub vars: Vec<VarDecl>,
-    /// Program source text.
-    pub code: String,
-    /// Precondition source (boolean expression).
-    pub pre: String,
-    /// Specification source (empty for `prove`).
-    pub spec: Option<String>,
-    /// Base domain.
-    pub domain: DomainKind,
+    /// What to verify (`spec` is `None` only for `prove`).
+    pub question: Question,
     /// Repair strategy.
-    pub strategy: StrategyKind,
+    pub strategy: Strategy,
     /// Semantic engine backend.
     pub engine: EngineKind,
     /// Print cache hit/miss counters and timings after the run.
@@ -503,7 +436,7 @@ pub struct CorpusTask {
     /// Base domain (overridden per-file by a `domain` header clause).
     pub domain: DomainKind,
     /// Repair strategy.
-    pub strategy: StrategyKind,
+    pub strategy: Strategy,
     /// Semantic engine backend.
     pub engine: EngineKind,
     /// Print per-program timings and cache counters.
@@ -539,40 +472,6 @@ impl fmt::Display for ArgError {
 }
 
 impl std::error::Error for ArgError {}
-
-/// Parses `--vars "x:-8..8,y:0..20"`.
-pub fn parse_vars(spec: &str) -> Result<Vec<VarDecl>, ArgError> {
-    let mut out = Vec::new();
-    for part in spec.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let (name, range) = part
-            .split_once(':')
-            .ok_or_else(|| ArgError(format!("variable `{part}` lacks `:lo..hi`")))?;
-        let (lo, hi) = range
-            .split_once("..")
-            .ok_or_else(|| ArgError(format!("range `{range}` lacks `..`")))?;
-        let lo: i64 = lo
-            .trim()
-            .parse()
-            .map_err(|_| ArgError(format!("bad lower bound `{lo}`")))?;
-        let hi: i64 = hi
-            .trim()
-            .parse()
-            .map_err(|_| ArgError(format!("bad upper bound `{hi}`")))?;
-        out.push(VarDecl {
-            name: name.trim().to_owned(),
-            lo,
-            hi,
-        });
-    }
-    if out.is_empty() {
-        return Err(ArgError("--vars declared no variables".into()));
-    }
-    Ok(out)
-}
 
 fn parse_fuzz(it: &mut Args<'_>) -> Result<Command, ArgError> {
     let action = it
@@ -737,7 +636,7 @@ fn parse_repair(it: &mut Args<'_>) -> Result<Command, ArgError> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--edit" => edits.push(value(it, arg)?),
-            "--domain" => domain = DomainKind::parse(&value(it, arg)?)?,
+            "--domain" => domain = DomainKind::parse(&value(it, arg)?).map_err(ArgError)?,
             "--stats" => stats = true,
             other if other.starts_with("--") => {
                 if !common.take(other, BUDGET, it)? {
@@ -821,7 +720,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ArgError> {
     let mut pre = None;
     let mut spec = None;
     let mut domain = DomainKind::default();
-    let mut strategy = StrategyKind::default();
+    let mut strategy = Strategy::default();
     let mut engine = EngineKind::default();
     let mut stats = false;
     let mut uncached = false;
@@ -835,19 +734,16 @@ pub fn parse(argv: &[String]) -> Result<Command, ArgError> {
     let mut dist = DistOpts::default();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--vars" => vars = Some(parse_vars(&value(&mut it, flag)?)?),
+            "--vars" => {
+                let v = value(&mut it, flag)?;
+                vars = Some(air_core::question::parse_vars(&v).map_err(|e| ArgError(e.message))?)
+            }
             "--code" => code = Some(value(&mut it, flag)?),
             "--file" => file = Some(value(&mut it, flag)?),
             "--pre" => pre = Some(value(&mut it, flag)?),
             "--spec" => spec = Some(value(&mut it, flag)?),
-            "--domain" => domain = DomainKind::parse(&value(&mut it, flag)?)?,
-            "--strategy" => {
-                strategy = match value(&mut it, flag)?.as_str() {
-                    "backward" => StrategyKind::Backward,
-                    "forward" => StrategyKind::Forward,
-                    other => return Err(ArgError(format!("unknown strategy `{other}`"))),
-                }
-            }
+            "--domain" => domain = DomainKind::parse(&value(&mut it, flag)?).map_err(ArgError)?,
+            "--strategy" => strategy = Strategy::parse(&value(&mut it, flag)?).map_err(ArgError)?,
             "--engine" => engine = EngineKind::parse(&value(&mut it, flag)?)?,
             "--stats" => stats = true,
             "--uncached" => uncached = true,
@@ -949,11 +845,13 @@ pub fn parse(argv: &[String]) -> Result<Command, ArgError> {
         (None, None) => return Err(ArgError("one of --code or --file is required".into())),
     };
     let task = Task {
-        vars: vars.ok_or_else(|| ArgError("--vars is required".into()))?,
-        code,
-        pre: pre.ok_or_else(|| ArgError("--pre is required".into()))?,
-        spec: spec.clone(),
-        domain,
+        question: Question {
+            vars: vars.ok_or_else(|| ArgError("--vars is required".into()))?,
+            code,
+            pre: pre.ok_or_else(|| ArgError("--pre is required".into()))?,
+            spec,
+            domain,
+        },
         strategy,
         engine,
         stats,
@@ -967,7 +865,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ArgError> {
     };
     match sub.as_str() {
         "verify" | "analyze" => {
-            if task.spec.is_none() {
+            if task.question.spec.is_none() {
                 return Err(ArgError(format!("`{sub}` requires --spec")));
             }
             Ok(if sub == "verify" {
@@ -990,22 +888,22 @@ mod tests {
     }
 
     #[test]
-    fn parses_vars_spec() {
-        let vars = parse_vars("x:-8..8, y:0..20").unwrap();
-        assert_eq!(vars.len(), 2);
+    fn parses_vars_flag() {
+        let verify = |vars: &str| {
+            parse(&argv(&[
+                "verify", "--vars", vars, "--code", "skip", "--pre", "true", "--spec", "true",
+            ]))
+        };
+        let Command::Verify(task) = verify("x:-8..8, y:0..20").unwrap() else {
+            panic!("expected verify");
+        };
         assert_eq!(
-            vars[0],
-            VarDecl {
-                name: "x".into(),
-                lo: -8,
-                hi: 8
-            }
+            task.question.vars,
+            vec![("x".into(), -8, 8), ("y".into(), 0, 20)]
         );
-        assert_eq!(vars[1].name, "y");
-        assert!(parse_vars("x").is_err());
-        assert!(parse_vars("x:1-2").is_err());
-        assert!(parse_vars("x:a..b").is_err());
-        assert!(parse_vars("").is_err());
+        for bad in ["x", "x:1-2", "x:a..b", ""] {
+            assert!(verify(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -1029,9 +927,9 @@ mod tests {
         let Command::Verify(task) = cmd else {
             panic!("expected verify");
         };
-        assert_eq!(task.domain, DomainKind::Oct);
-        assert_eq!(task.strategy, StrategyKind::Forward);
-        assert_eq!(task.code, "skip");
+        assert_eq!(task.question.domain, DomainKind::Oct);
+        assert_eq!(task.strategy, Strategy::Forward);
+        assert_eq!(task.question.code, "skip");
     }
 
     #[test]
@@ -1602,17 +1500,13 @@ mod tests {
 
     #[test]
     fn all_domains_parse() {
-        for (name, kind) in [
-            ("int", DomainKind::Int),
-            ("oct", DomainKind::Oct),
-            ("sign", DomainKind::Sign),
-            ("parity", DomainKind::Parity),
-            ("const", DomainKind::Const),
-            ("cong", DomainKind::Cong),
-            ("karr", DomainKind::Karr),
-        ] {
-            assert_eq!(DomainKind::parse(name).unwrap(), kind);
+        for kind in DomainKind::ALL {
+            let Command::Corpus(task) = parse(&argv(&["corpus", "--domain", kind.name()])).unwrap()
+            else {
+                panic!("expected corpus");
+            };
+            assert_eq!(task.domain, kind);
         }
-        assert!(DomainKind::parse("poly").is_err());
+        assert!(parse(&argv(&["corpus", "--domain", "poly"])).is_err());
     }
 }

@@ -28,9 +28,8 @@ use air_resilience::{
 };
 use air_trace::{json, JsonlSink, MultiSink, Sink, Tracer};
 
-use crate::args::{ChaosTask, CorpusTask, DomainKind, StrategyKind, Task};
-use crate::run::{build_domain, build_sets, build_universe, parse_corpus_file, usage};
-use crate::run::{AirError, Outcome};
+use crate::args::{ChaosTask, DomainKind, Question};
+use crate::run::{usage, AirError, Outcome};
 
 /// Fuel per program run when `--fuel` is absent: generous enough that
 /// only an injected cancel (never organic exhaustion) cuts corpus-sized
@@ -40,7 +39,7 @@ pub(crate) const DEFAULT_CHAOS_FUEL: u64 = 5_000_000;
 /// One corpus program prepared once and replayed under every plan.
 pub(crate) struct Prepared {
     name: String,
-    task: Task,
+    question: Question,
     /// Ground truth from the concrete semantics: `⟦r⟧pre ⊆ spec`.
     truth_proved: bool,
 }
@@ -68,45 +67,17 @@ pub(crate) struct PlanRow {
 /// ground truth (the fault-free referee every faulted run is judged
 /// against).
 pub(crate) fn prepare_corpus(dir: &str) -> Result<Vec<Prepared>, AirError> {
-    let corpus_task = CorpusTask {
-        dir: dir.to_string(),
-        jobs: 1,
-        domain: DomainKind::Int,
-        strategy: StrategyKind::Backward,
-        engine: crate::args::EngineKind::Enumerative,
-        stats: false,
-        stats_json: false,
-        uncached: false,
-        trace: None,
-        profile: false,
-        fuel: None,
-        timeout_ms: None,
-        checkpoint: None,
-        resume: false,
-        dist: crate::args::DistOpts::default(),
-    };
-    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| usage(format!("cannot read corpus dir `{dir}`: {e}")))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "imp"))
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        return Err(usage(format!("no *.imp programs under `{dir}`")));
-    }
-    let mut out = Vec::with_capacity(files.len());
-    for path in &files {
-        let (name, task) = parse_corpus_file(path, &corpus_task)?;
-        let u = build_universe(&task)?;
-        let (prog, pre, spec) = build_sets(&task, &u)?;
-        let spec = spec.ok_or_else(|| usage(format!("{name}: corpus header produced no spec")))?;
-        let post = Concrete::new(&u)
-            .exec(&prog, &pre)
+    let corpus = air_core::question::load_corpus(dir, DomainKind::Int)?;
+    let mut out = Vec::with_capacity(corpus.len());
+    for (name, question) in corpus {
+        let b = question.build()?;
+        let post = Concrete::new(&b.universe)
+            .exec(&b.program, &b.pre)
             .map_err(|e| usage(format!("{name}: concrete oracle failed: {e}")))?;
         out.push(Prepared {
             name,
-            task,
-            truth_proved: post.is_subset(&spec),
+            question,
+            truth_proved: post.is_subset(&b.spec),
         });
     }
     Ok(out)
@@ -125,21 +96,11 @@ fn run_one(
     sweep_sink: Option<&Arc<dyn Sink>>,
     row: &mut PlanRow,
 ) {
-    let u = match build_universe(&p.task) {
-        Ok(u) => u,
-        Err(_) => {
-            row.errors += 1;
-            return;
-        }
+    let Ok(b) = p.question.build() else {
+        row.errors += 1;
+        return;
     };
-    let dom = build_domain(&p.task, &u);
-    let (prog, pre, spec) = match build_sets(&p.task, &u) {
-        Ok((prog, pre, Some(spec))) => (prog, pre, spec),
-        _ => {
-            row.errors += 1;
-            return;
-        }
-    };
+    let u = &b.universe;
     let governor = Governor::new(Budget::fuel(fuel));
     let switch = FailSwitch::new();
     let injector = FaultInjector::armed(plan, governor.clone(), switch.clone());
@@ -156,7 +117,7 @@ fn run_one(
         injector.clone(),
     )));
     injector.set_tracer(&tracer);
-    let verifier = Verifier::new(&u)
+    let verifier = Verifier::new(u)
         .tracer(tracer.clone())
         .governor(governor.clone());
     // The verifier's memo tables are Arc-shared with their clones, so
@@ -175,9 +136,8 @@ fn run_one(
         tracer.clone(),
     );
     let site = format!("chaos.{}", p.name);
-    let result = supervisor.run(&site, || match p.task.strategy {
-        StrategyKind::Forward => verifier.forward(dom.clone(), &prog, &pre, &spec),
-        StrategyKind::Backward => verifier.backward(dom.clone(), &prog, &pre, &spec),
+    let result = supervisor.run(&site, || {
+        verifier.backward(b.domain.clone(), &b.program, &b.pre, &b.spec)
     });
     row.injected += injector.injected();
     row.retries += supervisor.retry_count();
@@ -206,8 +166,8 @@ fn run_one(
             // Thm. 7.1/7.6 prefix-soundness: the partial invariant must
             // still over-approximate the concrete reachable states.
             if let Some(inv) = &partial.invariant {
-                let sound = Concrete::new(&u)
-                    .exec(&prog, &pre)
+                let sound = Concrete::new(u)
+                    .exec(&b.program, &b.pre)
                     .map(|post| post.is_subset(inv))
                     .unwrap_or(false);
                 if !sound {
@@ -364,13 +324,7 @@ pub(crate) fn chaos(task: ChaosTask) -> Result<Outcome, AirError> {
         )),
         None => None,
     };
-    println!(
-        "chaos sweep: {} plan(s) from seed {}, {} program(s), fuel {} per run",
-        task.plans,
-        task.seed,
-        programs.len(),
-        fuel
-    );
+    print_banner(&task, programs.len(), fuel);
     let mut rows: Vec<PlanRow> = Vec::with_capacity(task.plans as usize);
     for i in 0..task.plans {
         if crate::signal::interrupted() {
@@ -389,6 +343,14 @@ pub(crate) fn chaos(task: ChaosTask) -> Result<Outcome, AirError> {
         ));
     }
     finish_chaos(&task, fuel, programs.len(), &rows)
+}
+
+/// The sweep banner, shared by the in-process and distributed sweeps.
+pub(crate) fn print_banner(task: &ChaosTask, programs: usize, fuel: u64) {
+    let (plans, seed) = (task.plans, task.seed);
+    println!(
+        "chaos sweep: {plans} plan(s) from seed {seed}, {programs} program(s), fuel {fuel} per run"
+    );
 }
 
 /// Prints the outcome/resilience/soundness summary (and `--stats-json`)

@@ -23,17 +23,18 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
+use air_core::question::{corpus_files, load_corpus};
 use air_dist::{run_distributed, run_worker, DistConfig, DistHooks, DistStats, LeaseDone, Tile};
 use air_fuzz::checkpoint::{self, CheckpointState};
 use air_lattice::Governor;
 use air_metrics::MetricsRegistry;
 use air_trace::Tracer;
 
-use crate::args::{ChaosTask, CorpusTask, DistOpts, DomainKind, EngineKind, StrategyKind};
+use crate::args::{ChaosTask, CorpusTask, DistOpts};
 use crate::run::{usage, AirError, Outcome, TraceSession};
+use crate::signal::CancelWatch;
 
 /// How many cases a fuzz worker runs between heartbeats. Truncation is
 /// still checked every case (the cap read is one atomic load); only the
@@ -68,52 +69,77 @@ fn dist_error(e: &air_dist::DistError) -> AirError {
     AirError::Internal(format!("distributed campaign failed: {e}"))
 }
 
-/// Bridges the async-signal-safe SIGINT flag to the coordinator's
-/// cancel token: a watcher thread polls the flag and flips the token,
+/// Starts the signal watcher that flips a coordinator cancel token,
 /// which the coordinator reads between events.
-struct CancelWatch {
-    token: Arc<AtomicBool>,
-    done: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+fn cancel_watch() -> (CancelWatch, Arc<AtomicBool>) {
+    let token = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&token);
+    let watch = CancelWatch::start(move || flag.store(true, Ordering::SeqCst));
+    (watch, token)
 }
 
-impl CancelWatch {
-    fn start() -> CancelWatch {
-        crate::signal::install();
-        let token = Arc::new(AtomicBool::new(false));
-        let done = Arc::new(AtomicBool::new(false));
-        let thread = std::thread::spawn({
-            let token = Arc::clone(&token);
-            let done = Arc::clone(&done);
-            move || {
-                while !done.load(Ordering::Relaxed) {
-                    if crate::signal::interrupted() {
-                        token.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
+/// Runs a corpus or chaos campaign of `items` over a fleet whose
+/// workers start as `argv --dist-worker K`, and returns the rows of its
+/// tiles in item order with the item count covered. A lost lease re-runs
+/// from its start: both campaigns are seed-deterministic and cheap per
+/// item, so checkpointing every row would cost more. An incomplete fleet
+/// (a signal) is a budget-class stop; a tile whose payload does not
+/// parse into exactly its items is a worker bug.
+fn run_rows<T>(
+    dist: &DistOpts,
+    items: u64,
+    argv: Vec<String>,
+    (what, unit): (&str, &str),
+    parse: impl Fn(&str) -> Option<Vec<T>>,
+) -> Result<(Vec<T>, u64), AirError> {
+    let (watch, token) = cancel_watch();
+    let hooks = DistHooks {
+        program: self_exe()?,
+        args_for: Box::new(move |shard| {
+            let mut v = argv.clone();
+            v.extend(["--dist-worker".to_string(), shard.to_string()]);
+            v
+        }),
+        recover: Box::new(|_, _, _| None),
+        tracer: Tracer::disabled(),
+        metrics: MetricsRegistry::new(),
+        frame_log: dist.frame_log.as_ref().map(PathBuf::from),
+        cancel: Some(token),
+        halt_after: None,
+    };
+    let fleet = run_distributed(fleet_config(dist, 0, items), hooks).map_err(|e| dist_error(&e))?;
+    drop(watch);
+    eprint_fleet(&fleet.stats);
+    if !fleet.complete {
+        eprintln!(
+            "{what} sweep interrupted; {} of {items} {unit}(s) completed",
+            fleet.covered
+        );
+        return Err(AirError::Budget {
+            phase: format!("{what}.sweep"),
+            spent: fleet.covered,
+            reason: "cancelled".to_string(),
         });
-        CancelWatch {
-            token,
-            done,
-            thread: Some(thread),
+    }
+    let mut rows = Vec::new();
+    for t in &fleet.tiles {
+        let tile = parse(&t.payload).ok_or_else(|| {
+            AirError::Internal(format!(
+                "malformed {what} lease payload for tile [{}, {})",
+                t.lo, t.hi
+            ))
+        })?;
+        if tile.len() as u64 != t.hi - t.lo {
+            return Err(AirError::Internal(format!(
+                "{what} tile [{}, {}) carried {} row(s)",
+                t.lo,
+                t.hi,
+                tile.len()
+            )));
         }
+        rows.extend(tile);
     }
-
-    fn token(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.token)
-    }
-
-    /// Stops the watcher and reports whether a signal arrived.
-    fn finish(mut self) -> bool {
-        self.done.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        crate::signal::interrupted()
-    }
+    Ok((rows, fleet.covered))
 }
 
 /// The fleet summary goes to stderr: stdout must stay byte-identical to
@@ -255,29 +281,29 @@ pub(crate) fn fuzz_dist(a: FuzzDist) -> Result<Outcome, AirError> {
             }
         }
     }
-    let watch = CancelWatch::start();
+    let (watch, token) = cancel_watch();
     let hooks = DistHooks {
         program: self_exe()?,
         args_for: Box::new({
             let oracle = a.oracle.clone();
             let ckpt = a.checkpoint.clone();
             move |shard| {
-                let mut v = vec![
-                    "fuzz".to_string(),
-                    "run".to_string(),
-                    "--dist-worker".to_string(),
-                    shard.to_string(),
-                    // Shrinking only affects failure rendering, which the
-                    // coordinator redoes after the merge; workers skip it.
-                    "--no-shrink".to_string(),
-                ];
-                if let Some(o) = &oracle {
-                    v.push("--oracle".to_string());
-                    v.push(o.clone());
-                }
-                if let Some(c) = &ckpt {
-                    v.push("--checkpoint".to_string());
-                    v.push(c.clone());
+                // Shrinking only affects failure rendering, which the
+                // coordinator redoes after the merge; workers skip it.
+                let mut v = [
+                    "fuzz",
+                    "run",
+                    "--dist-worker",
+                    &shard.to_string(),
+                    "--no-shrink",
+                ]
+                .map(String::from)
+                .to_vec();
+                let flags = [("--oracle", &oracle), ("--checkpoint", &ckpt)];
+                for (flag, value) in flags {
+                    if let Some(value) = value {
+                        v.extend([flag.to_string(), value.clone()]);
+                    }
                 }
                 v
             }
@@ -286,7 +312,7 @@ pub(crate) fn fuzz_dist(a: FuzzDist) -> Result<Outcome, AirError> {
         tracer: session.tracer(),
         metrics: MetricsRegistry::new(),
         frame_log: a.dist.frame_log.as_ref().map(PathBuf::from),
-        cancel: Some(watch.token()),
+        cancel: Some(token),
         // `--halt-after` counts campaign cases including a resumed
         // prefix; the coordinator counts items in `[base, end)`.
         halt_after: a.halt_after.map(|h| h.saturating_sub(base - a.seed)),
@@ -399,32 +425,19 @@ pub(crate) fn fuzz_worker(
 // -------------------------------------------------------------- corpus
 
 fn corpus_worker_argv(task: &CorpusTask) -> Vec<String> {
-    let domain = match task.domain {
-        DomainKind::Int => "int",
-        DomainKind::Oct => "oct",
-        DomainKind::Sign => "sign",
-        DomainKind::Parity => "parity",
-        DomainKind::Const => "const",
-        DomainKind::Cong => "cong",
-        DomainKind::Karr => "karr",
-    };
-    let mut v = vec![
-        "corpus".to_string(),
-        "--dir".to_string(),
-        task.dir.clone(),
-        "--domain".to_string(),
-        domain.to_string(),
-        "--strategy".to_string(),
-        match task.strategy {
-            StrategyKind::Backward => "backward".to_string(),
-            StrategyKind::Forward => "forward".to_string(),
-        },
-        "--engine".to_string(),
-        match task.engine {
-            EngineKind::Enumerative => "enumerative".to_string(),
-            EngineKind::Symbolic => "symbolic".to_string(),
-        },
-    ];
+    let mut v: Vec<String> = [
+        "corpus",
+        "--dir",
+        &task.dir,
+        "--domain",
+        task.domain.name(),
+        "--strategy",
+        task.strategy.name(),
+        "--engine",
+        task.engine.name(),
+    ]
+    .map(String::from)
+    .to_vec();
     if task.uncached {
         v.push("--uncached".to_string());
     }
@@ -435,85 +448,23 @@ fn corpus_worker_argv(task: &CorpusTask) -> Vec<String> {
 /// sorted file order; tiles concatenate back into file order, so rows
 /// print exactly where the in-process sweep would put them.
 pub(crate) fn corpus_dist(task: &CorpusTask) -> Result<Outcome, AirError> {
-    let programs = crate::run::load_corpus_programs(task)?;
+    let programs = load_corpus(&task.dir, task.domain)?;
     let items = programs.len() as u64;
-    println!(
-        "corpus sweep: {} programs, {} shard(s), strategy {:?}{}{}",
-        programs.len(),
-        task.dist.shards.min(items.max(1)),
-        task.strategy,
-        if task.engine == EngineKind::Symbolic {
-            ", symbolic engine"
-        } else {
-            ""
-        },
-        if task.uncached { ", uncached" } else { "" }
-    );
+    let shards = task.dist.shards.min(items.max(1));
+    crate::run::print_corpus_banner(task, programs.len(), format!("{shards} shard(s)"));
     let started = std::time::Instant::now();
-    let watch = CancelWatch::start();
-    let hooks = DistHooks {
-        program: self_exe()?,
-        args_for: Box::new({
-            let argv = corpus_worker_argv(task);
-            move |shard| {
-                let mut v = argv.clone();
-                v.push("--dist-worker".to_string());
-                v.push(shard.to_string());
-                v
-            }
-        }),
-        // Corpus leases are a handful of sub-second programs: re-running
-        // a lost lease is cheaper than checkpointing every row.
-        recover: Box::new(|_, _, _| None),
-        tracer: Tracer::disabled(),
-        metrics: MetricsRegistry::new(),
-        frame_log: task.dist.frame_log.as_ref().map(PathBuf::from),
-        cancel: Some(watch.token()),
-        halt_after: None,
-    };
-    let fleet =
-        run_distributed(fleet_config(&task.dist, 0, items), hooks).map_err(|e| dist_error(&e))?;
-    let _ = watch.finish();
-    eprint_fleet(&fleet.stats);
-    if !fleet.complete {
-        eprintln!(
-            "corpus sweep interrupted; {} of {} program(s) completed",
-            fleet.covered,
-            programs.len()
-        );
-        return Err(AirError::Budget {
-            phase: "corpus.sweep".to_string(),
-            spent: fleet.covered,
-            reason: "cancelled".to_string(),
-        });
-    }
-    let mut reports = Vec::with_capacity(programs.len());
-    for t in &fleet.tiles {
-        let rows = crate::run::parse_corpus_rows(&t.payload, &task.dir).ok_or_else(|| {
-            AirError::Internal(format!(
-                "malformed corpus lease payload for tile [{}, {})",
-                t.lo, t.hi
-            ))
-        })?;
-        if rows.len() as u64 != t.hi - t.lo {
-            return Err(AirError::Internal(format!(
-                "corpus tile [{}, {}) carried {} row(s)",
-                t.lo,
-                t.hi,
-                rows.len()
-            )));
-        }
-        reports.extend(rows);
-    }
+    let parse = |payload: &str| crate::run::parse_corpus_rows(payload, &task.dir);
+    let argv = corpus_worker_argv(task);
+    let (reports, covered) = run_rows(&task.dist, items, argv, ("corpus", "program"), parse)?;
     let total_ms = started.elapsed().as_secs_f64() * 1e3;
     crate::run::print_corpus_rows(task, &reports, total_ms);
-    crate::run::corpus_outcome(&reports, fleet.covered)
+    crate::run::corpus_outcome(&reports, covered)
 }
 
 /// `corpus --dist-worker K` — the worker. Verifies one program per
 /// heartbeat; a truncated lease stops at the next program boundary.
 pub(crate) fn corpus_worker(shard: u64, task: &CorpusTask) -> Result<Outcome, AirError> {
-    let programs = crate::run::load_corpus_programs(task)?;
+    let programs = load_corpus(&task.dir, task.domain)?;
     let dir = task.dir.clone();
     let result = run_worker(shard, std::io::stdin(), std::io::stdout(), move |ctx| {
         if ctx.hi > programs.len() as u64 {
@@ -527,18 +478,11 @@ pub(crate) fn corpus_worker(shard: u64, task: &CorpusTask) -> Result<Outcome, Ai
         let mut rows = Vec::new();
         let mut next = ctx.lo;
         while next < ctx.heartbeat(next) {
-            let (name, t) = &programs[next as usize];
-            let row = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                crate::run::run_corpus_program(name, t, Tracer::disabled(), Governor::cancellable())
-            })) {
-                Ok(row) => row,
-                Err(payload) => crate::run::ProgramReport::bare(
-                    name,
-                    crate::run::ProgramStatus::Panicked(crate::run::panic_message(payload)),
-                    0.0,
-                ),
-            };
-            rows.push(row);
+            let (name, q) = &programs[next as usize];
+            let (tracer, governor) = (Tracer::disabled(), Governor::cancellable());
+            rows.push(crate::run::run_corpus_program(
+                name, q, task, tracer, governor,
+            ));
             next += 1;
         }
         Ok(LeaseDone {
@@ -553,98 +497,25 @@ pub(crate) fn corpus_worker(shard: u64, task: &CorpusTask) -> Result<Outcome, Ai
 
 // --------------------------------------------------------------- chaos
 
-/// Counts the corpus without preparing it — the coordinator only needs
-/// the program count for the banner and report; workers do the heavy
-/// concrete-oracle preparation themselves.
-fn count_corpus(dir: &str) -> Result<usize, AirError> {
-    let n = std::fs::read_dir(dir)
-        .map_err(|e| usage(format!("cannot read corpus dir `{dir}`: {e}")))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "imp"))
-        .count();
-    if n == 0 {
-        return Err(usage(format!("no *.imp programs under `{dir}`")));
-    }
-    Ok(n)
-}
-
 /// `chaos --shards N` — the coordinator. Items are plan indices; plan
 /// rows carry no wall-clock data, so the merged report (stdout and
 /// `--stats-json`) is byte-identical to the single-process sweep even
 /// under worker kills.
 pub(crate) fn chaos_dist(task: &ChaosTask) -> Result<Outcome, AirError> {
-    let programs = count_corpus(&task.dir)?;
+    // The coordinator only needs the program count for the banner and
+    // report; workers do the heavy concrete-oracle preparation.
+    let programs = corpus_files(&task.dir).map_err(usage)?.len();
     let fuel = task.fuel.unwrap_or(crate::chaos::DEFAULT_CHAOS_FUEL);
-    println!(
-        "chaos sweep: {} plan(s) from seed {}, {} program(s), fuel {} per run",
-        task.plans, task.seed, programs, fuel
-    );
-    let watch = CancelWatch::start();
-    let hooks = DistHooks {
-        program: self_exe()?,
-        args_for: Box::new({
-            let dir = task.dir.clone();
-            let seed = task.seed;
-            let fuel_arg = task.fuel;
-            move |shard| {
-                let mut v = vec![
-                    "chaos".to_string(),
-                    "--dist-worker".to_string(),
-                    shard.to_string(),
-                    "--dir".to_string(),
-                    dir.clone(),
-                    "--seed".to_string(),
-                    seed.to_string(),
-                ];
-                if let Some(f) = fuel_arg {
-                    v.push("--fuel".to_string());
-                    v.push(f.to_string());
-                }
-                v
-            }
-        }),
-        // A chaos plan is seed-deterministic: re-running a lost lease
-        // reproduces the identical rows.
-        recover: Box::new(|_, _, _| None),
-        tracer: Tracer::disabled(),
-        metrics: MetricsRegistry::new(),
-        frame_log: task.dist.frame_log.as_ref().map(PathBuf::from),
-        cancel: Some(watch.token()),
-        halt_after: None,
-    };
-    let fleet = run_distributed(fleet_config(&task.dist, 0, task.plans), hooks)
-        .map_err(|e| dist_error(&e))?;
-    let _ = watch.finish();
-    eprint_fleet(&fleet.stats);
-    if !fleet.complete {
-        eprintln!(
-            "chaos sweep interrupted; {} of {} plan(s) completed",
-            fleet.covered, task.plans
-        );
-        return Err(AirError::Budget {
-            phase: "chaos.sweep".to_string(),
-            spent: fleet.covered,
-            reason: "cancelled".to_string(),
-        });
+    crate::chaos::print_banner(task, programs, fuel);
+    let seed = task.seed.to_string();
+    let mut argv = ["chaos", "--dir", &task.dir, "--seed", &seed]
+        .map(String::from)
+        .to_vec();
+    if let Some(f) = task.fuel {
+        argv.extend(["--fuel".to_string(), f.to_string()]);
     }
-    let mut rows = Vec::with_capacity(task.plans as usize);
-    for t in &fleet.tiles {
-        let tile_rows = crate::chaos::parse_rows(&t.payload).ok_or_else(|| {
-            AirError::Internal(format!(
-                "malformed chaos lease payload for tile [{}, {})",
-                t.lo, t.hi
-            ))
-        })?;
-        if tile_rows.len() as u64 != t.hi - t.lo {
-            return Err(AirError::Internal(format!(
-                "chaos tile [{}, {}) carried {} row(s)",
-                t.lo,
-                t.hi,
-                tile_rows.len()
-            )));
-        }
-        rows.extend(tile_rows);
-    }
+    let parse = crate::chaos::parse_rows;
+    let (rows, _) = run_rows(&task.dist, task.plans, argv, ("chaos", "plan"), parse)?;
     crate::chaos::finish_chaos(task, fuel, programs, &rows)
 }
 

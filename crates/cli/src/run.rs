@@ -5,17 +5,20 @@ use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use air_core::question::load_corpus;
 use air_core::summarize::display_set;
-use air_core::{EnumAlgebra, EnumDomain, Lcl, RepairError, Verdict, Verifier};
-use air_lang::{parse_bexp, parse_program, Concrete, SemCache, SemError, StateSet, Universe};
+use air_core::{
+    EnumAlgebra, EnumDomain, Lcl, Question, QuestionError, RepairError, Verdict, Verifier,
+};
+use air_lang::{SemCache, SemError, StateSet, Universe};
 use air_lattice::{par_map_governed, Budget, CacheStats, Exhaustion, Governor};
 use air_resilience::Checkpointer;
 use air_trace::{json, EventKind, JsonlSink, MultiSink, Profiler, Sink, Summary, Tracer};
 
 use crate::args::{
-    Command, CorpusTask, DomainKind, EngineKind, FuzzCmd, RepairTask, ServeTask, StrategyKind,
-    Task, TraceFormat,
+    Command, CorpusTask, EngineKind, FuzzCmd, RepairTask, ServeTask, Task, TraceFormat,
 };
+use crate::signal::CancelWatch;
 
 /// The sign of a completed run (drives the exit code).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -75,6 +78,13 @@ impl fmt::Display for AirError {
 
 impl std::error::Error for AirError {}
 
+/// A question that does not read or build is bad input (exit 2).
+impl From<QuestionError> for AirError {
+    fn from(e: QuestionError) -> AirError {
+        AirError::Usage(e.message)
+    }
+}
+
 /// Maps input-level failures (parse errors, bad bounds, I/O) to exit 2.
 pub(crate) fn usage(e: impl fmt::Display) -> AirError {
     AirError::Usage(e.to_string())
@@ -127,35 +137,6 @@ fn build_budget(fuel: Option<u64>, timeout_ms: Option<u64>) -> Budget {
     }
 }
 
-pub(crate) fn build_universe(task: &Task) -> Result<Universe, AirError> {
-    let decls: Vec<(&str, i64, i64)> = task
-        .vars
-        .iter()
-        .map(|v| (v.name.as_str(), v.lo, v.hi))
-        .collect();
-    Universe::new(&decls).map_err(usage)
-}
-
-pub(crate) fn build_domain(task: &Task, u: &Universe) -> EnumDomain {
-    air_core::build_domain(task.domain.name(), u).expect("every `DomainKind` names a domain")
-}
-
-pub(crate) fn build_sets(
-    task: &Task,
-    u: &Universe,
-) -> Result<(air_lang::Reg, StateSet, Option<StateSet>), AirError> {
-    let prog = parse_program(&task.code).map_err(usage)?;
-    let sem = Concrete::new(u);
-    let pre = sem
-        .sat(&parse_bexp(&task.pre).map_err(usage)?)
-        .map_err(usage)?;
-    let spec = match &task.spec {
-        Some(s) => Some(sem.sat(&parse_bexp(s).map_err(usage)?).map_err(usage)?),
-        None => None,
-    };
-    Ok((prog, pre, spec))
-}
-
 /// Runs a command to completion, printing a human-readable report.
 ///
 /// # Errors
@@ -196,25 +177,10 @@ fn serve(task: ServeTask) -> Result<Outcome, AirError> {
     let server = air_serve::start(config, session.tracer()).map_err(AirError::Usage)?;
     // SIGINT/SIGTERM drain the daemon gracefully: intake stops, queued
     // jobs finish, then `join` returns the final counters.
-    crate::signal::install();
     let stop_handle = server.stop_handle();
-    let drained = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let watcher = std::thread::spawn({
-        let drained = Arc::clone(&drained);
-        move || {
-            while !drained.load(std::sync::atomic::Ordering::Relaxed) {
-                if crate::signal::interrupted() {
-                    stop_handle.stop();
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-    });
+    let watch = CancelWatch::start(move || stop_handle.stop());
     let report = server.join();
-    drained.store(true, std::sync::atomic::Ordering::Relaxed);
-    let _ = watcher.join();
-    if crate::signal::interrupted() {
+    if watch.finish() {
         eprintln!("air-serve: interrupted; drained gracefully");
     }
     // Stdout belongs to the stdio transport; the drain summary goes to
@@ -493,6 +459,14 @@ impl TraceSession {
         self.tracer.clone()
     }
 
+    /// Finishes the session on an engine error and returns it as the
+    /// CLI error (see [`engine_error`]).
+    fn fail<T>(&self, u: &Universe, e: RepairError) -> Result<T, AirError> {
+        let air = engine_error(u, e);
+        self.finish()?;
+        Err(air)
+    }
+
     pub(crate) fn finish(&self) -> Result<(), AirError> {
         if let Some(jsonl) = &self.jsonl {
             jsonl
@@ -594,38 +568,28 @@ fn report_stats(
 fn verify(task: Task) -> Result<Outcome, AirError> {
     // `wall_ms` is time-to-verdict (see `stats_json`).
     let started = Instant::now();
-    let u = build_universe(&task)?;
-    let dom = build_domain(&task, &u);
-    let (prog, pre, spec) = build_sets(&task, &u)?;
-    let Some(spec) = spec else {
+    let b = task.question.build()?;
+    if task.question.spec.is_none() {
         return Err(AirError::Usage("`verify` requires --spec".into()));
-    };
-    println!("program:   {prog}");
-    println!("input:     {}", display_set(&u, &pre));
+    }
+    let u = &b.universe;
+    println!("program:   {}", b.program);
+    println!("input:     {}", display_set(u, &b.pre));
     println!("universe:  {} stores", u.size());
-    println!("domain:    {}\n", dom.base_name());
+    println!("domain:    {}\n", b.domain.base_name());
     let session = TraceSession::open(task.trace.as_deref(), task.profile)?;
     let governor = Governor::new(build_budget(task.fuel, task.timeout_ms));
-    let verifier = Verifier::from_algebra(&u, build_algebra(&u, task.engine, task.uncached))
+    let verifier = Verifier::from_algebra(u, build_algebra(u, task.engine, task.uncached))
         .tracer(session.tracer())
         .governor(governor);
-    let result = match task.strategy {
-        StrategyKind::Backward => verifier.backward(dom, &prog, &pre, &spec),
-        StrategyKind::Forward => verifier.forward(dom, &prog, &pre, &spec),
-    };
-    let verdict = match result {
-        Ok(v) => v,
-        Err(e) => {
-            let air = engine_error(&u, e);
-            session.finish()?;
-            return Err(air);
-        }
-    };
-    print!("{}", verdict.report(&u));
+    let verdict = verifier
+        .verify(task.strategy, b.domain, &b.program, &b.pre, &b.spec)
+        .or_else(|e| session.fail(u, e))?;
+    print!("{}", verdict.report(u));
     if !verdict.is_proved() {
         println!(
             "valid inputs: {}",
-            display_set(&u, &verdict.valid_input().intersection(&pre))
+            display_set(u, &verdict.valid_input().intersection(&b.pre))
         );
     }
     let elapsed = started.elapsed().as_secs_f64();
@@ -639,32 +603,26 @@ fn verify(task: Task) -> Result<Outcome, AirError> {
 
 fn analyze(task: Task) -> Result<Outcome, AirError> {
     let started = Instant::now();
-    let u = build_universe(&task)?;
-    let dom = build_domain(&task, &u);
-    let (prog, pre, spec) = build_sets(&task, &u)?;
-    let Some(spec) = spec else {
+    let b = task.question.build()?;
+    if task.question.spec.is_none() {
         return Err(AirError::Usage("`analyze` requires --spec".into()));
-    };
+    }
+    let u = &b.universe;
     let session = TraceSession::open(task.trace.as_deref(), task.profile)?;
     let governor = Governor::new(build_budget(task.fuel, task.timeout_ms));
-    let verifier = Verifier::from_algebra(&u, build_algebra(&u, task.engine, task.uncached))
+    let verifier = Verifier::from_algebra(u, build_algebra(u, task.engine, task.uncached))
         .tracer(session.tracer())
         .governor(governor);
-    let counts = match verifier.alarm_counts(&dom, &prog, &pre, &spec) {
-        Ok(c) => c,
-        Err(e) => {
-            let air = engine_error(&u, e);
-            session.finish()?;
-            return Err(air);
-        }
-    };
-    println!("program:      {prog}");
-    println!("domain:       {}", dom.base_name());
+    let counts = verifier
+        .alarm_counts(&b.domain, &b.program, &b.pre, &b.spec)
+        .or_else(|e| session.fail(u, e))?;
+    println!("program:      {}", b.program);
+    println!("domain:       {}", b.domain.base_name());
     println!("alarms:       {}", counts.total);
     println!("true alarms:  {}", counts.true_alarms);
     println!("false alarms: {}", counts.false_alarms);
     let elapsed = started.elapsed().as_secs_f64();
-    report_stats(&task, "analyze", verifier.cache(), &dom, elapsed);
+    report_stats(&task, "analyze", verifier.cache(), &b.domain, elapsed);
     session.finish()?;
     Ok(if counts.total == 0 {
         Outcome::Positive
@@ -674,9 +632,8 @@ fn analyze(task: Task) -> Result<Outcome, AirError> {
 }
 
 fn prove(task: Task) -> Result<Outcome, AirError> {
-    let u = build_universe(&task)?;
-    let dom = build_domain(&task, &u);
-    let (prog, pre, spec) = build_sets(&task, &u)?;
+    let b = task.question.build()?;
+    let u = &b.universe;
     // With `--trace-format dot` the trace file receives the derivation
     // tree, not a JSONL event log, so the session opens without it.
     let dot_path = match (task.trace_format, &task.trace) {
@@ -690,12 +647,12 @@ fn prove(task: Task) -> Result<Outcome, AirError> {
     };
     let session = TraceSession::open(jsonl_path, task.profile)?;
     let governor = Governor::new(build_budget(task.fuel, task.timeout_ms));
-    let lcl = Lcl::from_algebra(&u, build_algebra(&u, task.engine, task.uncached))
+    let lcl = Lcl::from_algebra(u, build_algebra(u, task.engine, task.uncached))
         .tracer(session.tracer())
         .governor(governor);
     let write_dot = |derivation: &air_core::Derivation| -> Result<(), AirError> {
         if let Some(path) = &dot_path {
-            std::fs::write(path, derivation.to_dot(&u))
+            std::fs::write(path, derivation.to_dot(u))
                 .map_err(|e| usage(format!("cannot write `{path}`: {e}")))?;
             println!("wrote DOT derivation to {path}");
         }
@@ -703,15 +660,10 @@ fn prove(task: Task) -> Result<Outcome, AirError> {
     };
     let started = Instant::now();
     // With a spec, decide it through the logic; otherwise just derive.
-    if let Some(spec) = spec {
-        let verdict = match lcl.prove_spec(dom, &pre, &prog, &spec) {
-            Ok(v) => v,
-            Err(e) => {
-                let air = engine_error(&u, e);
-                session.finish()?;
-                return Err(air);
-            }
-        };
+    if task.question.spec.is_some() {
+        let verdict = lcl
+            .prove_spec(b.domain, &b.pre, &b.program, &b.spec)
+            .or_else(|e| session.fail(u, e))?;
         let (derivation, repaired, outcome) = match &verdict {
             air_core::SpecVerdict::Valid { derivation, domain } => {
                 println!("SPEC VALID");
@@ -733,7 +685,7 @@ fn prove(task: Task) -> Result<Outcome, AirError> {
             "\nLCL_A derivation ({} rule applications):\n",
             derivation.size()
         );
-        print!("{}", derivation.render(&u));
+        print!("{}", derivation.render(u));
         println!(
             "\nrepaired domain: {} (points added: {})",
             repaired.base_name(),
@@ -750,25 +702,20 @@ fn prove(task: Task) -> Result<Outcome, AirError> {
         session.finish()?;
         return Ok(outcome);
     }
-    let (derivation, repaired) = match lcl.derive_with_repair(dom, &pre, &prog) {
-        Ok(v) => v,
-        Err(e) => {
-            let air = engine_error(&u, e);
-            session.finish()?;
-            return Err(air);
-        }
-    };
+    let (derivation, repaired) = lcl
+        .derive_with_repair(b.domain, &b.pre, &b.program)
+        .or_else(|e| session.fail(u, e))?;
     println!(
         "LCL_A derivation ({} rule applications):\n",
         derivation.size()
     );
-    print!("{}", derivation.render(&u));
+    print!("{}", derivation.render(u));
     println!(
         "\nrepaired domain: {} (points added: {})",
         repaired.base_name(),
         repaired.num_points()
     );
-    println!("post: {}", display_set(&u, &derivation.triple().post));
+    println!("post: {}", display_set(u, &derivation.triple().post));
     write_dot(&derivation)?;
     report_stats(
         &task,
@@ -787,9 +734,7 @@ fn repair_revision(
     session: &mut air_core::RepairSession,
     u: &Universe,
     label: &str,
-    prog: &air_lang::Reg,
-    pre: &StateSet,
-    spec: &StateSet,
+    (prog, pre, spec): &(air_lang::Reg, StateSet, StateSet),
     task: &RepairTask,
 ) -> Result<bool, AirError> {
     let started = Instant::now();
@@ -825,71 +770,43 @@ fn repair_revision(
 /// [`air_core::RepairSession`]. Verdicts are byte-identical to
 /// from-scratch runs; only the cost shrinks.
 fn repair(task: RepairTask) -> Result<Outcome, AirError> {
-    // The corpus header reader wants sweep defaults; repair has none.
-    let corpus_defaults = CorpusTask {
-        dir: String::new(),
-        jobs: 0,
-        domain: task.domain,
-        strategy: StrategyKind::Backward,
-        engine: EngineKind::Enumerative,
-        stats: false,
-        stats_json: false,
-        uncached: false,
-        trace: None,
-        profile: false,
-        fuel: None,
-        timeout_ms: None,
-        checkpoint: None,
-        resume: false,
-        dist: crate::args::DistOpts::default(),
-    };
-    let (name, base_task) = parse_corpus_file(std::path::Path::new(&task.file), &corpus_defaults)?;
-    let u = build_universe(&base_task)?;
-    let dom = build_domain(&base_task, &u);
-    let (prog, pre, spec) = build_sets(&base_task, &u)?;
-    let Some(spec) = spec else {
-        return Err(AirError::Usage(format!(
-            "{name}: corpus header produced no spec"
-        )));
-    };
+    let path = std::path::Path::new(&task.file);
+    let (name, base) = Question::read_corpus_file(path, task.domain)?;
+    let b = base.build()?;
+    let u = &b.universe;
     let trace_session = TraceSession::open(task.trace.as_deref(), false)?;
     let governor = Governor::new(build_budget(task.fuel, task.timeout_ms));
-    let mut session = air_core::RepairSession::new(u.clone(), dom)
+    let mut session = air_core::RepairSession::new(u.clone(), b.domain)
         .tracer(trace_session.tracer())
         .governor(governor);
     println!("base:      {name}");
     println!("universe:  {} stores", u.size());
     println!("domain:    {}\n", session.base().base_name());
-    let mut all_proved = repair_revision(&mut session, &u, &name, &prog, &pre, &spec, &task)?;
+    let revision = (b.program, b.pre, b.spec);
+    let mut all_proved = repair_revision(&mut session, u, &name, &revision, &task)?;
     for (i, edit) in task.edits.iter().enumerate() {
-        let edit_path = std::path::Path::new(edit);
-        let text = std::fs::read_to_string(edit_path)
+        let text = std::fs::read_to_string(edit)
             .map_err(|e| usage(format!("cannot read `{edit}`: {e}")))?;
         // An edited revision reuses the base header unless it carries its
         // own (over the same variables — the session owns one universe).
-        let has_header = text
-            .lines()
-            .filter(|l| l.trim_start().starts_with('#'))
-            .any(|l| l.contains("Verified with:"));
-        let rev_task = if has_header {
-            let (_, t) = parse_corpus_file(edit_path, &corpus_defaults)?;
-            if t.vars != base_task.vars {
+        let question = if air_core::question::corpus_header(&text).is_some() {
+            let q = Question::from_corpus(edit, text, task.domain)?;
+            if q.vars != base.vars {
                 return Err(AirError::Usage(format!(
                     "{edit}: --edit revisions must declare the base program's variables"
                 )));
             }
-            t
+            q
         } else {
-            Task {
+            Question {
                 code: text,
-                ..base_task.clone()
+                ..base.clone()
             }
         };
-        let (eprog, epre, espec) = build_sets(&rev_task, &u)?;
-        let espec = espec.unwrap_or_else(|| spec.clone());
+        let parts = question.parts(u)?;
         println!("\n--- edit {}: {edit} ---", i + 1);
         let label = format!("edit-{}", i + 1);
-        all_proved &= repair_revision(&mut session, &u, &label, &eprog, &epre, &espec, &task)?;
+        all_proved &= repair_revision(&mut session, u, &label, &parts, &task)?;
     }
     trace_session.finish()?;
     Ok(if all_proved {
@@ -904,7 +821,7 @@ fn repair(task: RepairTask) -> Result<Outcome, AirError> {
 /// and the remaining programs still run (or are marked skipped once a
 /// shared budget cancels the sweep).
 #[derive(Clone, Debug)]
-pub(crate) enum ProgramStatus {
+enum ProgramStatus {
     /// Spec proved.
     Proved,
     /// Spec refuted.
@@ -920,6 +837,24 @@ pub(crate) enum ProgramStatus {
 }
 
 impl ProgramStatus {
+    /// Appends what a row's status carries as JSON fields: phase, spent
+    /// and reason of a budget cut, the detail of an error or panic.
+    fn push_detail(&self, out: &mut String) {
+        match self {
+            ProgramStatus::Budget(ex) => {
+                out.push_str(",\"phase\":");
+                json::escape_str(&ex.phase, out);
+                let (spent, reason) = (ex.spent, ex.reason.name());
+                out.push_str(&format!(",\"spent\":{spent},\"reason\":\"{reason}\""));
+            }
+            ProgramStatus::Error(msg) | ProgramStatus::Panicked(msg) => {
+                out.push_str(",\"detail\":");
+                json::escape_str(msg, out);
+            }
+            _ => {}
+        }
+    }
+
     fn label(&self) -> &'static str {
         match self {
             ProgramStatus::Proved => "proved",
@@ -943,7 +878,7 @@ pub(crate) struct ProgramReport {
 }
 
 impl ProgramReport {
-    pub(crate) fn bare(name: &str, status: ProgramStatus, millis: f64) -> ProgramReport {
+    fn bare(name: &str, status: ProgramStatus, millis: f64) -> ProgramReport {
         ProgramReport {
             name: name.to_string(),
             status,
@@ -955,106 +890,48 @@ impl ProgramReport {
     }
 }
 
-/// Extracts the quoted value of `key "..."` from a corpus header line.
-fn header_clause(header: &str, key: &str) -> Option<String> {
-    let pat = format!("{key} \"");
-    let start = header.find(&pat)? + pat.len();
-    let rest = &header[start..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Reads one `*.imp` file into a verification [`Task`] using its
-/// `# Verified with:` header (vars/pre/spec, optional domain override).
-pub(crate) fn parse_corpus_file(
-    path: &std::path::Path,
-    task: &CorpusTask,
-) -> Result<(String, Task), AirError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| usage(format!("cannot read `{}`: {e}", path.display())))?;
-    let header = text
-        .lines()
-        .filter(|l| l.trim_start().starts_with('#'))
-        .find(|l| l.contains("Verified with:"))
-        .ok_or_else(|| {
-            usage(format!(
-                "{}: missing `# Verified with:` header",
-                path.display()
-            ))
-        })?;
-    let missing = |key: &str| usage(format!("{}: header lacks `{key} \"...\"`", path.display()));
-    let vars = header_clause(header, "vars").ok_or_else(|| missing("vars"))?;
-    let pre = header_clause(header, "pre").ok_or_else(|| missing("pre"))?;
-    let spec = header_clause(header, "spec").ok_or_else(|| missing("spec"))?;
-    let domain = match header_clause(header, "domain") {
-        Some(d) => DomainKind::parse(&d).map_err(usage)?,
-        None => task.domain,
-    };
-    let name = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    Ok((
-        name,
-        Task {
-            vars: crate::args::parse_vars(&vars).map_err(usage)?,
-            code: text,
-            pre,
-            spec: Some(spec),
-            domain,
-            strategy: task.strategy,
-            engine: task.engine,
-            stats: task.stats,
-            stats_json: false,
-            uncached: task.uncached,
-            // The sweep owns the trace session; per-program tasks don't.
-            trace: None,
-            trace_format: TraceFormat::default(),
-            profile: false,
-            // The sweep owns one shared budget; per-program tasks don't.
-            fuel: None,
-            timeout_ms: None,
-        },
-    ))
-}
-
 /// Verifies one corpus program, returning a report row — never an error:
-/// engine failures and budget cutoffs are folded into the status so the
-/// sweep stays fail-soft. Each program gets its own universe and
+/// engine failures, budget cutoffs and panics are folded into the status
+/// so the sweep stays fail-soft. Each program gets its own universe and
 /// therefore its own caches — semantic caches must never be shared across
 /// universes (equal-looking state sets would alias different store
 /// enumerations).
 pub(crate) fn run_corpus_program(
     name: &str,
-    task: &Task,
+    question: &Question,
+    sweep: &CorpusTask,
+    tracer: Tracer,
+    governor: Governor,
+) -> ProgramReport {
+    std::panic::catch_unwind(AssertUnwindSafe(|| {
+        verify_corpus_program(name, question, sweep, tracer, governor)
+    }))
+    .unwrap_or_else(|payload| {
+        ProgramReport::bare(name, ProgramStatus::Panicked(panic_message(payload)), 0.0)
+    })
+}
+
+fn verify_corpus_program(
+    name: &str,
+    question: &Question,
+    sweep: &CorpusTask,
     tracer: Tracer,
     governor: Governor,
 ) -> ProgramReport {
     let started = Instant::now();
     let _span = tracer.span(|| format!("corpus.{name}"));
-    let fail = |status: ProgramStatus| {
-        ProgramReport::bare(name, status, started.elapsed().as_secs_f64() * 1e3)
+    let b = match question.build() {
+        Ok(b) => b,
+        Err(e) => {
+            let millis = started.elapsed().as_secs_f64() * 1e3;
+            return ProgramReport::bare(name, ProgramStatus::Error(e.message), millis);
+        }
     };
-    let u = match build_universe(task) {
-        Ok(u) => u,
-        Err(e) => return fail(ProgramStatus::Error(e.to_string())),
-    };
-    let dom = build_domain(task, &u);
-    let (prog, pre, spec) = match build_sets(task, &u) {
-        Ok(t) => t,
-        Err(e) => return fail(ProgramStatus::Error(e.to_string())),
-    };
-    let Some(spec) = spec else {
-        return fail(ProgramStatus::Error(format!(
-            "{name}: corpus header produced no spec"
-        )));
-    };
-    let verifier = Verifier::from_algebra(&u, build_algebra(&u, task.engine, task.uncached))
+    let u = &b.universe;
+    let verifier = Verifier::from_algebra(u, build_algebra(u, sweep.engine, sweep.uncached))
         .tracer(tracer)
         .governor(governor);
-    let verdict = match task.strategy {
-        StrategyKind::Backward => verifier.backward(dom, &prog, &pre, &spec),
-        StrategyKind::Forward => verifier.forward(dom, &prog, &pre, &spec),
-    };
+    let verdict = verifier.verify(sweep.strategy, b.domain, &b.program, &b.pre, &b.spec);
     let millis = started.elapsed().as_secs_f64() * 1e3;
     let verdict = match verdict {
         Ok(v) => v,
@@ -1085,7 +962,7 @@ pub(crate) fn run_corpus_program(
 }
 
 /// Renders a panic payload (the argument of `panic!`) as text.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1116,22 +993,7 @@ pub(crate) fn render_corpus_checkpoint(dir: &str, rows: &[ProgramReport]) -> Str
             r.points,
             r.millis
         ));
-        match &r.status {
-            ProgramStatus::Budget(ex) => {
-                out.push_str(",\"phase\":");
-                json::escape_str(&ex.phase, &mut out);
-                out.push_str(&format!(
-                    ",\"spent\":{},\"reason\":\"{}\"",
-                    ex.spent,
-                    ex.reason.name()
-                ));
-            }
-            ProgramStatus::Error(msg) | ProgramStatus::Panicked(msg) => {
-                out.push_str(",\"detail\":");
-                json::escape_str(msg, &mut out);
-            }
-            _ => {}
-        }
+        r.status.push_detail(&mut out);
         out.push('}');
     }
     out.push_str("]}");
@@ -1141,55 +1003,33 @@ pub(crate) fn render_corpus_checkpoint(dir: &str, rows: &[ProgramReport]) -> Str
 /// Restores the completed rows of a previous sweep's checkpoint. Budget
 /// and skipped rows are NOT restored — a resumed sweep has a fresh
 /// budget, so previously cut-off programs get another chance. Malformed
-/// files or a different corpus directory restore nothing (fresh start).
+/// files or a different corpus directory restore nothing (fresh start);
+/// a malformed row is re-run.
 fn parse_corpus_checkpoint(
     text: &str,
     dir: &str,
 ) -> std::collections::BTreeMap<String, ProgramReport> {
-    let mut out = std::collections::BTreeMap::new();
-    let Ok(doc) = json::parse(text.trim()) else {
-        return out;
-    };
-    if doc.get("schema").and_then(json::Value::as_str) != Some("air-corpus-checkpoint/1")
-        || doc.get("dir").and_then(json::Value::as_str) != Some(dir)
-    {
-        return out;
-    }
-    let Some(rows) = doc.get("rows").and_then(json::Value::as_arr) else {
-        return out;
-    };
-    for row in rows {
-        let Some(name) = row.get("name").and_then(json::Value::as_str) else {
-            continue;
-        };
-        let detail = row
-            .get("detail")
-            .and_then(json::Value::as_str)
-            .unwrap_or("")
-            .to_string();
-        let status = match row.get("status").and_then(json::Value::as_str) {
-            Some("proved") => ProgramStatus::Proved,
-            Some("refuted") => ProgramStatus::Refuted,
-            Some("error") => ProgramStatus::Error(detail),
-            Some("panic") => ProgramStatus::Panicked(detail),
-            _ => continue,
-        };
-        out.insert(
-            name.to_string(),
-            ProgramReport {
-                name: name.to_string(),
-                status,
-                points: row
-                    .get("points")
-                    .and_then(json::Value::as_num)
-                    .unwrap_or(0.0) as usize,
-                millis: 0.0,
-                exec_cache: String::new(),
-                closure_cache: String::new(),
-            },
-        );
-    }
-    out
+    let rows = checkpoint_rows(text, dir).unwrap_or_default();
+    let restorable =
+        |s: &ProgramStatus| !matches!(s, ProgramStatus::Budget(_) | ProgramStatus::Skipped);
+    rows.iter()
+        .filter_map(|row| {
+            let name = row.get("name")?.as_str()?;
+            let status = parse_status(row).filter(restorable)?;
+            let points = row
+                .get("points")
+                .and_then(json::Value::as_num)
+                .unwrap_or(0.0);
+            let report = ProgramReport::bare(name, status, 0.0);
+            Some((
+                name.to_string(),
+                ProgramReport {
+                    points: points as usize,
+                    ..report
+                },
+            ))
+        })
+        .collect()
 }
 
 /// Parses a worker lease payload (`air-corpus-checkpoint/1`) back into
@@ -1199,48 +1039,55 @@ fn parse_corpus_checkpoint(
 /// `None` on any malformed row (a worker bug must surface, not shrink
 /// the corpus).
 pub(crate) fn parse_corpus_rows(text: &str, dir: &str) -> Option<Vec<ProgramReport>> {
+    let rows = checkpoint_rows(text, dir)?;
+    rows.iter()
+        .map(|row| {
+            let name = row.get("name")?.as_str()?;
+            let report =
+                ProgramReport::bare(name, parse_status(row)?, row.get("millis")?.as_num()?);
+            let points = row.get("points")?.as_num()? as usize;
+            Some(ProgramReport { points, ..report })
+        })
+        .collect()
+}
+
+/// The rows of an `air-corpus-checkpoint/1` document written for `dir`.
+fn checkpoint_rows(text: &str, dir: &str) -> Option<Vec<json::Value>> {
     let doc = json::parse(text.trim()).ok()?;
     if doc.get("schema")?.as_str()? != "air-corpus-checkpoint/1" || doc.get("dir")?.as_str()? != dir
     {
         return None;
     }
-    let mut out = Vec::new();
-    for row in doc.get("rows")?.as_arr()? {
-        let name = row.get("name")?.as_str()?.to_string();
-        let detail = || {
-            row.get("detail")
-                .and_then(json::Value::as_str)
-                .unwrap_or("")
-                .to_string()
-        };
-        let status = match row.get("status")?.as_str()? {
-            "proved" => ProgramStatus::Proved,
-            "refuted" => ProgramStatus::Refuted,
-            "budget" => ProgramStatus::Budget(Exhaustion {
-                phase: row.get("phase")?.as_str()?.to_string(),
-                spent: row.get("spent")?.as_num()? as u64,
-                reason: match row.get("reason")?.as_str()? {
-                    "fuel" => air_lattice::ExhaustReason::Fuel,
-                    "deadline" => air_lattice::ExhaustReason::Deadline,
-                    "cancelled" => air_lattice::ExhaustReason::Cancelled,
-                    _ => return None,
-                },
-            }),
-            "error" => ProgramStatus::Error(detail()),
-            "panic" => ProgramStatus::Panicked(detail()),
-            "skipped" => ProgramStatus::Skipped,
-            _ => return None,
-        };
-        out.push(ProgramReport {
-            name,
-            status,
-            points: row.get("points")?.as_num()? as usize,
-            millis: row.get("millis")?.as_num()?,
-            exec_cache: String::new(),
-            closure_cache: String::new(),
-        });
-    }
-    Some(out)
+    Some(doc.get("rows")?.as_arr()?.to_vec())
+}
+
+/// A checkpoint row's status, with what [`ProgramStatus::push_detail`]
+/// wrote for it.
+fn parse_status(row: &json::Value) -> Option<ProgramStatus> {
+    let detail = || {
+        row.get("detail")
+            .and_then(json::Value::as_str)
+            .unwrap_or("")
+            .to_string()
+    };
+    Some(match row.get("status")?.as_str()? {
+        "proved" => ProgramStatus::Proved,
+        "refuted" => ProgramStatus::Refuted,
+        "budget" => ProgramStatus::Budget(Exhaustion {
+            phase: row.get("phase")?.as_str()?.to_string(),
+            spent: row.get("spent")?.as_num()? as u64,
+            reason: match row.get("reason")?.as_str()? {
+                "fuel" => air_lattice::ExhaustReason::Fuel,
+                "deadline" => air_lattice::ExhaustReason::Deadline,
+                "cancelled" => air_lattice::ExhaustReason::Cancelled,
+                _ => return None,
+            },
+        }),
+        "error" => ProgramStatus::Error(detail()),
+        "panic" => ProgramStatus::Panicked(detail()),
+        "skipped" => ProgramStatus::Skipped,
+        _ => return None,
+    })
 }
 
 /// The crash-safe sequential sweep behind `corpus --checkpoint`: after
@@ -1250,7 +1097,7 @@ pub(crate) fn parse_corpus_rows(text: &str, dir: &str) -> Option<Vec<ProgramRepo
 /// for them.
 fn corpus_checkpointed(
     task: &CorpusTask,
-    programs: &[(String, Task)],
+    programs: &[(String, Question)],
     session: &TraceSession,
     governor: &Governor,
     path: &str,
@@ -1266,19 +1113,17 @@ fn corpus_checkpointed(
     };
     let mut cp = Checkpointer::new(path, 1, session.tracer());
     let mut rows: Vec<ProgramReport> = Vec::with_capacity(programs.len());
-    for (name, t) in programs {
+    for (name, q) in programs {
         if let Some(row) = restored.remove(name) {
             rows.push(row);
         } else {
-            let row = match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                run_corpus_program(name, t, session.tracer(), governor.clone())
-            })) {
-                Ok(report) => report,
-                Err(payload) => {
-                    ProgramReport::bare(name, ProgramStatus::Panicked(panic_message(payload)), 0.0)
-                }
-            };
-            rows.push(row);
+            rows.push(run_corpus_program(
+                name,
+                q,
+                task,
+                session.tracer(),
+                governor.clone(),
+            ));
         }
         let _ = cp.write_now(rows.len() as u64, || {
             render_corpus_checkpoint(&task.dir, &rows)
@@ -1303,24 +1148,13 @@ fn corpus(task: CorpusTask) -> Result<Outcome, AirError> {
     if task.dist.requested() {
         return crate::dist::corpus_dist(&task);
     }
-    let programs = load_corpus_programs(&task)?;
+    let programs = load_corpus(&task.dir, task.domain)?;
     let jobs = if task.jobs == 0 {
         programs.len()
     } else {
         task.jobs
     };
-    println!(
-        "corpus sweep: {} programs, {} job(s), strategy {:?}{}{}",
-        programs.len(),
-        jobs,
-        task.strategy,
-        if task.engine == EngineKind::Symbolic {
-            ", symbolic engine"
-        } else {
-            ""
-        },
-        if task.uncached { ", uncached" } else { "" }
-    );
+    print_corpus_banner(&task, programs.len(), format!("{jobs} job(s)"));
     let session = TraceSession::open(task.trace.as_deref(), task.profile)?;
     // An ungoverned sweep still gets a cancellable governor so SIGINT
     // stops it at the next engine loop head instead of mid-program.
@@ -1330,20 +1164,9 @@ fn corpus(task: CorpusTask) -> Result<Outcome, AirError> {
     } else {
         Governor::new(budget)
     };
-    crate::signal::install();
-    let sweep_done = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let watcher = std::thread::spawn({
-        let sweep_done = Arc::clone(&sweep_done);
+    let watch = CancelWatch::start({
         let governor = governor.clone();
-        move || {
-            while !sweep_done.load(std::sync::atomic::Ordering::Relaxed) {
-                if crate::signal::interrupted() {
-                    governor.cancel();
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(30));
-            }
-        }
+        move || governor.cancel()
     });
     let started = Instant::now();
     let reports: Vec<ProgramReport> = if let Some(path) = &task.checkpoint {
@@ -1352,15 +1175,8 @@ fn corpus(task: CorpusTask) -> Result<Outcome, AirError> {
         // parallel fan-out does not have.
         corpus_checkpointed(&task, &programs, &session, &governor, path)
     } else {
-        let results = par_map_governed(jobs, &programs, &governor, |_, (name, t)| {
-            match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                run_corpus_program(name, t, session.tracer(), governor.clone())
-            })) {
-                Ok(report) => report,
-                Err(payload) => {
-                    ProgramReport::bare(name, ProgramStatus::Panicked(panic_message(payload)), 0.0)
-                }
-            }
+        let results = par_map_governed(jobs, &programs, &governor, |_, (name, q)| {
+            run_corpus_program(name, q, &task, session.tracer(), governor.clone())
         });
         let tracer = session.tracer();
         results
@@ -1377,30 +1193,24 @@ fn corpus(task: CorpusTask) -> Result<Outcome, AirError> {
             })
             .collect()
     };
-    sweep_done.store(true, std::sync::atomic::Ordering::Relaxed);
-    let _ = watcher.join();
+    watch.finish();
     let total_ms = started.elapsed().as_secs_f64() * 1e3;
     print_corpus_rows(&task, &reports, total_ms);
     session.finish()?;
     corpus_outcome(&reports, governor.spent())
 }
 
-/// Lists and parses every `*.imp` program under the corpus directory,
-/// in sorted file order (the canonical item order of `--shards N`).
-pub(crate) fn load_corpus_programs(task: &CorpusTask) -> Result<Vec<(String, Task)>, AirError> {
-    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(&task.dir)
-        .map_err(|e| usage(format!("cannot read corpus dir `{}`: {e}", task.dir)))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "imp"))
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        return Err(usage(format!("no *.imp programs under `{}`", task.dir)));
-    }
-    files
-        .iter()
-        .map(|p| parse_corpus_file(p, task))
-        .collect::<Result<_, _>>()
+/// The sweep banner; `fanout` is `N job(s)` or, sharded, `N shard(s)`.
+pub(crate) fn print_corpus_banner(task: &CorpusTask, programs: usize, fanout: String) {
+    let engine = match task.engine {
+        EngineKind::Symbolic => ", symbolic engine",
+        EngineKind::Enumerative => "",
+    };
+    let uncached = if task.uncached { ", uncached" } else { "" };
+    let strategy = task.strategy;
+    println!(
+        "corpus sweep: {programs} programs, {fanout}, strategy {strategy:?}{engine}{uncached}"
+    );
 }
 
 /// Prints the per-program rows, the wall total and the optional
@@ -1446,21 +1256,7 @@ pub(crate) fn print_corpus_rows(task: &CorpusTask, reports: &[ProgramReport], to
                 report.points,
                 report.millis
             ));
-            match &report.status {
-                ProgramStatus::Budget(ex) => {
-                    out.push_str(&format!(
-                        ",\"phase\":\"{}\",\"spent\":{},\"reason\":\"{}\"",
-                        ex.phase,
-                        ex.spent,
-                        ex.reason.name()
-                    ));
-                }
-                ProgramStatus::Error(msg) | ProgramStatus::Panicked(msg) => {
-                    out.push_str(",\"detail\":");
-                    json::escape_str(msg.as_str(), &mut out);
-                }
-                _ => {}
-            }
+            report.status.push_detail(&mut out);
             out.push('}');
         }
         out.push_str("]}");
@@ -1517,20 +1313,18 @@ pub(crate) fn corpus_outcome(reports: &[ProgramReport], spent: u64) -> Result<Ou
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::VarDecl;
+    use crate::args::{DomainKind, Strategy};
 
     fn task(code: &str, pre: &str, spec: Option<&str>) -> Task {
         Task {
-            vars: vec![VarDecl {
-                name: "x".into(),
-                lo: -8,
-                hi: 8,
-            }],
-            code: code.into(),
-            pre: pre.into(),
-            spec: spec.map(str::to_owned),
-            domain: DomainKind::Int,
-            strategy: StrategyKind::Backward,
+            question: Question {
+                vars: vec![("x".into(), -8, 8)],
+                code: code.into(),
+                pre: pre.into(),
+                spec: spec.map(str::to_owned),
+                domain: DomainKind::Int,
+            },
+            strategy: Strategy::Backward,
             engine: EngineKind::Enumerative,
             stats: false,
             stats_json: false,
@@ -1543,37 +1337,16 @@ mod tests {
         }
     }
 
+    /// `air corpus --dir DIR`, as the argument parser builds it.
     fn corpus_task(dir: String) -> CorpusTask {
-        CorpusTask {
-            dir,
-            jobs: 0, // one worker per program
-            domain: DomainKind::Int,
-            strategy: StrategyKind::Backward,
-            engine: EngineKind::Enumerative,
-            stats: false,
-            stats_json: false,
-            uncached: false,
-            trace: None,
-            profile: false,
-            fuel: None,
-            timeout_ms: None,
-            checkpoint: None,
-            resume: false,
-            dist: crate::args::DistOpts::default(),
+        match crate::args::parse(&["corpus".into(), "--dir".into(), dir]) {
+            Ok(Command::Corpus(task)) => task,
+            other => panic!("expected corpus, got {other:?}"),
         }
     }
 
     fn corpus_dir() -> String {
         format!("{}/../../corpus", env!("CARGO_MANIFEST_DIR"))
-    }
-
-    #[test]
-    fn header_clause_extracts_quoted_values() {
-        let h = r#"# Verified with: vars "x:-8..8", pre "x != 0", spec "x >= 1"."#;
-        assert_eq!(header_clause(h, "vars").as_deref(), Some("x:-8..8"));
-        assert_eq!(header_clause(h, "pre").as_deref(), Some("x != 0"));
-        assert_eq!(header_clause(h, "spec").as_deref(), Some("x >= 1"));
-        assert_eq!(header_clause(h, "domain"), None);
     }
 
     #[test]
@@ -1683,7 +1456,7 @@ mod tests {
             "x != 0",
             Some("x >= 1"),
         );
-        t.strategy = StrategyKind::Forward;
+        t.strategy = Strategy::Forward;
         assert_eq!(verify(t).unwrap(), Outcome::Positive);
     }
 
@@ -1733,17 +1506,9 @@ mod tests {
 
     #[test]
     fn every_domain_kind_builds() {
-        for d in [
-            DomainKind::Int,
-            DomainKind::Oct,
-            DomainKind::Sign,
-            DomainKind::Parity,
-            DomainKind::Const,
-            DomainKind::Cong,
-            DomainKind::Karr,
-        ] {
+        for d in DomainKind::ALL {
             let mut t = task("x := x + 1", "x = 0", Some("x = 1"));
-            t.domain = d;
+            t.question.domain = d;
             assert_eq!(verify(t).unwrap(), Outcome::Positive, "{d:?}");
         }
     }
@@ -1751,7 +1516,7 @@ mod tests {
     #[test]
     fn stats_json_renders_valid_json() {
         let u = Universe::new(&[("x", -8, 8)]).unwrap();
-        let dom = air_core::build_domain("int", &u).unwrap();
+        let dom = DomainKind::Int.build(&u);
         let cache = SemCache::new();
         let line = stats_json("verify", Some(&cache), &dom, 0.001);
         let doc = json::parse(&line).unwrap();
@@ -1914,11 +1679,7 @@ mod tests {
         assert!(verify(task("x := (", "true", Some("true"))).is_err());
         assert!(verify(task("skip", "x <", Some("true"))).is_err());
         let mut t = task("skip", "true", Some("true"));
-        t.vars = vec![VarDecl {
-            name: "x".into(),
-            lo: 5,
-            hi: 0,
-        }];
+        t.question.vars = vec![("x".into(), 5, 0)];
         let err = verify(t).unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err:?}");
     }

@@ -21,10 +21,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use air_domains::{
-    Abstraction, AffineDomain, CongruenceEnv, ConstantEnv, IntervalEnv, OctagonDomain, ParityEnv,
-    SignEnv,
-};
+use air_domains::Abstraction;
 use air_lang::{StateSet, TermId, Universe};
 use air_lattice::{CacheStats, Interner, MemoTable};
 use air_trace::Tracer;
@@ -359,26 +356,10 @@ impl EnumDomain {
     }
 }
 
-/// Builds the named base domain over `u`. The names are
-/// [`DOMAIN_NAMES`](air_lang::gen::DOMAIN_NAMES), the spelling of the
-/// CLI's `--domain` flag, serve requests and fuzz seeds; any other name
-/// is `None`.
-pub fn build_domain(name: &str, u: &Universe) -> Option<EnumDomain> {
-    Some(match name {
-        "int" => EnumDomain::from_abstraction(u, IntervalEnv::new(u)),
-        "oct" => EnumDomain::from_abstraction(u, OctagonDomain::new(u)),
-        "sign" => EnumDomain::from_abstraction(u, SignEnv::new(u)),
-        "parity" => EnumDomain::from_abstraction(u, ParityEnv::new(u)),
-        "const" => EnumDomain::from_abstraction(u, ConstantEnv::new(u)),
-        "cong" => EnumDomain::from_abstraction(u, CongruenceEnv::new(u)),
-        "karr" => EnumDomain::from_abstraction(u, AffineDomain::new(u)),
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use air_domains::{IntervalEnv, SignEnv};
 
     fn universe() -> Universe {
         Universe::new(&[("x", -8, 8)]).unwrap()
@@ -547,14 +528,5 @@ mod tests {
         let dom = EnumDomain::from_abstraction(&u, SignEnv::new(&u));
         let probes = [u.of_values([1]), u.of_values([2]), u.of_values([-1])];
         assert_eq!(dom.distinct_closures(probes.iter()), 2); // >0 twice, <0 once
-    }
-
-    #[test]
-    fn every_domain_name_builds() {
-        let u = Universe::new(&[("x", -2, 2)]).unwrap();
-        for name in air_lang::gen::DOMAIN_NAMES {
-            assert!(build_domain(name, &u).is_some(), "{name}");
-        }
-        assert!(build_domain("nope", &u).is_none());
     }
 }

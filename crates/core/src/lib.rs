@@ -28,6 +28,9 @@
 //! - [`symbolic`] — the symbolic algebra ([`SymAlgebra`]): `Int ⊞ N` on
 //!   decision diagrams under the same engines.
 //! - [`verify`] — the user-facing verifier built on Corollary 7.7.
+//! - [`question`] — the verification question every entry point poses
+//!   (variables, program, pre/spec, base domain, strategy): its one
+//!   text form, corpus header and build.
 //! - [`session`] — incremental re-repair: warm [`RepairSession`]s whose
 //!   re-verification cost tracks the structural distance of an edit.
 //! - [`summarize`](mod@summarize) — renders repaired abstract elements as unions of boxes
@@ -78,6 +81,7 @@ pub mod global;
 pub mod lcl;
 pub mod local;
 pub mod oracles;
+pub mod question;
 pub mod session;
 pub mod summarize;
 pub mod symbolic;
@@ -86,11 +90,12 @@ pub mod verify;
 pub use absint::{AbstractSemantics, StarStrategy};
 pub use algebra::{EnumAlgebra, PointedDomain, StateAlgebra, StoreSet};
 pub use backward::{BackwardOutcome, BackwardRepair, UnrollStrategy};
-pub use domain::{build_domain, EnumDomain};
+pub use domain::EnumDomain;
 pub use forward::{ForwardRepair, PartialRepair, RepairError, RepairOutcome, RepairRule};
 pub use lcl::{Derivation, Lcl, LclError, SpecVerdict, Triple};
 pub use local::{LocalCompleteness, ShellResult};
 pub use oracles::{run_oracle, OracleInstance, OracleOutcome, ORACLES};
+pub use question::{Built, DomainKind, Question, QuestionError, Strategy};
 pub use session::{RepairSession, ReuseStats, SessionOutcome};
 pub use summarize::{summarize, BoxSummary};
 pub use symbolic::{SymAlgebra, SymDomain};

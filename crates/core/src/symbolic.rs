@@ -209,7 +209,7 @@ mod tests {
     use crate::domain::EnumDomain;
     use crate::forward::ForwardRepair;
     use air_domains::IntervalEnv;
-    use air_lang::{parse_bexp, parse_program};
+    use air_lang::parse_program;
     use air_lattice::ExhaustReason;
 
     fn int_dom(u: &Universe) -> EnumDomain {
@@ -246,36 +246,16 @@ mod tests {
     /// The main corpus (`corpus/*.imp`) at the universes of its
     /// `# Verified with:` headers: name, program, universe, pre, spec.
     fn corpus() -> Vec<(String, Reg, Universe, StateSet, StateSet)> {
-        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
-        let mut files: Vec<_> = std::fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|x| x == "imp"))
-            .collect();
-        files.sort();
-        assert!(files.len() >= 6, "corpus not found");
-        let load = |path: &std::path::PathBuf| {
-            let src = std::fs::read_to_string(path).unwrap();
-            let header = src
-                .lines()
-                .find_map(|l| l.strip_prefix("# Verified with: "));
-            // vars "…", pre "…", spec "…".
-            let fields: Vec<&str> = header.unwrap().split('"').skip(1).step_by(2).collect();
-            let decls: Vec<(&str, i64, i64)> = fields[0]
-                .split(',')
-                .map(|d| {
-                    let (name, range) = d.split_once(':').unwrap();
-                    let (lo, hi) = range.split_once("..").unwrap();
-                    (name, lo.parse().unwrap(), hi.parse().unwrap())
-                })
-                .collect();
-            let u = Universe::new(&decls).unwrap();
-            let sat = |b: &str| air_lang::Concrete::new(&u).sat(&parse_bexp(b).unwrap());
-            let (pre, spec) = (sat(fields[1]).unwrap(), sat(fields[2]).unwrap());
-            let name = path.file_stem().unwrap().to_string_lossy().into_owned();
-            (name, parse_program(&src).unwrap(), u, pre, spec)
-        };
-        files.iter().map(load).collect()
+        let dir = format!("{}/../../corpus", env!("CARGO_MANIFEST_DIR"));
+        let corpus = crate::question::load_corpus(&dir, crate::DomainKind::Int).unwrap();
+        assert!(corpus.len() >= 6, "corpus not found");
+        corpus
+            .into_iter()
+            .map(|(name, q)| {
+                let b = q.build().unwrap();
+                (name, b.program, b.universe, b.pre, b.spec)
+            })
+            .collect()
     }
 
     /// `⟦·⟧♯` in the two algebras agrees image for image: the

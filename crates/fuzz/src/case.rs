@@ -2,9 +2,10 @@
 //! instance, plus the machinery to *build* it into the concrete objects
 //! the engines and oracles consume.
 
-use air_core::{build_domain, EnumDomain};
+use air_core::question::{self, VarDecl};
+use air_core::{DomainKind, EnumDomain};
 use air_lang::gen::{sample_domain, sample_universe, GenConfig, ProgramGen, XorShift};
-use air_lang::{BExp, Concrete, Reg, StateSet, Universe};
+use air_lang::{BExp, Reg, StateSet, Universe};
 
 /// One fuzz instance in symbolic form — everything needed to persist,
 /// regenerate and rebuild it.
@@ -14,7 +15,7 @@ pub struct FuzzCase {
     /// file keeps the recorded value).
     pub seed: u64,
     /// Variable declarations `(name, lo, hi)` of the universe.
-    pub decls: Vec<(String, i64, i64)>,
+    pub decls: Vec<VarDecl>,
     /// Abstract-domain name (one of `air_lang::gen::DOMAIN_NAMES`).
     pub domain: String,
     /// The regular command under test.
@@ -80,21 +81,10 @@ impl FuzzCase {
     /// invalid, the domain name is unknown, or a guard cannot be
     /// evaluated over the universe.
     pub fn build(&self) -> Result<BuiltCase, String> {
-        let refs: Vec<(&str, i64, i64)> = self
-            .decls
-            .iter()
-            .map(|(n, lo, hi)| (n.as_str(), *lo, *hi))
-            .collect();
-        let universe = Universe::new(&refs).map_err(|e| format!("universe: {e}"))?;
-        let sem = Concrete::new(&universe);
-        let pre = sem
-            .sat(&self.pre)
-            .map_err(|e| format!("pre `{}`: {e}", self.pre))?;
-        let spec = sem
-            .sat(&self.spec)
-            .map_err(|e| format!("spec `{}`: {e}", self.spec))?;
-        let domain = build_domain(&self.domain, &universe)
-            .ok_or_else(|| format!("unknown domain `{}`", self.domain))?;
+        let universe = question::universe(&self.decls).map_err(|e| e.to_string())?;
+        let pre = question::sat(&universe, "pre", &self.pre).map_err(|e| e.to_string())?;
+        let spec = question::sat(&universe, "spec", &self.spec).map_err(|e| e.to_string())?;
+        let domain = DomainKind::parse(&self.domain)?.build(&universe);
         Ok(BuiltCase {
             case: self.clone(),
             universe,

@@ -29,7 +29,6 @@ pub mod runner;
 pub mod seed;
 pub mod shrink;
 
-pub use air_core::build_domain;
 pub use case::{BuiltCase, FuzzCase};
 pub use runner::{
     minimize, rebuild_failures, replay_case, run_campaign, CampaignReport, CampaignWatch,

@@ -2,7 +2,8 @@
 //!
 //! A seed file is a valid `.imp` program preceded by comment headers
 //! carrying the rest of the instance, in the same `key "value"` clause
-//! style as the benchmark corpus' `# Verified with:` lines:
+//! style as the corpus' `# Verified with:` lines (and read by the same
+//! [`clause`] reader; `vars` ranges are written `x=lo..hi`):
 //!
 //! ```text
 //! # air-fuzz seed 42
@@ -18,16 +19,12 @@
 //! round-trips through the parser.
 
 use crate::case::FuzzCase;
+use air_core::question::{clause, parse_vars, render_vars};
 use air_lang::{parse_bexp, parse_program};
 
 /// Renders a case (plus optional provenance) as a seed file.
 pub fn render(case: &FuzzCase, oracle: Option<&str>, note: Option<&str>) -> String {
-    let vars = case
-        .decls
-        .iter()
-        .map(|(n, lo, hi)| format!("{n}={lo}..{hi}"))
-        .collect::<Vec<_>>()
-        .join(",");
+    let vars = render_vars(&case.decls).replace(':', "=");
     let mut out = format!(
         "# air-fuzz seed {}\n# fuzz: domain \"{}\" vars \"{vars}\" pre \"{}\" spec \"{}\"\n",
         case.seed, case.domain, case.pre, case.spec
@@ -41,14 +38,6 @@ pub fn render(case: &FuzzCase, oracle: Option<&str>, note: Option<&str>) -> Stri
     out.push_str(&case.program.to_source());
     out.push('\n');
     out
-}
-
-/// Extracts `key "value"` from a header clause line.
-fn clause(line: &str, key: &str) -> Option<String> {
-    let pat = format!("{key} \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
 }
 
 /// Parses a seed file back into a [`FuzzCase`].
@@ -71,10 +60,8 @@ pub fn parse(text: &str) -> Result<FuzzCase, String> {
                 .parse()
                 .map_err(|e| format!("bad seed `{rest}`: {e}"))?;
         } else if trimmed.starts_with("# fuzz:") {
-            domain = clause(trimmed, "domain");
-            vars = clause(trimmed, "vars");
-            pre = clause(trimmed, "pre");
-            spec = clause(trimmed, "spec");
+            [domain, vars, pre, spec] =
+                ["domain", "vars", "pre", "spec"].map(|key| clause(trimmed, key));
         } else if trimmed.starts_with('#') || trimmed.is_empty() {
             // Provenance and blank lines.
         } else {
@@ -85,27 +72,8 @@ pub fn parse(text: &str) -> Result<FuzzCase, String> {
     let vars = vars.ok_or("missing `vars` clause")?;
     let pre = pre.ok_or("missing `pre` clause")?;
     let spec = spec.ok_or("missing `spec` clause")?;
-    let mut decls = Vec::new();
-    for item in vars.split(',').filter(|s| !s.is_empty()) {
-        let (name, range) = item
-            .split_once('=')
-            .ok_or_else(|| format!("bad var decl `{item}`"))?;
-        let (lo, hi) = range
-            .split_once("..")
-            .ok_or_else(|| format!("bad range `{range}`"))?;
-        decls.push((
-            name.trim().to_string(),
-            lo.trim()
-                .parse::<i64>()
-                .map_err(|e| format!("{item}: {e}"))?,
-            hi.trim()
-                .parse::<i64>()
-                .map_err(|e| format!("{item}: {e}"))?,
-        ));
-    }
-    if decls.is_empty() {
-        return Err("empty `vars` clause".to_string());
-    }
+    // The `vars` grammar with `=` for `:` (names and bounds hold neither).
+    let decls = parse_vars(&vars.replace('=', ":")).map_err(|e| e.message)?;
     let program_src = program_lines.join("\n");
     if program_src.trim().is_empty() {
         return Err("missing program text".to_string());
@@ -113,10 +81,10 @@ pub fn parse(text: &str) -> Result<FuzzCase, String> {
     Ok(FuzzCase {
         seed,
         decls,
-        domain,
+        domain: domain.to_owned(),
         program: parse_program(&program_src).map_err(|e| format!("program: {e}"))?,
-        pre: parse_bexp(&pre).map_err(|e| format!("pre: {e}"))?,
-        spec: parse_bexp(&spec).map_err(|e| format!("spec: {e}"))?,
+        pre: parse_bexp(pre).map_err(|e| format!("pre: {e}"))?,
+        spec: parse_bexp(spec).map_err(|e| format!("spec: {e}"))?,
     })
 }
 

@@ -12,8 +12,8 @@
 //!   semantics `⟦r⟧S` of [`Concrete`], cached at *every* node of the
 //!   regular command (so a `Seq` prefix shared by two programs, or a
 //!   `Star` body across fixpoint rounds, is computed once);
-//! - [`SemCache::wlp_reg`] / [`SemCache::wlp_exp`] — the weakest liberal
-//!   precondition transformers of [`Wlp`], cached the same way;
+//! - [`SemCache::wlp_reg`] — the weakest liberal precondition
+//!   transformer of [`Wlp`], cached the same way;
 //! - [`SemCache::sat`] — guard satisfaction sets `⟦b?⟧Σ`.
 //!
 //! Only `Ok` results are cached; errors are recomputed (and therefore
@@ -218,8 +218,8 @@ impl SemCache {
 
     /// The shared term arena behind this cache's keys. Engines that hold
     /// a cache can intern their program once and drive the id-based entry
-    /// points ([`exec_id`](Self::exec_id), [`wlp_id`](Self::wlp_id))
-    /// directly, skipping the per-call interning walk.
+    /// point [`wlp_id`](Self::wlp_id) directly, skipping the per-call
+    /// interning walk.
     pub fn arena(&self) -> &TermArena {
         &self.arena
     }
@@ -277,27 +277,6 @@ impl SemCache {
         self.exec_node(sem, self.arena.intern(r).root, s)
     }
 
-    /// Id-keyed [`exec`](Self::exec): `id` must come from this cache's
-    /// [`arena`](Self::arena).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SemError`]; errors are not cached.
-    pub fn exec_id(
-        &self,
-        sem: &Concrete<'_>,
-        id: TermId,
-        s: &StateSet,
-    ) -> Result<StateSet, SemError> {
-        if self.backend == EngineBackend::Symbolic {
-            return self.sym_exec(sem, id, s);
-        }
-        if self.bypass("exec", sem.universe().size()) {
-            return sem.exec(&self.arena.resolve(id), s);
-        }
-        self.exec_node(sem, id, s)
-    }
-
     /// Symbolic-backend execution: the whole term is run natively on
     /// decision diagrams and only the final image is materialized (and
     /// memoized under the same key the enumerative walk would use).
@@ -343,27 +322,6 @@ impl SemCache {
                 }
             }
         })
-    }
-
-    /// Cached `wlp` of a basic command.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SemError`] from [`Wlp::exp`]; errors are not cached.
-    pub fn wlp_exp(&self, wlp: &Wlp<'_>, e: &Exp, post: &StateSet) -> Result<StateSet, SemError> {
-        if self.backend == EngineBackend::Symbolic {
-            let key = (self.arena.intern_exp(e), post.clone());
-            return self.wlp.try_get_or_insert_with(&key, || {
-                let eng = SymEngine::new(wlp.universe());
-                eng.wlp_exp(e, &eng.from_set(post))
-                    .map(|out| eng.to_set(&out))
-            });
-        }
-        if self.bypass("wlp", wlp.universe().size()) {
-            return wlp.exp(e, post);
-        }
-        let key = (self.arena.intern_exp(e), post.clone());
-        self.wlp.try_get_or_insert_with(&key, || wlp.exp(e, post))
     }
 
     /// Cached `wlp` of a regular command, memoized at every node (mirrors

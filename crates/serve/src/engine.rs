@@ -18,11 +18,10 @@
 //!   list) and adds points only to its private clone.
 
 use crate::protocol::{CacheSnapshot, JobKind, JobRequest, Response, ReuseSnapshot};
+use air_core::question::{render_vars, universe};
 use air_core::summarize::display_set;
-use air_core::{build_domain, EnumDomain, RepairError, Verifier};
-use air_lang::{
-    parse_bexp, parse_program, Concrete, SemCache, SemError, StateSet, TermArena, Universe,
-};
+use air_core::{EnumDomain, RepairError, Verifier};
+use air_lang::{SemCache, SemError, TermArena, Universe};
 use air_lattice::{Budget, Exhaustion, Governor};
 use air_metrics::MetricsRegistry;
 use air_trace::{json, EventKind, Tracer};
@@ -33,14 +32,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// The canonical registry key for a declaration list: `"x:-8..8,y:0..20"`.
-fn normalize_vars(decls: &[(String, i64, i64)]) -> String {
-    decls
-        .iter()
-        .map(|(n, lo, hi)| format!("{n}:{lo}..{hi}"))
-        .collect::<Vec<_>>()
-        .join(",")
-}
+/// A registry key: the canonical `vars` rendering and the domain name.
+type TableKey = (String, &'static str);
+
+/// A table set handed to one request: universe, domain clone, shared
+/// cache, and whether it was already warm.
+type Warm = (Arc<Universe>, EnumDomain, SemCache, bool);
 
 /// One warm table set: the universe it is valid for, a domain prototype
 /// whose clones share the base-closure memo and interner, and the
@@ -71,7 +68,7 @@ impl Admitted {
 
 /// The long-lived serving engine shared by all worker threads.
 pub struct ServeEngine {
-    registry: Mutex<HashMap<(String, String), WarmEntry>>,
+    registry: Mutex<HashMap<TableKey, WarmEntry>>,
     quotas: TenantQuotas,
     tracer: Tracer,
     metrics: MetricsRegistry,
@@ -245,41 +242,26 @@ impl ServeEngine {
     /// Looks up or builds the warm table set for a request. Returns
     /// `(universe, domain clone, shared cache, was_warm)`.
     #[allow(clippy::result_large_err)]
-    fn warm_entry(
-        &self,
-        req: &JobRequest,
-    ) -> Result<(Arc<Universe>, EnumDomain, SemCache, bool), Response> {
-        let key = (normalize_vars(&req.vars), req.domain.clone());
+    fn warm_entry(&self, req: &JobRequest) -> Result<Warm, Response> {
+        let q = &req.question;
+        let key = (render_vars(&q.vars), q.domain.name());
         if let Some(hit) = self.lookup_warm(&key) {
             return Ok(hit);
         }
-        // Cold path: build outside the registry lock. `Universe::new` and
-        // `build_domain` enumerate the store space and can be slow for
+        // Cold path: build outside the registry lock. The universe and
+        // the domain enumerate the store space and can be slow for
         // large var ranges; holding the lock here would stall every warm
         // hit on unrelated keys behind one cold request.
-        let refs: Vec<(&str, i64, i64)> = req
-            .vars
-            .iter()
-            .map(|(n, lo, hi)| (n.as_str(), *lo, *hi))
-            .collect();
-        let universe =
-            Arc::new(Universe::new(&refs).map_err(|e| self.usage(req, format!("universe: {e}")))?);
-        let proto = build_domain(&req.domain, &universe)
-            .ok_or_else(|| self.usage(req, format!("unknown domain `{}`", req.domain)))?;
+        let universe = universe(&q.vars).map_err(|e| self.usage(req, e.to_string()))?;
+        let universe = Arc::new(universe);
+        let proto = q.domain.build(&universe);
         let sem = SemCache::new();
         sem.set_tracer(&self.tracer);
         let mut registry = self.registry.lock().unwrap();
         if let Some(entry) = registry.get_mut(&key) {
             // Lost the build race: adopt the first builder's tables so
             // every request on this key keeps sharing one table set.
-            entry.requests += 1;
-            self.warm_hits.fetch_add(1, Ordering::Relaxed);
-            let hit = (
-                Arc::clone(&entry.universe),
-                entry.proto.clone(),
-                entry.sem.clone(),
-                true,
-            );
+            let hit = self.warm_hit(entry);
             drop(registry);
             self.count_warm_lookup(&key, "hit");
             return Ok(hit);
@@ -304,35 +286,36 @@ impl ServeEngine {
     /// `air_serve_warm_lookups_total{vars, domain, result}`: one row per
     /// table-set key and outcome. The sum of `result="hit"` rows always
     /// equals [`ServeEngine::warm_hits`] — the differential test pins it.
-    fn count_warm_lookup(&self, key: &(String, String), result: &str) {
+    fn count_warm_lookup(&self, key: &TableKey, result: &str) {
         self.metrics.inc(
             "air_serve_warm_lookups_total",
             &[
                 ("vars", key.0.as_str()),
-                ("domain", key.1.as_str()),
+                ("domain", key.1),
                 ("result", result),
             ],
         );
     }
 
-    /// Registry lookup for an existing table set, bumping its counters.
-    fn lookup_warm(
-        &self,
-        key: &(String, String),
-    ) -> Option<(Arc<Universe>, EnumDomain, SemCache, bool)> {
-        let mut registry = self.registry.lock().unwrap();
-        let entry = registry.get_mut(key)?;
+    /// Registry lookup for an existing table set.
+    fn lookup_warm(&self, key: &TableKey) -> Option<Warm> {
+        let mut registry = self.registry.lock().expect("warm registry lock poisoned");
+        let hit = self.warm_hit(registry.get_mut(key)?);
+        drop(registry);
+        self.count_warm_lookup(key, "hit");
+        Some(hit)
+    }
+
+    /// Hands out a warm table set, bumping its counters.
+    fn warm_hit(&self, entry: &mut WarmEntry) -> Warm {
         entry.requests += 1;
         self.warm_hits.fetch_add(1, Ordering::Relaxed);
-        let hit = (
+        (
             Arc::clone(&entry.universe),
             entry.proto.clone(),
             entry.sem.clone(),
             true,
-        );
-        drop(registry);
-        self.count_warm_lookup(key, "hit");
-        Some(hit)
+        )
     }
 
     fn usage(&self, req: &JobRequest, message: String) -> Response {
@@ -378,29 +361,14 @@ impl ServeEngine {
         }
     }
 
-    #[allow(clippy::result_large_err)] // the `sat` closure errors with the wire response
     fn run_job(&self, req: &JobRequest, governor: &Governor, started: Instant) -> Response {
         let (universe, domain, sem, warm) = match self.warm_entry(req) {
             Ok(parts) => parts,
             Err(resp) => return resp,
         };
-        let prog = match parse_program(&req.code) {
-            Ok(p) => p,
+        let (prog, pre, spec) = match req.question.parts(&universe) {
+            Ok(parts) => parts,
             Err(e) => return self.usage(req, e.to_string()),
-        };
-        let conc = Concrete::new(&universe);
-        let sat = |text: &str, what: &str| -> Result<StateSet, Response> {
-            let bexp = parse_bexp(text).map_err(|e| self.usage(req, format!("{what}: {e}")))?;
-            conc.sat(&bexp)
-                .map_err(|e| self.usage(req, format!("{what}: {e}")))
-        };
-        let pre = match sat(&req.pre, "pre") {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
-        let spec = match sat(&req.spec, "spec") {
-            Ok(s) => s,
-            Err(resp) => return resp,
         };
         let verifier = Verifier::with_cache(&universe, sem.clone())
             .tracer(self.tracer.clone())
@@ -418,12 +386,7 @@ impl ServeEngine {
                         fresh_nodes: outcome.fresh_nodes,
                     }
                 });
-                let result = if req.strategy == "forward" {
-                    verifier.forward(domain, &prog, &pre, &spec)
-                } else {
-                    verifier.backward(domain, &prog, &pre, &spec)
-                };
-                let verdict = match result {
+                let verdict = match verifier.verify(req.strategy, domain, &prog, &pre, &spec) {
                     Ok(v) => v,
                     Err(e) => return self.engine_error(req, e),
                 };
@@ -515,7 +478,7 @@ impl ServeEngine {
                         "air_serve_cache_hit_permille",
                         &[
                             ("vars", vars.as_str()),
-                            ("domain", domain.as_str()),
+                            ("domain", domain),
                             ("layer", layer),
                         ],
                         permille as i64,
@@ -557,7 +520,7 @@ impl ServeEngine {
         }
         out.push_str("},\"tables\":[");
         let registry = self.registry.lock().unwrap();
-        let mut rows: Vec<(&(String, String), &WarmEntry)> = registry.iter().collect();
+        let mut rows: Vec<(&TableKey, &WarmEntry)> = registry.iter().collect();
         rows.sort_by_key(|(key, _)| *key);
         for (i, ((vars, domain), entry)) in rows.into_iter().enumerate() {
             if i > 0 {
@@ -654,15 +617,13 @@ mod tests {
         let Response::Verdict { report, .. } = resp else {
             panic!("expected verdict");
         };
-        // The CLI path: fresh verifier, fresh caches, same inputs.
-        let u = Universe::new(&[("x", -8, 8)]).unwrap();
-        let dom = build_domain("int", &u).unwrap();
-        let prog = parse_program("if (x >= 0) then { skip } else { x := 0 - x }").unwrap();
-        let conc = Concrete::new(&u);
-        let pre = conc.sat(&parse_bexp("x != 0").unwrap()).unwrap();
-        let spec = conc.sat(&parse_bexp("x != 0").unwrap()).unwrap();
-        let verdict = Verifier::new(&u).backward(dom, &prog, &pre, &spec).unwrap();
-        assert_eq!(report, verdict.report(&u));
+        // The CLI path: the same question built from scratch, a fresh
+        // verifier and fresh caches.
+        let b = req.question.build().unwrap();
+        let verdict = Verifier::new(&b.universe)
+            .backward(b.domain, &b.program, &b.pre, &b.spec)
+            .unwrap();
+        assert_eq!(report, verdict.report(&b.universe));
     }
 
     #[test]
@@ -870,7 +831,6 @@ mod tests {
             r#"{"id":"u1","job":"verify","vars":"x:0..1","code":"x := (","pre":"true","spec":"true"}"#,
             r#"{"id":"u2","job":"verify","vars":"x:0..1","code":"skip","pre":"x <","spec":"true"}"#,
             r#"{"id":"u3","job":"verify","vars":"x:5..0","code":"skip","pre":"true","spec":"true"}"#,
-            r#"{"id":"u4","job":"verify","vars":"x:0..1","domain":"poly","code":"skip","pre":"true","spec":"true"}"#,
         ] {
             let req = job(bad);
             let resp = eng.handle(&req, &eng.admit(&req).unwrap());

@@ -11,9 +11,13 @@
 //!
 //! Requests and responses are single JSON objects. Parsing is strict
 //! where it guards soundness (unknown jobs, malformed budgets, missing
-//! ids are code-2 errors) and lenient where it costs nothing (unknown
-//! extra fields are ignored, so clients can round-trip annotations).
+//! ids and mistyped fields are code-2 errors) and lenient where it costs
+//! nothing (unknown extra fields are ignored, so clients can round-trip
+//! annotations). The job fields are the verification question
+//! ([`air_core::question`]) spelled as on the CLI.
 
+use air_core::question::parse_vars;
+use air_core::{DomainKind, Question, Strategy};
 use air_trace::json::{self, Value};
 use std::fmt;
 use std::io::{BufRead, Write};
@@ -186,18 +190,11 @@ pub struct JobRequest {
     pub tenant: String,
     /// Queue priority; higher runs first, ties are FIFO (default 0).
     pub priority: i64,
-    /// Variable declarations, parsed from the CLI's `--vars` syntax.
-    pub vars: Vec<(String, i64, i64)>,
-    /// Program source (the Imp-like surface syntax).
-    pub code: String,
-    /// Precondition source (default `"true"`).
-    pub pre: String,
-    /// Specification source.
-    pub spec: String,
-    /// Base domain name (same names as the CLI's `--domain`).
-    pub domain: String,
-    /// `"backward"` (default) or `"forward"`.
-    pub strategy: String,
+    /// What to verify: `vars`, `code`, `pre` (default `"true"`), `spec`
+    /// and `domain` (default `int`), spelled as on the CLI.
+    pub question: Question,
+    /// Repair strategy (default backward).
+    pub strategy: Strategy,
     /// Per-request fuel budget.
     pub fuel: Option<u64>,
     /// Per-request wall-clock budget in milliseconds.
@@ -268,47 +265,20 @@ impl ProtoError {
     }
 }
 
-/// Parses the CLI's `--vars` syntax (`"x:-8..8,y:0..20"`).
-///
-/// # Errors
-///
-/// A human-readable message for empty or malformed declarations.
-pub fn parse_vars(spec: &str) -> Result<Vec<(String, i64, i64)>, String> {
-    let mut out = Vec::new();
-    for part in spec.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let (name, range) = part
-            .split_once(':')
-            .ok_or_else(|| format!("variable `{part}` lacks `:lo..hi`"))?;
-        let (lo, hi) = range
-            .split_once("..")
-            .ok_or_else(|| format!("range `{range}` lacks `..`"))?;
-        let lo: i64 = lo
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad lower bound `{lo}`"))?;
-        let hi: i64 = hi
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad upper bound `{hi}`"))?;
-        out.push((name.trim().to_owned(), lo, hi));
+/// The optional string field `key`: absent is `None`, any other
+/// non-string (`null` included) is a code-2 error — the request schema
+/// types every field, so a mistyped one must not become its default.
+fn get_str(doc: &Value, key: &str) -> Result<Option<String>, ProtoError> {
+    match doc.get(key) {
+        None => Ok(None),
+        Some(Value::Str(s)) => Ok(Some(s.clone())),
+        Some(_) => Err(ProtoError::usage(format!("`{key}` must be a string"))),
     }
-    if out.is_empty() {
-        return Err("`vars` declared no variables".into());
-    }
-    Ok(out)
-}
-
-fn get_str(doc: &Value, key: &str) -> Option<String> {
-    doc.get(key).and_then(Value::as_str).map(str::to_owned)
 }
 
 fn get_u64(doc: &Value, key: &str) -> Result<Option<u64>, ProtoError> {
     match doc.get(key) {
-        None | Some(Value::Null) => Ok(None),
+        None => Ok(None),
         Some(Value::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as u64)),
         Some(_) => Err(ProtoError::usage(format!(
             "`{key}` must be a non-negative integer"
@@ -328,31 +298,50 @@ pub fn parse_request(text: &str) -> Result<Request, ProtoError> {
     if doc.as_obj().is_none() {
         return Err(ProtoError::usage("request must be a JSON object"));
     }
-    let id = get_str(&doc, "id").unwrap_or_default();
+    let id = doc.get("id").and_then(Value::as_str).unwrap_or_default();
     if id.is_empty() {
         return Err(ProtoError::usage(
             "request lacks a non-empty string `id` field",
         ));
     }
-    let job = get_str(&doc, "job")
+    let id = id.to_owned();
+    let job = doc
+        .get("job")
+        .and_then(Value::as_str)
         .ok_or_else(|| ProtoError::usage("request lacks a string `job` field"))?;
-    let kind = match job.as_str() {
+    // Every field is typed for every job, as the request schema types
+    // it once for all of them; only engine jobs require vars/code/spec.
+    let tenant = get_str(&doc, "tenant")?.unwrap_or_else(|| "anon".into());
+    let target = get_str(&doc, "target")?;
+    let strategy = get_str(&doc, "strategy")?.map_or(Ok(Strategy::default()), |s| {
+        Strategy::parse(&s).map_err(ProtoError::usage)
+    })?;
+    let domain = get_str(&doc, "domain")?.map_or(Ok(DomainKind::default()), |d| {
+        DomainKind::parse(&d).map_err(ProtoError::usage)
+    })?;
+    let pre = get_str(&doc, "pre")?.unwrap_or_else(|| "true".into());
+    let (vars, code, spec) = (
+        get_str(&doc, "vars")?,
+        get_str(&doc, "code")?,
+        get_str(&doc, "spec")?,
+    );
+    let priority = match doc.get("priority") {
+        None => 0,
+        Some(Value::Num(n)) if n.fract() == 0.0 => *n as i64,
+        Some(_) => return Err(ProtoError::usage("`priority` must be an integer")),
+    };
+    let (fuel, timeout_ms) = (get_u64(&doc, "fuel")?, get_u64(&doc, "timeout_ms")?);
+    let job = match job {
         "ping" => return Ok(Request::Ping { id }),
         "stats" => return Ok(Request::Stats { id }),
         "metrics" => return Ok(Request::Metrics { id }),
         "flush" => return Ok(Request::Flush { id }),
         "shutdown" => return Ok(Request::Shutdown { id }),
         "cancel" => {
-            let target = get_str(&doc, "target")
-                .filter(|t| !t.is_empty())
-                .ok_or_else(|| {
-                    ProtoError::usage("`cancel` requires a non-empty string `target` field")
-                })?;
-            return Ok(Request::Cancel {
-                id,
-                tenant: get_str(&doc, "tenant").unwrap_or_else(|| "anon".into()),
-                target,
-            });
+            let target = target.filter(|t| !t.is_empty()).ok_or_else(|| {
+                ProtoError::usage("`cancel` requires a non-empty string `target` field")
+            })?;
+            return Ok(Request::Cancel { id, tenant, target });
         }
         "verify" => JobKind::Verify,
         "analyze" => JobKind::Analyze,
@@ -364,37 +353,24 @@ pub fn parse_request(text: &str) -> Result<Request, ProtoError> {
             )))
         }
     };
-    let vars_spec =
-        get_str(&doc, "vars").ok_or_else(|| ProtoError::usage("job lacks a `vars` field"))?;
-    let vars = parse_vars(&vars_spec).map_err(ProtoError::usage)?;
-    let code =
-        get_str(&doc, "code").ok_or_else(|| ProtoError::usage("job lacks a `code` field"))?;
-    let spec =
-        get_str(&doc, "spec").ok_or_else(|| ProtoError::usage("job lacks a `spec` field"))?;
-    let strategy = get_str(&doc, "strategy").unwrap_or_else(|| "backward".into());
-    if strategy != "backward" && strategy != "forward" {
-        return Err(ProtoError::usage(format!(
-            "unknown strategy `{strategy}` (backward or forward)"
-        )));
-    }
-    let priority = match doc.get("priority") {
-        None | Some(Value::Null) => 0,
-        Some(Value::Num(n)) if n.fract() == 0.0 => *n as i64,
-        Some(_) => return Err(ProtoError::usage("`priority` must be an integer")),
-    };
+    let lacks = |key: &str| ProtoError::usage(format!("job lacks a `{key}` field"));
+    let vars = parse_vars(&vars.ok_or_else(|| lacks("vars"))?)
+        .map_err(|e| ProtoError::usage(e.message))?;
     Ok(Request::Job(Box::new(JobRequest {
         id,
-        job: kind,
-        tenant: get_str(&doc, "tenant").unwrap_or_else(|| "anon".into()),
+        job,
+        tenant,
         priority,
-        vars,
-        code,
-        pre: get_str(&doc, "pre").unwrap_or_else(|| "true".into()),
-        spec,
-        domain: get_str(&doc, "domain").unwrap_or_else(|| "int".into()),
+        question: Question {
+            vars,
+            code: code.ok_or_else(|| lacks("code"))?,
+            pre,
+            spec: Some(spec.ok_or_else(|| lacks("spec"))?),
+            domain,
+        },
         strategy,
-        fuel: get_u64(&doc, "fuel")?,
-        timeout_ms: get_u64(&doc, "timeout_ms")?,
+        fuel,
+        timeout_ms,
     })))
 }
 
@@ -768,9 +744,9 @@ mod tests {
         assert_eq!(job.job, JobKind::Verify);
         assert_eq!(job.tenant, "t0");
         assert_eq!(job.priority, 5);
-        assert_eq!(job.vars, vec![("x".to_string(), -8, 8)]);
-        assert_eq!(job.domain, "oct");
-        assert_eq!(job.strategy, "forward");
+        assert_eq!(job.question.vars, vec![("x".to_string(), -8, 8)]);
+        assert_eq!(job.question.domain, DomainKind::Oct);
+        assert_eq!(job.strategy, Strategy::Forward);
         assert_eq!(job.fuel, Some(500));
         assert_eq!(job.timeout_ms, Some(2000));
     }
@@ -785,9 +761,9 @@ mod tests {
         };
         assert_eq!(job.tenant, "anon");
         assert_eq!(job.priority, 0);
-        assert_eq!(job.pre, "true");
-        assert_eq!(job.domain, "int");
-        assert_eq!(job.strategy, "backward");
+        assert_eq!(job.question.pre, "true");
+        assert_eq!(job.question.domain, DomainKind::Int);
+        assert_eq!(job.strategy, Strategy::Backward);
         assert_eq!(job.fuel, None);
     }
 
@@ -833,6 +809,15 @@ mod tests {
             r#"{"id":"x","job":"verify","vars":"x:0..1","code":"skip","spec":"true","strategy":"sideways"}"#,
             r#"{"id":"x","job":"verify","vars":"x:0..1","code":"skip","spec":"true","fuel":-3}"#,
             r#"{"id":"x","job":"verify","vars":"x:0..1","code":"skip","spec":"true","priority":1.5}"#,
+            r#"{"id":"x","job":"verify","vars":"x:0..1","code":"skip","spec":"true","domain":"poly"}"#,
+            // A present but mistyped optional field never becomes its default.
+            r#"{"id":"c","job":"cancel","target":"nobody","tenant":5}"#,
+            r#"{"id":"v","job":"verify","vars":"x:0..1","code":"skip","spec":"true","domain":7}"#,
+            r#"{"id":"v","job":"verify","vars":"x:0..1","code":"skip","spec":"true","pre":false}"#,
+            r#"{"id":"v","job":"verify","vars":"x:0..1","code":"skip","spec":"true","strategy":[]}"#,
+            r#"{"id":"p","job":"ping","domain":7}"#,
+            r#"{"id":"n","job":"verify","vars":"x:0..1","code":"skip","spec":"true","fuel":null}"#,
+            r#"{"id":"n","job":"verify","vars":"x:0..1","code":"skip","spec":"true","tenant":null}"#,
         ] {
             let err = parse(bad).unwrap_err();
             assert_eq!(err.code, 2, "{bad}: {}", err.message);

@@ -160,6 +160,46 @@ fn deeply_nested_frame_answers_code_2_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn mistyped_optional_fields_answer_code_2_instead_of_defaulting() {
+    let server = boot(ServeConfig::default());
+    let mut client = Client::connect(server.addr().unwrap());
+    for (bad, field) in [
+        // Would otherwise cancel as tenant `anon`.
+        (
+            r#"{"id":"c","job":"cancel","target":"nobody","tenant":5}"#,
+            "tenant",
+        ),
+        // Would otherwise prove under `int` with `pre = true`.
+        (
+            r#"{"id":"v","job":"verify","vars":"x:-8..8","code":"skip","spec":"x > 0","domain":7,"pre":false}"#,
+            "domain",
+        ),
+    ] {
+        let doc = client.roundtrip(bad);
+        assert_eq!(status(&doc), "error", "{bad}: {doc:?}");
+        assert_eq!(error_code(&doc), Some(2.0), "{bad}: {doc:?}");
+        let msg = doc
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Value::as_str)
+            .unwrap_or("");
+        assert_eq!(msg, format!("`{field}` must be a string"), "{bad}");
+        // The schema rejects the same frame.
+        assert!(Schema::parse(REQUEST_SCHEMA)
+            .unwrap()
+            .check(&json::parse(bad).unwrap())
+            .is_err());
+    }
+    // The daemon keeps serving.
+    assert_eq!(
+        status(&client.roundtrip(r#"{"id":"p","job":"ping"}"#)),
+        "ok"
+    );
+    server.stop();
+    server.join();
+}
+
+#[test]
 fn oversized_payload_is_rejected_before_allocation() {
     let server = boot(ServeConfig {
         max_frame: 64,

@@ -1,13 +1,12 @@
 //! T7 — ablations of the design choices called out in DESIGN.md:
 //!
 //! - star unroll in `bRepair`: exact join vs pointed widening (Def. 7.11);
-//! - analyzer widening delay (0 / 2 / 4) on the triangular loop;
 //! - disjunctive completion width (1 / 2 / 4 / 8) closure cost.
 
 use air_bench::{int_domain, triangular_number, triangular_program, triangular_universe};
 use air_core::{BackwardRepair, UnrollStrategy};
 use air_domains::disjunctive::Disjunctive;
-use air_domains::{Abstraction, Analyzer, IntervalEnv};
+use air_domains::{Abstraction, IntervalEnv};
 use air_lang::Universe;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -37,25 +36,6 @@ fn bench_unroll_strategy(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_widening_delay(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_widening_delay");
-    let u = Universe::new(&[("i", 0, 10), ("j", 0, 60)]).unwrap();
-    let dom = IntervalEnv::new(&u);
-    let prog = triangular_program(8);
-    for delay in [0usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("delay", delay), &delay, |b, &d| {
-            b.iter(|| {
-                let out = Analyzer::new(&dom)
-                    .widening_delay(d)
-                    .exec(&prog, &dom.top())
-                    .expect("analysis converges");
-                black_box(out)
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_disjunctive_width(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_disjunctive_width");
     let u = Universe::new(&[("x", -16, 16)]).unwrap();
@@ -75,10 +55,5 @@ fn bench_disjunctive_width(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_unroll_strategy,
-    bench_widening_delay,
-    bench_disjunctive_width
-);
+criterion_group!(benches, bench_unroll_strategy, bench_disjunctive_width);
 criterion_main!(benches);

@@ -1,47 +1,31 @@
-//! T5 — abstract-domain micro-benchmarks: transfer functions and closure
-//! costs of the from-scratch domains (interval env, octagon DBM closure,
-//! predicate evaluation).
+//! T5 — abstract-domain micro-benchmarks: the `α`/`γ` costs of the
+//! from-scratch domains (interval env, octagon DBM closure, predicate
+//! evaluation) that every enumerated closure pays.
 
-use air_domains::{Abstraction, IntervalEnv, OctagonDomain, PredicateDomain, Transfer};
+use air_domains::{Abstraction, IntervalEnv, OctagonDomain, PredicateDomain};
 use air_lang::{parse_bexp, Universe};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench_domain_ops(c: &mut Criterion) {
     let u = Universe::new(&[("x", -20, 20), ("y", -20, 20), ("z", -20, 20)]).unwrap();
-    let guard = parse_bexp("x + y <= 10 && y - z < 4 && x >= 0").unwrap();
-    let assign = air_lang::ast::AExp::var("x")
-        .add(air_lang::ast::AExp::var("y"))
-        .sub(air_lang::ast::AExp::Num(1));
+    let region = u.filter(|s| s[0] + s[1] <= 10 && s[1] - s[2] < 4 && s[0] >= 0);
 
     let mut group = c.benchmark_group("domain_ops");
 
     let env = IntervalEnv::new(&u);
-    let env_top = env.top();
-    group.bench_function("interval_env_assume", |b| {
-        b.iter(|| black_box(env.assume(&env_top, &guard)))
-    });
-    group.bench_function("interval_env_assign", |b| {
-        b.iter(|| black_box(env.assign(&env_top, "z", &assign)))
+    group.bench_function("interval_env_alpha", |b| {
+        b.iter(|| black_box(env.alpha_set(&u, &region)))
     });
 
     let oct = OctagonDomain::new(&u);
     let oct_top = oct.top();
-    let refined = oct.assume(&oct_top, &guard);
-    group.bench_function("octagon_assume_and_close", |b| {
-        b.iter(|| black_box(oct.assume(&oct_top, &guard)))
+    let refined = oct.alpha_set(&u, &region);
+    group.bench_function("octagon_alpha_and_close", |b| {
+        b.iter(|| black_box(oct.alpha_set(&u, &region)))
     });
     group.bench_function("octagon_join", |b| {
         b.iter(|| black_box(oct.join(&refined, &oct_top)))
-    });
-    group.bench_function("octagon_assign_translate", |b| {
-        b.iter(|| {
-            black_box(oct.assign(
-                &refined,
-                "x",
-                &air_lang::ast::AExp::var("x").add(air_lang::ast::AExp::Num(1)),
-            ))
-        })
     });
 
     let preds = PredicateDomain::new(
@@ -58,7 +42,7 @@ fn bench_domain_ops(c: &mut Criterion) {
     // γ enumeration over the universe: the enumerative engine's core cost.
     let small = Universe::new(&[("x", -10, 10), ("y", -10, 10)]).unwrap();
     let small_env = IntervalEnv::new(&small);
-    let elem = small_env.assume(&small_env.top(), &parse_bexp("x + y <= 3").unwrap());
+    let elem = small_env.alpha_set(&small, &small.filter(|s| s[0] + s[1] <= 3));
     group.bench_function("gamma_enumeration_441_states", |b| {
         b.iter(|| black_box(small_env.gamma_set(&small, &elem)))
     });

@@ -357,21 +357,6 @@ fn t7_ablations() {
             );
         }
     }
-    // (b) analyzer widening delay: output size (precision) on triangular(8).
-    println!("  (b) analyzer widening delay × narrowing on triangular(8), |γ(output)|:");
-    let u = Universe::new(&[("i", 0, 10), ("j", 0, 60)]).expect("valid");
-    let dom = air_domains::IntervalEnv::new(&u);
-    for narrowing in [0usize, 2] {
-        for delay in [0usize, 2, 4] {
-            let out = air_domains::Analyzer::new(&dom)
-                .widening_delay(delay)
-                .narrowing_iters(narrowing)
-                .exec(&triangular_program(8), &air_domains::Abstraction::top(&dom))
-                .expect("analysis");
-            let size = air_domains::Abstraction::gamma_set(&dom, &u, &out).len();
-            println!("      delay {delay}, narrowing {narrowing}: {size} stores");
-        }
-    }
     // (c) disjunctive width: closure precision on a holey set.
     println!("  (c) disjunctive completion width, closure of x ∈ {{-6,-2,2,6}}:");
     let u = Universe::new(&[("x", -16, 16)]).expect("valid");

@@ -328,6 +328,9 @@ mod tests {
     /// One frame of every kind, each in its direction.
     const FRAME_LOG: &str = "../../schemas/fixtures/dist-frame.valid.jsonl";
 
+    /// One request of every job, with every typed field in range.
+    const REQUESTS: &str = "../../schemas/fixtures/serve-request.valid.jsonl";
+
     /// Every other file `SCHEMA.CASE.jsonl` under `schemas/fixtures/`,
     /// and the reason the checker must reject it for against `SCHEMA`.
     const FIXTURES: &str = r#"
@@ -358,6 +361,8 @@ mod tests {
         serve-request.unknown-domain       domain: "intervals" is not "int"
         serve-request.mistyped-tenant      tenant: expected string, found number
         serve-request.mistyped-domain      domain: 7 is not "int"
+        serve-request.negative-fuel        fuel: -3 is below the minimum 0
+        serve-request.fractional-priority  priority: expected integer, found number
     "#;
 
     #[test]
@@ -371,7 +376,7 @@ mod tests {
             .unwrap()
             .map(|entry| entry.unwrap().file_name().into_string().unwrap())
             .filter(|name| {
-                ![BASE, FRAME_LOG]
+                ![BASE, FRAME_LOG, REQUESTS]
                     .iter()
                     .any(|valid| valid.ends_with(name.as_str()))
             })
@@ -405,6 +410,7 @@ mod tests {
         // A frame of every kind in its direction; `air-dist` checks the
         // file holds exactly the frames its protocol renders.
         check(&["../../schemas/dist-frame.schema.json", FRAME_LOG]).unwrap();
+        check(&["../../schemas/serve-request.schema.json", REQUESTS]).unwrap();
         let report = air_fuzz::run_campaign(&options).to_json();
         hook("fuzz-report", &json::parse(&report).unwrap()).unwrap();
         let metrics = air_metrics::MetricsRegistry::new();

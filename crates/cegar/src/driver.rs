@@ -484,9 +484,10 @@ mod tests {
         assert!(stats.final_blocks >= 2);
         // The reachable closure of init under the final abstraction avoids
         // bad.
-        let mut acc = partition.close(&init);
+        let dom = partition.domain();
+        let mut acc = dom.close(&init);
         loop {
-            let next = acc.union(&partition.close(&ts.post(&acc)));
+            let next = acc.union(&dom.close(&ts.post(&acc)));
             if next == acc {
                 break;
             }

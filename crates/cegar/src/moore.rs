@@ -3,85 +3,24 @@
 //! Section 6 of the paper stresses that AIR "can be applied to arbitrary
 //! Galois connection-based abstract domains … hence going beyond the
 //! state partitions used in early abstract model checking." This module
-//! realizes that claim: the abstraction is an arbitrary Moore family of
-//! state sets (any upper closure of `℘(Σ)`), abstract reachability is the
-//! closure-based fixpoint `X_{k+1} = A(X_k ∪ post(X_k))`, and spurious
-//! abstract traces are repaired by adding the backward points
-//! `V_k = X_k ∖ T_k` — the Theorem 6.4 pointed shells, now with no
-//! partition structure in sight.
+//! realizes that claim: the abstraction is an arbitrary [`EnumDomain`]
+//! over the system's [state universe](crate::ts::state_universe) (any
+//! upper closure of `℘(Σ)`, usually the trivial `{Σ}` plus points),
+//! abstract reachability is the closure-based fixpoint
+//! `X_{k+1} = A(X_k ∪ post(X_k))`, and spurious abstract traces are
+//! repaired by adding the backward points `V_k = X_k ∖ T_k` — the
+//! Theorem 6.4 pointed shells, now with no partition structure in sight.
 //!
 //! Each repair round provably discharges the current abstract trace
 //! (every `V_k` added makes the next cumulative sequence stay inside the
 //! `V`s, whose last element avoids `bad`), so the loop terminates on
 //! finite systems; a round cap guards against misuse.
 
+use air_core::EnumDomain;
 use air_lattice::{BitVecSet, ExhaustReason, Exhaustion, Governor};
 
 use crate::driver::CegarError;
-use crate::partition::Partition;
 use crate::ts::TransitionSystem;
-
-/// A Moore-family abstraction of `℘(Σ)`: an explicit meet-closed family
-/// containing `Σ`, applied lazily like the enumerative domains of
-/// `air-core`.
-#[derive(Clone, Debug)]
-pub struct MooreAbstraction {
-    n: usize,
-    points: Vec<BitVecSet>,
-}
-
-impl MooreAbstraction {
-    /// The trivial abstraction `{Σ}`.
-    pub fn trivial(num_states: usize) -> Self {
-        MooreAbstraction {
-            n: num_states,
-            points: Vec::new(),
-        }
-    }
-
-    /// The abstraction induced by a partition: one generator per block —
-    /// its complement (the union of all other blocks). Meets of those
-    /// complements produce exactly the unions of blocks, i.e. the
-    /// partition closure.
-    pub fn from_partition(p: &Partition) -> Self {
-        let mut abs = MooreAbstraction::trivial(p.num_states());
-        for b in p.blocks() {
-            abs.add_point(b.complement());
-        }
-        abs
-    }
-
-    /// Number of stored generator points.
-    pub fn num_points(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `A(c) = ⋀{p ∈ points ∪ {Σ} | c ⊆ p}`.
-    pub fn close(&self, c: &BitVecSet) -> BitVecSet {
-        let mut acc = BitVecSet::full(self.n);
-        for p in &self.points {
-            if c.is_subset(p) {
-                acc.intersect_with(p);
-            }
-        }
-        acc
-    }
-
-    /// Returns `true` if `c` is expressible.
-    pub fn is_expressible(&self, c: &BitVecSet) -> bool {
-        self.close(c) == *c
-    }
-
-    /// Adds a point (pointed refinement `A ⊞ {p}`); returns `false` if it
-    /// was already expressible.
-    pub fn add_point(&mut self, p: BitVecSet) -> bool {
-        if self.is_expressible(&p) {
-            return false;
-        }
-        self.points.push(p);
-        true
-    }
-}
 
 /// Statistics of a Moore-family run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -98,7 +37,7 @@ pub enum MooreResult {
     /// `bad` unreachable; the refined abstraction certifies it.
     Safe {
         /// The final abstraction.
-        abstraction: MooreAbstraction,
+        abstraction: EnumDomain,
         /// Run statistics.
         stats: MooreStats,
     },
@@ -130,8 +69,9 @@ impl MooreResult {
 /// # Example
 ///
 /// ```
-/// use air_cegar::moore::{MooreAbstraction, MooreCegar};
+/// use air_cegar::moore::MooreCegar;
 /// use air_cegar::ts::TransitionSystem;
+/// use air_core::EnumDomain;
 /// use air_lattice::BitVecSet;
 ///
 /// let mut ts = TransitionSystem::new(4);
@@ -139,7 +79,8 @@ impl MooreResult {
 /// ts.add_edge(2, 3);
 /// let init = BitVecSet::from_indices(4, [0]);
 /// let bad = BitVecSet::from_indices(4, [3]);
-/// let res = MooreCegar::new(&ts, &init, &bad, MooreAbstraction::trivial(4)).run().unwrap();
+/// let trivial = EnumDomain::trivial(&ts.universe());
+/// let res = MooreCegar::new(&ts, &init, &bad, trivial).run().unwrap();
 /// assert!(res.is_safe());
 /// ```
 #[derive(Clone, Debug)]
@@ -147,18 +88,19 @@ pub struct MooreCegar<'t> {
     ts: &'t TransitionSystem,
     init: BitVecSet,
     bad: BitVecSet,
-    abstraction: MooreAbstraction,
+    abstraction: EnumDomain,
     max_rounds: usize,
     governor: Governor,
 }
 
 impl<'t> MooreCegar<'t> {
-    /// Creates a run checking that `bad` is unreachable from `init`.
+    /// Creates a run checking that `bad` is unreachable from `init`,
+    /// starting from `abstraction` (a domain over `ts.universe()`).
     pub fn new(
         ts: &'t TransitionSystem,
         init: &BitVecSet,
         bad: &BitVecSet,
-        abstraction: MooreAbstraction,
+        abstraction: EnumDomain,
     ) -> Self {
         MooreCegar {
             ts,
@@ -270,6 +212,10 @@ mod tests {
     use super::*;
     use crate::partition::Partition;
 
+    fn trivial(n: usize) -> EnumDomain {
+        EnumDomain::trivial(&crate::ts::state_universe(n))
+    }
+
     fn two_lane(n: usize) -> (TransitionSystem, BitVecSet, BitVecSet) {
         let states = 2 * n + 1;
         let mut ts = TransitionSystem::new(states);
@@ -286,45 +232,10 @@ mod tests {
     }
 
     #[test]
-    fn moore_closure_is_a_uco() {
-        let mut a = MooreAbstraction::trivial(6);
-        a.add_point(BitVecSet::from_indices(6, [0, 1, 2]));
-        a.add_point(BitVecSet::from_indices(6, [1, 2, 3]));
-        let probes: Vec<BitVecSet> = (0..16u32)
-            .map(|m| BitVecSet::from_indices(6, (0..4).filter(move |i| m & (1 << i) != 0)))
-            .collect();
-        for c in &probes {
-            let cc = a.close(c);
-            assert!(c.is_subset(&cc));
-            assert_eq!(a.close(&cc), cc);
-            for d in &probes {
-                if c.is_subset(d) {
-                    assert!(a.close(c).is_subset(&a.close(d)));
-                }
-            }
-        }
-        // Meets of points are expressible via laziness.
-        assert!(a.is_expressible(&BitVecSet::from_indices(6, [1, 2])));
-    }
-
-    #[test]
-    fn from_partition_expresses_blocks() {
-        let p = Partition::from_key(6, |s| s % 3);
-        let a = MooreAbstraction::from_partition(&p);
-        for b in p.blocks() {
-            // Each block is the meet of the complements of the others.
-            assert!(a.is_expressible(b), "{b:?}");
-        }
-        // Unions of two blocks are expressible (complement of the third).
-        let union01 = p.block(0).union(p.block(1));
-        assert!(a.is_expressible(&union01));
-    }
-
-    #[test]
     fn safe_two_lane_from_trivial_abstraction() {
         for n in 2..6 {
             let (ts, init, bad) = two_lane(n);
-            let res = MooreCegar::new(&ts, &init, &bad, MooreAbstraction::trivial(ts.num_states()))
+            let res = MooreCegar::new(&ts, &init, &bad, trivial(ts.num_states()))
                 .run()
                 .unwrap();
             assert!(res.is_safe(), "n = {n}");
@@ -341,9 +252,7 @@ mod tests {
         ts.add_edge(2, 4);
         let init = BitVecSet::from_indices(5, [0]);
         let bad = BitVecSet::from_indices(5, [4]);
-        let res = MooreCegar::new(&ts, &init, &bad, MooreAbstraction::trivial(5))
-            .run()
-            .unwrap();
+        let res = MooreCegar::new(&ts, &init, &bad, trivial(5)).run().unwrap();
         let MooreResult::Unsafe { path, .. } = res else {
             panic!("must be unsafe");
         };
@@ -360,9 +269,7 @@ mod tests {
         let ts = TransitionSystem::new(3);
         let init = BitVecSet::from_indices(3, [1]);
         let bad = BitVecSet::from_indices(3, [1]);
-        let res = MooreCegar::new(&ts, &init, &bad, MooreAbstraction::trivial(3))
-            .run()
-            .unwrap();
+        let res = MooreCegar::new(&ts, &init, &bad, trivial(3)).run().unwrap();
         let MooreResult::Unsafe { path, .. } = res else {
             panic!("must be unsafe");
         };
@@ -375,13 +282,13 @@ mod tests {
         // (a finer start explores different spurious traces), but both
         // starts must prove safety by adding backward points.
         let (ts, init, bad) = two_lane(5);
-        let trivial = MooreCegar::new(&ts, &init, &bad, MooreAbstraction::trivial(ts.num_states()))
+        let trivial = MooreCegar::new(&ts, &init, &bad, trivial(ts.num_states()))
             .run()
             .unwrap();
         let mut pairs = Partition::from_key(ts.num_states(), |s| s / 2);
         pairs.split_by(&init);
         pairs.split_by(&bad);
-        let parted = MooreCegar::new(&ts, &init, &bad, MooreAbstraction::from_partition(&pairs))
+        let parted = MooreCegar::new(&ts, &init, &bad, pairs.domain())
             .run()
             .unwrap();
         assert!(trivial.is_safe() && parted.is_safe());
@@ -399,7 +306,7 @@ mod tests {
             &ts,
             &BitVecSet::from_indices(3, [0]),
             &BitVecSet::from_indices(3, [2]),
-            MooreAbstraction::trivial(3),
+            trivial(3),
         )
         .run()
         .unwrap();

@@ -4,7 +4,10 @@
 //! elements are unions of blocks — the abstractions used by early abstract
 //! model checking and by CEGAR (Section 6). Refinement splits blocks.
 
+use air_core::EnumDomain;
 use air_lattice::BitVecSet;
+
+use crate::ts::state_universe;
 
 /// A partition of `0..num_states` into non-empty blocks.
 ///
@@ -128,19 +131,17 @@ impl Partition {
         out
     }
 
-    /// The partition closure of a set: the union of all blocks it touches
-    /// (this is `γ∘α` of the partitioning abstraction).
-    pub fn close(&self, set: &BitVecSet) -> BitVecSet {
-        let mut out = BitVecSet::new(self.num_states);
-        for b in self.blocks_of_set(set) {
-            out.union_with(&self.blocks[b]);
-        }
-        out
-    }
-
-    /// Returns `true` if `set` is a union of blocks (expressible).
-    pub fn is_union_of_blocks(&self, set: &BitVecSet) -> bool {
-        self.close(set) == *set
+    /// The partitioning abstraction as a domain over
+    /// [`state_universe`]: the Moore family of unions of blocks, generated
+    /// by the block complements (a set's closure is then the union of the
+    /// blocks it touches, `γ∘α` of the partition).
+    pub fn domain(&self) -> EnumDomain {
+        let universe = state_universe(self.num_states);
+        EnumDomain::from_family(
+            &universe,
+            "Partition",
+            self.blocks.iter().map(|b| b.complement()),
+        )
     }
 
     /// Splits block `b` into `b ∩ part` and `b ∖ part`. Returns `false`
@@ -206,15 +207,21 @@ mod tests {
     }
 
     #[test]
-    fn close_is_a_closure() {
+    fn domain_closes_to_unions_of_blocks() {
         let p = Partition::from_key(9, |s| s % 3);
+        let dom = p.domain();
         let s = BitVecSet::from_indices(9, [0, 1]);
-        let c = p.close(&s);
+        let c = dom.close(&s);
         assert!(s.is_subset(&c));
-        assert_eq!(p.close(&c), c);
+        assert_eq!(dom.close(&c), c);
         assert_eq!(c.len(), 6); // two full residue classes
-        assert!(p.is_union_of_blocks(&c));
-        assert!(!p.is_union_of_blocks(&s));
+        assert!(dom.is_expressible(&c));
+        assert!(!dom.is_expressible(&s));
+        // Every block is the meet of the complements of the others.
+        for b in p.blocks() {
+            assert!(dom.is_expressible(b), "{b:?}");
+        }
+        assert_eq!(dom.close(&BitVecSet::new(9)), BitVecSet::new(9));
     }
 
     #[test]
@@ -227,7 +234,7 @@ mod tests {
         let odd = BitVecSet::from_indices(6, [1, 3, 5]);
         assert_eq!(p.split_by(&odd), 2);
         assert_eq!(p.num_blocks(), 4);
-        assert!(p.is_union_of_blocks(&odd));
+        assert!(p.domain().is_expressible(&odd));
     }
 
     #[test]

@@ -87,6 +87,7 @@ pub fn backward_air_with_jobs(
 mod tests {
     use super::*;
     use crate::amc::AbstractTs;
+    use air_core::{LocalCompleteness, ShellResult};
     use air_lattice::BitVecSet;
 
     fn fig2() -> (TransitionSystem, Partition) {
@@ -185,5 +186,95 @@ mod tests {
                 &pb.blocks_of_set(&BitVecSet::from_indices(9, [8])),
             )
             .is_none());
+    }
+
+    /// Lemma 6.1: the abstract path is spurious iff some `post_{π_k}` is
+    /// locally incomplete on `S_k`.
+    #[test]
+    fn lemma_6_1_spurious_iff_locally_incomplete() {
+        let (ts, p) = fig2();
+        let u = ts.universe();
+        let lc = LocalCompleteness::uncached(&u);
+        let dom = p.domain();
+        // π = ⟨B0, B1, B2⟩ with S1 = B0; post_{π_0}(X) = post(X) ∩ B1.
+        let post0 = ts.post_within(p.block(1));
+        let s1 = p.block(0).clone();
+        // S2 = post0(S1) = {2} ≠ ∅, and post_{π_0} is locally complete on S1.
+        assert!(lc.check(&dom, &post0, &s1).unwrap());
+        // post_{π_1}(X) = post(X) ∩ B2; S2 = {2}; S3 = ∅ — incomplete.
+        let post1 = ts.post_within(p.block(2));
+        let s2 = ts.post(&s1).intersection(p.block(1));
+        assert!(!lc.check(&dom, &post1, &s2).unwrap());
+    }
+
+    /// Theorem 6.2: the forward-repair split point B^dead ∪ B^irr is the
+    /// pointed shell of the partition abstraction on S_k.
+    #[test]
+    fn theorem_6_2_forward_shell() {
+        let (ts, p) = fig2();
+        let u = ts.universe();
+        let lc = LocalCompleteness::uncached(&u);
+        let dom = p.domain();
+        let post1 = ts.post_within(p.block(2));
+        let s2 = BitVecSet::from_indices(6, [2]); // dead states
+        let ShellResult::Shell { point } = lc.pointed_shell(&dom, &post1, &s2).unwrap() else {
+            panic!("the shell exists");
+        };
+        // B^dead ∪ B^irr = {2, 4}.
+        assert_eq!(point, BitVecSet::from_indices(6, [2, 4]));
+        // The refined domain is locally complete on S_k.
+        let refined = dom.with_point(point);
+        assert!(lc.check(&refined, &post1, &s2).unwrap());
+    }
+
+    /// Theorem 6.4: refining by V_k makes the step into V_{k+1} locally
+    /// complete on V_k, and V_k expressible.
+    #[test]
+    fn theorem_6_4_backward_shell() {
+        let (ts, p) = fig2();
+        let u = ts.universe();
+        let lc = LocalCompleteness::uncached(&u);
+        let dom = p.domain();
+        // V_1 over B1 = {2,3,4} with T1 = {3} is {2,4}; the step goes into
+        // V_2 = B2 ∖ T2 = ∅.
+        let v2 = BitVecSet::new(6);
+        let post_into_v2 = ts.post_within(&v2);
+        let v1 = BitVecSet::from_indices(6, [2, 4]);
+        // Every state of A(V_1) = B1 steps into V_2 vacuously, so ∨L = B1.
+        assert_eq!(&lc.sup_l(&dom, &post_into_v2, &v1).unwrap(), p.block(1));
+        let refined = dom.with_point(v1.clone());
+        assert!(lc.check(&refined, &post_into_v2, &v1).unwrap());
+        // Condition (5) reduces to A'(V_k) = V_k when V_{k+1} is
+        // expressible.
+        assert_eq!(refined.close(&v1), v1);
+    }
+
+    /// Theorem 4.4(ii) on `post_{π_k}`: `A(c) ∧ wlp(f, A f(c))` is the
+    /// largest `X ⊆ A(c)` with `f(X) ⊆ A f(c)`, found here by singletons.
+    #[test]
+    fn theorem_4_4_sup_l_matches_brute_force() {
+        let (ts, p) = fig2();
+        let u = ts.universe();
+        let lc = LocalCompleteness::uncached(&u);
+        let dom = p.domain();
+        let everything = BitVecSet::full(6);
+        for b in p.blocks().chain([&everything]) {
+            let f = ts.post_within(b);
+            let post = |x: &BitVecSet| ts.post(x).intersection(b);
+            for c in [[0], [2], [3], [5]].map(|s| BitVecSet::from_indices(6, s)) {
+                let ac = dom.close(&c);
+                let afc = dom.close(&post(&c));
+                let brute = BitVecSet::from_indices(
+                    6,
+                    ac.iter()
+                        .filter(|&s| post(&BitVecSet::from_indices(6, [s])).is_subset(&afc)),
+                );
+                assert_eq!(
+                    lc.sup_l(&dom, &f, &c).unwrap(),
+                    brute,
+                    "B = {b:?}, c = {c:?}"
+                );
+            }
+        }
     }
 }

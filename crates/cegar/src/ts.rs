@@ -6,8 +6,43 @@
 //! ```text
 //! post(X) = {t | ∃s ∈ X. s ⇝ t}      pre(X) = {s | ∃t ∈ X. s ⇝ t}
 //! ```
+//!
+//! The states double as the stores of a one-variable universe
+//! ([`TransitionSystem::universe`]), so `air-core`'s domains and
+//! Section 4 queries apply to them unchanged: [`PostWithin`] is the
+//! additive transformer `post_{π_k}` of Lemma 6.1.
 
+use air_core::{Additive, StateAlgebra};
+use air_lang::{SemError, StateSet, Universe};
 use air_lattice::BitVecSet;
+
+/// The one-variable universe `s ∈ 0..num_states` whose store indices are
+/// the state indices of a system with `num_states` states.
+///
+/// # Panics
+///
+/// Panics if `num_states` is 0 or exceeds [`Universe::MAX_SIZE`].
+pub fn state_universe(num_states: usize) -> Universe {
+    Universe::new(&[("s", 0, num_states as i64 - 1)]).expect("a non-empty, bounded state space")
+}
+
+/// `post_{π_k}(X) = post(X) ∩ B`: one step of an abstract path into the
+/// block `B` (Lemma 6.1). Additive, with `wlp(z) = ¬pre(B ∖ z)`.
+#[derive(Clone, Copy, Debug)]
+pub struct PostWithin<'a> {
+    ts: &'a TransitionSystem,
+    block: &'a BitVecSet,
+}
+
+impl<A: StateAlgebra<Set = StateSet>> Additive<A> for PostWithin<'_> {
+    fn image(&self, _: &A, x: &StateSet) -> Result<StateSet, SemError> {
+        Ok(self.ts.post(x).intersection(self.block))
+    }
+
+    fn wlp(&self, _: &A, z: &StateSet) -> Result<StateSet, SemError> {
+        Ok(self.ts.pre(&self.block.difference(z)).complement())
+    }
+}
 
 /// A finite directed transition system over states `0..num_states`.
 ///
@@ -44,6 +79,21 @@ impl TransitionSystem {
     /// Number of states.
     pub fn num_states(&self) -> usize {
         self.num_states
+    }
+
+    /// The universe whose stores are this system's states
+    /// ([`state_universe`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the system has no states.
+    pub fn universe(&self) -> Universe {
+        state_universe(self.num_states)
+    }
+
+    /// `post_{π_k}` into `block` ([`PostWithin`]).
+    pub fn post_within<'a>(&'a self, block: &'a BitVecSet) -> PostWithin<'a> {
+        PostWithin { ts: self, block }
     }
 
     /// Number of transitions.

@@ -25,7 +25,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use air_core::question::{corpus_files, load_corpus};
+use air_core::question::load_corpus;
+use air_core::DomainKind;
 use air_dist::{run_distributed, run_worker, DistConfig, DistHooks, DistStats, LeaseDone, Tile};
 use air_fuzz::checkpoint::{self, CheckpointState};
 use air_lattice::Governor;
@@ -502,9 +503,10 @@ pub(crate) fn corpus_worker(shard: u64, task: &CorpusTask) -> Result<Outcome, Ai
 /// `--stats-json`) is byte-identical to the single-process sweep even
 /// under worker kills.
 pub(crate) fn chaos_dist(task: &ChaosTask) -> Result<Outcome, AirError> {
-    // The coordinator only needs the program count for the banner and
-    // report; workers do the heavy concrete-oracle preparation.
-    let programs = corpus_files(&task.dir).map_err(usage)?.len();
+    // The coordinator reads every header before it starts a worker, so a
+    // bad corpus fails here exactly as the single-process run does; the
+    // workers do the heavy concrete-oracle preparation.
+    let programs = load_corpus(&task.dir, DomainKind::Int)?.len();
     let fuel = task.fuel.unwrap_or(crate::chaos::DEFAULT_CHAOS_FUEL);
     crate::chaos::print_banner(task, programs, fuel);
     let seed = task.seed.to_string();

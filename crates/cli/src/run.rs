@@ -363,6 +363,8 @@ fn fuzz(cmd: FuzzCmd) -> Result<Outcome, AirError> {
         }
         FuzzCmd::Replay { file, oracle } => {
             check_oracle_name(oracle.as_deref())?;
+            // The fault-injection axis panics on purpose, as in `run`.
+            air_resilience::install_quiet_fault_hook();
             let case = read_seed_file(&file)?;
             let outcome = air_fuzz::replay_case(&case, oracle.as_deref());
             if let Some(reason) = &outcome.case_skip {
@@ -386,6 +388,7 @@ fn fuzz(cmd: FuzzCmd) -> Result<Outcome, AirError> {
             }
         }
         FuzzCmd::Minimize { file } => {
+            air_resilience::install_quiet_fault_hook();
             let case = read_seed_file(&file)?;
             let outcome = air_fuzz::replay_case(&case, None);
             let target = outcome

@@ -614,3 +614,38 @@ fn chaos_sharded_report_is_byte_identical_to_single_process() {
         "--shards 2 chaos report differs from single-process"
     );
 }
+
+/// A sharded chaos sweep reads every corpus header before it starts a
+/// worker: a bad corpus is the usage error the single-process run gives,
+/// not a lost-worker internal error.
+#[test]
+fn sharded_chaos_rejects_a_bad_corpus_like_the_single_process_run() {
+    let dir = corpus_dir("corpus/fuzz");
+    let single = air(&["chaos", "--dir", &dir]);
+    let sharded = air(&["chaos", "--shards", "2", "--dir", &dir]);
+    assert_eq!(single.status.code(), Some(2), "{single:?}");
+    assert_eq!(sharded.status.code(), Some(2), "{sharded:?}");
+    let stderr = String::from_utf8(sharded.stderr).unwrap();
+    assert_eq!(stderr, String::from_utf8(single.stderr).unwrap());
+    assert!(
+        stderr.contains("missing `# Verified with:` header"),
+        "{stderr}"
+    );
+}
+
+/// `fuzz replay` and `fuzz minimize` keep the fault-injection axis's
+/// deliberate panics off stderr, as `fuzz run` does.
+#[test]
+fn fuzz_replay_and_minimize_keep_injected_panics_quiet() {
+    let seed = corpus_dir("corpus/fuzz/nondet-havoc.imp");
+    for args in [["fuzz", "replay", &seed], ["fuzz", "minimize", &seed]] {
+        let out = air(&args);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.starts_with("seed 3: "), "{stdout}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        for noise in ["fault injected", "stack backtrace"] {
+            assert!(!stderr.contains(noise), "{args:?}: {stderr}");
+        }
+    }
+}

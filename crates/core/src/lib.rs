@@ -93,7 +93,7 @@ pub use backward::{BackwardOutcome, BackwardRepair, UnrollStrategy};
 pub use domain::EnumDomain;
 pub use forward::{ForwardRepair, PartialRepair, RepairError, RepairOutcome, RepairRule};
 pub use lcl::{Derivation, Lcl, LclError, SpecVerdict, Triple};
-pub use local::{LocalCompleteness, ShellResult};
+pub use local::{Additive, LocalCompleteness, ShellResult};
 pub use oracles::{run_oracle, OracleInstance, OracleOutcome, ORACLES};
 pub use question::{Built, DomainKind, Question, QuestionError, Strategy};
 pub use session::{RepairSession, ReuseStats, SessionOutcome};

@@ -1,22 +1,57 @@
 //! Local completeness and pointed shells (Section 4 of the paper).
 //!
+//! The queries hold for any additive transformer `f` ([`Additive`]),
+//! given by its image and its `wlp`:
+//!
 //! - [`LocalCompleteness::check`] — Definition 4.1: `C^A_c(f) ⇔ A f(c) =
 //!   A f A(c)`.
 //! - [`LocalCompleteness::sup_l`] — the lub of the local completeness set
-//!   `L^A_{c,f} = {x ≤ A(c) | f(x) ≤ A f(c)}`; for additive `f` (every
-//!   collecting semantics here) `∨L = A(c) ∧ wlp(f, A f(c))`
-//!   (Theorem 4.4(ii)).
+//!   `L^A_{c,f} = {x ≤ A(c) | f(x) ≤ A f(c)}`; for additive `f`
+//!   `∨L = A(c) ∧ wlp(f, A f(c))` (Theorem 4.4(ii)).
 //! - [`LocalCompleteness::pointed_shell`] — Theorem 4.9: `A_u` with
 //!   `u = ∨L` is the pointed shell iff `f(c) ≤ u ⇒ f(u) ≤ u`.
 //! - [`LocalCompleteness::guard_shell`] — Theorem 4.11: the always-existing
 //!   shell for a Boolean guard pair `{b?, ¬b?}`:
 //!   `u = (A(P∩b)∩b) ∪ (A(P∩¬b)∩¬b)`.
+//!
+//! A program command `⟦r⟧` is one instance (through the
+//! [`StateAlgebra`]); a transition system's `post_{π_k}` is the other
+//! (Section 6, in `air-cegar`).
 
 use air_lang::ast::{BExp, Exp, Reg};
 use air_lang::{SemCache, SemError, StateSet, Universe};
 
 use crate::algebra::{EnumAlgebra, PointedDomain, StateAlgebra, StoreSet};
 use crate::forward::RepairRule;
+
+/// An additive transformer `f` on the sets of an algebra `A`, given by
+/// its image and its weakest liberal precondition. Additivity is what
+/// makes `∨L` a closed form (Theorem 4.4(ii)).
+pub trait Additive<A: StateAlgebra> {
+    /// The image `f(c)`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SemError`] from concrete execution.
+    fn image(&self, alg: &A, c: &A::Set) -> Result<A::Set, SemError>;
+    /// `wlp(f, post) = {σ | f({σ}) ⊆ post}`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SemError`] from concrete execution.
+    fn wlp(&self, alg: &A, post: &A::Set) -> Result<A::Set, SemError>;
+}
+
+/// A program's collecting semantics `⟦r⟧`, answered by the algebra.
+impl<A: StateAlgebra> Additive<A> for Reg {
+    fn image(&self, alg: &A, c: &A::Set) -> Result<A::Set, SemError> {
+        alg.exec(self, c)
+    }
+
+    fn wlp(&self, alg: &A, post: &A::Set) -> Result<A::Set, SemError> {
+        alg.wlp(A::Term::default(), self, post)
+    }
+}
 
 /// The result of a pointed-shell construction (Theorem 4.9).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -88,13 +123,16 @@ impl<'u, A: StateAlgebra> LocalCompleteness<'u, A> {
         LocalCompleteness { universe, alg }
     }
 
-    /// Definition 4.1: is `dom` locally complete for `⟦r⟧` on `c`?
+    /// Definition 4.1: is `dom` locally complete for `f` on `c`?
     ///
     /// # Errors
     ///
     /// Propagates [`SemError`] from concrete execution.
-    pub fn check(&self, dom: &A::Domain, r: &Reg, c: &A::Set) -> Result<bool, SemError> {
-        Ok(self.defect(dom, r, c)?.size() == 0)
+    pub fn check<F>(&self, dom: &A::Domain, f: &F, c: &A::Set) -> Result<bool, SemError>
+    where
+        F: Additive<A> + ?Sized,
+    {
+        Ok(self.defect(dom, f, c)?.size() == 0)
     }
 
     /// The *incompleteness defect* `A f A(c) ∖ A f(c)`: the spurious
@@ -104,21 +142,27 @@ impl<'u, A: StateAlgebra> LocalCompleteness<'u, A> {
     /// # Errors
     ///
     /// Propagates [`SemError`].
-    pub fn defect(&self, dom: &A::Domain, r: &Reg, c: &A::Set) -> Result<A::Set, SemError> {
-        let exact = dom.close(&self.alg.exec(r, c)?);
-        let through = dom.close(&self.alg.exec(r, &dom.close(c))?);
+    pub fn defect<F>(&self, dom: &A::Domain, f: &F, c: &A::Set) -> Result<A::Set, SemError>
+    where
+        F: Additive<A> + ?Sized,
+    {
+        let exact = dom.close(&f.image(&self.alg, c)?);
+        let through = dom.close(&f.image(&self.alg, &dom.close(c))?);
         Ok(through.difference(&exact))
     }
 
-    /// `∨L^A_{c,f} = A(c) ∧ wlp(f, A f(c))` for the additive `f = ⟦r⟧`
+    /// `∨L^A_{c,f} = A(c) ∧ wlp(f, A f(c))` for additive `f`
     /// (Theorem 4.4(ii)).
     ///
     /// # Errors
     ///
     /// Propagates [`SemError`].
-    pub fn sup_l(&self, dom: &A::Domain, r: &Reg, c: &A::Set) -> Result<A::Set, SemError> {
-        let afc = dom.close(&self.alg.exec(r, c)?);
-        let pre = self.alg.wlp(A::Term::default(), r, &afc)?;
+    pub fn sup_l<F>(&self, dom: &A::Domain, f: &F, c: &A::Set) -> Result<A::Set, SemError>
+    where
+        F: Additive<A> + ?Sized,
+    {
+        let afc = dom.close(&f.image(&self.alg, c)?);
+        let pre = f.wlp(&self.alg, &afc)?;
         Ok(dom.close(c).intersection(&pre))
     }
 
@@ -127,28 +171,34 @@ impl<'u, A: StateAlgebra> LocalCompleteness<'u, A> {
     /// # Errors
     ///
     /// Propagates [`SemError`].
-    pub fn check_via_sup(&self, dom: &A::Domain, r: &Reg, c: &A::Set) -> Result<bool, SemError> {
-        let u = self.sup_l(dom, r, c)?;
+    pub fn check_via_sup<F>(&self, dom: &A::Domain, f: &F, c: &A::Set) -> Result<bool, SemError>
+    where
+        F: Additive<A> + ?Sized,
+    {
+        let u = self.sup_l(dom, f, c)?;
         Ok(dom.close(&u) == u)
     }
 
-    /// Theorem 4.9(ii): constructs the pointed shell of `dom` for `⟦r⟧` on
+    /// Theorem 4.9(ii): constructs the pointed shell of `dom` for `f` on
     /// `c` when it exists. For additive `f` the shell is `A_u` with
     /// `u = ∨L`, and it exists iff `f(c) ≤ u ⇒ f(u) ≤ u`.
     ///
     /// # Errors
     ///
     /// Propagates [`SemError`].
-    pub fn pointed_shell(
+    pub fn pointed_shell<F>(
         &self,
         dom: &A::Domain,
-        r: &Reg,
+        f: &F,
         c: &A::Set,
-    ) -> Result<ShellResult<A::Set>, SemError> {
-        let u = self.sup_l(dom, r, c)?;
-        let fc = self.alg.exec(r, c)?;
+    ) -> Result<ShellResult<A::Set>, SemError>
+    where
+        F: Additive<A> + ?Sized,
+    {
+        let u = self.sup_l(dom, f, c)?;
+        let fc = f.image(&self.alg, c)?;
         let exists = if fc.is_subset(&u) {
-            self.alg.exec(r, &u)?.is_subset(&u)
+            f.image(&self.alg, &u)?.is_subset(&u)
         } else {
             true
         };

@@ -14,8 +14,8 @@
 //! | [`forward_repair_postconditions`] | Theorem 7.1 (fRepair) |
 //! | [`backward_repair_postconditions`] | Theorem 7.6 + Corollary 7.7 (bRepair) |
 //! | [`abstract_soundness`] | §3.2 (soundness of `⟦·⟧♯_{A⊞N}`) |
-//! | [`sup_l_characterization`] | Theorem 4.4 (`∨L = A(c) ∧ wlp(f, A f(c))`) |
-//! | [`pointed_shell_restores`] | Theorem 4.9 (pointed shells) |
+//! | [`local_completeness_via_sup_l`] | Theorem 4.4 (`∨L = A(c) ∧ wlp(f, A f(c))`) |
+//! | [`shell_existence_and_repair`] | Theorem 4.9 (pointed shells) |
 //! | [`guard_shell_restores`] | Theorem 4.11 (Boolean-guard shell) |
 //! | [`completeness_convexity`] | Definition 4.1, convexity remark |
 //! | [`pointed_widening_laws`] | Definition 7.11 / Theorem 7.12 |
@@ -119,8 +119,8 @@ pub fn run_oracle(
         "forward_repair" => forward_repair_postconditions(inst),
         "backward_repair" => backward_repair_postconditions(inst),
         "soundness" => abstract_soundness(inst),
-        "sup_l" => sup_l_characterization(inst),
-        "pointed_shell" => pointed_shell_restores(inst),
+        "sup_l" => local_completeness_via_sup_l(inst),
+        "pointed_shell" => shell_existence_and_repair(inst),
         "guard_shell" => guard_shell_restores(inst),
         "convexity" => completeness_convexity(inst),
         "pointed_widening" => pointed_widening_laws(inst),
@@ -243,7 +243,7 @@ pub fn abstract_soundness(inst: &OracleInstance<'_>) -> Result<OracleOutcome, Se
 
 /// Theorem 4.4: the direct completeness check (defect emptiness) agrees
 /// with the `∨L`-expressibility characterization, and `∨L ≤ A(c)`.
-pub fn sup_l_characterization(inst: &OracleInstance<'_>) -> Result<OracleOutcome, SemError> {
+pub fn local_completeness_via_sup_l(inst: &OracleInstance<'_>) -> Result<OracleOutcome, SemError> {
     let lc = LocalCompleteness::with_cache(inst.universe, inst.cache.clone());
     let direct = lc.check(&inst.domain, &inst.program, &inst.pre)?;
     let via_sup = lc.check_via_sup(&inst.domain, &inst.program, &inst.pre)?;
@@ -261,7 +261,7 @@ pub fn sup_l_characterization(inst: &OracleInstance<'_>) -> Result<OracleOutcome
 
 /// Theorem 4.9: when the pointed shell exists, adding its point restores
 /// local completeness; the point is `∨L` itself.
-pub fn pointed_shell_restores(inst: &OracleInstance<'_>) -> Result<OracleOutcome, SemError> {
+pub fn shell_existence_and_repair(inst: &OracleInstance<'_>) -> Result<OracleOutcome, SemError> {
     let lc = LocalCompleteness::with_cache(inst.universe, inst.cache.clone());
     match lc.pointed_shell(&inst.domain, &inst.program, &inst.pre)? {
         ShellResult::Shell { point } => {

@@ -10,18 +10,13 @@
 //! Operations (Karr 1976):
 //! - `meet`: concatenate constraint rows and re-reduce;
 //! - `join`: affine hull — convert to generator form (a support point
-//!   plus direction vectors), union the generators, convert back;
-//! - assignments of affine expressions: exact by substitution
-//!   (invertible case) or projection + new equation;
-//! - affine equality guards refine exactly; other guards are identity
-//!   (sound).
+//!   plus direction vectors), union the generators, convert back.
 
 use std::fmt;
 
-use air_lang::ast::{AExp, BExp, CmpOp};
 use air_lang::Universe;
 
-use crate::traits::{Abstraction, Transfer};
+use crate::traits::Abstraction;
 
 /// An exact rational with `i128` parts (plenty for bounded universes).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -218,50 +213,6 @@ impl AffineDomain {
 
     fn n(&self) -> usize {
         self.vars.len()
-    }
-
-    fn var_index(&self, name: &str) -> Option<usize> {
-        self.vars.iter().position(|v| v == name)
-    }
-
-    /// Linearizes an expression into `coeffs·x + constant` when affine.
-    fn linearize(&self, a: &AExp) -> Option<(Vec<Ratio>, Ratio)> {
-        match a {
-            AExp::Num(v) => Some((vec![Ratio::ZERO; self.n()], Ratio::int(*v))),
-            AExp::Var(x) => {
-                let i = self.var_index(x)?;
-                let mut c = vec![Ratio::ZERO; self.n()];
-                c[i] = Ratio::ONE;
-                Some((c, Ratio::ZERO))
-            }
-            AExp::Add(l, r) => {
-                let (lc, lk) = self.linearize(l)?;
-                let (rc, rk) = self.linearize(r)?;
-                Some((
-                    lc.iter().zip(&rc).map(|(a, b)| a.add(*b)).collect(),
-                    lk.add(rk),
-                ))
-            }
-            AExp::Sub(l, r) => {
-                let (lc, lk) = self.linearize(l)?;
-                let (rc, rk) = self.linearize(r)?;
-                Some((
-                    lc.iter().zip(&rc).map(|(a, b)| a.sub(*b)).collect(),
-                    lk.sub(rk),
-                ))
-            }
-            AExp::Mul(l, r) => {
-                let (lc, lk) = self.linearize(l)?;
-                let (rc, rk) = self.linearize(r)?;
-                if lc.iter().all(|c| c.is_zero()) {
-                    Some((rc.iter().map(|c| c.mul(lk)).collect(), rk.mul(lk)))
-                } else if rc.iter().all(|c| c.is_zero()) {
-                    Some((lc.iter().map(|c| c.mul(rk)).collect(), lk.mul(rk)))
-                } else {
-                    None
-                }
-            }
-        }
     }
 
     /// Converts a reduced constraint system to generator form; `None` for
@@ -494,157 +445,10 @@ impl Abstraction for AffineDomain {
     }
 }
 
-impl Transfer for AffineDomain {
-    fn assign(&self, e: &Aff, var: &str, a: &AExp) -> Aff {
-        let Aff::Rows(rows) = e else {
-            return Aff::Bot;
-        };
-        let Some(xi) = self.var_index(var) else {
-            return e.clone();
-        };
-        let n = self.n();
-        match self.linearize(a) {
-            Some((coeffs, k)) => {
-                // Exact Karr assignment via a fresh-variable encoding:
-                // introduce x' with x' = coeffs·x + k, project out x,
-                // rename x' to x. Implemented by extending to n+1 dims.
-                let mut ext: Vec<AffineRow> = rows
-                    .iter()
-                    .map(|r| {
-                        let mut c = r.coeffs.clone();
-                        c.push(Ratio::ZERO);
-                        AffineRow {
-                            coeffs: c,
-                            rhs: r.rhs,
-                        }
-                    })
-                    .collect();
-                let mut c = coeffs;
-                c.push(Ratio::int(-1)); // coeffs·x − x' = −k
-                ext.push(AffineRow {
-                    coeffs: c,
-                    rhs: Ratio::ZERO.sub(k),
-                });
-                // Project out dimension xi: eliminate it, then drop the
-                // column and move x' (last column) into position xi.
-                let Some(reduced) = reduce(ext, n + 1) else {
-                    return Aff::Bot;
-                };
-                // Rows whose pivot is xi are dropped (they only constrain
-                // the old value); others have zero in column xi after
-                // eliminating with such a row — reduce already did that
-                // when xi had a pivot row; rows still mentioning xi with
-                // no pivot row for xi must be dropped... after full
-                // reduction at most one row has pivot xi; all other rows
-                // have zero at xi.
-                let mut out = Vec::new();
-                for r in reduced {
-                    // A trivial row constrains nothing; drop it (sound).
-                    let Some(pivot) = r.coeffs.iter().position(|c| !c.is_zero()) else {
-                        continue;
-                    };
-                    if pivot == xi {
-                        continue; // constrains the projected-out old x
-                    }
-                    if !r.coeffs[xi].is_zero() {
-                        // xi appears but is not the pivot: cannot happen
-                        // in reduced echelon form when a pivot row for xi
-                        // exists; if none exists, drop the row (sound).
-                        continue;
-                    }
-                    let mut c = r.coeffs;
-                    let Some(xprime) = c.pop() else {
-                        continue; // extended column is always present
-                    };
-                    c[xi] = xprime;
-                    out.push(AffineRow {
-                        coeffs: c,
-                        rhs: r.rhs,
-                    });
-                }
-                match reduce(out, n) {
-                    Some(rows) => Aff::Rows(rows),
-                    None => Aff::Bot,
-                }
-            }
-            None => {
-                // Non-affine: forget x (project it out).
-                let Some(reduced) = reduce(rows.clone(), n) else {
-                    return Aff::Bot;
-                };
-                let out: Vec<AffineRow> = reduced
-                    .into_iter()
-                    .filter(|r| r.coeffs[xi].is_zero())
-                    .collect();
-                Aff::Rows(out)
-            }
-        }
-    }
-
-    fn havoc(&self, e: &Aff, var: &str) -> Aff {
-        let Aff::Rows(rows) = e else {
-            return Aff::Bot;
-        };
-        let Some(xi) = self.var_index(var) else {
-            return e.clone();
-        };
-        // Project out xi: in reduced echelon form, dropping every row that
-        // mentions xi is the exact projection.
-        let Some(reduced) = reduce(rows.clone(), self.n()) else {
-            return Aff::Bot;
-        };
-        Aff::Rows(
-            reduced
-                .into_iter()
-                .filter(|r| r.coeffs[xi].is_zero())
-                .collect(),
-        )
-    }
-
-    fn assume(&self, e: &Aff, b: &BExp) -> Aff {
-        let Aff::Rows(_) = e else {
-            return Aff::Bot;
-        };
-        match b {
-            BExp::Tt => e.clone(),
-            BExp::Ff => Aff::Bot,
-            BExp::And(l, r) => self.assume(&self.assume(e, l), r),
-            BExp::Not(inner) => match &**inner {
-                // ¬(a ≠ b) is an equality.
-                BExp::Cmp(CmpOp::Ne, l, r) => {
-                    self.assume(e, &BExp::Cmp(CmpOp::Eq, l.clone(), r.clone()))
-                }
-                _ => e.clone(),
-            },
-            BExp::Cmp(CmpOp::Eq, l, r) => {
-                let (Some((lc, lk)), Some((rc, rk))) = (self.linearize(l), self.linearize(r))
-                else {
-                    return e.clone();
-                };
-                let coeffs: Vec<Ratio> = lc.iter().zip(&rc).map(|(a, b)| a.sub(*b)).collect();
-                let rhs = rk.sub(lk);
-                let Aff::Rows(rows) = e else {
-                    return Aff::Bot;
-                };
-                let mut all = rows.clone();
-                all.push(AffineRow { coeffs, rhs });
-                match reduce(all, self.n()) {
-                    Some(rows) => Aff::Rows(rows),
-                    None => Aff::Bot,
-                }
-            }
-            // Inequalities and disjunctions carry no affine-equality
-            // information: identity is sound.
-            _ => e.clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::traits::laws;
-    use air_lang::{parse_bexp, parse_program, Concrete};
 
     fn universe() -> Universe {
         Universe::new(&[("x", -6, 6), ("y", -6, 6)]).unwrap()
@@ -733,95 +537,5 @@ mod tests {
         assert!(!dom.leq(&diag, &point));
         assert!(dom.leq(&diag, &dom.top()));
         assert!(dom.leq(&dom.bottom(), &point));
-    }
-
-    #[test]
-    fn affine_assignments_are_exact() {
-        let u = universe();
-        let dom = AffineDomain::new(&u);
-        let diag = dom.alpha_set(&u, &u.filter(|s| s[0] == s[1]));
-        // y := y + 1 turns y = x into y = x + 1.
-        let e = dom.assign(&diag, "y", &AExp::var("y").add(AExp::Num(1)));
-        assert!(dom.gamma_contains(&e, &[2, 3]));
-        assert!(!dom.gamma_contains(&e, &[2, 2]));
-        // x := x - y zeroes x on the diagonal... x' = x − y = 0 with the
-        // *old* y = old x: new state (0, y).
-        let e2 = dom.assign(&diag, "x", &AExp::var("x").sub(AExp::var("y")));
-        assert!(dom.gamma_contains(&e2, &[0, 5]));
-        assert!(!dom.gamma_contains(&e2, &[1, 5]));
-        // Self-referential swap-style chain keeps exactness:
-        // from y = x: x := 2*x; now x = 2y.
-        let e3 = dom.assign(&diag, "x", &AExp::Num(2).mul(AExp::var("x")));
-        assert!(dom.gamma_contains(&e3, &[4, 2]));
-        assert!(!dom.gamma_contains(&e3, &[4, 4]));
-    }
-
-    #[test]
-    fn nonaffine_assignment_forgets() {
-        let u = universe();
-        let dom = AffineDomain::new(&u);
-        let diag = dom.alpha_set(&u, &u.filter(|s| s[0] == s[1]));
-        let e = dom.assign(&diag, "y", &AExp::var("x").mul(AExp::var("x")));
-        // y unconstrained, x unconstrained too (the x = y row is dropped
-        // because it mentioned y).
-        assert_eq!(e, dom.top());
-    }
-
-    #[test]
-    fn equality_guards_refine() {
-        let u = universe();
-        let dom = AffineDomain::new(&u);
-        let e = dom.assume(&dom.top(), &parse_bexp("x = y + 1").unwrap());
-        assert!(dom.gamma_contains(&e, &[3, 2]));
-        assert!(!dom.gamma_contains(&e, &[3, 3]));
-        // Contradiction detected.
-        let bot = dom.assume(&e, &parse_bexp("x = y").unwrap());
-        assert!(dom.is_bottom(&bot));
-        // Double negation of ≠ is =.
-        let e2 = dom.assume(&dom.top(), &parse_bexp("!(x != y)").unwrap());
-        assert!(dom.gamma_contains(&e2, &[2, 2]));
-        assert!(!dom.gamma_contains(&e2, &[2, 1]));
-    }
-
-    #[test]
-    fn transfer_soundness_against_concrete() {
-        let u = universe();
-        let dom = AffineDomain::new(&u);
-        let sem = Concrete::new(&u);
-        let b = parse_bexp("x = y && x >= 0").unwrap();
-        laws::check_transfer_sound(
-            &dom,
-            &u,
-            &sets(&u),
-            |s| sem.exec_exp(&air_lang::ast::Exp::Assume(b.clone()), s).ok(),
-            |e| dom.assume(e, &b),
-        )
-        .unwrap();
-        let a = AExp::var("x").add(AExp::var("y")).sub(AExp::Num(1));
-        laws::check_transfer_sound(
-            &dom,
-            &u,
-            &sets(&u),
-            |s| {
-                sem.exec_exp(&air_lang::ast::Exp::assign("y", a.clone()), s)
-                    .ok()
-            },
-            |e| dom.assign(e, "y", &a),
-        )
-        .unwrap();
-    }
-
-    #[test]
-    fn countdown_invariant_is_native() {
-        // The Example 7.8 loop preserves y − x; Karr's analyzer keeps it.
-        let u = Universe::new(&[("x", -2, 6), ("y", -8, 6)]).unwrap();
-        let dom = AffineDomain::new(&u);
-        let prog = parse_program("x := x - 1; y := y - 1").unwrap();
-        let start = dom.assume(&dom.top(), &parse_bexp("x = y").unwrap());
-        let out = crate::analyzer::Analyzer::new(&dom)
-            .exec(&prog, &start)
-            .unwrap();
-        assert!(dom.gamma_contains(&out, &[2, 2]));
-        assert!(!dom.gamma_contains(&out, &[2, 3]));
     }
 }

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use air_lang::ast::CmpOp;
-
 use crate::value::AbstractValue;
 
 /// A constant abstraction (Kildall's lattice).
@@ -23,18 +21,6 @@ impl fmt::Display for Constant {
             Constant::Bot => write!(f, "⊥"),
             Constant::Const(v) => write!(f, "{v}"),
             Constant::Top => write!(f, "⊤"),
-        }
-    }
-}
-
-impl Constant {
-    fn lift(a: &Constant, b: &Constant, f: impl Fn(i64, i64) -> Option<i64>) -> Constant {
-        match (a, b) {
-            (Constant::Bot, _) | (_, Constant::Bot) => Constant::Bot,
-            (Constant::Const(x), Constant::Const(y)) => {
-                f(*x, *y).map_or(Constant::Top, Constant::Const)
-            }
-            _ => Constant::Top,
         }
     }
 }
@@ -74,50 +60,11 @@ impl AbstractValue for Constant {
         Constant::Const(v)
     }
 
-    fn add(&self, other: &Self) -> Self {
-        Constant::lift(self, other, i64::checked_add)
-    }
-
-    fn sub(&self, other: &Self) -> Self {
-        Constant::lift(self, other, i64::checked_sub)
-    }
-
-    fn mul(&self, other: &Self) -> Self {
-        // 0 annihilates even against ⊤.
-        match (self, other) {
-            (Constant::Const(0), x) | (x, Constant::Const(0)) if *x != Constant::Bot => {
-                Constant::Const(0)
-            }
-            _ => Constant::lift(self, other, i64::checked_mul),
-        }
-    }
-
     fn contains(&self, v: i64) -> bool {
         match self {
             Constant::Bot => false,
             Constant::Const(c) => *c == v,
             Constant::Top => true,
-        }
-    }
-
-    fn refine_cmp(op: CmpOp, l: &Self, r: &Self) -> (Self, Self) {
-        if l.is_bottom() || r.is_bottom() {
-            return (Constant::Bot, Constant::Bot);
-        }
-        match (op, l, r) {
-            (CmpOp::Eq, _, _) => {
-                let m = l.meet(r);
-                (m, m)
-            }
-            // Two known constants decide every comparison outright.
-            (_, Constant::Const(x), Constant::Const(y)) => {
-                if op.eval(*x, *y) {
-                    (*l, *r)
-                } else {
-                    (Constant::Bot, Constant::Bot)
-                }
-            }
-            _ => (*l, *r),
         }
     }
 }
@@ -144,47 +91,5 @@ mod tests {
     #[test]
     fn value_domain_laws() {
         laws::check_value_domain(&sample(), &values()).unwrap();
-    }
-
-    #[test]
-    fn arithmetic_soundness() {
-        laws::check_arith_sound(&sample(), &values()).unwrap();
-    }
-
-    #[test]
-    fn refine_cmp_soundness() {
-        laws::check_refine_cmp_sound(&sample(), &values()).unwrap();
-    }
-
-    #[test]
-    fn backward_soundness() {
-        laws::check_backward_sound(&sample(), &values()).unwrap();
-    }
-
-    #[test]
-    fn constant_folding() {
-        let a = Constant::Const(3);
-        let b = Constant::Const(4);
-        assert_eq!(a.add(&b), Constant::Const(7));
-        assert_eq!(a.mul(&b), Constant::Const(12));
-        assert_eq!(a.sub(&b), Constant::Const(-1));
-        assert_eq!(a.add(&Constant::Top), Constant::Top);
-        assert_eq!(Constant::Const(0).mul(&Constant::Top), Constant::Const(0));
-    }
-
-    #[test]
-    fn overflow_goes_to_top() {
-        let big = Constant::Const(i64::MAX);
-        assert_eq!(big.add(&Constant::Const(1)), Constant::Top);
-    }
-
-    #[test]
-    fn refinement_decides_constant_comparisons() {
-        let (l, r) = Constant::refine_cmp(CmpOp::Lt, &Constant::Const(5), &Constant::Const(3));
-        assert_eq!((l, r), (Constant::Bot, Constant::Bot));
-        let (l, r) = Constant::refine_cmp(CmpOp::Lt, &Constant::Const(2), &Constant::Const(3));
-        assert_eq!((l, r), (Constant::Const(2), Constant::Const(3)));
-        let (l, r) = Constant::refine_cmp(CmpOp::Eq, &Constant::Top, &Constant::Const(3));
-        assert_eq!((l, r), (Constant::Const(3), Constant::Const(3)));
     }
 }

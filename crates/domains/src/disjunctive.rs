@@ -8,10 +8,9 @@
 //! collapse the two closest disjuncts (by joined-γ growth on a sample, or
 //! simply the base join of the first pair).
 
-use air_lang::ast::{AExp, BExp};
 use air_lang::{StateSet, Universe};
 
-use crate::traits::{alpha_fold, Abstraction, Transfer};
+use crate::traits::{alpha_fold, Abstraction};
 
 /// The bounded disjunctive completion `℘≤k(A)` of a base domain.
 ///
@@ -168,26 +167,12 @@ impl<A: Abstraction> Abstraction for Disjunctive<A> {
     }
 }
 
-impl<A: Transfer> Transfer for Disjunctive<A> {
-    fn assign(&self, e: &Self::Elem, var: &str, a: &AExp) -> Self::Elem {
-        self.normalize(e.iter().map(|d| self.base.assign(d, var, a)).collect())
-    }
-
-    fn assume(&self, e: &Self::Elem, b: &BExp) -> Self::Elem {
-        self.normalize(e.iter().map(|d| self.base.assume(d, b)).collect())
-    }
-
-    fn havoc(&self, e: &Self::Elem, var: &str) -> Self::Elem {
-        self.normalize(e.iter().map(|d| self.base.havoc(d, var)).collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::env::IntervalEnv;
     use crate::traits::laws;
-    use air_lang::{parse_bexp, Universe};
+    use air_lang::Universe;
 
     fn universe() -> Universe {
         Universe::new(&[("x", -8, 8)]).unwrap()
@@ -246,20 +231,6 @@ mod tests {
         let narrow = base.alpha_set(&u, &u.of_values([2, 3]));
         let joined = dom.join(&vec![wide.clone()], &vec![narrow]);
         assert_eq!(joined, vec![wide]);
-    }
-
-    #[test]
-    fn transfer_functions_distribute() {
-        let u = universe();
-        let dom = Disjunctive::new(IntervalEnv::new(&u), 4);
-        let a = dom.alpha_set(&u, &u.of_values([-3, 3]));
-        let pos = dom.assume(&a, &parse_bexp("x > 0").unwrap());
-        assert!(dom.gamma_contains(&pos, &[3]));
-        assert!(!dom.gamma_contains(&pos, &[-3]));
-        let shifted = dom.assign(&a, "x", &air_lang::ast::AExp::var("x").add(1.into()));
-        assert!(dom.gamma_contains(&shifted, &[4]));
-        assert!(dom.gamma_contains(&shifted, &[-2]));
-        assert!(!dom.gamma_contains(&shifted, &[1]));
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The nonrelational environment domain `Var → V`.
 //!
-//! [`EnvDomain<V>`] lifts any value domain pointwise to program stores and
-//! implements both [`Abstraction`] and [`Transfer`]. Guards are refined by
-//! an HC4-style forward/backward constraint pass over the expression tree,
-//! using the value domain's `refine_cmp`/`back_*` operators.
+//! [`EnvDomain<V>`] lifts any value domain pointwise to program stores
+//! and implements [`Abstraction`]: `α` joins each variable's values, `γ`
+//! tests each variable against its constraint.
 //!
 //! The classic instantiations have aliases: [`IntervalEnv`] is the paper's
 //! `Int`, [`SignEnv`], [`ParityEnv`], [`ConstantEnv`], [`CongruenceEnv`].
@@ -11,7 +10,6 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use air_lang::ast::{AExp, BExp};
 use air_lang::Universe;
 
 use crate::congruence::Congruence;
@@ -19,7 +17,7 @@ use crate::constant::Constant;
 use crate::interval::Interval;
 use crate::parity::Parity;
 use crate::sign::Sign;
-use crate::traits::{gamma_row_scan, Abstraction, Transfer};
+use crate::traits::{gamma_row_scan, Abstraction};
 use crate::value::AbstractValue;
 
 /// The paper's interval abstraction `Int`, lifted to stores.
@@ -69,16 +67,15 @@ impl<V: AbstractValue> EnvElem<V> {
 /// # Example
 ///
 /// ```
-/// use air_domains::{Abstraction, IntervalEnv, Transfer};
-/// use air_lang::{parse_bexp, Universe};
+/// use air_domains::{Abstraction, IntervalEnv};
+/// use air_lang::Universe;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let u = Universe::new(&[("x", -10, 10)])?;
 /// let dom = IntervalEnv::new(&u);
-/// let top = dom.top();
-/// let pos = dom.assume(&top, &parse_bexp("x > 0")?);
+/// let pos = dom.alpha_set(&u, &u.of_values([2, 7]));
 /// assert!(!dom.gamma_contains(&pos, &[0]));
-/// assert!(dom.gamma_contains(&pos, &[7]));
+/// assert!(dom.gamma_contains(&pos, &[5]));
 /// # Ok(())
 /// # }
 /// ```
@@ -110,10 +107,6 @@ impl<V: AbstractValue> EnvDomain<V> {
         &self.vars
     }
 
-    fn var_index(&self, name: &str) -> Option<usize> {
-        self.vars.iter().position(|v| &**v == name)
-    }
-
     /// Builds an environment from per-variable constraints.
     ///
     /// # Panics
@@ -123,101 +116,6 @@ impl<V: AbstractValue> EnvDomain<V> {
         let vs: Vec<V> = vals.into_iter().collect();
         assert_eq!(vs.len(), self.vars.len(), "constraint arity mismatch");
         EnvElem::Vals(vs).normalize()
-    }
-
-    /// Forward abstract evaluation of an arithmetic expression.
-    pub fn eval_aexp(&self, env: &EnvElem<V>, a: &AExp) -> V {
-        let EnvElem::Vals(vs) = env else {
-            return V::bottom();
-        };
-        self.eval_in(vs, a)
-    }
-
-    fn eval_in(&self, vs: &[V], a: &AExp) -> V {
-        match a {
-            AExp::Num(n) => V::from_const(*n),
-            AExp::Var(x) => self
-                .var_index(x)
-                .map(|i| vs[i].clone())
-                .unwrap_or_else(V::top),
-            AExp::Add(l, r) => self.eval_in(vs, l).add(&self.eval_in(vs, r)),
-            AExp::Sub(l, r) => self.eval_in(vs, l).sub(&self.eval_in(vs, r)),
-            AExp::Mul(l, r) => self.eval_in(vs, l).mul(&self.eval_in(vs, r)),
-        }
-    }
-
-    /// HC4-revise: refine `vs` under the constraint that `a` evaluates into
-    /// `target`. Returns `false` if the constraint is unsatisfiable.
-    fn backward_aexp(&self, vs: &mut Vec<V>, a: &AExp, target: &V) -> bool {
-        if target.is_bottom() {
-            return false;
-        }
-        match a {
-            AExp::Num(n) => !target.meet(&V::from_const(*n)).is_bottom(),
-            AExp::Var(x) => match self.var_index(x) {
-                Some(i) => {
-                    let m = vs[i].meet(target);
-                    let ok = !m.is_bottom();
-                    vs[i] = m;
-                    ok
-                }
-                None => true,
-            },
-            AExp::Add(l, r) => {
-                let lv = self.eval_in(vs, l);
-                let rv = self.eval_in(vs, r);
-                let (l2, r2) = V::back_add(target, &lv, &rv);
-                self.backward_aexp(vs, l, &l2) && self.backward_aexp(vs, r, &r2)
-            }
-            AExp::Sub(l, r) => {
-                let lv = self.eval_in(vs, l);
-                let rv = self.eval_in(vs, r);
-                let (l2, r2) = V::back_sub(target, &lv, &rv);
-                self.backward_aexp(vs, l, &l2) && self.backward_aexp(vs, r, &r2)
-            }
-            AExp::Mul(l, r) => {
-                let lv = self.eval_in(vs, l);
-                let rv = self.eval_in(vs, r);
-                let (l2, r2) = V::back_mul(target, &lv, &rv);
-                self.backward_aexp(vs, l, &l2) && self.backward_aexp(vs, r, &r2)
-            }
-        }
-    }
-
-    /// Refines an environment under a Boolean condition (`polarity = false`
-    /// refines under its negation). Iterated twice for extra propagation.
-    fn refine_bexp(&self, env: EnvElem<V>, b: &BExp, polarity: bool) -> EnvElem<V> {
-        let EnvElem::Vals(vs) = env else {
-            return EnvElem::Bot;
-        };
-        match (b, polarity) {
-            (BExp::Tt, true) | (BExp::Ff, false) => EnvElem::Vals(vs),
-            (BExp::Tt, false) | (BExp::Ff, true) => EnvElem::Bot,
-            (BExp::Not(inner), _) => self.refine_bexp(EnvElem::Vals(vs), inner, !polarity),
-            (BExp::And(l, r), true) | (BExp::Or(l, r), false) => {
-                let e1 = self.refine_bexp(EnvElem::Vals(vs), l, polarity);
-                self.refine_bexp(e1, r, polarity)
-            }
-            (BExp::And(l, r), false) | (BExp::Or(l, r), true) => {
-                let e1 = self.refine_bexp(EnvElem::Vals(vs.clone()), l, polarity);
-                let e2 = self.refine_bexp(EnvElem::Vals(vs), r, polarity);
-                self.join_elem(&e1, &e2)
-            }
-            (BExp::Cmp(op, l, r), _) => {
-                let op = if polarity { *op } else { op.negate() };
-                let mut vs = vs;
-                let lv = self.eval_in(&vs, l);
-                let rv = self.eval_in(&vs, r);
-                if lv.is_bottom() || rv.is_bottom() {
-                    return EnvElem::Bot;
-                }
-                let (l2, r2) = V::refine_cmp(op, &lv, &rv);
-                if !self.backward_aexp(&mut vs, l, &l2) || !self.backward_aexp(&mut vs, r, &r2) {
-                    return EnvElem::Bot;
-                }
-                EnvElem::Vals(vs).normalize()
-            }
-        }
     }
 
     fn join_elem(&self, a: &EnvElem<V>, b: &EnvElem<V>) -> EnvElem<V> {
@@ -279,15 +177,6 @@ impl<V: AbstractValue> Abstraction for EnvDomain<V> {
         }
     }
 
-    fn narrow(&self, a: &EnvElem<V>, b: &EnvElem<V>) -> EnvElem<V> {
-        match (a, b) {
-            (EnvElem::Bot, _) | (_, EnvElem::Bot) => EnvElem::Bot,
-            (EnvElem::Vals(xs), EnvElem::Vals(ys)) => {
-                EnvElem::Vals(xs.iter().zip(ys).map(|(x, y)| x.narrow(y)).collect()).normalize()
-            }
-        }
-    }
-
     fn alpha_store(&self, store: &[i64]) -> EnvElem<V> {
         EnvElem::Vals(store.iter().map(|&v| V::from_const(v)).collect())
     }
@@ -340,48 +229,11 @@ impl<V: AbstractValue> Abstraction for EnvDomain<V> {
     }
 }
 
-impl<V: AbstractValue> Transfer for EnvDomain<V> {
-    fn assign(&self, e: &EnvElem<V>, var: &str, a: &AExp) -> EnvElem<V> {
-        let EnvElem::Vals(vs) = e else {
-            return EnvElem::Bot;
-        };
-        let val = self.eval_in(vs, a);
-        match self.var_index(var) {
-            Some(i) => {
-                let mut out = vs.clone();
-                out[i] = val;
-                EnvElem::Vals(out).normalize()
-            }
-            None => e.clone(),
-        }
-    }
-
-    fn assume(&self, e: &EnvElem<V>, b: &BExp) -> EnvElem<V> {
-        // Two HC4 passes propagate refinements across repeated variables.
-        let once = self.refine_bexp(e.clone(), b, true);
-        self.refine_bexp(once, b, true)
-    }
-
-    fn havoc(&self, e: &EnvElem<V>, var: &str) -> EnvElem<V> {
-        let EnvElem::Vals(vs) = e else {
-            return EnvElem::Bot;
-        };
-        match self.var_index(var) {
-            Some(i) => {
-                let mut out = vs.clone();
-                out[i] = V::top();
-                EnvElem::Vals(out)
-            }
-            None => e.clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::traits::laws;
-    use air_lang::{parse_bexp, Concrete, Universe};
+    use air_lang::Universe;
 
     fn universe() -> Universe {
         Universe::new(&[("x", -6, 6), ("y", -6, 6)]).unwrap()
@@ -426,78 +278,6 @@ mod tests {
         let a = dom.alpha_set(&u, &s);
         assert_eq!(a.get(0), Some(&Interval::of(-2, 5)));
         assert_eq!(a.get(1), Some(&Interval::of(0, 0)));
-    }
-
-    #[test]
-    fn assume_refines_with_hc4() {
-        let u = universe();
-        let dom = IntervalEnv::new(&u);
-        // x + y <= 2 with x ≥ 1 pins y ≤ 1.
-        let e = dom.assume(&dom.top(), &parse_bexp("x >= 1 && x + y <= 2").unwrap());
-        assert_eq!(e.get(0), Some(&Interval::at_least(1)));
-        assert_eq!(e.get(1), Some(&Interval::at_most(1)));
-    }
-
-    #[test]
-    fn assume_disjunction_joins() {
-        let u = universe();
-        let dom = IntervalEnv::new(&u);
-        let e = dom.assume(&dom.top(), &parse_bexp("x < -2 || x > 2").unwrap());
-        // Interval join loses the hole but must keep both sides.
-        assert!(dom.gamma_contains(&e, &[-5, 0]));
-        assert!(dom.gamma_contains(&e, &[5, 0]));
-    }
-
-    #[test]
-    fn assume_unsatisfiable_is_bottom() {
-        let u = universe();
-        let dom = IntervalEnv::new(&u);
-        let e = dom.assume(&dom.top(), &parse_bexp("x < 0 && x > 0").unwrap());
-        assert!(dom.is_bottom(&e));
-        let e2 = dom.assume(&dom.top(), &parse_bexp("false").unwrap());
-        assert!(dom.is_bottom(&e2));
-    }
-
-    #[test]
-    fn assign_evaluates_forward() {
-        let u = universe();
-        let dom = IntervalEnv::new(&u);
-        let e = dom.env([Interval::of(1, 2), Interval::of(3, 4)]);
-        let a = air_lang::ast::AExp::var("x").add(air_lang::ast::AExp::var("y"));
-        let e2 = dom.assign(&e, "x", &a);
-        assert_eq!(e2.get(0), Some(&Interval::of(4, 6)));
-        assert_eq!(e2.get(1), Some(&Interval::of(3, 4)));
-    }
-
-    #[test]
-    fn transfer_soundness_against_concrete() {
-        let u = universe();
-        let dom = IntervalEnv::new(&u);
-        let sem = Concrete::new(&u);
-        let sets = some_sets(&u);
-        let b = parse_bexp("x * x <= y + 3").unwrap();
-        laws::check_transfer_sound(
-            &dom,
-            &u,
-            &sets,
-            |s| sem.exec_exp(&air_lang::ast::Exp::Assume(b.clone()), s).ok(),
-            |e| dom.assume(e, &b),
-        )
-        .unwrap();
-        let a = air_lang::ast::AExp::var("x").mul(air_lang::ast::AExp::Num(2));
-        // Assignments may escape the small universe; soundness is checked
-        // only where concrete execution is defined.
-        laws::check_transfer_sound(
-            &dom,
-            &u,
-            &sets,
-            |s| {
-                sem.exec_exp(&air_lang::ast::Exp::assign("y", a.clone()), s)
-                    .ok()
-            },
-            |e| dom.assign(e, "y", &a),
-        )
-        .unwrap();
     }
 
     #[test]

@@ -7,12 +7,15 @@
 //!    They are lifted pointwise to program stores by the nonrelational
 //!    environment domain [`EnvDomain`].
 //! 2. **Store domains** ([`Abstraction`]) abstract sets of stores: every
-//!    `EnvDomain<V>`, the relational [`OctagonDomain`], the Cartesian
-//!    [`PredicateDomain`] and its Boolean (disjunctive) completion
-//!    [`BooleanPredicateDomain`]. Domains that additionally implement
-//!    [`Transfer`] can drive the generic abstract interpreter
-//!    [`Analyzer`] — the standard, possibly *locally incomplete*, analysis
-//!    that Abstract Interpretation Repair fixes.
+//!    `EnvDomain<V>`, the relational [`OctagonDomain`] and
+//!    [`AffineDomain`], the Cartesian [`PredicateDomain`] and its Boolean
+//!    (disjunctive) completion [`BooleanPredicateDomain`], reduced
+//!    [`Product`]s and bounded [`Disjunctive`] completions.
+//!
+//! A store domain is presented by `α`/`γ` over a finite universe; its
+//! induced upper closure [`Abstraction::closure_set`] is the base domain
+//! `A` that `air-core`'s `EnumDomain` refines with points (`A ⊞ N`) and
+//! every repair engine runs on.
 //!
 //! How these domains plug into the paper's constructions is catalogued in
 //! `PAPER_MAP.md` at the repository root.
@@ -20,30 +23,28 @@
 //! # Example: the paper's introductory false alarm
 //!
 //! ```
-//! use air_domains::{Analyzer, IntervalEnv, Abstraction};
-//! use air_lang::{parse_program, Universe};
+//! use air_domains::{Abstraction, IntervalEnv};
+//! use air_lang::Universe;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let u = Universe::new(&[("x", -8, 8)])?;
 //! let dom = IntervalEnv::new(&u);
-//! let absval = parse_program("if (x >= 0) then { skip } else { x := 0 - x }")?;
 //!
-//! // α({odd x}) = [-7, 7]; the interval analysis of AbsVal yields [0, 7],
-//! // which wrongly includes 0 — the paper's division-by-zero false alarm.
+//! // Int({odd x}) = [-7, 7], which wrongly includes 0 — the root of the
+//! // paper's division-by-zero false alarm on AbsVal.
 //! let odd = u.filter(|s| s[0] % 2 != 0);
-//! let input = dom.alpha_set(&u, &odd);
-//! let out = Analyzer::new(&dom).exec(&absval, &input)?;
-//! assert!(dom.gamma_contains(&out, &[0]));
+//! let closed = dom.closure_set(&u, &odd);
+//! assert_eq!(closed, u.filter(|s| s[0].abs() <= 7));
+//! assert!(dom.gamma_contains(&dom.alpha_set(&u, &odd), &[0]));
 //! # Ok(())
 //! # }
 //! ```
 
-// Transfer functions run on user-influenced programs: a reachable
-// `unwrap()` is an abort, not an error. Tests may still use it freely.
+// Closures run on user-influenced universes: a reachable `unwrap()` is an
+// abort, not an error. Tests may still use it freely.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod affine;
-pub mod analyzer;
 pub mod congruence;
 pub mod constant;
 pub mod disjunctive;
@@ -58,7 +59,6 @@ pub mod traits;
 pub mod value;
 
 pub use affine::AffineDomain;
-pub use analyzer::{AnalysisError, Analyzer};
 pub use congruence::Congruence;
 pub use constant::Constant;
 pub use disjunctive::Disjunctive;
@@ -69,5 +69,5 @@ pub use parity::Parity;
 pub use predicate::{BooleanPredicateDomain, PredicateDomain};
 pub use product::Product;
 pub use sign::Sign;
-pub use traits::{Abstraction, Transfer};
+pub use traits::Abstraction;
 pub use value::AbstractValue;

@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use air_lang::ast::CmpOp;
-
 use crate::value::AbstractValue;
 
 const EVEN: u8 = 0b01;
@@ -27,10 +25,6 @@ impl Parity {
     pub const ODD: Parity = Parity(ODD);
     /// `⊤`.
     pub const TOP: Parity = Parity(EVEN | ODD);
-
-    fn classes(self) -> impl Iterator<Item = u8> {
-        [EVEN, ODD].into_iter().filter(move |c| self.0 & c != 0)
-    }
 }
 
 impl fmt::Display for Parity {
@@ -76,48 +70,8 @@ impl AbstractValue for Parity {
         }
     }
 
-    fn add(&self, other: &Self) -> Self {
-        let mut out = 0;
-        for a in self.classes() {
-            for b in other.classes() {
-                out |= if a == b { EVEN } else { ODD };
-            }
-        }
-        Parity(out)
-    }
-
-    fn sub(&self, other: &Self) -> Self {
-        // Subtraction preserves parity exactly like addition.
-        self.add(other)
-    }
-
-    fn mul(&self, other: &Self) -> Self {
-        let mut out = 0;
-        for a in self.classes() {
-            for b in other.classes() {
-                out |= if a == ODD && b == ODD { ODD } else { EVEN };
-            }
-        }
-        Parity(out)
-    }
-
     fn contains(&self, v: i64) -> bool {
         self.0 & (if v % 2 == 0 { EVEN } else { ODD }) != 0
-    }
-
-    fn refine_cmp(op: CmpOp, l: &Self, r: &Self) -> (Self, Self) {
-        if l.is_bottom() || r.is_bottom() {
-            return (Parity::BOT, Parity::BOT);
-        }
-        match op {
-            CmpOp::Eq => {
-                let m = l.meet(r);
-                (m, m)
-            }
-            // Order comparisons carry no parity information; ≠ only rules
-            // out pairs, never a whole class.
-            _ => (*l, *r),
-        }
     }
 }
 
@@ -137,31 +91,6 @@ mod tests {
     #[test]
     fn value_domain_laws() {
         laws::check_value_domain(&sample(), &values()).unwrap();
-    }
-
-    #[test]
-    fn arithmetic_soundness() {
-        laws::check_arith_sound(&sample(), &values()).unwrap();
-    }
-
-    #[test]
-    fn refine_cmp_soundness() {
-        laws::check_refine_cmp_sound(&sample(), &values()).unwrap();
-    }
-
-    #[test]
-    fn backward_soundness() {
-        laws::check_backward_sound(&sample(), &values()).unwrap();
-    }
-
-    #[test]
-    fn exact_parity_arithmetic() {
-        assert_eq!(Parity::ODD.add(&Parity::ODD), Parity::EVEN);
-        assert_eq!(Parity::ODD.add(&Parity::EVEN), Parity::ODD);
-        assert_eq!(Parity::ODD.mul(&Parity::ODD), Parity::ODD);
-        assert_eq!(Parity::ODD.mul(&Parity::EVEN), Parity::EVEN);
-        assert_eq!(Parity::ODD.sub(&Parity::ODD), Parity::EVEN);
-        assert_eq!(Parity::TOP.mul(&Parity::EVEN), Parity::EVEN);
     }
 
     #[test]

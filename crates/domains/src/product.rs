@@ -8,11 +8,9 @@
 //! on the product, so reduced products can serve as base domains of the
 //! enumerative repair engine.
 
-use air_lang::ast::{AExp, BExp};
-
 use crate::env::{EnvDomain, EnvElem};
 use crate::interval::Interval;
-use crate::traits::{Abstraction, Transfer};
+use crate::traits::Abstraction;
 use crate::value::AbstractValue;
 
 /// A mutual-reduction operator between two domains' elements.
@@ -175,28 +173,6 @@ where
     }
 }
 
-impl<A, B, R> Transfer for Product<A, B, R>
-where
-    A: Transfer,
-    B: Transfer,
-    R: Reduce<A, B>,
-{
-    fn assign(&self, e: &Self::Elem, var: &str, a: &AExp) -> Self::Elem {
-        self.normalize(
-            self.left.assign(&e.0, var, a),
-            self.right.assign(&e.1, var, a),
-        )
-    }
-
-    fn assume(&self, e: &Self::Elem, b: &BExp) -> Self::Elem {
-        self.normalize(self.left.assume(&e.0, b), self.right.assume(&e.1, b))
-    }
-
-    fn havoc(&self, e: &Self::Elem, var: &str) -> Self::Elem {
-        self.normalize(self.left.havoc(&e.0, var), self.right.havoc(&e.1, var))
-    }
-}
-
 /// Granger reduction between per-variable intervals and any value domain:
 /// interval endpoints are tightened until they belong to the companion
 /// value, and singleton intervals constrain the companion to a constant.
@@ -293,7 +269,7 @@ mod tests {
     use crate::env::{CongruenceEnv, IntervalEnv, ParityEnv, SignEnv};
     use crate::parity::Parity;
     use crate::traits::laws;
-    use air_lang::{parse_bexp, Universe};
+    use air_lang::Universe;
 
     fn universe() -> Universe {
         Universe::new(&[("x", -8, 8)]).unwrap()
@@ -358,34 +334,6 @@ mod tests {
         let (iv, c) = reduce_value(Interval::of(1, 10), Congruence::class(4, 3));
         assert_eq!(iv, Interval::of(3, 7)); // 3 and 7 are ≡ 3 (mod 4)
         assert_eq!(c, Congruence::class(4, 3));
-    }
-
-    #[test]
-    fn product_transfer_is_sound() {
-        let u = universe();
-        let dom = Product::reduced_interval(IntervalEnv::new(&u), ParityEnv::new(&u));
-        let sem = air_lang::Concrete::new(&u);
-        let b = parse_bexp("x > 0").unwrap();
-        laws::check_transfer_sound(
-            &dom,
-            &u,
-            &sets(&u),
-            |s| sem.exec_exp(&air_lang::ast::Exp::Assume(b.clone()), s).ok(),
-            |e| dom.assume(e, &b),
-        )
-        .unwrap();
-        let a = air_lang::ast::AExp::var("x").mul(air_lang::ast::AExp::Num(2));
-        laws::check_transfer_sound(
-            &dom,
-            &u,
-            &sets(&u),
-            |s| {
-                sem.exec_exp(&air_lang::ast::Exp::assign("x", a.clone()), s)
-                    .ok()
-            },
-            |e| dom.assign(e, "x", &a),
-        )
-        .unwrap();
     }
 
     #[test]

@@ -13,8 +13,6 @@
 
 use std::fmt;
 
-use air_lang::ast::CmpOp;
-
 use crate::value::AbstractValue;
 
 const NEG: u8 = 0b001;
@@ -44,12 +42,6 @@ impl Sign {
     /// `⊤` (all integers).
     pub const TOP: Sign = Sign(ALL);
 
-    fn classes(self) -> impl Iterator<Item = u8> {
-        [NEG, ZERO, POS]
-            .into_iter()
-            .filter(move |c| self.0 & c != 0)
-    }
-
     fn has(self, class: u8) -> bool {
         self.0 & class != 0
     }
@@ -68,25 +60,6 @@ impl fmt::Display for Sign {
             _ => "⊤",
         };
         write!(f, "{s}")
-    }
-}
-
-/// Sign of the sum of two basic classes.
-fn add_classes(a: u8, b: u8) -> u8 {
-    match (a, b) {
-        (ZERO, x) | (x, ZERO) => x,
-        (NEG, NEG) => NEG,
-        (POS, POS) => POS,
-        _ => ALL, // NEG + POS: any sign
-    }
-}
-
-/// Sign of the product of two basic classes (exact).
-fn mul_classes(a: u8, b: u8) -> u8 {
-    match (a, b) {
-        (ZERO, _) | (_, ZERO) => ZERO,
-        (NEG, NEG) | (POS, POS) => POS,
-        _ => NEG,
     }
 }
 
@@ -121,99 +94,12 @@ impl AbstractValue for Sign {
         }
     }
 
-    fn add(&self, other: &Self) -> Self {
-        let mut out = 0;
-        for a in self.classes() {
-            for b in other.classes() {
-                out |= add_classes(a, b);
-            }
-        }
-        Sign(out)
-    }
-
-    fn sub(&self, other: &Self) -> Self {
-        // x − y has the sign of x + (−y); negation swaps NEG and POS.
-        let negated = Sign(
-            (if other.has(NEG) { POS } else { 0 })
-                | (other.0 & ZERO)
-                | (if other.has(POS) { NEG } else { 0 }),
-        );
-        self.add(&negated)
-    }
-
-    fn mul(&self, other: &Self) -> Self {
-        let mut out = 0;
-        for a in self.classes() {
-            for b in other.classes() {
-                out |= mul_classes(a, b);
-            }
-        }
-        Sign(out)
-    }
-
     fn contains(&self, v: i64) -> bool {
         self.has(match v.signum() {
             -1 => NEG,
             0 => ZERO,
             _ => POS,
         })
-    }
-
-    fn refine_cmp(op: CmpOp, l: &Self, r: &Self) -> (Self, Self) {
-        if l.is_bottom() || r.is_bottom() {
-            return (Sign::BOT, Sign::BOT);
-        }
-        match op {
-            CmpOp::Eq => {
-                let m = l.meet(r);
-                (m, m)
-            }
-            CmpOp::Ne => {
-                let l2 = if *r == Sign::ZERO {
-                    l.meet(&Sign::NON_ZERO)
-                } else {
-                    *l
-                };
-                let r2 = if *l == Sign::ZERO {
-                    r.meet(&Sign::NON_ZERO)
-                } else {
-                    *r
-                };
-                (l2, r2)
-            }
-            CmpOp::Lt => {
-                // x < y: if y can be positive, x is unconstrained (y may be
-                // arbitrarily large); otherwise y ≤ 0 forces x < 0.
-                let l2 = if r.has(POS) { *l } else { l.meet(&Sign::NEG) };
-                let r2 = if l.has(NEG) { *r } else { r.meet(&Sign::POS) };
-                (l2, r2)
-            }
-            CmpOp::Le => {
-                let l2 = if r.has(POS) {
-                    *l
-                } else if r.has(ZERO) {
-                    l.meet(&Sign::NON_POS)
-                } else {
-                    l.meet(&Sign::NEG)
-                };
-                let r2 = if l.has(NEG) {
-                    *r
-                } else if l.has(ZERO) {
-                    r.meet(&Sign::NON_NEG)
-                } else {
-                    r.meet(&Sign::POS)
-                };
-                (l2, r2)
-            }
-            CmpOp::Gt => {
-                let (r2, l2) = Sign::refine_cmp(CmpOp::Lt, r, l);
-                (l2, r2)
-            }
-            CmpOp::Ge => {
-                let (r2, l2) = Sign::refine_cmp(CmpOp::Le, r, l);
-                (l2, r2)
-            }
-        }
     }
 }
 
@@ -233,51 +119,6 @@ mod tests {
     #[test]
     fn value_domain_laws() {
         laws::check_value_domain(&sample(), &values()).unwrap();
-    }
-
-    #[test]
-    fn arithmetic_soundness() {
-        laws::check_arith_sound(&sample(), &values()).unwrap();
-    }
-
-    #[test]
-    fn refine_cmp_soundness() {
-        laws::check_refine_cmp_sound(&sample(), &values()).unwrap();
-    }
-
-    #[test]
-    fn backward_soundness() {
-        laws::check_backward_sound(&sample(), &values()).unwrap();
-    }
-
-    #[test]
-    fn exact_sign_products() {
-        assert_eq!(Sign::NEG.mul(&Sign::NEG), Sign::POS);
-        assert_eq!(Sign::NEG.mul(&Sign::POS), Sign::NEG);
-        assert_eq!(Sign::ZERO.mul(&Sign::TOP), Sign::ZERO);
-        assert_eq!(Sign::POS.add(&Sign::POS), Sign::POS);
-        assert_eq!(Sign::POS.add(&Sign::NEG), Sign::TOP);
-        assert_eq!(Sign::POS.sub(&Sign::NEG), Sign::POS);
-        assert_eq!(Sign::ZERO.sub(&Sign::POS), Sign::NEG);
-    }
-
-    #[test]
-    fn refine_lt_tightens() {
-        // x < y with y ≤ 0 forces x < 0.
-        let (l, _) = Sign::refine_cmp(CmpOp::Lt, &Sign::TOP, &Sign::NON_POS);
-        assert_eq!(l, Sign::NEG);
-        // x < y with y possibly positive cannot constrain x.
-        let (l, _) = Sign::refine_cmp(CmpOp::Lt, &Sign::TOP, &Sign::TOP);
-        assert_eq!(l, Sign::TOP);
-        // x ≥ 0 and x < y forces y > 0.
-        let (_, r) = Sign::refine_cmp(CmpOp::Lt, &Sign::NON_NEG, &Sign::TOP);
-        assert_eq!(r, Sign::POS);
-    }
-
-    #[test]
-    fn refine_ne_zero() {
-        let (l, _) = Sign::refine_cmp(CmpOp::Ne, &Sign::TOP, &Sign::ZERO);
-        assert_eq!(l, Sign::NON_ZERO);
     }
 
     #[test]

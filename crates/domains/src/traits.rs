@@ -13,14 +13,9 @@
 //! runs of last-variable values, so `gamma_set` fills each run with one
 //! word-level [`insert_range`](air_lattice::bitset::BitVecSet::insert_range);
 //! domains whose rows have a closed form override it.
-//!
-//! [`Transfer`] adds the abstract transfer functions of basic commands and
-//! enables the generic abstract interpreter
-//! [`Analyzer`](crate::analyzer::Analyzer).
 
 use std::fmt;
 
-use air_lang::ast::{AExp, BExp};
 use air_lang::{StateSet, Universe};
 
 /// An abstract domain of program-store properties, presented by `α`/`γ`.
@@ -58,14 +53,6 @@ pub trait Abstraction {
     /// Widening; defaults to join (correct for finite-height domains).
     fn widen(&self, a: &Self::Elem, b: &Self::Elem) -> Self::Elem {
         self.join(a, b)
-    }
-
-    /// Narrowing `a Δ b` for the decreasing iteration after widening; the
-    /// default accepts the refined iterate `b`, which is sound when `b` is
-    /// a decreasing iterate from a post-fixpoint.
-    fn narrow(&self, a: &Self::Elem, b: &Self::Elem) -> Self::Elem {
-        let _ = a;
-        b.clone()
     }
 
     /// Abstraction of a single store.
@@ -301,25 +288,6 @@ pub(crate) fn push_run_value(runs: &mut Vec<(i64, i64)>, v: i64) {
     }
 }
 
-/// Abstract transfer functions of basic commands, enabling a standard
-/// abstract interpretation (the best correct approximation is *not*
-/// required — soundness is; incompleteness is exactly what AIR repairs).
-pub trait Transfer: Abstraction {
-    /// Abstract semantics of the assignment `var := a`.
-    fn assign(&self, e: &Self::Elem, var: &str, a: &AExp) -> Self::Elem;
-
-    /// Abstract semantics of the guard `b?`.
-    fn assume(&self, e: &Self::Elem, b: &BExp) -> Self::Elem;
-
-    /// Abstract semantics of the nondeterministic assignment `x := ?`.
-    /// The default returns `⊤` (always sound); domains should override
-    /// with "forget `var`".
-    fn havoc(&self, e: &Self::Elem, var: &str) -> Self::Elem {
-        let _ = (e, var);
-        self.top()
-    }
-}
-
 /// Finite-sample law checks shared by domain test suites.
 pub mod laws {
     use super::*;
@@ -378,34 +346,6 @@ pub mod laws {
             if back != a {
                 return Err(format!(
                     "α∘γ∘α ≠ α on {s:?}: {back:?} vs {a:?} (domain {})",
-                    dom.name()
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks soundness of the abstract transfer of a basic command `f♯`
-    /// against the concrete collecting semantics `f`:
-    /// `f(γ(α(S))) ⊆ γ(f♯(α(S)))`.
-    pub fn check_transfer_sound<A: Transfer>(
-        dom: &A,
-        universe: &Universe,
-        sets: &[StateSet],
-        concrete: impl Fn(&StateSet) -> Option<StateSet>,
-        abstract_f: impl Fn(&A::Elem) -> A::Elem,
-    ) -> Result<(), String> {
-        for s in sets {
-            let a = dom.alpha_set(universe, s);
-            let gamma_a = dom.gamma_set(universe, &a);
-            let Some(post) = concrete(&gamma_a) else {
-                continue; // universe escape: nothing to check
-            };
-            let abs_post = abstract_f(&a);
-            let gamma_post = dom.gamma_set(universe, &abs_post);
-            if !post.is_subset(&gamma_post) {
-                return Err(format!(
-                    "unsound transfer on {s:?}: {post:?} ⊄ {gamma_post:?} (domain {})",
                     dom.name()
                 ));
             }

@@ -1,15 +1,11 @@
 //! The value-domain trait: abstractions of single integers.
 //!
 //! A value domain abstracts `℘(ℤ)`; the nonrelational
-//! [`EnvDomain`](crate::env::EnvDomain) lifts it pointwise to stores.
-//! Besides the lattice structure and sound forward arithmetic, value
-//! domains may provide *backward* (refutation) operators used by the
-//! HC4-style guard refinement in the environment domain; the defaults are
-//! sound no-ops.
+//! [`EnvDomain`](crate::env::EnvDomain) lifts it pointwise to stores. It
+//! provides the lattice structure, `α` of a constant and `γ` membership
+//! (a row of values at a time, for the enumerated closure).
 
 use std::fmt;
-
-use air_lang::ast::CmpOp;
 
 /// An abstraction of sets of integers.
 pub trait AbstractValue: Clone + PartialEq + fmt::Debug + 'static {
@@ -41,23 +37,8 @@ pub trait AbstractValue: Clone + PartialEq + fmt::Debug + 'static {
         self.join(other)
     }
 
-    /// Narrowing; returning the refined iterate is the simplest sound
-    /// choice.
-    fn narrow(&self, other: &Self) -> Self {
-        other.clone()
-    }
-
     /// Abstraction of the singleton `{v}`.
     fn from_const(v: i64) -> Self;
-
-    /// Sound abstract addition.
-    fn add(&self, other: &Self) -> Self;
-
-    /// Sound abstract subtraction.
-    fn sub(&self, other: &Self) -> Self;
-
-    /// Sound abstract multiplication.
-    fn mul(&self, other: &Self) -> Self;
 
     /// Membership: `v ∈ γ(self)`.
     fn contains(&self, v: i64) -> bool;
@@ -77,33 +58,6 @@ pub trait AbstractValue: Clone + PartialEq + fmt::Debug + 'static {
                 crate::traits::push_run_value(runs, v);
             }
         }
-    }
-
-    /// Refines `(l, r)` under the assumption `l op r` holds for some pair
-    /// of concrete values. Must be a sound *reduction*: the returned pair
-    /// over-approximates `{(x, y) ∈ γ(l)×γ(r) | x op y}` componentwise.
-    fn refine_cmp(op: CmpOp, l: &Self, r: &Self) -> (Self, Self) {
-        let _ = op;
-        (l.clone(), r.clone())
-    }
-
-    /// Backward addition: given that `x + y ∈ γ(out)`, tighten `l` and `r`.
-    /// The default inverts through subtraction — sound whenever `sub` is:
-    /// `x = (x+y) − y ∈ γ(out −♯ r)`.
-    fn back_add(out: &Self, l: &Self, r: &Self) -> (Self, Self) {
-        (l.meet(&out.sub(r)), r.meet(&out.sub(l)))
-    }
-
-    /// Backward subtraction: `x − y ∈ γ(out)` gives `x ∈ γ(out +♯ r)` and
-    /// `y ∈ γ(l −♯ out)`.
-    fn back_sub(out: &Self, l: &Self, r: &Self) -> (Self, Self) {
-        (l.meet(&out.add(r)), r.meet(&l.sub(out)))
-    }
-
-    /// Backward multiplication.
-    fn back_mul(out: &Self, l: &Self, r: &Self) -> (Self, Self) {
-        let _ = out;
-        (l.clone(), r.clone())
     }
 }
 
@@ -169,110 +123,6 @@ pub mod laws {
             }
             if !V::top().contains(v) {
                 return Err(format!("⊤ misses {v}"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks soundness of forward arithmetic on constants:
-    /// `x ∈ γ(a), y ∈ γ(b) ⇒ x∘y ∈ γ(a ∘♯ b)`.
-    pub fn check_arith_sound<V: AbstractValue>(sample: &[V], values: &[i64]) -> Result<(), String> {
-        for a in sample {
-            for b in sample {
-                for &x in values {
-                    for &y in values {
-                        if !a.contains(x) || !b.contains(y) {
-                            continue;
-                        }
-                        let cases: [(&str, Option<i64>, V); 3] = [
-                            ("add", x.checked_add(y), a.add(b)),
-                            ("sub", x.checked_sub(y), a.sub(b)),
-                            ("mul", x.checked_mul(y), a.mul(b)),
-                        ];
-                        for (op, conc, abs) in cases {
-                            if let Some(c) = conc {
-                                if !abs.contains(c) {
-                                    return Err(format!(
-                                        "unsound {op}: {x} ∈ {a:?}, {y} ∈ {b:?}, {c} ∉ {abs:?}"
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks soundness of comparison refinement: any concrete pair
-    /// satisfying `op` survives `refine_cmp`.
-    pub fn check_refine_cmp_sound<V: AbstractValue>(
-        sample: &[V],
-        values: &[i64],
-    ) -> Result<(), String> {
-        let ops = [
-            CmpOp::Eq,
-            CmpOp::Ne,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ];
-        for a in sample {
-            for b in sample {
-                for op in ops {
-                    let (ra, rb) = V::refine_cmp(op, a, b);
-                    for &x in values {
-                        for &y in values {
-                            if a.contains(x)
-                                && b.contains(y)
-                                && op.eval(x, y)
-                                && (!ra.contains(x) || !rb.contains(y))
-                            {
-                                return Err(format!(
-                                    "unsound refine {op:?}: ({x},{y}) lost from {a:?},{b:?}"
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks soundness of backward arithmetic: if `x ∈ γ(l)`, `y ∈ γ(r)`
-    /// and `x∘y ∈ γ(out)`, the pair survives the backward operator.
-    pub fn check_backward_sound<V: AbstractValue>(
-        sample: &[V],
-        values: &[i64],
-    ) -> Result<(), String> {
-        for out in sample {
-            for l in sample {
-                for r in sample {
-                    for &x in values {
-                        for &y in values {
-                            if !l.contains(x) || !r.contains(y) {
-                                continue;
-                            }
-                            let checks: [(&str, Option<i64>, (V, V)); 3] = [
-                                ("back_add", x.checked_add(y), V::back_add(out, l, r)),
-                                ("back_sub", x.checked_sub(y), V::back_sub(out, l, r)),
-                                ("back_mul", x.checked_mul(y), V::back_mul(out, l, r)),
-                            ];
-                            for (name, conc, (rl, rr)) in checks {
-                                if let Some(c) = conc {
-                                    if out.contains(c) && (!rl.contains(x) || !rr.contains(y)) {
-                                        return Err(format!(
-                                            "unsound {name}: ({x},{y}) lost, out={out:?}, l={l:?}, r={r:?}"
-                                        ));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
             }
         }
         Ok(())

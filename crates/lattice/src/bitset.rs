@@ -26,8 +26,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::order::{JoinSemilattice, MeetSemilattice, Poset};
-
 const WORD_BITS: usize = 64;
 
 /// The bits of the word holding index `end - 1` that lie below `end`
@@ -511,7 +509,7 @@ impl PartialOrd for BitVecSet {
 
 /// Lexicographic order on the word representation — a total order used only
 /// for deterministic sorting and map keys, *not* the subset order (use
-/// [`Poset::leq`] for that).
+/// [`BitVecSet::is_subset`] for that).
 impl Ord for BitVecSet {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.nbits
@@ -553,28 +551,9 @@ impl<'a> IntoIterator for &'a BitVecSet {
     }
 }
 
-impl Poset for BitVecSet {
-    fn leq(&self, other: &Self) -> bool {
-        self.is_subset(other)
-    }
-}
-
-impl JoinSemilattice for BitVecSet {
-    fn join(&self, other: &Self) -> Self {
-        self.union(other)
-    }
-}
-
-impl MeetSemilattice for BitVecSet {
-    fn meet(&self, other: &Self) -> Self {
-        self.intersection(other)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::order::laws;
 
     #[test]
     fn empty_and_full() {
@@ -763,17 +742,6 @@ mod tests {
         assert_eq!(s.last_in(4, 63), None);
         assert_eq!(s.first_in(10, 10), None);
         assert_eq!(s.last_in(10, 2), None);
-    }
-
-    #[test]
-    fn lattice_laws_on_small_powerset() {
-        let sample: Vec<BitVecSet> = (0u8..16)
-            .map(|m| BitVecSet::from_indices(4, (0..4).filter(move |i| m & (1 << i) != 0)))
-            .collect();
-        laws::check_poset(&sample).unwrap();
-        laws::check_join(&sample).unwrap();
-        laws::check_meet(&sample).unwrap();
-        laws::check_absorption(&sample).unwrap();
     }
 
     #[test]

@@ -1,21 +1,12 @@
-//! Order theory for abstract interpretation.
+//! Set kernels and runtime substrate for abstract interpretation.
 //!
-//! This crate provides the lattice-theoretic substrate used by the rest of
-//! the Abstract Interpretation Repair (AIR) workspace:
+//! This crate provides what the rest of the Abstract Interpretation
+//! Repair (AIR) workspace builds its engines on:
 //!
-//! - [`order`] — partial orders and (bounded) lattices as element traits,
-//!   together with executable law checkers used by the test suites of every
-//!   downstream domain.
-//! - [`closure`] — upper closure operators and explicit [Moore
-//!   families](closure::MooreFamily), the representation of abstract domains
-//!   used by the paper's enumerative repair engine.
-//! - [`galois`] — Galois connections/insertions and the uco ↔ GI
-//!   isomorphism, plus finite-carrier validity checks.
-//! - [`fixpoint`] — Kleene least-fixpoint iteration, optionally accelerated
-//!   by widening and refined by narrowing.
-//! - [`bitset`] — a compact dynamic bitset, the backing store for powerset
-//!   lattices over finite universes.
-//! - [`powerset`] — the powerset lattice `℘(U)` of a finite universe.
+//! - [`bitset`] — a compact dynamic bitset, the explicit representation
+//!   of state sets over finite universes.
+//! - [`symbolic`] — interval decision diagrams ([`SymState`]), the
+//!   symbolic representation of the same sets.
 //! - [`cache`] — sharded thread-safe memo tables, hash-consing interners
 //!   and hit/miss counters shared by the closure, transfer-function and
 //!   `wlp` caches of the repair engine.
@@ -25,39 +16,31 @@
 //!   cancellation ([`Governor`]), checked at every engine loop head so
 //!   divergent repairs surface structured exhaustion instead of hanging.
 //!
-//! Paper↔code correspondences for the whole workspace are catalogued in
-//! `PAPER_MAP.md` at the repository root.
+//! Upper closure operators — the paper's abstract domains — live where
+//! the engines run them: `air_core::PointedDomain::close` and
+//! `air_domains::Abstraction::closure_set`. Paper↔code correspondences for
+//! the whole workspace are catalogued in `PAPER_MAP.md` at the repository
+//! root.
 //!
 //! # Example
 //!
 //! ```
 //! use air_lattice::bitset::BitVecSet;
-//! use air_lattice::order::{JoinSemilattice, Poset};
 //!
 //! let a = BitVecSet::from_indices(8, [1, 3]);
 //! let b = BitVecSet::from_indices(8, [3, 5]);
-//! assert!(a.join(&b).contains(5));
-//! assert!(!a.leq(&b));
+//! assert!(a.union(&b).contains(5));
+//! assert!(!a.is_subset(&b));
 //! ```
 
 pub mod bitset;
 pub mod cache;
-pub mod closure;
-pub mod fixpoint;
-pub mod galois;
 pub mod governor;
-pub mod order;
 pub mod parallel;
-pub mod powerset;
 pub mod symbolic;
 
 pub use bitset::BitVecSet;
 pub use cache::{CacheStats, Interner, MemoTable};
-pub use closure::{ClosureOperator, MooreFamily};
-pub use fixpoint::{lfp, lfp_widen, FixpointError};
-pub use galois::GaloisConnection;
 pub use governor::{Budget, ExhaustReason, Exhaustion, Governor};
-pub use order::{BoundedLattice, JoinSemilattice, Lattice, MeetSemilattice, Poset};
 pub use parallel::{available_jobs, par_map, par_map_governed, par_map_indexed};
-pub use powerset::PowersetLattice;
 pub use symbolic::{SymShape, SymState};

@@ -199,6 +199,31 @@ fn mistyped_optional_fields_answer_code_2_instead_of_defaulting() {
     server.join();
 }
 
+/// The request schema and `parse_request` agree on every checked-in
+/// request fixture: `serve-request.valid.jsonl` passes both, every other
+/// `serve-request.*.jsonl` line fails both.
+#[test]
+fn request_fixtures_pass_the_schema_exactly_when_the_parser_accepts_them() {
+    let schema = Schema::parse(REQUEST_SCHEMA).unwrap();
+    let dir = "../../schemas/fixtures";
+    let mut files: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.starts_with("serve-request."))
+        .collect();
+    files.sort();
+    assert!(files.len() > 1, "{files:?}");
+    for name in files {
+        let valid = name == "serve-request.valid.jsonl";
+        let text = std::fs::read_to_string(format!("{dir}/{name}")).unwrap();
+        for line in text.lines().filter(|l| !l.is_empty()) {
+            let by_schema = schema.check(&json::parse(line).unwrap()).is_ok();
+            let by_parser = parse_request(line).is_ok();
+            assert_eq!((by_schema, by_parser), (valid, valid), "{name}: {line}");
+        }
+    }
+}
+
 #[test]
 fn oversized_payload_is_rejected_before_allocation() {
     let server = boot(ServeConfig {

@@ -4,7 +4,10 @@
 //! dist frames, serve requests and responses, fuzz reports, metrics
 //! snapshots — is described in one small subset of JSON Schema:
 //!
-//! - `type`: `null`, `boolean`, `number`, `string`, `array` or `object`;
+//! - `type`: `null`, `boolean`, `number`, `integer` (a number with no
+//!   fractional part), `string`, `array` or `object`;
+//! - `minimum` is the least number allowed (it says nothing of other
+//!   values);
 //! - `enum` lists the allowed values, `const` the one allowed value;
 //! - `properties` gives an object's fields, `required` those that must
 //!   be present;
@@ -27,7 +30,9 @@ use std::collections::BTreeMap;
 
 use crate::json::{self, Value};
 
-const TYPES: [&str; 6] = ["null", "boolean", "number", "string", "array", "object"];
+const TYPES: [&str; 7] = [
+    "null", "boolean", "number", "integer", "string", "array", "object",
+];
 
 /// The keywords of a variant: it only extends its object's fields.
 const VARIANT_KEYWORDS: [&str; 4] = ["$comment", "properties", "required", "open"];
@@ -42,6 +47,7 @@ pub struct Schema {
 #[derive(Debug, Default)]
 struct Node {
     ty: Option<&'static str>,
+    minimum: Option<f64>,
     one_of: Option<Vec<Value>>,
     properties: BTreeMap<String, Node>,
     required: Vec<String>,
@@ -96,6 +102,7 @@ impl Node {
                         .and_then(|ty| TYPES.into_iter().find(|t| *t == ty));
                     node.ty = Some(ty.ok_or_else(bad)?);
                 }
+                "minimum" => node.minimum = Some(val.as_num().ok_or_else(bad)?),
                 "enum" => node.one_of = Some(val.as_arr().ok_or_else(bad)?.to_vec()),
                 "const" => node.one_of = Some(vec![val.clone()]),
                 "required" => {
@@ -153,11 +160,21 @@ impl Node {
     /// Checks `v`; returns the variant picked by the outermost tagged
     /// object at or below this node.
     fn check(&self, v: &Value, at: &str) -> Result<Option<&str>, String> {
-        if let Some(ty) = self.ty.filter(|ty| *ty != type_name(v)) {
+        let integral = matches!(v, Value::Num(n) if n.fract() == 0.0);
+        let has_type = |ty: &str| ty == type_name(v) || (ty == "integer" && integral);
+        if let Some(ty) = self.ty.filter(|ty| !has_type(ty)) {
             return Err(located(
                 at,
                 &format!("expected {ty}, found {}", type_name(v)),
             ));
+        }
+        if let (Some(min), Value::Num(n)) = (self.minimum, v) {
+            if *n < min {
+                return Err(located(
+                    at,
+                    &format!("{} is below the minimum {min}", show(v)),
+                ));
+            }
         }
         if let Some(allowed) = self.one_of.as_ref().filter(|allowed| !allowed.contains(v)) {
             let alts: Vec<String> = allowed.iter().map(show).collect();
@@ -266,6 +283,7 @@ mod tests {
                 "unknown keyword \"typ\"",
             ),
             (r#"{"$id":"x","type":"strnig"}"#.into(), "bad \"type\""),
+            (r#"{"$id":"x","minimum":"0"}"#.into(), "bad \"minimum\""),
             (
                 r#"{"$id":"x","required":["a"]}"#.into(),
                 "required \"a\" is not",
@@ -288,6 +306,34 @@ mod tests {
         ] {
             let err = Schema::parse(&text).unwrap_err();
             assert!(err.contains(reason), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn integers_are_whole_numbers_and_minimums_bound_them() {
+        let schema = Schema::parse(
+            r#"{"$id":"n","type":"object",
+                "properties":{"count":{"type":"integer","minimum":0},
+                              "level":{"type":"integer"},
+                              "ratio":{"type":"number","minimum":0.5}}}"#,
+        )
+        .unwrap();
+        let check = |doc: &str| schema.check(&json::parse(doc).unwrap()).map(|_| ());
+        for doc in [
+            r#"{"count":0,"level":-7,"ratio":0.5}"#,
+            r#"{"count":3.0}"#,
+            "{}",
+        ] {
+            assert_eq!(check(doc), Ok(()), "{doc}");
+        }
+        for (doc, reason) in [
+            (r#"{"count":-3}"#, "count: -3 is below the minimum 0"),
+            (r#"{"level":1.5}"#, "level: expected integer, found number"),
+            (r#"{"count":"1"}"#, "count: expected integer, found string"),
+            (r#"{"ratio":0.25}"#, "ratio: 0.25 is below the minimum 0.5"),
+        ] {
+            let err = check(doc).unwrap_err();
+            assert!(err.contains(reason), "{doc}: {err}");
         }
     }
 

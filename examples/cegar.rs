@@ -10,9 +10,10 @@
 //! Run with `cargo run --example cegar`.
 
 use air::cegar::driver::{Cegar, CegarResult, Heuristic};
-use air::cegar::moore::{MooreAbstraction, MooreCegar};
+use air::cegar::moore::MooreCegar;
 use air::cegar::partition::Partition;
 use air::cegar::program_ts::ProgramTs;
+use air::core::EnumDomain;
 use air::lang::{parse_program, Universe};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -65,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pts.ts(),
         &init,
         &bad,
-        MooreAbstraction::trivial(pts.ts().num_states()),
+        EnumDomain::trivial(&pts.ts().universe()),
     )
     .run()?;
     let ms = moore.stats();

@@ -3,14 +3,14 @@
 //! This crate re-exports the workspace members so that examples and
 //! integration tests can refer to everything through a single dependency:
 //!
-//! - [`lattice`] — order theory: lattices, closure operators, Galois
-//!   connections, fixpoint engines.
+//! - [`lattice`] — set kernels (bitsets, interval decision diagrams),
+//!   memo tables, run budgets and the deterministic parallel map.
 //! - [`lang`] — the regular-command language `Reg`, an Imp-like surface
 //!   syntax with a parser, stores, finite universes and the concrete
 //!   collecting semantics.
 //! - [`domains`] — abstract domains (intervals, octagons, signs, parity,
-//!   constants, congruences, Cartesian predicates) and a generic abstract
-//!   interpreter.
+//!   constants, congruences, Cartesian predicates, …) presented by
+//!   `α`/`γ`; their closures are the engines' base domains.
 //! - [`core`] — the paper's contribution: local completeness, pointed
 //!   shells, forward/backward repair, pointed widening and the verifier.
 //! - [`cegar`] — finite transition systems, abstract model checking and the

@@ -5,9 +5,9 @@ use air::cegar::amc::AbstractTs;
 use air::cegar::driver::{Cegar, CegarResult, Heuristic};
 use air::cegar::partition::Partition;
 use air::cegar::program_ts::ProgramTs;
-use air::cegar::shell;
 use air::cegar::spurious::SpuriousAnalysis;
 use air::cegar::ts::TransitionSystem;
+use air::core::{EnumDomain, LocalCompleteness, ShellResult};
 use air::lang::{parse_program, Universe};
 use air::lattice::BitVecSet;
 
@@ -43,43 +43,53 @@ fn lemma_6_1_on_two_lane_family() {
         let analysis = SpuriousAnalysis::analyze(&ts, &p, &path);
         assert!(analysis.is_spurious());
         // Check the equivalence: spurious ⇔ ∃k locally incomplete.
-        let close = |c: &BitVecSet| p.close(c);
+        let u = ts.universe();
+        let lc = LocalCompleteness::uncached(&u);
+        let dom = p.domain();
         let mut any_incomplete = false;
         let mut s_k = analysis.blocks[0].clone();
         for k in 0..path.len() - 1 {
-            let next_block = analysis.blocks[k + 1].clone();
-            let ts_ref = &ts;
-            let post_k = move |x: &BitVecSet| ts_ref.post(x).intersection(&next_block);
-            if !shell::is_locally_complete(&close, &post_k, &s_k) {
+            let post_k = ts.post_within(&analysis.blocks[k + 1]);
+            if !lc.check(&dom, &post_k, &s_k).unwrap() {
                 any_incomplete = true;
             }
-            s_k = post_k(&s_k);
+            s_k = ts.post(&s_k).intersection(&analysis.blocks[k + 1]);
         }
         assert!(any_incomplete, "n = {n}");
     }
 }
 
 /// Theorem 6.2 — the forward-AIR refinement point is the pointed shell of
-/// the partition closure for `post_{π_k}` on `S_k`.
+/// the partition domain for `post_{π_k}` on `S_k`, on the whole two-lane
+/// family.
 #[test]
 fn theorem_6_2_forward_split_is_pointed_shell() {
-    let (ts, init, bad, mut p) = two_lane(4);
-    p.split_by(&init);
-    p.split_by(&bad);
-    let abs = AbstractTs::build(&ts, &p);
-    let path = abs
-        .find_counterexample(&p.blocks_of_set(&init), &p.blocks_of_set(&bad))
-        .unwrap();
-    let analysis = SpuriousAnalysis::analyze(&ts, &p, &path);
-    let k = analysis.failure_index.unwrap();
-    let dead = analysis.dead(&ts).unwrap();
-    let irr = analysis.irrelevant(&ts).unwrap();
-    let expected = dead.union(&irr);
-    let close = |c: &BitVecSet| p.close(c);
-    let next_block = analysis.blocks[k + 1].clone();
-    let post_k = move |x: &BitVecSet| ts.post(x).intersection(&next_block);
-    let u = shell::pointed_shell(&close, &post_k, &analysis.forward[k]).expect("shell exists");
-    assert_eq!(u, expected);
+    for n in 2..6 {
+        let (ts, init, bad, mut p) = two_lane(n);
+        p.split_by(&init);
+        p.split_by(&bad);
+        let abs = AbstractTs::build(&ts, &p);
+        let path = abs
+            .find_counterexample(&p.blocks_of_set(&init), &p.blocks_of_set(&bad))
+            .unwrap();
+        let analysis = SpuriousAnalysis::analyze(&ts, &p, &path);
+        let k = analysis.failure_index.unwrap();
+        let dead = analysis.dead(&ts).unwrap();
+        let irr = analysis.irrelevant(&ts).unwrap();
+        let u = ts.universe();
+        let lc = LocalCompleteness::uncached(&u);
+        let post_k = ts.post_within(&analysis.blocks[k + 1]);
+        let shell = lc
+            .pointed_shell(&p.domain(), &post_k, &analysis.forward[k])
+            .unwrap();
+        assert_eq!(
+            shell,
+            ShellResult::Shell {
+                point: dead.union(&irr)
+            },
+            "n = {n}"
+        );
+    }
 }
 
 /// Fig. 3 — backward repair leaves no residual spurious path along the
@@ -195,7 +205,7 @@ fn looping_program_model_checked() {
 /// verdict, and unsafe verdicts must produce genuine paths.
 #[test]
 fn random_systems_all_engines_agree() {
-    use air::cegar::moore::{MooreAbstraction, MooreCegar};
+    use air::cegar::moore::MooreCegar;
     use air::lang::gen::XorShift;
     for seed in 0..40u64 {
         let mut rng = XorShift::new(seed + 1);
@@ -218,7 +228,7 @@ fn random_systems_all_engines_agree() {
                 }
             }
         }
-        let moore = MooreCegar::new(&ts, &init, &bad, MooreAbstraction::trivial(n))
+        let moore = MooreCegar::new(&ts, &init, &bad, EnumDomain::trivial(&ts.universe()))
             .run()
             .unwrap();
         assert_eq!(moore.is_safe(), truth, "seed {seed}, moore");

@@ -216,4 +216,49 @@ proptest! {
         let j = dom.join(&a, &b);
         prop_assert!(a.is_subset(&j) && b.is_subset(&j));
     }
+
+    /// An explicit Moore family — `from_family` generators plus
+    /// `with_points` points — closes like an upper closure operator: its
+    /// closure is extensive, idempotent and monotone, every meet of
+    /// generators is expressible, and `A(c)` is the least member above `c`.
+    #[test]
+    fn moore_family_laws(
+        gens in proptest::collection::vec(proptest::collection::vec(0usize..96, 0..24), 1..4),
+        points in proptest::collection::vec(proptest::collection::vec(0usize..96, 0..24), 0..3),
+        probes in proptest::collection::vec(proptest::collection::vec(0usize..96, 0..24), 1..6),
+    ) {
+        let u = Universe::new(&[("s", 0, 95)]).unwrap();
+        let set = |v: &Vec<usize>| StateSet::from_indices(96, v.iter().copied());
+        let gens: Vec<StateSet> = gens.iter().chain(&points).map(set).collect();
+        let (base, added) = gens.split_at(gens.len() - points.len());
+        let dom = EnumDomain::from_family(&u, "Moore", base.to_vec()).with_points(added.to_vec());
+        // Every meet of a subset of the generators (the empty meet is Σ).
+        let members: Vec<StateSet> = (0u32..1 << gens.len())
+            .map(|mask| {
+                gens.iter()
+                    .enumerate()
+                    .filter(|(k, _)| mask & (1 << k) != 0)
+                    .fold(u.full(), |acc, (_, g)| acc.intersection(g))
+            })
+            .collect();
+        for m in &members {
+            prop_assert!(dom.is_expressible(m), "a meet of generators is not expressible");
+        }
+        let probes: Vec<StateSet> = probes.iter().map(set).collect();
+        for c in &probes {
+            let cc = dom.close(c);
+            prop_assert!(c.is_subset(&cc));
+            prop_assert_eq!(&dom.close(&cc), &cc);
+            for d in &probes {
+                if c.is_subset(d) {
+                    prop_assert!(cc.is_subset(&dom.close(d)));
+                }
+            }
+            // Least above: below every member containing the probe.
+            for m in members.iter().filter(|m| c.is_subset(m)) {
+                prop_assert!(cc.is_subset(m));
+            }
+            prop_assert!(members.contains(&cc), "the closure is a member");
+        }
+    }
 }

@@ -13,6 +13,8 @@
 //! characterizes the *greatest valid input* `V`, deciding
 //! `⟦r⟧P' ≤ Spec ⇔ P' ≤ V` for every `P' ≤ A(P)` at once.
 
+use std::fmt::Write as _;
+
 use air_lang::ast::Reg;
 use air_lang::{Concrete, SemCache, StateSet, Store, Universe};
 use air_lattice::Governor;
@@ -87,21 +89,29 @@ impl Verdict {
 
     /// A human-readable report of the added points.
     pub fn report(&self, universe: &Universe) -> String {
-        let mut out = String::new();
-        out.push_str(match self {
+        let points: Vec<String> = self
+            .added_points()
+            .iter()
+            .map(|p| display_set(universe, p))
+            .collect();
+        self.report_of(universe, &points)
+    }
+
+    /// The [`report`](Self::report) text from the added points already
+    /// rendered by [`display_set`], in order: a caller that also shows
+    /// the points on their own renders each one once.
+    pub fn report_of(&self, universe: &Universe, points: &[String]) -> String {
+        let mut out = String::from(match self {
             Verdict::Proved { .. } => "PROVED",
             Verdict::Refuted { .. } => "REFUTED",
         });
+        // Writing to a `String` cannot fail.
         if let Verdict::Refuted { witness, .. } = self {
-            out.push_str(&format!(" (witness: {})", universe.display_store(witness)));
+            let _ = write!(out, " (witness: {})", universe.display_store(witness));
         }
         out.push('\n');
-        for (k, p) in self.added_points().iter().enumerate() {
-            out.push_str(&format!(
-                "  point {}: {}\n",
-                k + 1,
-                display_set(universe, p)
-            ));
+        for (k, p) in points.iter().enumerate() {
+            let _ = writeln!(out, "  point {}: {p}", k + 1);
         }
         out
     }

@@ -7,10 +7,9 @@
 //! for the repair engine: analyses that need those invariants start
 //! complete where intervals must be repaired.
 //!
-//! Operations (Karr 1976):
-//! - `meet`: concatenate constraint rows and re-reduce;
-//! - `join`: affine hull — convert to generator form (a support point
-//!   plus direction vectors), union the generators, convert back.
+//! Join (Karr 1976) is the affine hull: convert to generator form (a
+//! support point plus direction vectors), union the generators, convert
+//! back.
 
 use std::fmt;
 
@@ -365,20 +364,6 @@ impl Abstraction for AffineDomain {
         }
     }
 
-    fn meet(&self, a: &Aff, b: &Aff) -> Aff {
-        match (a, b) {
-            (Aff::Bot, _) | (_, Aff::Bot) => Aff::Bot,
-            (Aff::Rows(ra), Aff::Rows(rb)) => {
-                let mut all = ra.clone();
-                all.extend(rb.iter().cloned());
-                match reduce(all, self.n()) {
-                    Some(rows) => Aff::Rows(rows),
-                    None => Aff::Bot,
-                }
-            }
-        }
-    }
-
     fn alpha_store(&self, store: &[i64]) -> Aff {
         let n = self.n();
         let rows = (0..n)
@@ -512,19 +497,6 @@ mod tests {
         let l1 = dom.alpha_set(&u, &u.filter(|s| s[0] == s[1]));
         let l2 = dom.alpha_set(&u, &u.filter(|s| s[0] == s[1] + 1));
         assert_eq!(dom.join(&l1, &l2), dom.top());
-    }
-
-    #[test]
-    fn meet_intersects_subspaces() {
-        let u = universe();
-        let dom = AffineDomain::new(&u);
-        let diag = dom.alpha_set(&u, &u.filter(|s| s[0] == s[1]));
-        let anti = dom.alpha_set(&u, &u.filter(|s| s[0] + s[1] == 4));
-        let m = dom.meet(&diag, &anti);
-        assert_eq!(dom.gamma_set(&u, &m), u.filter(|s| s[0] == 2 && s[1] == 2));
-        // Parallel disjoint lines meet at ⊥.
-        let shifted = dom.alpha_set(&u, &u.filter(|s| s[0] == s[1] + 1));
-        assert!(dom.is_bottom(&dom.meet(&diag, &shifted)));
     }
 
     #[test]

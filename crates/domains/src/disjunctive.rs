@@ -122,16 +122,6 @@ impl<A: Abstraction> Abstraction for Disjunctive<A> {
         self.normalize(ds)
     }
 
-    fn meet(&self, a: &Self::Elem, b: &Self::Elem) -> Self::Elem {
-        let mut ds = Vec::new();
-        for da in a {
-            for db in b {
-                ds.push(self.base.meet(da, db));
-            }
-        }
-        self.normalize(ds)
-    }
-
     fn widen(&self, a: &Self::Elem, b: &Self::Elem) -> Self::Elem {
         // Pair disjuncts of `b` with the first covering-or-joinable
         // disjunct of `a` and widen pointwise; leftovers join in. Collapse
@@ -231,26 +221,6 @@ mod tests {
         let narrow = base.alpha_set(&u, &u.of_values([2, 3]));
         let joined = dom.join(&vec![wide.clone()], &vec![narrow]);
         assert_eq!(joined, vec![wide]);
-    }
-
-    #[test]
-    fn meet_distributes_over_disjuncts() {
-        let u = universe();
-        let base = IntervalEnv::new(&u);
-        let dom = Disjunctive::new(IntervalEnv::new(&u), 4);
-        // Two explicit disjuncts around the hole at 0 (alpha_set with a
-        // small width bound may merge across the hole, which is sound but
-        // not what this test exercises).
-        let a = vec![
-            base.alpha_set(&u, &u.filter(|s| s[0] < 0)),
-            base.alpha_set(&u, &u.filter(|s| s[0] > 0)),
-        ];
-        let b = vec![base.alpha_set(&u, &u.filter(|s| s[0].abs() <= 2))];
-        let m = dom.meet(&a, &b);
-        assert!(dom.gamma_contains(&m, &[-1]));
-        assert!(dom.gamma_contains(&m, &[2]));
-        assert!(!dom.gamma_contains(&m, &[0]));
-        assert!(!dom.gamma_contains(&m, &[3]));
     }
 
     #[test]

@@ -159,15 +159,6 @@ impl<V: AbstractValue> Abstraction for EnvDomain<V> {
         self.join_elem(a, b)
     }
 
-    fn meet(&self, a: &EnvElem<V>, b: &EnvElem<V>) -> EnvElem<V> {
-        match (a, b) {
-            (EnvElem::Bot, _) | (_, EnvElem::Bot) => EnvElem::Bot,
-            (EnvElem::Vals(xs), EnvElem::Vals(ys)) => {
-                EnvElem::Vals(xs.iter().zip(ys).map(|(x, y)| x.meet(y)).collect()).normalize()
-            }
-        }
-    }
-
     fn widen(&self, a: &EnvElem<V>, b: &EnvElem<V>) -> EnvElem<V> {
         match (a, b) {
             (EnvElem::Bot, x) | (x, EnvElem::Bot) => x.clone(),

@@ -9,9 +9,10 @@
 //! For `n` variables the DBM has dimension `2n`: index `2k` stands for
 //! `+x_k` and `2k+1` for `−x_k`. Entry `m[i][j]` bounds `V_i − V_j ≤
 //! m[i][j]` (with `V_{2k} = x_k`, `V_{2k+1} = −x_k`); `INF` means
-//! unconstrained. All stored octagons are kept *strongly closed* (shortest
-//! paths + unary strengthening with integer tightening), so equality and
-//! inclusion are canonical.
+//! unconstrained. Every octagon is built by α as the tightest bounds its
+//! stores satisfy, which is *strongly closed*, and join (a pointwise max)
+//! keeps it closed, so equality and inclusion are canonical; only
+//! widening leaves a matrix unclosed.
 
 use std::fmt;
 
@@ -48,14 +49,6 @@ fn store_bound(store: &[i64], i: usize, j: usize) -> i128 {
 /// above and `i64::MIN` below, which only weakens the constraint.
 fn clamp_bound(c: i128) -> i64 {
     i64::try_from(c).unwrap_or(if c > 0 { INF } else { i64::MIN })
-}
-
-fn wadd(a: i64, b: i64) -> i64 {
-    if a == INF || b == INF {
-        INF
-    } else {
-        a.saturating_add(b)
-    }
 }
 
 /// An octagon over `n` program variables, or `⊥`.
@@ -224,66 +217,6 @@ impl OctagonDomain {
         }
         m
     }
-
-    /// Strong closure with integer tightening; returns `None` on an
-    /// inconsistent (empty) system.
-    fn close(&self, mut m: Vec<i64>) -> Option<Vec<i64>> {
-        let dim = 2 * self.n();
-        // Floyd–Warshall shortest paths.
-        for k in 0..dim {
-            for i in 0..dim {
-                let mik = m[i * dim + k];
-                if mik == INF {
-                    continue;
-                }
-                for j in 0..dim {
-                    let v = wadd(mik, m[k * dim + j]);
-                    if v < m[i * dim + j] {
-                        m[i * dim + j] = v;
-                    }
-                }
-            }
-        }
-        // Integer tightening of unary bounds: 2x ≤ c ⇒ 2x ≤ 2⌊c/2⌋.
-        for i in 0..dim {
-            let idx = i * dim + (i ^ 1);
-            if m[idx] != INF {
-                m[idx] = 2 * m[idx].div_euclid(2);
-            }
-        }
-        // Strengthening: V_i − V_j ≤ (bound(2V_i) + bound(−2V_j)) / 2.
-        for i in 0..dim {
-            let di = m[i * dim + (i ^ 1)];
-            if di == INF {
-                continue;
-            }
-            for j in 0..dim {
-                let dj = m[(j ^ 1) * dim + j];
-                if dj == INF {
-                    continue;
-                }
-                let v = wadd(di, dj) / 2;
-                if v < m[i * dim + j] {
-                    m[i * dim + j] = v;
-                }
-            }
-        }
-        // Consistency.
-        for i in 0..dim {
-            if m[i * dim + i] < 0 {
-                return None;
-            }
-            m[i * dim + i] = 0;
-        }
-        Some(m)
-    }
-
-    fn mk(&self, m: Vec<i64>) -> Oct {
-        Oct {
-            n: self.n(),
-            m: self.close(m),
-        }
-    }
 }
 
 impl Abstraction for OctagonDomain {
@@ -328,13 +261,6 @@ impl Abstraction for OctagonDomain {
                 // Pointwise max of two closed DBMs is closed.
                 m: Some(x.iter().zip(y).map(|(p, q)| *p.max(q)).collect()),
             },
-        }
-    }
-
-    fn meet(&self, a: &Oct, b: &Oct) -> Oct {
-        match (&a.m, &b.m) {
-            (None, _) | (_, None) => self.bottom(),
-            (Some(x), Some(y)) => self.mk(x.iter().zip(y).map(|(p, q)| *p.min(q)).collect()),
         }
     }
 

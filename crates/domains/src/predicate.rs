@@ -39,14 +39,6 @@ impl Tri {
         }
     }
 
-    fn meet(self, other: Tri) -> Option<Tri> {
-        match (self, other) {
-            (Tri::Unknown, x) | (x, Tri::Unknown) => Some(x),
-            (x, y) if x == y => Some(x),
-            _ => None, // True ∧ False: empty
-        }
-    }
-
     fn leq(self, other: Tri) -> bool {
         self == other || other == Tri::Unknown
     }
@@ -174,22 +166,6 @@ impl Abstraction for PredicateDomain {
         }
     }
 
-    fn meet(&self, a: &PredElem, b: &PredElem) -> PredElem {
-        match (a, b) {
-            (PredElem::Bot, _) | (_, PredElem::Bot) => PredElem::Bot,
-            (PredElem::Vals(xs), PredElem::Vals(ys)) => {
-                let mut out = Vec::with_capacity(xs.len());
-                for (x, y) in xs.iter().zip(ys) {
-                    match x.meet(*y) {
-                        Some(t) => out.push(t),
-                        None => return PredElem::Bot,
-                    }
-                }
-                PredElem::Vals(out)
-            }
-        }
-    }
-
     fn alpha_store(&self, store: &[i64]) -> PredElem {
         PredElem::Vals(
             (0..self.preds.len())
@@ -291,10 +267,6 @@ impl Abstraction for BooleanPredicateDomain {
         MintermSet(a.0 | b.0)
     }
 
-    fn meet(&self, a: &MintermSet, b: &MintermSet) -> MintermSet {
-        MintermSet(a.0 & b.0)
-    }
-
     fn alpha_store(&self, store: &[i64]) -> MintermSet {
         MintermSet(1 << self.minterm(store))
     }
@@ -381,16 +353,6 @@ mod tests {
         let b = dom.alpha_store(&[1, 0, 2]); // ¬p ∧ ¬q
         let j = dom.join(&a, &b);
         assert_eq!(j, dom.top());
-    }
-
-    #[test]
-    fn meet_detects_contradiction() {
-        let (_, dom) = setup();
-        let a = dom.elem(vec![Tri::True, Tri::Unknown]);
-        let b = dom.elem(vec![Tri::False, Tri::Unknown]);
-        assert_eq!(dom.meet(&a, &b), PredElem::Bot);
-        let c = dom.meet(&a, &dom.elem(vec![Tri::Unknown, Tri::False]));
-        assert_eq!(c, dom.elem(vec![Tri::True, Tri::False]));
     }
 
     #[test]

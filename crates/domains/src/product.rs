@@ -155,10 +155,6 @@ where
         self.normalize(self.left.join(&a.0, &b.0), self.right.join(&a.1, &b.1))
     }
 
-    fn meet(&self, a: &Self::Elem, b: &Self::Elem) -> Self::Elem {
-        self.normalize(self.left.meet(&a.0, &b.0), self.right.meet(&a.1, &b.1))
-    }
-
     fn widen(&self, a: &Self::Elem, b: &Self::Elem) -> Self::Elem {
         // No reduction after widening (it could undo the extrapolation).
         (self.left.widen(&a.0, &b.0), self.right.widen(&a.1, &b.1))

@@ -47,9 +47,6 @@ pub trait Abstraction {
     /// Abstract join (least upper bound).
     fn join(&self, a: &Self::Elem, b: &Self::Elem) -> Self::Elem;
 
-    /// Abstract meet (greatest lower bound).
-    fn meet(&self, a: &Self::Elem, b: &Self::Elem) -> Self::Elem;
-
     /// Widening; defaults to join (correct for finite-height domains).
     fn widen(&self, a: &Self::Elem, b: &Self::Elem) -> Self::Elem {
         self.join(a, b)

@@ -208,17 +208,15 @@ impl BitVecSet {
         }
     }
 
-    /// The smallest index of the set in `lo..hi`, found a word at a time.
-    /// Indices past the capacity are never members.
-    pub fn first_in(&self, lo: usize, hi: usize) -> Option<usize> {
-        let hi = hi.min(self.nbits);
-        if lo >= hi {
-            return None;
-        }
+    /// The smallest index in `lo..hi` (`lo < hi <= capacity()`) whose bit
+    /// XOR `flip` is set, found a word at a time: with `flip = 0` the first
+    /// member, with `flip = u64::MAX` the first absent index.
+    #[inline]
+    fn first_where(&self, lo: usize, hi: usize, flip: u64) -> Option<usize> {
         let bits = self.bits();
         let (first, last) = (lo / WORD_BITS, (hi - 1) / WORD_BITS);
         let mut wi = first;
-        let mut w = bits[first] & (u64::MAX << (lo % WORD_BITS));
+        let mut w = (bits[first] ^ flip) & (u64::MAX << (lo % WORD_BITS));
         loop {
             if wi == last {
                 w &= tail_mask(hi);
@@ -230,21 +228,18 @@ impl BitVecSet {
                 return None;
             }
             wi += 1;
-            w = bits[wi];
+            w = bits[wi] ^ flip;
         }
     }
 
-    /// The largest index of the set in `lo..hi`, found a word at a time.
-    /// Indices past the capacity are never members.
-    pub fn last_in(&self, lo: usize, hi: usize) -> Option<usize> {
-        let hi = hi.min(self.nbits);
-        if lo >= hi {
-            return None;
-        }
+    /// The largest index in `lo..hi` (`lo < hi <= capacity()`) whose bit
+    /// XOR `flip` is set, found a word at a time.
+    #[inline]
+    fn last_where(&self, lo: usize, hi: usize, flip: u64) -> Option<usize> {
         let bits = self.bits();
         let (first, last) = (lo / WORD_BITS, (hi - 1) / WORD_BITS);
         let mut wi = last;
-        let mut w = bits[last] & tail_mask(hi);
+        let mut w = (bits[last] ^ flip) & tail_mask(hi);
         loop {
             if wi == first {
                 w &= u64::MAX << (lo % WORD_BITS);
@@ -256,8 +251,106 @@ impl BitVecSet {
                 return None;
             }
             wi -= 1;
-            w = bits[wi];
+            w = bits[wi] ^ flip;
         }
+    }
+
+    /// The smallest index of the set in `lo..hi`, found a word at a time.
+    /// Indices past the capacity are never members.
+    pub fn first_in(&self, lo: usize, hi: usize) -> Option<usize> {
+        let hi = hi.min(self.nbits);
+        if lo >= hi {
+            return None;
+        }
+        self.first_where(lo, hi, 0)
+    }
+
+    /// The largest index of the set in `lo..hi`, found a word at a time.
+    /// Indices past the capacity are never members.
+    pub fn last_in(&self, lo: usize, hi: usize) -> Option<usize> {
+        let hi = hi.min(self.nbits);
+        if lo >= hi {
+            return None;
+        }
+        self.last_where(lo, hi, 0)
+    }
+
+    /// Returns `true` if every index in `lo..hi` is in the set, checked a
+    /// word at a time. An empty range (`lo >= hi`) is contained; a range
+    /// reaching past the capacity is not (those indices are never members).
+    pub fn contains_range(&self, lo: usize, hi: usize) -> bool {
+        if lo >= hi {
+            return true;
+        }
+        if hi > self.nbits {
+            return false;
+        }
+        let bits = self.bits();
+        let (first, last) = (lo / WORD_BITS, (hi - 1) / WORD_BITS);
+        let head = u64::MAX << (lo % WORD_BITS);
+        let tail = tail_mask(hi);
+        if first == last {
+            let m = head & tail;
+            return bits[first] & m == m;
+        }
+        bits[first] & head == head
+            && bits[first + 1..last].iter().all(|&w| w == u64::MAX)
+            && bits[last] & tail == tail
+    }
+
+    /// Removes every index in `lo..hi`, the mirror of
+    /// [`insert_range`](Self::insert_range): whole inner words, one mask
+    /// per edge word, a single unsharing. An empty range changes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hi > capacity()` on a non-empty range.
+    pub fn remove_range(&mut self, lo: usize, hi: usize) {
+        if lo >= hi {
+            return;
+        }
+        assert!(
+            hi <= self.nbits,
+            "range end {hi} out of capacity {}",
+            self.nbits
+        );
+        let (first, last) = (lo / WORD_BITS, (hi - 1) / WORD_BITS);
+        let head = u64::MAX << (lo % WORD_BITS);
+        let tail = tail_mask(hi);
+        let bits = self.bits_mut();
+        if first == last {
+            bits[first] &= !(head & tail);
+        } else {
+            bits[first] &= !head;
+            bits[first + 1..last].fill(0);
+            bits[last] &= !tail;
+        }
+    }
+
+    /// The smallest index in `lo..hi` that is *not* in the set, found a
+    /// word at a time: the end of the run of members starting at `lo`.
+    /// Indices past the capacity are never members, so they count as
+    /// absent.
+    pub fn first_absent_in(&self, lo: usize, hi: usize) -> Option<usize> {
+        let end = hi.min(self.nbits);
+        if lo >= end {
+            return (lo < hi).then_some(lo);
+        }
+        self.first_where(lo, end, u64::MAX)
+            .or((hi > end).then_some(end))
+    }
+
+    /// The largest index in `lo..hi` that is *not* in the set, found a
+    /// word at a time: one before the start of the run of members ending
+    /// at `hi - 1`. Indices past the capacity count as absent.
+    pub fn last_absent_in(&self, lo: usize, hi: usize) -> Option<usize> {
+        if lo >= hi {
+            return None;
+        }
+        if hi > self.nbits {
+            return Some(hi - 1);
+        }
+        self.last_where(lo, hi, u64::MAX)
     }
 
     /// Removes `index`, returning `true` if it was present.
@@ -742,6 +835,77 @@ mod tests {
         assert_eq!(s.last_in(4, 63), None);
         assert_eq!(s.first_in(10, 10), None);
         assert_eq!(s.last_in(10, 2), None);
+    }
+
+    /// The run kernels against per-index loops on every range whose ends
+    /// sit at a word edge (0, 63, 64, 65) or at the capacity (130, past
+    /// the second seam), including empty and reversed ranges.
+    #[test]
+    fn run_kernels_at_word_edges() {
+        let cap = 130;
+        let edges = [0, 1, 63, 64, 65, 127, 128, 129, cap];
+        let sets = [
+            BitVecSet::full(cap),
+            BitVecSet::new(cap),
+            BitVecSet::from_indices(cap, (0..cap).filter(|i| ![0, 63, 64, 129].contains(i))),
+            BitVecSet::from_indices(cap, (60..70).chain(120..cap)),
+        ];
+        for s in &sets {
+            for &lo in &edges {
+                for &hi in &edges {
+                    let r = lo..hi;
+                    assert_eq!(
+                        s.contains_range(lo, hi),
+                        r.clone().all(|i| s.contains(i)),
+                        "contains_range({lo}, {hi}) of {s:?}"
+                    );
+                    assert_eq!(
+                        s.first_absent_in(lo, hi),
+                        r.clone().find(|&i| !s.contains(i)),
+                        "first_absent_in({lo}, {hi})"
+                    );
+                    assert_eq!(
+                        s.last_absent_in(lo, hi),
+                        r.clone().rev().find(|&i| !s.contains(i)),
+                        "last_absent_in({lo}, {hi})"
+                    );
+                    let mut cut = s.clone();
+                    cut.remove_range(lo, hi);
+                    let want = BitVecSet::from_indices(cap, s.iter().filter(|i| !r.contains(i)));
+                    assert_eq!(cut, want, "remove_range({lo}, {hi})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_kernels_treat_indices_past_the_capacity_as_absent() {
+        let s = BitVecSet::full(70);
+        assert!(s.contains_range(0, 70));
+        assert!(!s.contains_range(60, 71));
+        assert_eq!(s.first_absent_in(0, 70), None);
+        assert_eq!(s.first_absent_in(65, 80), Some(70));
+        assert_eq!(s.first_absent_in(75, 80), Some(75));
+        assert_eq!(s.last_absent_in(0, 70), None);
+        assert_eq!(s.last_absent_in(0, 80), Some(79));
+        assert_eq!(s.first_absent_in(9, 9), None, "an empty range has no index");
+        assert_eq!(s.last_absent_in(9, 3), None);
+    }
+
+    #[test]
+    fn empty_remove_range_keeps_the_share() {
+        let a = BitVecSet::full(100);
+        let mut b = a.clone();
+        b.remove_range(50, 50);
+        assert!(Arc::ptr_eq(&a.words, &b.words));
+        b.remove_range(50, 51);
+        assert!(!Arc::ptr_eq(&a.words, &b.words) && a.contains(50) && !b.contains(50));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of capacity")]
+    fn remove_range_past_capacity_panics() {
+        BitVecSet::full(70).remove_range(60, 71);
     }
 
     #[test]

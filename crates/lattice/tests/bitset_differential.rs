@@ -5,8 +5,10 @@
 //! capacities straddle word boundaries. A kernel bug that mishandles ghost
 //! bits, word seams, or the copy-on-write/cached-hash fast paths shows up
 //! as a divergence from the model here. The range kernels
-//! (`insert_range`, `first_in`, `last_in`) are checked against per-bit
-//! loops over the same range.
+//! (`insert_range`, `first_in`, `last_in`) and the run kernels
+//! (`contains_range`, `remove_range`, `first_absent_in`,
+//! `last_absent_in`) are checked against per-bit loops over the same
+//! range.
 
 use air_lattice::bitset::BitVecSet;
 use proptest::prelude::*;
@@ -184,5 +186,36 @@ proptest! {
         assert_matches(&filled, &model, "insert_range");
         prop_assert_eq!(&filled, &BitVecSet::from_indices(nbits, model.indices()));
         assert_matches(&a, &ma, "insert_range leaves the clone untouched");
+    }
+
+    /// Run kernels: `contains_range`, `first_absent_in` and
+    /// `last_absent_in` against per-index loops over the range (indices
+    /// past the capacity are absent), and `remove_range` against a
+    /// per-bit remove loop. Sets are dense so that long runs of members
+    /// cross word seams.
+    #[test]
+    fn run_kernels_match_reference(
+        nbits in 1usize..=200,
+        holes in proptest::collection::vec(0usize..200, 0..6),
+        lo in 0usize..=210,
+        hi in 0usize..=210,
+    ) {
+        let (gaps, _) = build(nbits, &holes);
+        let a = gaps.complement();
+        let member = |i: usize| i < nbits && a.contains(i);
+        prop_assert_eq!(a.contains_range(lo, hi), (lo..hi).all(member));
+        prop_assert_eq!(a.first_absent_in(lo, hi), (lo..hi).find(|&i| !member(i)));
+        prop_assert_eq!(a.last_absent_in(lo, hi), (lo..hi).rev().find(|&i| !member(i)));
+
+        let (lo, hi) = (lo.min(nbits), hi.min(nbits));
+        let mut cut = a.clone();
+        cut.remove_range(lo, hi);
+        let mut model = a.clone();
+        for i in lo..hi {
+            model.remove(i);
+        }
+        prop_assert_eq!(&cut, &model);
+        prop_assert_eq!(cut.len(), model.len());
+        prop_assert_eq!(&a, &gaps.complement(), "remove_range leaves the clone untouched");
     }
 }

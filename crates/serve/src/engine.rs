@@ -396,12 +396,16 @@ impl ServeEngine {
                     }
                     air_core::Verdict::Proved { .. } => None,
                 };
+                // Each point is rendered once: the report and a repair's
+                // `points_detail` share the text.
+                let points: Vec<String> = verdict
+                    .added_points()
+                    .iter()
+                    .map(|p| display_set(&universe, p))
+                    .collect();
+                let report = verdict.report_of(&universe, &points);
                 let points_detail = if req.job == JobKind::Repair {
-                    verdict
-                        .added_points()
-                        .iter()
-                        .map(|p| display_set(&universe, p))
-                        .collect()
+                    points
                 } else {
                     Vec::new()
                 };
@@ -409,7 +413,7 @@ impl ServeEngine {
                     id: req.id.clone(),
                     job: req.job,
                     proved: verdict.is_proved(),
-                    report: verdict.report(&universe),
+                    report,
                     points: verdict.added_points().len(),
                     witness,
                     points_detail,
@@ -649,6 +653,7 @@ mod tests {
         let Response::Verdict {
             points,
             points_detail,
+            report,
             ..
         } = resp
         else {
@@ -656,6 +661,19 @@ mod tests {
         };
         assert!(points > 0);
         assert_eq!(points_detail.len(), points);
+        // The points and the report share one rendering; both equal the
+        // direct verifier's, byte for byte.
+        let b = repair.question.build().unwrap();
+        let verdict = Verifier::new(&b.universe)
+            .backward(b.domain, &b.program, &b.pre, &b.spec)
+            .unwrap();
+        let direct: Vec<String> = verdict
+            .added_points()
+            .iter()
+            .map(|p| display_set(&b.universe, p))
+            .collect();
+        assert_eq!(points_detail, direct);
+        assert_eq!(report, verdict.report(&b.universe));
     }
 
     #[test]

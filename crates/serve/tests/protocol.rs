@@ -361,15 +361,26 @@ fn cancel_is_tenant_scoped_and_duplicate_ids_are_rejected() {
     assert!(msg.contains("already in flight"), "{msg}");
     // A different tenant may reuse the id freely: namespaces are per
     // tenant, so this (light) job is admitted and runs alongside alice's.
-    let doc = {
-        submitter.send(
-            r#"{"id":"victim","job":"verify","tenant":"carol","vars":"x:0..7",
-               "code":"while (x < 7) do { x := x + 1 }","pre":"x = 0","spec":"x = 7"}"#,
-        );
-        submitter.send(r#"{"id":"barrier2","job":"ping"}"#);
-        submitter.recv()
-    };
-    assert_eq!(id_of(&doc), "barrier2");
+    // Its verdict runs on a worker and may beat the ping's pong, so read
+    // up to the pong, noting carol's verdict if it came first.
+    submitter.send(
+        r#"{"id":"victim","job":"verify","tenant":"carol","vars":"x:0..7",
+           "code":"while (x < 7) do { x := x + 1 }","pre":"x = 0","spec":"x = 7"}"#,
+    );
+    submitter.send(r#"{"id":"barrier2","job":"ping"}"#);
+    let mut saw_carol = false;
+    loop {
+        let doc = submitter.recv();
+        match id_of(&doc) {
+            "barrier2" => break,
+            "victim" => {
+                assert_eq!(status(&doc), "proved", "only carol's verdict can land here");
+                assert!(!saw_carol, "carol's verdict arrives once");
+                saw_carol = true;
+            }
+            other => panic!("unexpected frame `{other}` before the pong"),
+        }
+    }
     // Another tenant cannot cancel alice's job, even knowing its id.
     let mut canceller = Client::connect(addr);
     let doc =
@@ -384,7 +395,6 @@ fn cancel_is_tenant_scoped_and_duplicate_ids_are_rejected() {
     // Alice's victim dies cancelled; carol's same-id job is untouched
     // and proves normally.
     let mut saw_cancelled = false;
-    let mut saw_carol = false;
     while !(saw_cancelled && saw_carol) {
         let doc = submitter.recv();
         if id_of(&doc) != "victim" {
@@ -395,6 +405,7 @@ fn cancel_is_tenant_scoped_and_duplicate_ids_are_rejected() {
             saw_cancelled = true;
         } else {
             assert_eq!(status(&doc), "proved");
+            assert!(!saw_carol, "carol's verdict arrives once");
             saw_carol = true;
         }
     }

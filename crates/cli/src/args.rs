@@ -45,11 +45,11 @@ usage:
   BEXP is a boolean expression over the variables, e.g. \"x != 0 && y <= 5\"
   corpus sweeps every *.imp under --dir (default `corpus/`), reading each
   file's `# Verified with:` header, fanning programs out over --jobs threads
-  --engine selects the semantic backend: `enumerative` (explicit bitsets,
-  the default) or `symbolic` (interval decision diagrams — same verdicts,
-  scales to universes far beyond the enumerable bound); --engine symbolic
-  is incompatible with --uncached (the symbolic backend lives behind the
-  semantic cache)
+  --engine selects the engine: `enumerative` (explicit bitsets, the
+  default) or `symbolic` (on the int domain, repair on interval decision
+  diagrams — same verdicts, scales to universes far beyond the enumerable
+  bound; other domains run the bitset engine); --engine symbolic is
+  incompatible with --uncached (the choice lives on the semantic cache)
   --stats prints cache hit/miss counters and timings; --stats-json prints the
   same as one JSON object; --uncached disables the memo tables (the
   reference path)
@@ -117,7 +117,7 @@ pub enum EngineKind {
     /// Explicit bitset enumeration. Default.
     #[default]
     Enumerative,
-    /// Symbolic interval-decision-diagram evaluation.
+    /// Interval decision diagrams on the `Int` base; bitsets elsewhere.
     Symbolic,
 }
 
@@ -793,8 +793,8 @@ pub fn parse(argv: &[String]) -> Result<Command, ArgError> {
     let trace_format = trace_format.unwrap_or_default();
     if engine == EngineKind::Symbolic && uncached {
         return Err(ArgError(
-            "--engine symbolic is incompatible with --uncached (the symbolic \
-             backend lives behind the semantic cache)"
+            "--engine symbolic is incompatible with --uncached (the engine \
+             choice lives on the semantic cache)"
                 .into(),
         ));
     }
@@ -1494,7 +1494,7 @@ mod tests {
         };
         assert_eq!(task.engine, EngineKind::Symbolic);
         assert!(parse(&argv(&["corpus", "--engine", "quantum"])).is_err());
-        // The symbolic backend lives behind the cache: --uncached conflicts.
+        // The engine choice lives on the cache: --uncached conflicts.
         assert!(parse(&argv(&["corpus", "--engine", "symbolic", "--uncached"])).is_err());
     }
 

@@ -494,7 +494,7 @@ fn trace_summarize(file: &str) -> Result<Outcome, AirError> {
 }
 
 /// The algebra a task's `--engine` flag asks for: memoizing into a cache
-/// of that backend, or the reference path under `--uncached` (args
+/// naming that engine, or the reference path under `--uncached` (args
 /// parsing already rejects `--uncached --engine symbolic`).
 fn build_algebra(u: &Universe, engine: EngineKind, uncached: bool) -> EnumAlgebra<'_> {
     match (engine, uncached) {

@@ -5,10 +5,11 @@
 //! (Algorithm 2), the pointed shells (Thm. 4.9/4.11) and `⟦·⟧♯_{A⊞N}`
 //! once, over sets of states; none of them depends on how the sets are
 //! stored. [`StateAlgebra`] names what they use: set operations
-//! ([`StoreSet`]), the closure, join and pointed widening of `A ⊞ N`
-//! ([`PointedDomain`]), the concrete image, `wlp` and guard sets, an
-//! abstract-image memo hook, and the bitset bridge at the outcome
-//! boundary. [`AbstractSemantics`](crate::AbstractSemantics),
+//! ([`StoreSet`], shared with `air-lang`'s set kernels), the closure,
+//! join and pointed widening of `A ⊞ N` ([`PointedDomain`]), the
+//! concrete image, `wlp` and guard sets, an abstract-image memo hook,
+//! and the bitset bridge at the outcome boundary.
+//! [`AbstractSemantics`](crate::AbstractSemantics),
 //! [`BackwardRepair`](crate::BackwardRepair),
 //! [`ForwardRepair`](crate::ForwardRepair) and
 //! [`LocalCompleteness`](crate::LocalCompleteness) are generic over it
@@ -18,54 +19,11 @@
 //! algebras give byte-identical outcomes.
 
 use air_lang::ast::{BExp, Exp, Reg};
-use air_lang::{
-    Concrete, EngineBackend, SemCache, SemError, StateSet, TermId, TermNode, Universe, Wlp,
-};
+pub use air_lang::StoreSet;
+use air_lang::{Concrete, Memo, SemCache, SemError, SetKernel, StateSet, TermId, Universe, Wlp};
 use air_trace::Tracer;
 
 use crate::domain::EnumDomain;
-
-/// The set operations the shared engines perform on stores.
-pub trait StoreSet: Clone + Eq + std::hash::Hash {
-    /// `self ∩ other`.
-    fn intersection(&self, other: &Self) -> Self;
-    /// `self ∪ other`.
-    fn union(&self, other: &Self) -> Self;
-    /// `self ∖ other`.
-    fn difference(&self, other: &Self) -> Self;
-    /// The stores of the universe not in `self`.
-    fn complement(&self) -> Self;
-    /// `self ⊆ other`.
-    fn is_subset(&self, other: &Self) -> bool;
-    /// The number of stores (for trace events).
-    fn size(&self) -> usize;
-}
-
-impl StoreSet for StateSet {
-    fn intersection(&self, other: &Self) -> Self {
-        StateSet::intersection(self, other)
-    }
-
-    fn union(&self, other: &Self) -> Self {
-        StateSet::union(self, other)
-    }
-
-    fn difference(&self, other: &Self) -> Self {
-        StateSet::difference(self, other)
-    }
-
-    fn complement(&self) -> Self {
-        StateSet::complement(self)
-    }
-
-    fn is_subset(&self, other: &Self) -> bool {
-        StateSet::is_subset(self, other)
-    }
-
-    fn size(&self) -> usize {
-        self.len()
-    }
-}
 
 /// A pointed refinement `A ⊞ N` (Section 3.1 of the paper).
 pub trait PointedDomain: Clone {
@@ -175,8 +133,9 @@ pub trait StateAlgebra: Clone + std::fmt::Debug {
 }
 
 /// The enumerative algebra: [`StateSet`] bitsets, [`EnumDomain`] closures
-/// and the concrete [`Concrete`]/[`Wlp`] transformers, memoized through a
-/// [`SemCache`] when one is attached; uncached, it is the reference path.
+/// and the bitset kernel (the [`Universe`] as a [`SetKernel`]), memoized
+/// through a [`SemCache`] when one is attached; uncached, it is the
+/// reference path.
 ///
 /// Every cached/uncached/demoted decision is made here, so the shared
 /// engines never branch on it. With a cache, programs are interned, term
@@ -186,8 +145,7 @@ pub trait StateAlgebra: Clone + std::fmt::Debug {
 /// which steps aside on small universes by itself.
 #[derive(Clone, Debug)]
 pub struct EnumAlgebra<'u> {
-    sem: Concrete<'u>,
-    wlp: Wlp<'u>,
+    universe: &'u Universe,
     cache: Option<SemCache>,
     /// Whether interned nodes go through the cache's exec/wlp tables:
     /// off at or under the cache's bypass threshold, so small universes
@@ -209,8 +167,7 @@ impl<'u> EnumAlgebra<'u> {
     /// The algebra without memoization (the reference path).
     pub fn uncached(universe: &'u Universe) -> Self {
         EnumAlgebra {
-            sem: Concrete::new(universe),
-            wlp: Wlp::new(universe),
+            universe,
             cache: None,
             tables: false,
         }
@@ -221,12 +178,11 @@ impl<'u> EnumAlgebra<'u> {
         self.cache.as_ref()
     }
 
-    /// Whether the cache answers its misses on decision diagrams — the
-    /// runs [`SymAlgebra`](crate::SymAlgebra) can take over outright.
+    /// Whether the cache asks for the symbolic engine
+    /// ([`SemCache::symbolic`]): the runs
+    /// [`SymAlgebra`](crate::SymAlgebra) takes over on an `Int` base.
     pub fn is_symbolic(&self) -> bool {
-        self.cache
-            .as_ref()
-            .is_some_and(|c| c.backend() == EngineBackend::Symbolic)
+        self.cache.as_ref().is_some_and(SemCache::is_symbolic)
     }
 }
 
@@ -246,12 +202,11 @@ impl StateAlgebra for EnumAlgebra<'_> {
     }
 
     fn children(&self, t: Option<TermId>) -> (Option<TermId>, Option<TermId>) {
-        // Interning is structural: node kinds match the `Reg`'s.
-        match t.zip(self.cache.as_ref()).map(|(id, c)| c.arena().node(id)) {
-            Some(TermNode::Seq(a, b) | TermNode::Choice(a, b)) => (Some(a), Some(b)),
-            Some(TermNode::Star(body)) => (Some(body), None),
-            _ => (None, None),
-        }
+        // The memo's node walk: interning is structural, so node kinds
+        // match the `Reg`'s.
+        t.zip(self.cache.as_ref())
+            .map(|(id, cache)| cache.children(id))
+            .unzip()
     }
 
     fn abs_image<F>(
@@ -276,30 +231,35 @@ impl StateAlgebra for EnumAlgebra<'_> {
         match &self.cache {
             // Unmemoized (widened) walks ask the cache per call, which
             // steps aside on small universes by itself.
-            Some(cache) if self.tables || t.is_none() => cache.exec_exp(&self.sem, e, a),
-            _ => self.sem.exec_exp(e, a),
+            Some(cache) if self.tables || t.is_none() => {
+                cache.exec_exp(&Concrete::new(self.universe), e, a)
+            }
+            _ => self.universe.image(false, e, a),
         }
     }
 
     fn exec(&self, r: &Reg, a: &StateSet) -> Result<StateSet, SemError> {
         match &self.cache {
-            Some(cache) => cache.exec(&self.sem, r, a),
-            None => self.sem.exec(r, a),
+            Some(cache) => cache.exec(&Concrete::new(self.universe), r, a),
+            None => self.universe.exec(false, r, a),
         }
     }
 
     fn wlp(&self, t: Option<TermId>, r: &Reg, post: &StateSet) -> Result<StateSet, SemError> {
         match (&self.cache, t) {
-            (Some(cache), Some(id)) if self.tables => cache.wlp_id(&self.wlp, id, post),
-            (Some(cache), None) => cache.wlp_reg(&self.wlp, r, post),
-            _ => self.wlp.reg(r, post),
+            // `tables` is off exactly when the cache bypasses this universe.
+            (Some(cache), Some(id)) if self.tables => {
+                self.universe.wlp_in(cache, r, Some(id), post)
+            }
+            (Some(cache), None) => cache.wlp_reg(&Wlp::new(self.universe), r, post),
+            _ => self.universe.wlp(r, post),
         }
     }
 
     fn sat(&self, b: &BExp) -> Result<StateSet, SemError> {
         match &self.cache {
-            Some(cache) => cache.sat(&self.sem, b),
-            None => self.sem.sat(b),
+            Some(cache) => cache.sat(&Concrete::new(self.universe), b),
+            None => self.universe.sat(b),
         }
     }
 
@@ -312,12 +272,12 @@ impl StateAlgebra for EnumAlgebra<'_> {
         // universe's image memo only pays off when warm, so the first
         // sight of a program (`fresh_nodes > 0`) runs the reference path
         // instead of funding memo writes it will never read.
-        let demoted = cache.demote_for(self.sem.universe().size());
+        let demoted = cache.demote_for(self.universe.size());
         let interned = cache.intern(r);
         if !demoted || interned.fresh_nodes == 0 {
             (self.clone(), Some(interned.root))
         } else {
-            (EnumAlgebra::uncached(self.sem.universe()), None)
+            (EnumAlgebra::uncached(self.universe), None)
         }
     }
 
@@ -326,8 +286,8 @@ impl StateAlgebra for EnumAlgebra<'_> {
         // counted and traced bypass): a demoted `find` walk contains no
         // cache code at all.
         match &self.cache {
-            Some(cache) if cache.demote_for(self.sem.universe().size()) => {
-                EnumAlgebra::uncached(self.sem.universe())
+            Some(cache) if cache.demote_for(self.universe.size()) => {
+                EnumAlgebra::uncached(self.universe)
             }
             _ => self.clone(),
         }

@@ -222,11 +222,6 @@ impl EnumDomain {
         &self.absmemo
     }
 
-    /// Hit/miss/entry counters of the abstract-image memo.
-    pub fn abs_cache_stats(&self) -> CacheStats {
-        self.absmemo.stats()
-    }
-
     /// Empties the shared base-closure memo and the hash-consing pool in
     /// place — clones sharing them (e.g. the warm prototype a serve
     /// daemon keeps per universe) all observe the reset. Closure results

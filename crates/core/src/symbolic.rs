@@ -1,28 +1,27 @@
 //! The symbolic state algebra — Algorithms 1 and 2 on decision diagrams.
 //!
-//! Routing the enumerative algebra's *semantic* queries through a
-//! symbolic [`SemCache`](air_lang::SemCache) (the Level-A backend switch)
-//! accelerates `exec`/`wlp`/`sat` but still pays `O(|Σ|)` per abstract
-//! closure, because [`EnumDomain`](crate::EnumDomain) wraps an enumerated
-//! `γ∘α`; on universes with 10⁶+ states that cost dominates.
-//!
-//! This module is the Level-B replacement for the one base domain whose
-//! closure has a cheap symbolic form: intervals. [`SymDomain`] represents
-//! `Int ⊞ N` directly on [`SymState`] diagrams — the base closure is the
-//! bounding box of the diagram (exactly `γ(α(c))` of `IntervalEnv` on a
-//! finite universe) and points are diagrams, so the refined closure never
-//! enumerates a store. [`SymAlgebra`] plugs it into the crate's one
+//! The enumerative algebra pays `O(|Σ|)` per abstract closure, because
+//! [`EnumDomain`](crate::EnumDomain) wraps an enumerated `γ∘α`; on
+//! universes with 10⁶+ states that cost dominates. This module covers the
+//! one base domain whose closure has a cheap symbolic form: intervals.
+//! [`SymDomain`] represents `Int ⊞ N` directly on [`SymState`] diagrams —
+//! the base closure is the bounding box of the diagram (exactly `γ(α(c))`
+//! of `IntervalEnv` on a finite universe) and points are diagrams, so the
+//! refined closure never enumerates a store. [`SymAlgebra`] pairs it with
+//! the diagram kernel ([`SymEngine`]) and plugs both into the crate's one
 //! forward repair, one backward repair, one set of local-completeness
 //! queries and one abstract semantics: one algorithm, two algebras.
-//! The symbolic concrete semantics is exact and the closures coincide, so
-//! verdicts are byte-identical — the property fuzz axis 9 and the
-//! backend-agreement suites check on enumerable universes.
+//! A [`SemCache::symbolic`](air_lang::SemCache::symbolic) cache selects it
+//! for `Int` bases; every other base runs the bitset kernel. The diagram
+//! kernel is exact and the closures coincide, so verdicts are
+//! byte-identical — the property fuzz axis 9 and the backend-agreement
+//! suites check on enumerable universes.
 
 use air_lang::ast::{BExp, Exp, Reg};
-use air_lang::{SemError, StateSet, SymEngine, Universe};
+use air_lang::{SemError, SetKernel, StateSet, SymEngine, Universe};
 use air_lattice::{SymShape, SymState};
 
-use crate::algebra::{PointedDomain, StateAlgebra, StoreSet};
+use crate::algebra::{PointedDomain, StateAlgebra};
 
 /// The pointed refinement `Int ⊞ N` over decision diagrams.
 ///
@@ -85,32 +84,6 @@ impl SymDomain {
     }
 }
 
-impl StoreSet for SymState {
-    fn intersection(&self, other: &Self) -> Self {
-        self.intersect(other)
-    }
-
-    fn union(&self, other: &Self) -> Self {
-        SymState::union(self, other)
-    }
-
-    fn difference(&self, other: &Self) -> Self {
-        SymState::difference(self, other)
-    }
-
-    fn complement(&self) -> Self {
-        SymState::complement(self)
-    }
-
-    fn is_subset(&self, other: &Self) -> bool {
-        SymState::is_subset(self, other)
-    }
-
-    fn size(&self) -> usize {
-        usize::try_from(self.count()).unwrap_or(usize::MAX)
-    }
-}
-
 impl PointedDomain for SymDomain {
     type Set = SymState;
 
@@ -154,7 +127,7 @@ impl PointedDomain for SymDomain {
 }
 
 /// The symbolic algebra: [`SymState`] diagrams, [`SymDomain`] closures and
-/// the exact [`SymEngine`] transformers. It memoizes nothing, so every
+/// the exact diagram kernel [`SymEngine`]. It memoizes nothing, so every
 /// abstract image is recomputed and every star round reaches the
 /// governor.
 #[derive(Clone, Debug)]
@@ -177,7 +150,7 @@ impl StateAlgebra for SymAlgebra<'_> {
     type Term = ();
 
     fn image(&self, _t: (), e: &Exp, a: &SymState) -> Result<SymState, SemError> {
-        self.engine.exec_exp(false, e, a)
+        self.engine.image(false, e, a)
     }
 
     fn exec(&self, r: &Reg, a: &SymState) -> Result<SymState, SemError> {
@@ -185,7 +158,7 @@ impl StateAlgebra for SymAlgebra<'_> {
     }
 
     fn wlp(&self, _t: (), r: &Reg, post: &SymState) -> Result<SymState, SemError> {
-        self.engine.wlp_reg(r, post)
+        self.engine.wlp(r, post)
     }
 
     fn sat(&self, b: &BExp) -> Result<SymState, SemError> {

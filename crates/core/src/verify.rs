@@ -213,10 +213,9 @@ impl<'u> Verifier<'u> {
 
     /// The symbolic algebra ([`SymAlgebra`]) and `domain` rebuilt over
     /// it ([`SymDomain`]) when the repair should run on decision
-    /// diagrams: the cache runs the symbolic backend and the base domain
+    /// diagrams: the cache is [`SemCache::symbolic`] and the base domain
     /// is `Int`, the one base whose closure has a cheap diagram form.
-    /// `None` runs the verifier's own enumerative algebra (whose semantic
-    /// queries still reach a symbolic backend).
+    /// `None` runs the verifier's own enumerative algebra.
     fn symbolic(&self, domain: &EnumDomain) -> Option<(SymAlgebra<'u>, SymDomain)> {
         if !self.alg.is_symbolic() || domain.base_name() != "Int" {
             return None;
@@ -229,7 +228,7 @@ impl<'u> Verifier<'u> {
 
     /// Verifies `⟦r⟧input ≤ spec` by backward repair (Algorithm 2 +
     /// Corollary 7.7), run in the symbolic algebra when this verifier's
-    /// cache selects the symbolic backend and the base domain is `Int` —
+    /// cache is [`SemCache::symbolic`] and the base domain is `Int` —
     /// same verdict either way, the symbolic algebra just scales to
     /// universes the bitset algebra cannot enumerate.
     ///

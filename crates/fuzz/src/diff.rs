@@ -7,10 +7,10 @@
 //! run recovered by the [`Supervisor`] vs the fault-free run,
 //! (axis 8) a warm [`RepairSession`] incrementally re-verifying the
 //! unchanged program and a single-statement edit of it vs from-scratch
-//! runs, and (axis 9) the symbolic engine backend vs the enumerative
-//! one on enumerable universes — and any observable disagreement is
-//! reported as a human-readable message. An empty result is agreement
-//! everywhere.
+//! runs, and (axis 9) the diagram set kernel vs the bitset one, and the
+//! symbolic algebra vs the enumerative one on `Int` bases — and any
+//! observable disagreement is reported as a human-readable message. An
+//! empty result is agreement everywhere.
 //!
 //! Budget cutoffs are *not* disagreements: a tightly-governed run may
 //! legitimately stop early, but its partial invariant must still be a
@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use crate::case::BuiltCase;
 use air_core::{BackwardRepair, ForwardRepair, Lcl, RepairError, RepairSession, Verifier};
-use air_lang::{Concrete, Exp, Reg, SemCache, SemError, StateSet};
+use air_lang::{Concrete, Exp, Reg, SemCache, SemError, SetKernel, StateSet, SymEngine};
 use air_lattice::{par_map_governed, Budget, Governor};
 use air_resilience::{
     FailSwitch, FaultInjector, FaultKind, FaultPlan, FaultSpec, InjectSink, RetryPolicy, Supervisor,
@@ -266,13 +266,25 @@ pub fn differential_sweep(b: &BuiltCase) -> Result<Vec<String>, SemError> {
         }
     }
 
-    // Axis 9 — symbolic vs enumerative engine backend. Fuzz universes
-    // are enumerable by construction, so both backends apply (the gate
-    // below is belt-and-braces for future, larger generators); the
-    // strategy-iteration backend must reproduce the Kleene-enumeration
-    // results byte for byte: same verdict report, same valid input,
-    // same repair points, and the same forward under-approximation.
+    // Axis 9 — the diagram kernel vs the bitset kernel, and the symbolic
+    // algebra vs the enumerative one. Fuzz universes are enumerable by
+    // construction (the gate below is belt-and-braces for future, larger
+    // generators). Both kernels must give the same `⟦r⟧pre` and
+    // `wlp(r, spec)` under the one recursion, errors and payloads
+    // included; where the verifier runs the symbolic algebra (an `Int`
+    // base) its verdict must match the enumerative one byte for byte.
     if u.size() <= SYMBOLIC_DIFF_BOUND {
+        let eng = SymEngine::new(u);
+        let sym_exec = eng.exec(false, r, &eng.from_set(&b.pre));
+        if sym_exec.map(|s| eng.to_set(&s)) != u.exec(false, r, &b.pre) {
+            diffs.push("symbolic axis: the kernels disagree on exec(r, pre)".into());
+        }
+        let sym_wlp = eng.wlp(r, &eng.from_set(&b.spec));
+        if sym_wlp.map(|s| eng.to_set(&s)) != u.wlp(r, &b.spec) {
+            diffs.push("symbolic axis: the kernels disagree on wlp(r, spec)".into());
+        }
+    }
+    if u.size() <= SYMBOLIC_DIFF_BOUND && b.domain.base_name() == "Int" {
         let symbolic = Verifier::with_cache(u, SemCache::symbolic()).backward(
             b.domain.clone(),
             r,
@@ -286,7 +298,7 @@ pub fn differential_sweep(b: &BuiltCase) -> Result<Vec<String>, SemError> {
                 }
                 if p.valid_input() != s.valid_input() || p.added_points() != s.added_points() {
                     diffs.push(
-                        "symbolic axis: symbolic backend changed the valid input or repair points"
+                        "symbolic axis: symbolic algebra changed the valid input or repair points"
                             .into(),
                     );
                 }
@@ -301,37 +313,14 @@ pub fn differential_sweep(b: &BuiltCase) -> Result<Vec<String>, SemError> {
                 check_repair_error(b2)?;
             }
         }
-        // The enumerative side is axis 1's uncached forward repair: the
-        // same call on the same instance, so it is reused, not rerun.
-        let fwd_symbolic = ForwardRepair::with_cache(u, SemCache::symbolic())
-            .max_repairs(4_000)
-            .repair(b.domain.clone(), r, &b.pre);
-        match (&fwd_symbolic, &fwd_plain) {
-            (Ok(s), Ok(p)) => {
-                if s.under != p.under {
-                    diffs.push(
-                        "symbolic axis: fRepair under-approximations differ across backends".into(),
-                    );
-                }
-            }
-            (Err(e), Ok(_)) | (Ok(_), Err(e)) => {
-                if let Some(msg) = repair_error_diff("symbolic axis fRepair asymmetry", e)? {
-                    diffs.push(msg);
-                }
-            }
-            (Err(a), Err(b2)) => {
-                check_repair_error(a)?;
-                check_repair_error(b2)?;
-            }
-        }
     }
 
     Ok(diffs)
 }
 
-/// Axis 9 only compares backends on universes the enumerative engine
-/// can enumerate comfortably; beyond this the symbolic backend is the
-/// only one that applies and there is nothing to differentiate against.
+/// Axis 9 only compares engines on universes the bitset kernel can
+/// enumerate comfortably; beyond this the symbolic engine is the only
+/// one that applies and there is nothing to differentiate against.
 pub const SYMBOLIC_DIFF_BOUND: usize = 1 << 16;
 
 /// A deterministic single-statement edit: the `seed`-chosen basic

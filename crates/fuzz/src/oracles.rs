@@ -22,7 +22,7 @@ pub fn theorem_of(name: &str) -> Option<&'static str> {
     registry().iter().find(|(n, _)| *n == name).map(|(_, t)| *t)
 }
 
-fn instance(b: &BuiltCase, cache: SemCache) -> OracleInstance<'_> {
+fn instance(b: &BuiltCase) -> OracleInstance<'_> {
     OracleInstance {
         universe: &b.universe,
         domain: b.domain.clone(),
@@ -31,28 +31,14 @@ fn instance(b: &BuiltCase, cache: SemCache) -> OracleInstance<'_> {
         spec: b.spec.clone(),
         guard: b.case.pre.clone(),
         aux_seed: b.case.seed ^ 0x5DEE_CE66_D5DE_ECE6,
-        cache,
+        cache: SemCache::new(),
     }
 }
 
-/// Runs one oracle by name with the default (enumerative) engine
-/// backend. `None` for unknown names; `Err(SemError)` marks an
-/// unevaluable instance (a skip).
+/// Runs one oracle by name. `None` for unknown names; `Err(SemError)`
+/// marks an unevaluable instance (a skip). The CEGAR oracle runs its own
+/// transition-system machinery.
 pub fn run(name: &str, b: &BuiltCase) -> Option<Result<OracleOutcome, SemError>> {
-    run_with_cache(name, b, SemCache::new())
-}
-
-/// Runs one oracle with the engines memoizing through `cache` — pass
-/// [`SemCache::symbolic`] to check the theorem against the symbolic
-/// backend (fuzz universes are enumerable by construction, so the
-/// enumerative ground truth inside each oracle still applies). The
-/// CEGAR oracle runs its own transition-system machinery and is
-/// backend-independent.
-pub fn run_with_cache(
-    name: &str,
-    b: &BuiltCase,
-    cache: SemCache,
-) -> Option<Result<OracleOutcome, SemError>> {
     if name == "cegar_spuriousness" {
         let states = b.universe.size() * (b.case.program.basic_count() + 2);
         if states > MAX_CEGAR_STATES {
@@ -71,7 +57,7 @@ pub fn run_with_cache(
             &b.spec,
         ));
     }
-    air_core::run_oracle(name, &instance(b, cache))
+    air_core::run_oracle(name, &instance(b))
 }
 
 #[cfg(test)]
@@ -106,37 +92,5 @@ mod tests {
             assert_eq!(verdict, OracleOutcome::Pass, "{name}");
         }
         assert!(run("unknown", &built).is_none());
-    }
-
-    #[test]
-    fn symbolic_backend_agrees_with_enumerative_on_all_oracles() {
-        // Satellite of the symbolic-engine work: every registered oracle
-        // must return the same verdict whether its engines run the
-        // enumerative or the symbolic backend, across a spread of
-        // generated cases (all enumerable by construction).
-        let mut agreed = 0;
-        for seed in 0..12 {
-            let case = FuzzCase::generate(seed);
-            let Ok(built) = case.build() else { continue };
-            for (name, _) in registry() {
-                let enumerative =
-                    run_with_cache(name, &built, SemCache::new()).expect("registered");
-                let symbolic =
-                    run_with_cache(name, &built, SemCache::symbolic()).expect("registered");
-                match (enumerative, symbolic) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a, b, "seed {seed} oracle {name}: verdicts diverge");
-                        agreed += 1;
-                    }
-                    // Skips (unevaluable instances) must also agree on
-                    // being skips; the exhaustion detail may differ.
-                    (Err(_), Err(_)) => {}
-                    (a, b) => {
-                        panic!("seed {seed} oracle {name}: skip asymmetry: {a:?} vs {b:?}")
-                    }
-                }
-            }
-        }
-        assert!(agreed >= 30, "only {agreed} oracle runs compared");
     }
 }

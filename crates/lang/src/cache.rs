@@ -16,6 +16,10 @@
 //!   transformer of [`Wlp`], cached the same way;
 //! - [`SemCache::sat`] — guard satisfaction sets `⟦b?⟧Σ`.
 //!
+//! The cache is the bitset kernel's [`Memo`]: its exec and wlp tables
+//! are where [`SetKernel::exec_in`]/[`SetKernel::wlp_in`], the one
+//! recursion, keep node images.
+//!
 //! Only `Ok` results are cached; errors are recomputed (and therefore
 //! reported identically) on every call. Cloning a `SemCache` shares the
 //! underlying tables, which is how one cache serves every thread of a
@@ -37,28 +41,8 @@ use std::sync::{Arc, OnceLock};
 
 use crate::arena::{TermArena, TermId, TermNode};
 use crate::ast::{BExp, Exp, Reg};
-use crate::semantics::{Concrete, SemError};
+use crate::semantics::{Concrete, Memo, SemError, SetKernel, Wlp};
 use crate::store::StateSet;
-use crate::sym::SymEngine;
-use crate::wlp::Wlp;
-
-/// Which engine answers the semantic queries behind a [`SemCache`].
-///
-/// The cache's *interface* (and its memo tables, keyed on explicit state
-/// sets) is backend-agnostic: with [`EngineBackend::Symbolic`], misses are
-/// answered by running the whole query natively on
-/// [`SymState`](air_lattice::SymState) diagrams via [`SymEngine`] and
-/// materializing the result, instead of enumerating bitsets. Because the
-/// symbolic engine is exact, the two backends produce byte-identical
-/// results — the property differential fuzz axis 9 checks.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum EngineBackend {
-    /// Explicit bitset enumeration (the paper's pilot design point).
-    #[default]
-    Enumerative,
-    /// Symbolic interval-decision-diagram evaluation ([`SymEngine`]).
-    Symbolic,
-}
 
 /// Default universe-size cutoff below which memoization is skipped.
 ///
@@ -82,10 +66,11 @@ pub const DEFAULT_BYPASS_THRESHOLD: usize = 64;
 /// would collide structurally); every engine in `air-core` creates or
 /// receives one per universe.
 ///
-/// Calls on universes of at most [`bypass_threshold`](Self::bypass_threshold)
-/// states skip the tables entirely and run the uncached transformer
-/// (same result, no hashing) — each such call bumps the shared bypass
-/// counter and, when traced, emits a `cache_bypass` event.
+/// Calls on universes of at most the bypass threshold (by default
+/// [`DEFAULT_BYPASS_THRESHOLD`]) states skip the tables entirely and run
+/// the uncached transformer (same result, no hashing) — each such call
+/// bumps the shared bypass counter and, when traced, emits a
+/// `cache_bypass` event.
 #[derive(Clone, Debug)]
 pub struct SemCache {
     arena: TermArena,
@@ -95,7 +80,7 @@ pub struct SemCache {
     bypass_threshold: usize,
     bypasses: Arc<AtomicU64>,
     trace: Arc<OnceLock<Tracer>>,
-    backend: EngineBackend,
+    symbolic: bool,
 }
 
 impl Default for SemCache {
@@ -121,38 +106,32 @@ impl SemCache {
             bypass_threshold: threshold,
             bypasses: Arc::new(AtomicU64::new(0)),
             trace: Arc::new(OnceLock::new()),
-            backend: EngineBackend::Enumerative,
+            symbolic: false,
         }
     }
 
-    /// An empty cache whose misses are answered by the symbolic backend
-    /// ([`SymEngine`]) instead of bitset enumeration. The small-universe
-    /// bypass is disabled: bypassing would route calls to the enumerative
-    /// reference path, which is exactly what a symbolic run must not do.
+    /// An empty cache that asks for the symbolic engine: verifiers over
+    /// it run `Int`-base repairs on decision diagrams (`air-core`'s
+    /// `SymAlgebra`). The cache itself behaves exactly like
+    /// [`SemCache::new`]'s; every other base runs the bitset kernel
+    /// through it.
     pub fn symbolic() -> Self {
         SemCache {
-            backend: EngineBackend::Symbolic,
-            ..SemCache::with_bypass_threshold(DEFAULT_BYPASS_THRESHOLD)
+            symbolic: true,
+            ..SemCache::new()
         }
     }
 
-    /// The backend answering this cache's misses.
-    pub fn backend(&self) -> EngineBackend {
-        self.backend
-    }
-
-    /// The universe-size cutoff below which calls skip the tables.
-    pub fn bypass_threshold(&self) -> usize {
-        self.bypass_threshold
+    /// `true` for a [`SemCache::symbolic`] cache.
+    pub fn is_symbolic(&self) -> bool {
+        self.symbolic
     }
 
     /// `true` if calls over `universe_size` states take the direct path.
     /// Pure probe: nothing is counted or traced (see
     /// [`demote_for`](Self::demote_for) for the recording variant).
-    /// Always `false` on a symbolic cache — the direct path is the
-    /// enumerative reference engine.
     pub fn is_bypassed(&self, universe_size: usize) -> bool {
-        self.backend == EngineBackend::Enumerative && universe_size <= self.bypass_threshold
+        universe_size <= self.bypass_threshold
     }
 
     /// Empties the exec/wlp/sat tables in place, through the shared
@@ -196,17 +175,15 @@ impl SemCache {
     /// repair run and, when demoted, runs the unmemoized reference path
     /// for the entire run: the hot loop then contains no cache code at
     /// all. One bypass is counted (and traced, when a tracer is
-    /// attached) for the whole run. A symbolic cache never demotes: its
-    /// callers must keep every semantic query on the cache so it reaches
-    /// the symbolic engine.
+    /// attached) for the whole run.
     pub fn demote_for(&self, universe_size: usize) -> bool {
-        self.backend == EngineBackend::Enumerative && self.bypass("engine", universe_size)
+        self.bypass("engine", universe_size)
     }
 
     /// `true` (counting and tracing the fact) if a call over
     /// `universe_size` states should run unmemoized.
     fn bypass(&self, table: &'static str, universe_size: usize) -> bool {
-        if self.backend == EngineBackend::Symbolic || universe_size > self.bypass_threshold {
+        if !self.is_bypassed(universe_size) {
             return false;
         }
         self.bypasses.fetch_add(1, Ordering::Relaxed);
@@ -217,8 +194,8 @@ impl SemCache {
     }
 
     /// The shared term arena behind this cache's keys. Engines that hold
-    /// a cache can intern their program once and drive the id-based entry
-    /// point [`wlp_id`](Self::wlp_id) directly, skipping the per-call
+    /// a cache can intern their program once and run the one recursion
+    /// with this cache as its [`Memo`] directly, skipping the per-call
     /// interning walk.
     pub fn arena(&self) -> &TermArena {
         &self.arena
@@ -244,157 +221,40 @@ impl SemCache {
         e: &Exp,
         s: &StateSet,
     ) -> Result<StateSet, SemError> {
-        if self.backend == EngineBackend::Symbolic {
-            let key = (sem.is_strict(), self.arena.intern_exp(e), s.clone());
-            return self.exec.try_get_or_insert_with(&key, || {
-                let eng = SymEngine::new(sem.universe());
-                eng.exec_exp(sem.is_strict(), e, &eng.from_set(s))
-                    .map(|out| eng.to_set(&out))
-            });
-        }
         if self.bypass("exec", sem.universe().size()) {
             return sem.exec_exp(e, s);
         }
-        let key = (sem.is_strict(), self.arena.intern_exp(e), s.clone());
-        self.exec
-            .try_get_or_insert_with(&key, || sem.exec_exp(e, s))
+        let t = self.arena.intern_exp(e);
+        Memo::exec(self, sem.is_strict(), t, s, || sem.exec_exp(e, s))
     }
 
     /// Cached collecting semantics `⟦r⟧S`, memoized at every node of `r`
-    /// (mirrors [`Concrete::exec`] exactly, so results are bitwise equal
-    /// to the uncached path).
+    /// (the one recursion of [`SetKernel::exec_in`], so results are
+    /// bitwise equal to the uncached path).
     ///
     /// # Errors
     ///
     /// Propagates [`SemError`]; errors are not cached.
     pub fn exec(&self, sem: &Concrete<'_>, r: &Reg, s: &StateSet) -> Result<StateSet, SemError> {
-        if self.backend == EngineBackend::Symbolic {
-            return self.sym_exec(sem, self.arena.intern(r).root, s);
-        }
-        if self.bypass("exec", sem.universe().size()) {
+        let u = sem.universe();
+        if self.bypass("exec", u.size()) {
             return sem.exec(r, s);
         }
-        self.exec_node(sem, self.arena.intern(r).root, s)
+        u.exec_in(self, sem.is_strict(), r, Some(self.intern(r).root), s)
     }
 
-    /// Symbolic-backend execution: the whole term is run natively on
-    /// decision diagrams and only the final image is materialized (and
-    /// memoized under the same key the enumerative walk would use).
-    /// Sub-term images are *not* cached — they never exist as bitsets.
-    fn sym_exec(&self, sem: &Concrete<'_>, id: TermId, s: &StateSet) -> Result<StateSet, SemError> {
-        let key = (sem.is_strict(), id, s.clone());
-        self.exec.try_get_or_insert_with(&key, || {
-            let eng = SymEngine::new(sem.universe());
-            eng.exec(sem.is_strict(), &self.arena.resolve(id), &eng.from_set(s))
-                .map(|out| eng.to_set(&out))
-        })
-    }
-
-    fn exec_node(
-        &self,
-        sem: &Concrete<'_>,
-        id: TermId,
-        s: &StateSet,
-    ) -> Result<StateSet, SemError> {
-        let key = (sem.is_strict(), id, s.clone());
-        self.exec.try_get_or_insert_with(&key, || {
-            match self.arena.node(id) {
-                TermNode::Basic(e) => sem.exec_exp(&e, s),
-                TermNode::Seq(r1, r2) => {
-                    let mid = self.exec_node(sem, r1, s)?;
-                    self.exec_node(sem, r2, &mid)
-                }
-                TermNode::Choice(r1, r2) => Ok(self
-                    .exec_node(sem, r1, s)?
-                    .union(&self.exec_node(sem, r2, s)?)),
-                TermNode::Star(body) => {
-                    // Same lfp iteration as `Concrete::exec`, with each
-                    // round's body image cached.
-                    let mut acc = s.clone();
-                    for _ in 0..=sem.universe().size() {
-                        let next = acc.union(&self.exec_node(sem, body, &acc)?);
-                        if next == acc {
-                            return Ok(acc);
-                        }
-                        acc = next;
-                    }
-                    Err(SemError::Divergence)
-                }
-            }
-        })
-    }
-
-    /// Cached `wlp` of a regular command, memoized at every node (mirrors
-    /// [`Wlp::reg`] exactly).
+    /// Cached `wlp` of a regular command, memoized at every node (the one
+    /// recursion of [`SetKernel::wlp_in`]).
     ///
     /// # Errors
     ///
     /// Propagates [`SemError`]; errors are not cached.
     pub fn wlp_reg(&self, wlp: &Wlp<'_>, r: &Reg, post: &StateSet) -> Result<StateSet, SemError> {
-        if self.backend == EngineBackend::Symbolic {
-            return self.sym_wlp(wlp, self.arena.intern(r).root, post);
-        }
         if self.bypass("wlp", wlp.universe().size()) {
             return wlp.reg(r, post);
         }
-        self.wlp_node(wlp, self.arena.intern(r).root, post)
-    }
-
-    /// Id-keyed [`wlp_reg`](Self::wlp_reg): `id` must come from this
-    /// cache's [`arena`](Self::arena).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SemError`]; errors are not cached.
-    pub fn wlp_id(&self, wlp: &Wlp<'_>, id: TermId, post: &StateSet) -> Result<StateSet, SemError> {
-        if self.backend == EngineBackend::Symbolic {
-            return self.sym_wlp(wlp, id, post);
-        }
-        if self.bypass("wlp", wlp.universe().size()) {
-            return wlp.reg(&self.arena.resolve(id), post);
-        }
-        self.wlp_node(wlp, id, post)
-    }
-
-    /// Symbolic-backend `wlp`: the whole term runs natively on decision
-    /// diagrams; only the final precondition set is materialized and
-    /// memoized (same key as the enumerative walk's top-level entry).
-    fn sym_wlp(&self, wlp: &Wlp<'_>, id: TermId, post: &StateSet) -> Result<StateSet, SemError> {
-        let key = (id, post.clone());
-        self.wlp.try_get_or_insert_with(&key, || {
-            let eng = SymEngine::new(wlp.universe());
-            eng.wlp_reg(&self.arena.resolve(id), &eng.from_set(post))
-                .map(|out| eng.to_set(&out))
-        })
-    }
-
-    fn wlp_node(&self, wlp: &Wlp<'_>, id: TermId, post: &StateSet) -> Result<StateSet, SemError> {
-        let key = (id, post.clone());
-        self.wlp.try_get_or_insert_with(&key, || {
-            match self.arena.node(id) {
-                TermNode::Basic(e) => wlp.exp(&e, post),
-                TermNode::Seq(r1, r2) => {
-                    let mid = self.wlp_node(wlp, r2, post)?;
-                    self.wlp_node(wlp, r1, &mid)
-                }
-                TermNode::Choice(r1, r2) => Ok(self
-                    .wlp_node(wlp, r1, post)?
-                    .intersection(&self.wlp_node(wlp, r2, post)?)),
-                TermNode::Star(body) => {
-                    // Same gfp iteration as `Wlp::reg`, with each round's
-                    // body wlp cached.
-                    let mut acc = post.clone();
-                    for _ in 0..=wlp.universe().size() {
-                        let next = post.intersection(&self.wlp_node(wlp, body, &acc)?);
-                        if next == acc {
-                            return Ok(acc);
-                        }
-                        acc = next;
-                    }
-                    Err(SemError::Divergence)
-                }
-            }
-        })
+        wlp.universe()
+            .wlp_in(self, r, Some(self.intern(r).root), post)
     }
 
     /// Cached guard satisfaction set `⟦b?⟧Σ` ([`Concrete::sat`]).
@@ -403,12 +263,6 @@ impl SemCache {
     ///
     /// Propagates [`SemError`]; errors are not cached.
     pub fn sat(&self, sem: &Concrete<'_>, b: &BExp) -> Result<StateSet, SemError> {
-        if self.backend == EngineBackend::Symbolic {
-            return self.sat.try_get_or_insert_with(b, || {
-                let eng = SymEngine::new(sem.universe());
-                eng.sat(b).map(|out| eng.to_set(&out))
-            });
-        }
         if self.bypass("sat", sem.universe().size()) {
             return sem.sat(b);
         }
@@ -463,6 +317,38 @@ impl SemCache {
                 self.sat.chaos_poison_shard(shard);
             }
         }
+    }
+}
+
+/// The bitset kernel's memo: node images live in the exec and wlp tables.
+impl Memo<StateSet> for SemCache {
+    fn children(&self, t: TermId) -> (TermId, TermId) {
+        match self.arena.node(t) {
+            TermNode::Seq(a, b) | TermNode::Choice(a, b) => (a, b),
+            TermNode::Star(body) => (body, body),
+            TermNode::Basic(_) => (t, t),
+        }
+    }
+
+    fn exec<F>(
+        &self,
+        strict: bool,
+        t: TermId,
+        s: &StateSet,
+        compute: F,
+    ) -> Result<StateSet, SemError>
+    where
+        F: FnOnce() -> Result<StateSet, SemError>,
+    {
+        self.exec
+            .try_get_or_insert_with(&(strict, t, s.clone()), compute)
+    }
+
+    fn wlp<F>(&self, t: TermId, post: &StateSet, compute: F) -> Result<StateSet, SemError>
+    where
+        F: FnOnce() -> Result<StateSet, SemError>,
+    {
+        self.wlp.try_get_or_insert_with(&(t, post.clone()), compute)
     }
 }
 
@@ -574,7 +460,7 @@ mod tests {
         let u = Universe::new(&[("x", -4, 4)]).unwrap(); // 9 ≤ 64 states
         let sem = Concrete::new(&u);
         let cache = SemCache::new();
-        assert_eq!(cache.bypass_threshold(), DEFAULT_BYPASS_THRESHOLD);
+        assert_eq!(cache.bypass_threshold, DEFAULT_BYPASS_THRESHOLD);
         let sink = Arc::new(MemorySink::new());
         cache.set_tracer(&Tracer::new(sink.clone()));
         let prog = parse_program("star { assume x < 4; x := x + 1 }").unwrap();
@@ -594,54 +480,14 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_backend_matches_enumerative_cache() {
-        let u = Universe::new(&[("x", -6, 6), ("y", 0, 4)]).unwrap();
-        let sem = Concrete::new(&u);
-        let strict = Concrete::strict(&u);
-        let wlp = Wlp::new(&u);
-        let plain = SemCache::with_bypass_threshold(0);
+    fn symbolic_cache_only_names_the_engine() {
+        // The symbolic flag selects the verifier's algebra; the tables and
+        // the bypass behave exactly like an enumerative cache's.
         let symbolic = SemCache::symbolic();
-        assert_eq!(symbolic.backend(), EngineBackend::Symbolic);
-        assert_eq!(plain.backend(), EngineBackend::Enumerative);
-        // Symbolic caches never bypass or demote — every query must reach
-        // the symbolic engine.
-        assert!(!symbolic.is_bypassed(1));
-        assert!(!symbolic.demote_for(1));
-        assert_eq!(symbolic.bypass_count(), 0);
-        let prog = parse_program(
-            "x := 0 - x; star { assume x < 6; x := x + 1; y := y + 1 }; assume y <= 4",
-        )
-        .unwrap();
-        let inputs = [
-            u.full(),
-            u.empty(),
-            u.filter(|s| s[0] * s[0] <= 9 && s[1] % 2 == 0),
-        ];
-        for s in &inputs {
-            assert_eq!(
-                symbolic.exec(&sem, &prog, s).unwrap(),
-                plain.exec(&sem, &prog, s).unwrap()
-            );
-            assert_eq!(
-                symbolic.wlp_reg(&wlp, &prog, s).unwrap(),
-                plain.wlp_reg(&wlp, &prog, s).unwrap()
-            );
-        }
-        // Strict-mode errors agree too (and neither is cached).
-        let esc = parse_program("x := x * 7").unwrap();
-        assert_eq!(
-            format!("{:?}", symbolic.exec(&strict, &esc, &u.full())),
-            format!("{:?}", plain.exec(&strict, &esc, &u.full()))
-        );
-        let b = parse_bexp("x * y > 3 || x = 0 - 6").unwrap();
-        assert_eq!(
-            symbolic.sat(&sem, &b).unwrap(),
-            plain.sat(&sem, &b).unwrap()
-        );
-        // Top-level results are memoized: re-querying hits.
-        let before = symbolic.stats().hits;
-        symbolic.exec(&sem, &prog, &u.full()).unwrap();
-        assert!(symbolic.stats().hits > before);
+        assert!(symbolic.is_symbolic() && !SemCache::new().is_symbolic());
+        assert!(symbolic.is_bypassed(1));
+        assert!(symbolic.demote_for(1));
+        assert_eq!(symbolic.bypass_count(), 1);
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! variables — the same design point as the paper's pilot implementation
 //! (Section 8: "finite integer domains … explicit enumeration").
 //!
+//! The collecting semantics and `wlp` are written once, over a
+//! [`SetKernel`] seam with two kernels: bitsets over the [`Universe`]'s
+//! index space and decision diagrams ([`SymEngine`]). An optional memo
+//! (the [`SemCache`] tables) keeps their node images.
+//!
 //! Paper↔code correspondences for this crate (`Reg` and its semantics
 //! from §3.2, `wlp` from Definition 7.3, the [`SemCache`] memo layer) are
 //! catalogued in `PAPER_MAP.md` at the repository root.
@@ -51,13 +56,11 @@ pub mod resolve;
 pub mod semantics;
 pub mod store;
 pub mod sym;
-pub mod wlp;
 
 pub use arena::{InternOutcome, TermArena, TermId, TermNode};
 pub use ast::{AExp, BExp, Exp, Reg};
-pub use cache::{EngineBackend, SemCache, DEFAULT_BYPASS_THRESHOLD};
+pub use cache::{SemCache, DEFAULT_BYPASS_THRESHOLD};
 pub use parser::{parse_bexp, parse_program, ParseError};
-pub use semantics::{Concrete, SemError};
+pub use semantics::{Concrete, Memo, NoMemo, SemError, SetKernel, StoreSet, Wlp};
 pub use store::{StateSet, Store, Universe, UniverseError};
 pub use sym::SymEngine;
-pub use wlp::Wlp;

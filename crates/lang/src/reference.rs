@@ -4,8 +4,9 @@
 //! replace: decode every store with [`Universe::store_at`] into a fresh
 //! vector, evaluate by looking each variable up by name, and re-encode
 //! every successor with [`Universe::store_index`]. They exist only under
-//! `cfg(test)`, as the oracle the production kernels in `semantics.rs`,
-//! `wlp.rs` and `store.rs` must match bit for bit — images and errors.
+//! `cfg(test)`, as the oracle both set kernels must match bit for bit —
+//! images and errors: the bitset kernel (`semantics.rs`, `store.rs`) and
+//! the diagram kernel (`sym.rs`).
 
 use crate::ast::{AExp, BExp, Exp};
 use crate::semantics::SemError;
@@ -169,8 +170,8 @@ mod equivalence {
     use super::*;
     use crate::ast::Reg;
     use crate::gen::{GenConfig, ProgramGen, XorShift};
-    use crate::semantics::Concrete;
-    use crate::wlp::Wlp;
+    use crate::semantics::{Concrete, SetKernel};
+    use crate::sym::SymEngine;
 
     /// A universe over `x`, `y` (and sometimes `z`): small ranges around
     /// zero, or — one case in four — ranges at the top of `i64`, where
@@ -238,34 +239,45 @@ mod equivalence {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// `exec_exp` (both modes), `wlp::exp`, `sat` and `filter` equal
-        /// the reference loops — images and errors, payloads included —
-        /// on empty, sparse and full inputs.
+        /// Both kernels' images (both modes), basic-command `wlp`s and
+        /// `sat`, and `filter`, equal the reference loops — images and
+        /// errors, payloads included — on empty, sparse and full inputs,
+        /// near-`i64::MAX` universes and undeclared names.
         #[test]
         fn kernels_match_the_reference_loops(seed in 0u64..1_000_000) {
             let mut rng = XorShift::new(seed);
             let u = universe(&mut rng);
+            let eng = SymEngine::new(&u);
+            let lower = |r: Result<_, SemError>| r.map(|d| eng.to_set(&d));
             let inputs = [u.empty(), random_set(&u, &mut rng), u.full()];
             for e in commands(seed) {
                 for s in &inputs {
+                    let d = eng.from_set(s);
+                    for strict in [false, true] {
+                        let want = exec_exp(&u, strict, &e, s);
+                        prop_assert_eq!(
+                            u.image(strict, &e, s),
+                            want.clone(),
+                            "bitset exec {} (strict {}) on {:?}", e, strict, s
+                        );
+                        prop_assert_eq!(
+                            lower(eng.image(strict, &e, &d)),
+                            want,
+                            "diagram exec {} (strict {}) on {:?}", e, strict, s
+                        );
+                    }
+                    let want = wlp_exp(&u, &e, s);
+                    prop_assert_eq!(u.wlp_exp(&e, s), want.clone(), "bitset wlp {} of {:?}", e, s);
                     prop_assert_eq!(
-                        Concrete::new(&u).exec_exp(&e, s),
-                        exec_exp(&u, false, &e, s),
-                        "exec {} on {:?}", e, s
-                    );
-                    prop_assert_eq!(
-                        Concrete::strict(&u).exec_exp(&e, s),
-                        exec_exp(&u, true, &e, s),
-                        "strict exec {} on {:?}", e, s
-                    );
-                    prop_assert_eq!(
-                        Wlp::new(&u).exp(&e, s),
-                        wlp_exp(&u, &e, s),
-                        "wlp {} of {:?}", e, s
+                        lower(eng.wlp_exp(&e, &d)),
+                        want,
+                        "diagram wlp {} of {:?}", e, s
                     );
                 }
                 if let Exp::Assume(b) = &e {
-                    prop_assert_eq!(Concrete::new(&u).sat(b), sat(&u, b), "sat {}", b);
+                    let want = sat(&u, b);
+                    prop_assert_eq!(u.sat(b), want.clone(), "bitset sat {}", b);
+                    prop_assert_eq!(lower(eng.sat(b)), want, "diagram sat {}", b);
                 }
             }
             let pivot = rng.range_i64(-3, 3);

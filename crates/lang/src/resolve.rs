@@ -11,9 +11,7 @@
 //! when — some store actually evaluates it. Evaluation order is the
 //! source order (left operand first; `&&`/`||` short-circuit), so the
 //! first error a store raises is the one a name-by-name interpreter would
-//! raise. [`Concrete::eval_aexp`](crate::Concrete::eval_aexp) and
-//! [`Concrete::eval_bexp`](crate::Concrete::eval_bexp) are thin wrappers
-//! over this module.
+//! raise. Both set kernels evaluate stores through this module.
 
 use std::sync::Arc;
 

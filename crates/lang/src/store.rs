@@ -13,6 +13,8 @@ use std::sync::Arc;
 
 use air_lattice::bitset::BitVecSet;
 
+use crate::semantics::SemError;
+
 /// A program store: one `i64` value per universe variable, in universe
 /// variable order.
 pub type Store = Vec<i64>;
@@ -191,6 +193,12 @@ impl Universe {
     /// Index of a variable in store order, if declared.
     pub fn var_index(&self, name: &str) -> Option<usize> {
         self.inner.index.get(name).copied()
+    }
+
+    /// Index of the variable `x`, or [`SemError::UnknownVar`].
+    pub(crate) fn var_slot(&self, x: &Arc<str>) -> Result<usize, SemError> {
+        self.var_index(x)
+            .ok_or_else(|| SemError::UnknownVar(x.clone()))
     }
 
     /// Declared range `[lo, hi]` of the `i`-th variable.

@@ -1,15 +1,16 @@
-//! Symbolic collecting semantics and wlp over [`SymState`] sets.
+//! The diagram kernel: basic commands, guards and set operations over
+//! [`SymState`] sets.
 //!
-//! [`SymEngine`] implements the same `exec`/`wlp`/`sat` surface as the
-//! enumerative [`Concrete`]/[`Wlp`](crate::Wlp) pair, but on symbolic
-//! interval-decision-diagram state sets instead of explicit bitsets, so the
-//! cost of a transfer function scales with the *description* of a set
-//! rather than the universe's cardinality. It is **exact**, not
-//! abstracting: on any universe, converting a `StateSet` in, running the
-//! symbolic engine, and converting back yields byte-identical results —
-//! including which [`SemError`] is raised — to the enumerative engine.
-//! This is the property the differential fuzz axis 9 and the
-//! `symbolic_differential` proptest suite check.
+//! [`SymEngine`] is the [`SetKernel`] on symbolic interval-decision-diagram
+//! state sets, so the cost of a transfer function scales with the
+//! *description* of a set rather than the universe's cardinality.
+//! Compound commands and both Kleene stars are the kernel-independent
+//! recursion of [`SetKernel::exec_in`]/[`SetKernel::wlp_in`]. The kernel
+//! is **exact**, not abstracting: on any universe, converting a
+//! `StateSet` in, running a basic command, and converting back yields
+//! the bitset kernel's result — including which [`SemError`] is raised.
+//! The kernel-equivalence proptest and differential fuzz axis 9 check
+//! this property.
 //!
 //! # How exactness is maintained
 //!
@@ -21,27 +22,28 @@
 //! evaluator would suppress it. Clean regions are transformed wholesale;
 //! dirty or mixed regions are bisected on the most-significant variable the
 //! expression reads, until every read variable is a singleton — at which
-//! point the *actual* concrete evaluator decides ([`Concrete::eval_aexp`] /
-//! [`Concrete::eval_bexp`]), so verdicts and error kinds cannot drift. When
-//! a region errors, the reported error is re-derived at the region's
-//! minimum store index: the same store at which the enumerative engine's
-//! ascending iteration would have failed first.
+//! point the concrete evaluator decides ([`ResolvedAExp`] /
+//! [`ResolvedBExp`], resolved once per basic command), so verdicts and
+//! error kinds cannot drift. When a region errors, the reported error is
+//! re-derived at the region's minimum store index: the same store at which
+//! the bitset kernel's ascending iteration would have failed first. Set
+//! equality is decided on canonical diagrams, so the recursion's star
+//! rounds — and any error raised mid-iteration — coincide with the
+//! bitset kernel's.
 //!
-//! Kleene stars mirror the enumerative loops literally (`lfp`/`gfp` with
-//! the same `|Σ| + 1` round bound and [`SemError::Divergence`] overflow),
-//! with set equality decided on canonical diagrams, so round counts — and
-//! therefore any error raised mid-iteration — coincide.
-//!
-//! Straight-line assignments of the form `x := x ± c` / `x := c` take a
-//! segment-shift fast path, which is what makes fixpoints on `10^6+`-store
-//! universes tractable (ROADMAP item 1).
+//! Straight-line assignments of the form `x := x ± c` take a
+//! segment-shift fast path, and `x := c` is a single piece of the general
+//! split, which is what makes fixpoints on `10^6+`-store universes
+//! tractable.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use air_lattice::symbolic::{SymShape, SymState};
 
-use crate::ast::{AExp, BExp, CmpOp, Exp, Reg};
-use crate::semantics::{Concrete, SemError};
+use crate::ast::{AExp, BExp, CmpOp, Exp};
+use crate::resolve::{ResolvedAExp, ResolvedBExp};
+use crate::semantics::{SemError, SetKernel, StoreSet};
 use crate::store::{StateSet, Universe};
 
 /// Tri-valued truth with a dirtiness marker: `D` means evaluation might
@@ -62,7 +64,33 @@ enum AEval {
     Dirty,
 }
 
-/// The symbolic engine for a universe: exec/wlp/sat on [`SymState`].
+impl StoreSet for SymState {
+    fn intersection(&self, other: &Self) -> Self {
+        self.intersect(other)
+    }
+
+    fn union(&self, other: &Self) -> Self {
+        SymState::union(self, other)
+    }
+
+    fn difference(&self, other: &Self) -> Self {
+        SymState::difference(self, other)
+    }
+
+    fn complement(&self) -> Self {
+        SymState::complement(self)
+    }
+
+    fn is_subset(&self, other: &Self) -> bool {
+        SymState::is_subset(self, other)
+    }
+
+    fn size(&self) -> usize {
+        usize::try_from(self.count()).unwrap_or(usize::MAX)
+    }
+}
+
+/// The diagram kernel over a universe.
 #[derive(Clone, Debug)]
 pub struct SymEngine<'u> {
     universe: &'u Universe,
@@ -70,7 +98,7 @@ pub struct SymEngine<'u> {
 }
 
 impl<'u> SymEngine<'u> {
-    /// Creates the symbolic engine for a universe.
+    /// Creates the diagram kernel for a universe.
     pub fn new(universe: &'u Universe) -> Self {
         let ranges: Vec<(i64, i64)> = (0..universe.num_vars())
             .map(|i| universe.var_range(i))
@@ -81,23 +109,11 @@ impl<'u> SymEngine<'u> {
         }
     }
 
-    /// The underlying universe.
-    pub fn universe(&self) -> &'u Universe {
-        self.universe
-    }
-
-    /// The mixed-radix shape shared by all state sets of this engine.
-    pub fn shape(&self) -> &SymShape {
-        &self.shape
-    }
-
-    /// The empty symbolic set.
-    pub fn empty(&self) -> SymState {
+    fn empty(&self) -> SymState {
         SymState::empty(&self.shape)
     }
 
-    /// The full symbolic set (all universe stores).
-    pub fn full(&self) -> SymState {
+    fn full(&self) -> SymState {
         SymState::full(&self.shape)
     }
 
@@ -111,14 +127,9 @@ impl<'u> SymEngine<'u> {
         s.to_bitset()
     }
 
-    fn sem(&self) -> Concrete<'u> {
-        Concrete::new(self.universe)
-    }
-
     // ------------------------------------------------------------------
     // Tri-valued interval evaluation over bounding boxes
     // ------------------------------------------------------------------
-
     fn aeval(&self, a: &AExp, bx: &[(i64, i64)]) -> AEval {
         match a {
             AExp::Num(n) => AEval::Iv(*n as i128, *n as i128),
@@ -174,28 +185,8 @@ impl<'u> SymEngine<'u> {
                 };
                 cmp_tri(*op, (a, bb), (c, d))
             }
-            // Rust's `&&`: when the left side decides, the right side is
-            // never evaluated — so its potential errors are suppressed.
-            BExp::And(l, r) => match self.beval(l, bx) {
-                TB::D => TB::D,
-                TB::F => TB::F,
-                TB::T => self.beval(r, bx),
-                TB::M => match self.beval(r, bx) {
-                    TB::D => TB::D,
-                    TB::F => TB::F,
-                    _ => TB::M,
-                },
-            },
-            BExp::Or(l, r) => match self.beval(l, bx) {
-                TB::D => TB::D,
-                TB::T => TB::T,
-                TB::F => self.beval(r, bx),
-                TB::M => match self.beval(r, bx) {
-                    TB::D => TB::D,
-                    TB::T => TB::T,
-                    _ => TB::M,
-                },
-            },
+            BExp::And(l, r) => short_circuit(self.beval(l, bx), TB::F, || self.beval(r, bx)),
+            BExp::Or(l, r) => short_circuit(self.beval(l, bx), TB::T, || self.beval(r, bx)),
             BExp::Not(inner) => match self.beval(inner, bx) {
                 TB::T => TB::F,
                 TB::F => TB::T,
@@ -204,119 +195,103 @@ impl<'u> SymEngine<'u> {
         }
     }
 
-    fn read_levels_a(&self, a: &AExp, out: &mut Vec<usize>) {
-        match a {
-            AExp::Num(_) => {}
-            AExp::Var(x) => {
-                if let Some(i) = self.universe.var_index(x) {
-                    if !out.contains(&i) {
-                        out.push(i);
-                    }
-                }
-            }
-            AExp::Add(l, r) | AExp::Sub(l, r) | AExp::Mul(l, r) => {
-                self.read_levels_a(l, out);
-                self.read_levels_a(r, out);
-            }
-        }
-    }
-
-    fn read_levels_b(&self, b: &BExp, out: &mut Vec<usize>) {
-        match b {
-            BExp::Tt | BExp::Ff => {}
-            BExp::Cmp(_, l, r) => {
-                self.read_levels_a(l, out);
-                self.read_levels_a(r, out);
-            }
-            BExp::And(l, r) | BExp::Or(l, r) => {
-                self.read_levels_b(l, out);
-                self.read_levels_b(r, out);
-            }
-            BExp::Not(inner) => self.read_levels_b(inner, out),
-        }
+    /// The levels of the declared variables `collect` names, ascending:
+    /// the levels bisection splits on.
+    fn levels(&self, collect: impl FnOnce(&mut Vec<Arc<str>>)) -> Vec<usize> {
+        let mut vars = Vec::new();
+        collect(&mut vars);
+        let mut levels: Vec<usize> = vars
+            .iter()
+            .filter_map(|x| self.universe.var_index(x))
+            .collect();
+        levels.sort_unstable();
+        levels
     }
 
     // ------------------------------------------------------------------
     // Region partitioning
     // ------------------------------------------------------------------
 
-    /// Splits `region` into the stores where `b` holds, fails, and errors.
-    fn partition_bexp(&self, b: &BExp, region: &SymState) -> (SymState, SymState, SymState) {
-        let mut levels = Vec::new();
-        self.read_levels_b(b, &mut levels);
-        levels.sort_unstable();
-        let mut tt = self.empty();
-        let mut ff = self.empty();
-        let mut err = self.empty();
-        self.part_b(b, region.clone(), &levels, &mut tt, &mut ff, &mut err);
-        (tt, ff, err)
+    /// Splits `region` into the stores where `b` holds and where it
+    /// fails, or raises the error of the least erroring store.
+    fn partition_bexp(
+        &self,
+        b: &BExp,
+        region: &SymState,
+    ) -> Result<(SymState, SymState), SemError> {
+        let levels = self.levels(|v| b.collect_vars(v));
+        let rb = ResolvedBExp::new(self.universe, b);
+        let mut parts = [self.empty(), self.empty(), self.empty()];
+        self.part_b(b, &rb, region.clone(), &levels, &mut parts);
+        let [tt, ff, err] = parts;
+        if !err.is_empty() {
+            return Err(self.first_error(&err, |s| rb.eval(s).err()));
+        }
+        Ok((tt, ff))
     }
 
+    /// Adds `sub` to `parts[0]` where `b` holds, `parts[1]` where it
+    /// fails and `parts[2]` where it errors.
     fn part_b(
         &self,
         b: &BExp,
+        rb: &ResolvedBExp,
         sub: SymState,
         levels: &[usize],
-        tt: &mut SymState,
-        ff: &mut SymState,
-        err: &mut SymState,
+        parts: &mut [SymState; 3],
     ) {
-        if sub.is_empty() {
-            return;
-        }
         let Some(bx) = sub.hull() else {
             return;
         };
-        match self.beval(b, &bx) {
-            TB::T => *tt = tt.union(&sub),
-            TB::F => *ff = ff.union(&sub),
+        let k = match self.beval(b, &bx) {
+            TB::T => 0,
+            TB::F => 1,
             _ => match split_level(levels, &bx) {
                 Some((l, lo, mid, hi)) => {
-                    self.part_b(b, sub.restrict(l, lo, mid), levels, tt, ff, err);
-                    self.part_b(b, sub.restrict(l, mid + 1, hi), levels, tt, ff, err);
+                    self.part_b(b, rb, sub.restrict(l, lo, mid), levels, parts);
+                    self.part_b(b, rb, sub.restrict(l, mid + 1, hi), levels, parts);
+                    return;
                 }
-                None => {
-                    // Every variable the expression reads is a singleton:
-                    // the concrete evaluator decides for the whole region.
-                    let store: Vec<i64> = bx.iter().map(|r| r.0).collect();
-                    match self.sem().eval_bexp(b, &store) {
-                        Ok(true) => *tt = tt.union(&sub),
-                        Ok(false) => *ff = ff.union(&sub),
-                        Err(_) => *err = err.union(&sub),
-                    }
-                }
+                // Every variable the expression reads is a singleton:
+                // the concrete evaluator decides for the whole region.
+                None => match rb.eval(&box_store(&bx)) {
+                    Ok(true) => 0,
+                    Ok(false) => 1,
+                    Err(_) => 2,
+                },
             },
-        }
+        };
+        parts[k] = parts[k].union(&sub);
     }
 
     /// Splits `region` by the value of `a`: constant-value pieces plus the
     /// stores where evaluation errors.
-    fn partition_aexp(&self, a: &AExp, region: &SymState) -> (BTreeMap<i64, SymState>, SymState) {
-        let mut levels = Vec::new();
-        self.read_levels_a(a, &mut levels);
-        levels.sort_unstable();
+    fn partition_aexp(
+        &self,
+        a: &AExp,
+        ra: &ResolvedAExp,
+        region: &SymState,
+    ) -> (BTreeMap<i64, SymState>, SymState) {
+        let levels = self.levels(|v| a.collect_vars(v));
         let mut pieces = BTreeMap::new();
         let mut err = self.empty();
-        self.part_a(a, region.clone(), &levels, &mut pieces, &mut err);
+        self.part_a(a, ra, region.clone(), &levels, &mut pieces, &mut err);
         (pieces, err)
     }
 
     fn part_a(
         &self,
         a: &AExp,
+        ra: &ResolvedAExp,
         sub: SymState,
         levels: &[usize],
         pieces: &mut BTreeMap<i64, SymState>,
         err: &mut SymState,
     ) {
-        if sub.is_empty() {
-            return;
-        }
         let Some(bx) = sub.hull() else {
             return;
         };
-        let verdict = self.aeval(a, &bx);
-        if let AEval::Iv(lo, hi) = verdict {
+        if let AEval::Iv(lo, hi) = self.aeval(a, &bx) {
             if lo == hi {
                 merge_piece(pieces, lo as i64, sub);
                 return;
@@ -324,104 +299,33 @@ impl<'u> SymEngine<'u> {
         }
         match split_level(levels, &bx) {
             Some((l, lo, mid, hi)) => {
-                self.part_a(a, sub.restrict(l, lo, mid), levels, pieces, err);
-                self.part_a(a, sub.restrict(l, mid + 1, hi), levels, pieces, err);
+                self.part_a(a, ra, sub.restrict(l, lo, mid), levels, pieces, err);
+                self.part_a(a, ra, sub.restrict(l, mid + 1, hi), levels, pieces, err);
             }
-            None => {
-                let store: Vec<i64> = bx.iter().map(|r| r.0).collect();
-                match self.sem().eval_aexp(a, &store) {
-                    Ok(v) => merge_piece(pieces, v, sub),
-                    Err(_) => *err = err.union(&sub),
-                }
-            }
+            None => match ra.eval(&box_store(&bx)) {
+                Ok(v) => merge_piece(pieces, v, sub),
+                Err(_) => *err = err.union(&sub),
+            },
         }
     }
 
     /// Re-derives the exact error at the minimum erroring store — the store
-    /// at which the enumerative engine's ascending scan would fail first.
-    fn eval_error_b(&self, b: &BExp, errs: &SymState) -> SemError {
+    /// at which the bitset kernel's ascending scan would fail first.
+    fn first_error(&self, errs: &SymState, eval: impl Fn(&[i64]) -> Option<SemError>) -> SemError {
         let mut found = None;
         errs.for_each_index(|i| {
             if found.is_none() {
-                let store = self.universe.store_at(i as usize);
-                if let Err(e) = self.sem().eval_bexp(b, &store) {
-                    found = Some(e);
-                }
+                found = eval(&self.universe.store_at(i as usize));
             }
         });
         debug_assert!(found.is_some(), "error region contained no erroring store");
         found.unwrap_or(SemError::Divergence)
-    }
-
-    fn eval_error_a(&self, a: &AExp, errs: &SymState) -> SemError {
-        let mut found = None;
-        errs.for_each_index(|i| {
-            if found.is_none() {
-                let store = self.universe.store_at(i as usize);
-                if let Err(e) = self.sem().eval_aexp(a, &store) {
-                    found = Some(e);
-                }
-            }
-        });
-        debug_assert!(found.is_some(), "error region contained no erroring store");
-        found.unwrap_or(SemError::Divergence)
-    }
-
-    // ------------------------------------------------------------------
-    // Public exec/wlp/sat surface
-    // ------------------------------------------------------------------
-
-    /// The set of all universe stores satisfying `b`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors, matching [`Concrete::sat`].
-    pub fn sat(&self, b: &BExp) -> Result<SymState, SemError> {
-        let (tt, _, err) = self.partition_bexp(b, &self.full());
-        if !err.is_empty() {
-            return Err(self.eval_error_b(b, &err));
-        }
-        Ok(tt)
-    }
-
-    /// Executes a basic command symbolically; `strict` matches
-    /// [`Concrete::strict`] (escaping assignments error instead of being
-    /// dropped).
-    ///
-    /// # Errors
-    ///
-    /// Identical to the enumerative [`Concrete::exec_exp`].
-    pub fn exec_exp(&self, strict: bool, e: &Exp, s: &SymState) -> Result<SymState, SemError> {
-        match e {
-            Exp::Skip => Ok(s.clone()),
-            Exp::Assume(b) => {
-                let (tt, _, err) = self.partition_bexp(b, s);
-                if !err.is_empty() {
-                    return Err(self.eval_error_b(b, &err));
-                }
-                Ok(tt)
-            }
-            Exp::Havoc(x) => {
-                let xi = self
-                    .universe
-                    .var_index(x)
-                    .ok_or_else(|| SemError::UnknownVar(x.clone()))?;
-                Ok(s.cylindrify(xi))
-            }
-            Exp::Assign(x, a) => {
-                let xi = self
-                    .universe
-                    .var_index(x)
-                    .ok_or_else(|| SemError::UnknownVar(x.clone()))?;
-                self.exec_assign(strict, x, xi, a, s)
-            }
-        }
     }
 
     fn exec_assign(
         &self,
         strict: bool,
-        x: &std::sync::Arc<str>,
+        x: &Arc<str>,
         xi: usize,
         a: &AExp,
         s: &SymState,
@@ -439,23 +343,10 @@ impl<'u> SymEngine<'u> {
                 return Ok(s.shift(xi, c));
             }
         }
-        // Fast path: constant assignment.
-        if let AExp::Num(n) = a {
-            if *n >= rlo && *n <= rhi {
-                return Ok(s.assign_value(xi, *n));
-            }
-            if strict && !s.is_empty() {
-                let idx = s.min_index().unwrap_or(0) as usize;
-                return Err(SemError::UniverseEscape {
-                    var: x.clone(),
-                    value: *n,
-                    store: self.universe.store_at(idx),
-                });
-            }
-            return Ok(self.empty());
-        }
-        // General path: split into constant-value pieces.
-        let (pieces, errs) = self.partition_aexp(a, s);
+        // General path: split into constant-value pieces (a constant `a`
+        // is one piece).
+        let ra = ResolvedAExp::new(self.universe, a);
+        let (pieces, errs) = self.partition_aexp(a, &ra, s);
         if strict {
             let mut bad = errs;
             for (&v, piece) in &pieces {
@@ -466,7 +357,7 @@ impl<'u> SymEngine<'u> {
             if !bad.is_empty() {
                 let idx = bad.min_index().unwrap_or(0) as usize;
                 let store = self.universe.store_at(idx);
-                return Err(match self.sem().eval_aexp(a, &store) {
+                return Err(match ra.eval(&store) {
                     Err(e) => e,
                     Ok(v) => SemError::UniverseEscape {
                         var: x.clone(),
@@ -476,7 +367,7 @@ impl<'u> SymEngine<'u> {
                 });
             }
         } else if !errs.is_empty() {
-            return Err(self.eval_error_a(a, &errs));
+            return Err(self.first_error(&errs, |s| ra.eval(s).err()));
         }
         let mut out = self.empty();
         for (&v, piece) in &pieces {
@@ -500,15 +391,17 @@ impl<'u> SymEngine<'u> {
     /// shifted by `c`.
     fn escape_region(&self, s: &SymState, xi: usize, c: i64) -> SymState {
         let (rlo, rhi) = self.universe.var_range(xi);
-        let keep_lo = (rlo as i128 - c as i128).max(rlo as i128) as i64;
-        let keep_hi = (rhi as i128 - c as i128).min(rhi as i128) as i64;
+        // Compared in i128: near the ends of i64 the bounds leave it.
+        let keep_lo = (rlo as i128 - c as i128).max(rlo as i128);
+        let keep_hi = (rhi as i128 - c as i128).min(rhi as i128);
         if keep_lo > keep_hi {
             return s.clone();
         }
-        s.difference(&s.restrict(xi, keep_lo, keep_hi))
+        // Both bounds now lie in [rlo, rhi].
+        s.difference(&s.restrict(xi, keep_lo as i64, keep_hi as i64))
     }
 
-    fn escape_error(&self, x: &std::sync::Arc<str>, xi: usize, c: i64, esc: &SymState) -> SemError {
+    fn escape_error(&self, x: &Arc<str>, xi: usize, c: i64, esc: &SymState) -> SemError {
         let idx = esc.min_index().unwrap_or(0) as usize;
         let store = self.universe.store_at(idx);
         SemError::UniverseEscape {
@@ -518,97 +411,27 @@ impl<'u> SymEngine<'u> {
         }
     }
 
-    /// Executes a regular command symbolically — the collecting semantics
-    /// `⟦r⟧S` with the same Kleene-round structure as the enumerative
-    /// engine.
-    ///
-    /// # Errors
-    ///
-    /// Identical to the enumerative [`Concrete::exec`].
-    pub fn exec(&self, strict: bool, r: &Reg, s: &SymState) -> Result<SymState, SemError> {
-        match r {
-            Reg::Basic(e) => self.exec_exp(strict, e, s),
-            Reg::Seq(r1, r2) => {
-                let mid = self.exec(strict, r1, s)?;
-                self.exec(strict, r2, &mid)
-            }
-            Reg::Choice(r1, r2) => Ok(self.exec(strict, r1, s)?.union(&self.exec(strict, r2, s)?)),
-            Reg::Star(body) => {
-                let mut acc = s.clone();
-                for _ in 0..=self.universe.size() {
-                    let next = acc.union(&self.exec(strict, body, &acc)?);
-                    if next == acc {
-                        return Ok(acc);
-                    }
-                    acc = next;
-                }
-                Err(SemError::Divergence)
-            }
-        }
-    }
-
-    /// wlp of a basic command.
-    ///
-    /// # Errors
-    ///
-    /// Identical to the enumerative [`Wlp::exp`](crate::Wlp::exp).
-    pub fn wlp_exp(&self, e: &Exp, post: &SymState) -> Result<SymState, SemError> {
-        match e {
-            Exp::Skip => Ok(post.clone()),
-            // wlp(b?, z) = ¬b ∪ z, with b evaluated over the full universe.
-            Exp::Assume(b) => {
-                let (_, ff, err) = self.partition_bexp(b, &self.full());
-                if !err.is_empty() {
-                    return Err(self.eval_error_b(b, &err));
-                }
-                Ok(ff.union(post))
-            }
-            // wlp(x := ?, z) = {σ | ∀v ∈ range(x). σ[x ↦ v] ∈ z}
-            Exp::Havoc(x) => {
-                let xi = self
-                    .universe
-                    .var_index(x)
-                    .ok_or_else(|| SemError::UnknownVar(x.clone()))?;
-                Ok(post.meet_over_level(xi))
-            }
-            // wlp(x := a, z) = {σ | σ[x ↦ ⟦a⟧σ] ∈ z}, escapes vacuously in.
-            Exp::Assign(x, a) => {
-                let xi = self
-                    .universe
-                    .var_index(x)
-                    .ok_or_else(|| SemError::UnknownVar(x.clone()))?;
-                self.wlp_assign(x, xi, a, post)
-            }
-        }
-    }
-
     fn wlp_assign(
         &self,
-        _x: &std::sync::Arc<str>,
+        x: &Arc<str>,
         xi: usize,
         a: &AExp,
         post: &SymState,
     ) -> Result<SymState, SemError> {
         let (rlo, rhi) = self.universe.var_range(xi);
-        if let Some(c) = shift_of(a, _x) {
+        if let Some(c) = shift_of(a, x) {
             if self.shift_is_overflow_free(xi, c) {
                 let full = self.full();
                 let esc = self.escape_region(&full, xi, c);
                 return Ok(esc.union(&post.shift(xi, -c)));
             }
         }
-        if let AExp::Num(n) = a {
-            if *n >= rlo && *n <= rhi {
-                return Ok(post.fiber(xi, *n));
-            }
-            // Every store escapes, hence is vacuously in.
-            return Ok(self.full());
-        }
-        // General path: the enumerative wlp scans the whole universe, so
+        // General path: the bitset wlp scans the whole universe, so
         // evaluation errors anywhere in the universe surface here.
-        let (pieces, errs) = self.partition_aexp(a, &self.full());
+        let ra = ResolvedAExp::new(self.universe, a);
+        let (pieces, errs) = self.partition_aexp(a, &ra, &self.full());
         if !errs.is_empty() {
-            return Err(self.eval_error_a(a, &errs));
+            return Err(self.first_error(&errs, |s| ra.eval(s).err()));
         }
         let mut out = self.empty();
         for (&v, piece) in &pieces {
@@ -620,107 +443,79 @@ impl<'u> SymEngine<'u> {
         }
         Ok(out)
     }
+}
 
-    /// wlp of a regular command, with the same gfp round structure as the
-    /// enumerative engine.
-    ///
-    /// # Errors
-    ///
-    /// Identical to the enumerative [`Wlp::reg`](crate::Wlp::reg).
-    pub fn wlp_reg(&self, r: &Reg, post: &SymState) -> Result<SymState, SemError> {
-        match r {
-            Reg::Basic(e) => self.wlp_exp(e, post),
-            Reg::Seq(r1, r2) => {
-                let mid = self.wlp_reg(r2, post)?;
-                self.wlp_reg(r1, &mid)
-            }
-            Reg::Choice(r1, r2) => Ok(self.wlp_reg(r1, post)?.intersect(&self.wlp_reg(r2, post)?)),
-            Reg::Star(body) => {
-                let mut acc = post.clone();
-                for _ in 0..=self.universe.size() {
-                    let next = post.intersect(&self.wlp_reg(body, &acc)?);
-                    if next == acc {
-                        return Ok(acc);
-                    }
-                    acc = next;
-                }
-                Err(SemError::Divergence)
-            }
+impl SetKernel for SymEngine<'_> {
+    type Set = SymState;
+
+    fn universe(&self) -> &Universe {
+        self.universe
+    }
+
+    fn image(&self, strict: bool, e: &Exp, s: &SymState) -> Result<SymState, SemError> {
+        match e {
+            Exp::Skip => Ok(s.clone()),
+            Exp::Assume(b) => Ok(self.partition_bexp(b, s)?.0),
+            Exp::Havoc(x) => Ok(s.cylindrify(self.universe.var_slot(x)?)),
+            Exp::Assign(x, a) => self.exec_assign(strict, x, self.universe.var_slot(x)?, a, s),
         }
     }
 
-    /// The greatest valid input `V⟨P, r, Spec⟩ = P ∩ wlp(⟦r⟧, Spec)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SemError`].
-    pub fn valid_input(
-        &self,
-        pre: &SymState,
-        r: &Reg,
-        spec: &SymState,
-    ) -> Result<SymState, SemError> {
-        Ok(pre.intersect(&self.wlp_reg(r, spec)?))
+    fn wlp_exp(&self, e: &Exp, post: &SymState) -> Result<SymState, SemError> {
+        match e {
+            Exp::Skip => Ok(post.clone()),
+            // wlp(b?, z) = ¬b ∪ z, with b evaluated over the full universe.
+            Exp::Assume(b) => Ok(self.partition_bexp(b, &self.full())?.1.union(post)),
+            // wlp(x := ?, z) = {σ | ∀v ∈ range(x). σ[x ↦ v] ∈ z}
+            Exp::Havoc(x) => Ok(post.meet_over_level(self.universe.var_slot(x)?)),
+            // wlp(x := a, z) = {σ | σ[x ↦ ⟦a⟧σ] ∈ z}, escapes vacuously in.
+            Exp::Assign(x, a) => self.wlp_assign(x, self.universe.var_slot(x)?, a, post),
+        }
+    }
+
+    fn sat(&self, b: &BExp) -> Result<SymState, SemError> {
+        Ok(self.partition_bexp(b, &self.full())?.0)
+    }
+}
+
+/// The store at a box's lower corner (the box's only store on the levels
+/// an expression reads, once bisection made them singletons).
+fn box_store(bx: &[(i64, i64)]) -> Vec<i64> {
+    bx.iter().map(|r| r.0).collect()
+}
+
+/// Rust's `&&` (`decides` = `F`) or `||` (`T`) over tri-values: a left
+/// side that decides settles the result, so the right side is never
+/// evaluated and its potential errors are suppressed.
+fn short_circuit(l: TB, decides: TB, r: impl FnOnce() -> TB) -> TB {
+    if l == TB::D || l == decides {
+        return l;
+    }
+    match r() {
+        r if l == TB::M && r != TB::D && r != decides => TB::M,
+        r => r,
     }
 }
 
 /// Decides a comparison over interval operands, tri-valued.
 fn cmp_tri(op: CmpOp, (llo, lhi): (i128, i128), (rlo, rhi): (i128, i128)) -> TB {
-    match op {
-        CmpOp::Lt => {
-            if lhi < rlo {
-                TB::T
-            } else if llo >= rhi {
-                TB::F
-            } else {
-                TB::M
-            }
-        }
-        CmpOp::Le => {
-            if lhi <= rlo {
-                TB::T
-            } else if llo > rhi {
-                TB::F
-            } else {
-                TB::M
-            }
-        }
-        CmpOp::Gt => {
-            if llo > rhi {
-                TB::T
-            } else if lhi <= rlo {
-                TB::F
-            } else {
-                TB::M
-            }
-        }
-        CmpOp::Ge => {
-            if llo >= rhi {
-                TB::T
-            } else if lhi < rlo {
-                TB::F
-            } else {
-                TB::M
-            }
-        }
-        CmpOp::Eq => {
-            if llo == lhi && rlo == rhi && llo == rlo {
-                TB::T
-            } else if lhi < rlo || rhi < llo {
-                TB::F
-            } else {
-                TB::M
-            }
-        }
-        CmpOp::Ne => {
-            if lhi < rlo || rhi < llo {
-                TB::T
-            } else if llo == lhi && rlo == rhi && llo == rlo {
-                TB::F
-            } else {
-                TB::M
-            }
-        }
+    let same = llo == lhi && rlo == rhi && llo == rlo;
+    let apart = lhi < rlo || rhi < llo;
+    // Whether the comparison holds for every pair, and for none.
+    let (always, never) = match op {
+        CmpOp::Lt => (lhi < rlo, llo >= rhi),
+        CmpOp::Le => (lhi <= rlo, llo > rhi),
+        CmpOp::Gt => (llo > rhi, lhi <= rlo),
+        CmpOp::Ge => (llo >= rhi, lhi < rlo),
+        CmpOp::Eq => (same, apart),
+        CmpOp::Ne => (apart, same),
+    };
+    if always {
+        TB::T
+    } else if never {
+        TB::F
+    } else {
+        TB::M
     }
 }
 
@@ -756,22 +551,19 @@ fn split_level(levels: &[usize], bx: &[(i64, i64)]) -> Option<(usize, i64, i64, 
 }
 
 fn merge_piece(pieces: &mut BTreeMap<i64, SymState>, v: i64, sub: SymState) {
-    match pieces.entry(v) {
-        std::collections::btree_map::Entry::Vacant(e) => {
-            e.insert(sub);
-        }
-        std::collections::btree_map::Entry::Occupied(mut e) => {
-            let merged = e.get().union(&sub);
-            *e.get_mut() = merged;
-        }
-    }
+    let merged = match pieces.remove(&v) {
+        Some(piece) => piece.union(&sub),
+        None => sub,
+    };
+    pieces.insert(v, merged);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::{parse_bexp, parse_program};
-    use crate::wlp::Wlp;
+    use crate::semantics::Concrete;
+    use crate::semantics::Wlp;
 
     fn universe() -> Universe {
         Universe::new(&[("x", -8, 8), ("y", -8, 8)]).unwrap()
@@ -847,9 +639,7 @@ mod tests {
             for seed in 0..5u64 {
                 let post = random_set(&u, seed * 17 + 3);
                 let expected = w.reg(&prog, &post);
-                let got = eng
-                    .wlp_reg(&prog, &eng.from_set(&post))
-                    .map(|r| eng.to_set(&r));
+                let got = eng.wlp(&prog, &eng.from_set(&post)).map(|r| eng.to_set(&r));
                 assert_eq!(got, expected, "wlp mismatch on `{prog_src}` seed {seed}");
             }
         }
@@ -922,7 +712,7 @@ mod tests {
         let s = u.filter(|st| st[0] >= 7);
         let expected = strict.exec_exp(&prog, &s);
         let got = eng
-            .exec_exp(true, &prog, &eng.from_set(&s))
+            .image(true, &prog, &eng.from_set(&s))
             .map(|r| eng.to_set(&r));
         assert_eq!(got, expected);
         assert!(matches!(
@@ -933,7 +723,7 @@ mod tests {
         let prog2 = Exp::assign("x", AExp::var("x").mul(3.into()));
         let expected2 = strict.exec_exp(&prog2, &u.full());
         let got2 = eng
-            .exec_exp(true, &prog2, &eng.from_set(&u.full()))
+            .image(true, &prog2, &eng.from_set(&u.full()))
             .map(|r| eng.to_set(&r));
         assert_eq!(got2, expected2);
     }
@@ -950,20 +740,5 @@ mod tests {
         assert_eq!(out.count(), 2000);
         let expected = eng.sat(&parse_bexp("x = 100").unwrap()).unwrap();
         assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn valid_input_matches() {
-        let u = universe();
-        let w = Wlp::new(&u);
-        let eng = SymEngine::new(&u);
-        let prog = parse_program("x := x + y").unwrap();
-        let pre = u.filter(|s| s[0] <= 4);
-        let spec = u.filter(|s| s[0] <= 6);
-        let expected = w.valid_input(&pre, &prog, &spec).unwrap();
-        let got = eng
-            .valid_input(&eng.from_set(&pre), &prog, &eng.from_set(&spec))
-            .unwrap();
-        assert_eq!(eng.to_set(&got), expected);
     }
 }

@@ -48,16 +48,15 @@ fn every_checked_in_seed_replays_clean() {
 
 #[test]
 fn every_seed_agrees_across_engine_backends() {
-    // The explicit form of differential axis 9: each checked-in seed's
-    // ten oracle verdicts must be identical whether the engines run the
-    // enumerative or the symbolic backend. `symbolic-star.imp` is the
-    // dedicated regression for this axis (a star over a product
-    // universe); the rest of the corpus rides along for free. On `int`
-    // seeds the verifier's forward repair runs in the symbolic algebra,
-    // so its reports must match the enumerative ones byte for byte.
-    use air::core::Verifier;
-    use air::fuzz::oracles::{registry, run_with_cache};
-    use air::lang::SemCache;
+    // The explicit form of differential axis 9: on each checked-in seed
+    // the diagram set kernel must reproduce the bitset kernel's
+    // `⟦r⟧pre` and `wlp(r, spec)`, errors included, and on `int` seeds
+    // (where a symbolic cache runs the symbolic algebra) both strategies'
+    // verdict reports must match the enumerative ones byte for byte.
+    // `symbolic-star.imp` is the dedicated regression for this axis (a
+    // star over a product universe); the rest of the corpus rides along.
+    use air::core::{Strategy, Verifier};
+    use air::lang::{SemCache, SetKernel, SymEngine};
     let files = corpus_files();
     assert!(
         files.iter().any(|p| p.ends_with("symbolic-star.imp")),
@@ -68,29 +67,34 @@ fn every_seed_agrees_across_engine_backends() {
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
         let case = seed::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         let built = case.build().unwrap_or_else(|e| panic!("{name}: {e}"));
-        for (oracle, _) in registry() {
-            let enumerative = run_with_cache(oracle, &built, SemCache::new()).expect("registered");
-            let symbolic =
-                run_with_cache(oracle, &built, SemCache::symbolic()).expect("registered");
-            match (enumerative, symbolic) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "{name}: {oracle} verdicts diverge"),
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!("{name}: {oracle} skip asymmetry: {a:?} vs {b:?}"),
-            }
-        }
+        let (u, r) = (&built.universe, &case.program);
+        let eng = SymEngine::new(u);
+        assert_eq!(
+            eng.exec(false, r, &eng.from_set(&built.pre))
+                .map(|s| eng.to_set(&s)),
+            u.exec(false, r, &built.pre),
+            "{name}: the kernels disagree on exec"
+        );
+        assert_eq!(
+            eng.wlp(r, &eng.from_set(&built.spec))
+                .map(|s| eng.to_set(&s)),
+            u.wlp(r, &built.spec),
+            "{name}: the kernels disagree on wlp"
+        );
         if case.domain == "int" {
-            let u = &built.universe;
-            let forward = |cache| {
-                Verifier::with_cache(u, cache)
-                    .forward(built.domain.clone(), &case.program, &built.pre, &built.spec)
-                    .map(|v| v.report(u))
-                    .map_err(|e| e.to_string())
-            };
-            assert_eq!(
-                forward(SemCache::new()),
-                forward(SemCache::symbolic()),
-                "{name}: forward reports diverge across backends"
-            );
+            for strategy in [Strategy::Backward, Strategy::Forward] {
+                let verify = |cache| {
+                    Verifier::with_cache(u, cache)
+                        .verify(strategy, built.domain.clone(), r, &built.pre, &built.spec)
+                        .map(|v| v.report(u))
+                        .map_err(|e| e.to_string())
+                };
+                assert_eq!(
+                    verify(SemCache::new()),
+                    verify(SemCache::symbolic()),
+                    "{name}: {strategy:?} reports diverge across engines"
+                );
+            }
         }
     }
 }

@@ -19,7 +19,7 @@ fn bench_domain_ops(c: &mut Criterion) {
     });
 
     let oct = OctagonDomain::new(&u);
-    let oct_top = oct.top();
+    let oct_top = oct.alpha_set(&u, &u.full());
     let refined = oct.alpha_set(&u, &region);
     group.bench_function("octagon_alpha_and_close", |b| {
         b.iter(|| black_box(oct.alpha_set(&u, &region)))

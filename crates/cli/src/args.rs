@@ -12,10 +12,10 @@ usage:
               [--engine enumerative|symbolic] [--stats] [--stats-json] [--uncached]
               [--trace FILE] [--profile] [--fuel N] [--timeout-ms N]
   air analyze --vars SPEC --code PROG|--file PATH --pre BEXP --spec BEXP [--domain ...]
-              [--engine ...] [--stats] [--stats-json] [--uncached] [--trace FILE]
-              [--profile] [--fuel N] [--timeout-ms N]
+              [--stats] [--stats-json] [--uncached] [--trace FILE] [--profile]
+              [--fuel N] [--timeout-ms N]
   air prove   --vars SPEC --code PROG|--file PATH --pre BEXP [--spec BEXP] [--domain ...]
-              [--engine ...] [--stats] [--stats-json] [--uncached] [--trace FILE]
+              [--stats] [--stats-json] [--uncached] [--trace FILE]
               [--trace-format jsonl|dot] [--profile] [--fuel N] [--timeout-ms N]
   air corpus  [--dir PATH] [--jobs N] [--domain ...] [--strategy ...] [--engine ...]
               [--stats] [--stats-json] [--uncached] [--trace FILE] [--profile]
@@ -45,11 +45,12 @@ usage:
   BEXP is a boolean expression over the variables, e.g. \"x != 0 && y <= 5\"
   corpus sweeps every *.imp under --dir (default `corpus/`), reading each
   file's `# Verified with:` header, fanning programs out over --jobs threads
-  --engine selects the engine: `enumerative` (explicit bitsets, the
-  default) or `symbolic` (on the int domain, repair on interval decision
-  diagrams — same verdicts, scales to universes far beyond the enumerable
-  bound; other domains run the bitset engine); --engine symbolic is
-  incompatible with --uncached (the choice lives on the semantic cache)
+  --engine (verify and corpus only) selects the repair engine:
+  `enumerative` (explicit bitsets, the default) or `symbolic` (on the int
+  domain, repair on interval decision diagrams — same verdicts, scales to
+  universes far beyond the enumerable bound; other domains run the bitset
+  engine); --engine symbolic is incompatible with --uncached (the choice
+  lives on the semantic cache)
   --stats prints cache hit/miss counters and timings; --stats-json prints the
   same as one JSON object; --uncached disables the memo tables (the
   reference path)
@@ -721,7 +722,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ArgError> {
     let mut spec = None;
     let mut domain = DomainKind::default();
     let mut strategy = Strategy::default();
-    let mut engine = EngineKind::default();
+    let mut engine = None;
     let mut stats = false;
     let mut uncached = false;
     let mut dir = String::from("corpus");
@@ -744,7 +745,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ArgError> {
             "--spec" => spec = Some(value(&mut it, flag)?),
             "--domain" => domain = DomainKind::parse(&value(&mut it, flag)?).map_err(ArgError)?,
             "--strategy" => strategy = Strategy::parse(&value(&mut it, flag)?).map_err(ArgError)?,
-            "--engine" => engine = EngineKind::parse(&value(&mut it, flag)?)?,
+            "--engine" => engine = Some(EngineKind::parse(&value(&mut it, flag)?)?),
             "--stats" => stats = true,
             "--uncached" => uncached = true,
             "--trace-format" => {
@@ -791,6 +792,13 @@ pub fn parse(argv: &[String]) -> Result<Command, ArgError> {
         ));
     }
     let trace_format = trace_format.unwrap_or_default();
+    if engine.is_some() && sub != "verify" && sub != "corpus" {
+        return Err(ArgError(format!(
+            "--engine is only available for `verify` and `corpus` (`{sub}` \
+             runs the enumerative engine)"
+        )));
+    }
+    let engine = engine.unwrap_or_default();
     if engine == EngineKind::Symbolic && uncached {
         return Err(ArgError(
             "--engine symbolic is incompatible with --uncached (the engine \
@@ -1496,6 +1504,23 @@ mod tests {
         assert!(parse(&argv(&["corpus", "--engine", "quantum"])).is_err());
         // The engine choice lives on the cache: --uncached conflicts.
         assert!(parse(&argv(&["corpus", "--engine", "symbolic", "--uncached"])).is_err());
+        // Only the repair commands take it.
+        for sub in ["analyze", "prove"] {
+            let args = [
+                sub,
+                "--vars",
+                "x:0..3",
+                "--code",
+                "skip",
+                "--pre",
+                "true",
+                "--spec",
+                "true",
+                "--engine",
+                "enumerative",
+            ];
+            assert!(parse(&argv(&args)).is_err(), "{sub} accepted --engine");
+        }
     }
 
     #[test]

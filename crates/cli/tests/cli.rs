@@ -97,6 +97,33 @@ fn bad_flags_are_usage_exit_two() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
 
+/// `--engine` picks the repair engine, so only `verify` and `corpus`
+/// take it; `analyze` and `prove` refuse it as a usage error instead of
+/// running the default engine under a symbolic label.
+#[test]
+fn engine_flag_outside_verify_and_corpus_is_usage_exit_two() {
+    for sub in ["analyze", "prove"] {
+        for engine in ["symbolic", "enumerative"] {
+            let args = [&[sub], ABSVAL, &["--spec", "x >= 1", "--engine", engine]].concat();
+            let out = air(&args);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{sub} --engine {engine}: {out:?}"
+            );
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("--engine"), "{stderr}");
+        }
+    }
+    let out = air(&[
+        &["verify"],
+        ABSVAL,
+        &["--spec", "x >= 1", "--engine", "symbolic"],
+    ]
+    .concat());
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+}
+
 #[test]
 fn deeply_nested_programs_are_usage_exit_two() {
     // Each shape overflowed the stack (exit 134) before the parser

@@ -8,7 +8,7 @@
 //! the paper's widened analyses.
 
 use air_lang::ast::Reg;
-use air_lang::{SemCache, SemError, Universe};
+use air_lang::{SemCache, SemError, TermId, Universe};
 use air_lattice::Governor;
 use air_trace::{EventKind, Tracer};
 
@@ -69,11 +69,6 @@ impl<'u> AbstractSemantics<'u> {
     pub fn with_cache(universe: &'u Universe, cache: SemCache) -> Self {
         Self::from_algebra(universe, EnumAlgebra::with_cache(universe, cache))
     }
-
-    /// Creates the interpreter without memoization (the reference path).
-    pub fn uncached(universe: &'u Universe) -> Self {
-        Self::from_algebra(universe, EnumAlgebra::uncached(universe))
-    }
 }
 
 impl<'u, A: StateAlgebra> AbstractSemantics<'u, A> {
@@ -133,7 +128,7 @@ impl<'u, A: StateAlgebra> AbstractSemantics<'u, A> {
     pub fn exec(&self, dom: &A::Domain, r: &Reg, a: &A::Set) -> Result<A::Set, SemError> {
         let t = match self.strategy {
             StarStrategy::Lfp => self.alg.term(r),
-            StarStrategy::PointedWidening => A::Term::default(),
+            StarStrategy::PointedWidening => None,
         };
         self.exec_term(dom, r, t, a)
     }
@@ -143,11 +138,11 @@ impl<'u, A: StateAlgebra> AbstractSemantics<'u, A> {
         &self,
         dom: &A::Domain,
         r: &Reg,
-        t: A::Term,
+        t: Option<TermId>,
         a: &A::Set,
     ) -> Result<A::Set, SemError> {
         self.alg.abs_image(dom, t, a, || match r {
-            Reg::Basic(e) => Ok(dom.close(&self.alg.image(t, e, a)?)),
+            Reg::Basic(_) => Ok(dom.close(&self.alg.exec(t, r, a)?)),
             Reg::Seq(r1, r2) => {
                 let (t1, t2) = self.alg.children(t);
                 let mid = self.exec_term(dom, r1, t1, a)?;

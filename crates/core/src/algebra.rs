@@ -1,32 +1,31 @@
-//! The state-algebra seam: one engine per algorithm, two representations
-//! of sets.
+//! The state algebra: one engine per algorithm, written once over sets of
+//! states however they are stored (as the paper states `fRepair`,
+//! `bRepair`/`inv`, the pointed shells and `⟦·⟧♯_{A⊞N}`).
 //!
-//! The paper states `fRepair` (Algorithm 1), `bRepair`/`inv`
-//! (Algorithm 2), the pointed shells (Thm. 4.9/4.11) and `⟦·⟧♯_{A⊞N}`
-//! once, over sets of states; none of them depends on how the sets are
-//! stored. [`StateAlgebra`] names what they use: set operations
-//! ([`StoreSet`], shared with `air-lang`'s set kernels), the closure,
-//! join and pointed widening of `A ⊞ N` ([`PointedDomain`]), the
-//! concrete image, `wlp` and guard sets, an abstract-image memo hook,
-//! and the bitset bridge at the outcome boundary.
-//! [`AbstractSemantics`](crate::AbstractSemantics),
-//! [`BackwardRepair`](crate::BackwardRepair),
-//! [`ForwardRepair`](crate::ForwardRepair) and
-//! [`LocalCompleteness`](crate::LocalCompleteness) are generic over it
-//! (static dispatch) and default to [`EnumAlgebra`];
-//! [`SymAlgebra`](crate::SymAlgebra) runs the same code on decision
-//! diagrams. Every intermediate set is equal under the bridge, so the two
-//! algebras give byte-identical outcomes.
+//! [`StateAlgebra`] names what the engines use: set operations
+//! ([`StoreSet`]), the closure, join and pointed widening of `A ⊞ N`
+//! ([`PointedDomain`]), concrete images, `wlp` and guard sets, an
+//! abstract-image memo hook and the bitset bridge at the outcome
+//! boundary. Its one implementation, [`Algebra`], pairs a [`SetKernel`]
+//! with its pointed domains and an optional [`SemCache`]: [`EnumAlgebra`]
+//! is the bitset kernel with [`EnumDomain`], [`SymAlgebra`] the diagram
+//! kernel with [`SymDomain`]; every set is equal under the bridge, so
+//! both give byte-identical outcomes. Whether a run asks its cache at
+//! all is one policy, `memo_mode`; the engines never branch on it.
 
-use air_lang::ast::{BExp, Exp, Reg};
+use std::marker::PhantomData;
+
+use air_lang::ast::{BExp, Reg};
 pub use air_lang::StoreSet;
-use air_lang::{Concrete, Memo, SemCache, SemError, SetKernel, StateSet, TermId, Universe, Wlp};
+use air_lang::{Memo, SemCache, SemError, SetKernel, StateSet, SymEngine, TermId, Universe};
+use air_lattice::MemoTable;
 use air_trace::Tracer;
 
 use crate::domain::EnumDomain;
+use crate::symbolic::SymDomain;
 
 /// A pointed refinement `A ⊞ N` (Section 3.1 of the paper).
-pub trait PointedDomain: Clone {
+pub trait PointedDomain: Clone + std::fmt::Debug {
     /// The store sets this domain closes.
     type Set: StoreSet;
     /// The refined closure `A_N(c) = A(c) ∩ ⋂{p ∈ N | c ⊆ p}`.
@@ -40,156 +39,197 @@ pub trait PointedDomain: Clone {
     fn with_points<I: IntoIterator<Item = Self::Set>>(&self, ps: I) -> Self;
     /// The added points `N`, in the order they refined the domain.
     fn points(&self) -> &[Self::Set];
+    /// The abstract-image memo of this exact `N`; `None` memoizes nothing.
+    fn image_memo(&self) -> Option<&ImageMemo<Self::Set>> {
+        None
+    }
 }
 
-impl PointedDomain for EnumDomain {
-    type Set = StateSet;
+/// An abstract-image memo, keyed on `(arena token, term id, input)`. The
+/// token pins entries to the [`TermArena`](air_lang::TermArena) that
+/// issued the id, so two caches' ids can never alias one another.
+pub type ImageMemo<S> = MemoTable<(u64, TermId, S), S>;
 
-    fn close(&self, c: &StateSet) -> StateSet {
-        EnumDomain::close(self, c)
-    }
+/// Universes of at most this many stores keep runs off the exec/wlp/sat
+/// tables, where recomputing beats hashing a `(command, set)` key
+/// (`BENCH_repair.json`: 0.72×/0.86× on `nondet_walk` and `parity_flip`,
+/// 27 and 20 states, 0% hits); the corpus entries (225+) stay memoized.
+pub(crate) const SMALL_UNIVERSE: usize = 64;
 
-    fn join(&self, x: &StateSet, y: &StateSet) -> StateSet {
-        EnumDomain::join(self, x, y)
-    }
+/// The kind of run [`memo_mode`] decides for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Run {
+    /// One backward repair.
+    Repair,
+    /// Forward repair's concrete `find` walk.
+    Find,
+    /// Questions asked one call at a time: local-completeness queries,
+    /// abstract analyses, LCL derivations. An algebra made with a cache
+    /// starts in this mode.
+    Query,
+}
 
-    fn pointed_widen(&self, x: &StateSet, y: &StateSet) -> StateSet {
-        EnumDomain::pointed_widen(self, x, y)
-    }
+/// How a run uses its semantic cache.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum MemoMode {
+    /// Interned programs, the abstract-image memo and the exec/wlp/sat
+    /// tables.
+    Tables,
+    /// Interned programs and the abstract-image memo; concrete images,
+    /// `wlp`s and guard sets are computed directly.
+    ImageMemo,
+    /// No cache at all: the reference path.
+    Direct,
+}
 
-    fn with_points<I: IntoIterator<Item = StateSet>>(&self, ps: I) -> Self {
-        EnumDomain::with_points(self, ps)
-    }
-
-    fn points(&self) -> &[StateSet] {
-        EnumDomain::points(self)
+/// The memo policy, in one place: above [`SMALL_UNIVERSE`] stores every
+/// run uses the tables. At or below it, the image memo pays off only
+/// where abstract images repeat warm: in query contexts and in repairs
+/// of a program the cache had `interned` before. A repair's first sight
+/// of a program would fund memo writes it never reads, and `find` walks
+/// are concrete, so both run direct.
+pub(crate) fn memo_mode(universe_size: usize, run: Run, interned: bool) -> MemoMode {
+    match run {
+        _ if universe_size > SMALL_UNIVERSE => MemoMode::Tables,
+        Run::Query => MemoMode::ImageMemo,
+        Run::Repair if interned => MemoMode::ImageMemo,
+        Run::Repair | Run::Find => MemoMode::Direct,
     }
 }
 
 /// What Algorithms 1 and 2, the local-completeness queries and
 /// `⟦·⟧♯_{A⊞N}` need of a representation of states.
 ///
-/// Programs travel through the shared engines as a [`Reg`] plus a
-/// [`Term`](Self::Term) handle for the same node, whose meaning is the
-/// algebra's own (an interned id its memo tables key on, or nothing).
-/// The provided methods describe an algebra that memoizes nothing.
+/// Programs travel through the shared engines as a [`Reg`] plus the
+/// interned id of the same node when the run memoizes (`None` when it
+/// does not: abstract images under it are never memoized, and concrete
+/// queries under it are answered per call).
 pub trait StateAlgebra: Clone + std::fmt::Debug {
     /// Sets of stores.
     type Set: StoreSet;
     /// Pointed refinements over those sets.
     type Domain: PointedDomain<Set = Self::Set>;
-    /// A program-node handle. The default handle names no node: abstract
-    /// images under it are never memoized, and concrete queries under it
-    /// are answered per call.
-    type Term: Copy + Default;
 
     /// Routes the algebra's own telemetry (cache events) through `tracer`.
-    fn set_tracer(&self, _tracer: &Tracer) {}
-    /// The handle of `r`'s root.
-    fn term(&self, _r: &Reg) -> Self::Term {
-        Self::Term::default()
-    }
-    /// The handles of the structural children of `t`'s node (a star's
-    /// body comes first).
-    fn children(&self, _t: Self::Term) -> (Self::Term, Self::Term) {
-        Default::default()
-    }
+    fn set_tracer(&self, tracer: &Tracer);
+    /// The interned id of `r`'s root, if the run memoizes.
+    fn term(&self, r: &Reg) -> Option<TermId>;
+    /// The ids of the structural children of `t`'s node (a star's body
+    /// comes first).
+    fn children(&self, t: Option<TermId>) -> (Option<TermId>, Option<TermId>);
     /// The abstract image of `t`'s node on `a` in `dom`: `compute`, unless
     /// the algebra memoized it earlier.
     fn abs_image<F>(
         &self,
-        _dom: &Self::Domain,
-        _t: Self::Term,
-        _a: &Self::Set,
+        dom: &Self::Domain,
+        t: Option<TermId>,
+        a: &Self::Set,
         compute: F,
     ) -> Result<Self::Set, SemError>
     where
-        F: FnOnce() -> Result<Self::Set, SemError>,
-    {
-        compute()
-    }
-    /// The concrete image `⟦e⟧a` of the basic command `e` (handle `t`).
-    fn image(&self, t: Self::Term, e: &Exp, a: &Self::Set) -> Result<Self::Set, SemError>;
-    /// The concrete image `⟦r⟧a` of the whole program `r`.
-    fn exec(&self, r: &Reg, a: &Self::Set) -> Result<Self::Set, SemError>;
-    /// The weakest liberal precondition `wlp(r, post)` (handle `t`).
-    fn wlp(&self, t: Self::Term, r: &Reg, post: &Self::Set) -> Result<Self::Set, SemError>;
+        F: FnOnce() -> Result<Self::Set, SemError>;
+    /// The concrete image `⟦r⟧a` (node `t`).
+    fn exec(&self, t: Option<TermId>, r: &Reg, a: &Self::Set) -> Result<Self::Set, SemError>;
+    /// The weakest liberal precondition `wlp(r, post)` (node `t`).
+    fn wlp(&self, t: Option<TermId>, r: &Reg, post: &Self::Set) -> Result<Self::Set, SemError>;
     /// The stores satisfying the guard `b`.
     fn sat(&self, b: &BExp) -> Result<Self::Set, SemError>;
-    /// The algebra one backward repair of `r` runs in, and the handle of
+    /// The algebra one backward repair of `r` runs in, and the id of
     /// `r`'s root. Called once per repair.
-    fn for_repair(&self, r: &Reg) -> (Self, Self::Term) {
-        (self.clone(), self.term(r))
-    }
+    fn for_repair(&self, r: &Reg) -> (Self, Option<TermId>);
     /// The algebra forward repair's concrete `find` oracle runs in for
     /// one whole repair. Called once per repair.
-    fn for_find(&self) -> Self {
-        self.clone()
-    }
+    fn for_find(&self) -> Self;
     /// Imports an explicit state set.
     fn lift(&self, s: &StateSet) -> Self::Set;
     /// Exports a set as an explicit state set.
     fn lower(&self, s: Self::Set) -> StateSet;
 }
 
-/// The enumerative algebra: [`StateSet`] bitsets, [`EnumDomain`] closures
-/// and the bitset kernel (the [`Universe`] as a [`SetKernel`]), memoized
-/// through a [`SemCache`] when one is attached; uncached, it is the
-/// reference path.
+/// The state algebra: a set kernel `K` and its pointed domains `D`,
+/// memoized through a [`SemCache`] as the memo policy (`memo_mode`) decides.
 ///
 /// Every cached/uncached/demoted decision is made here, so the shared
-/// engines never branch on it. With a cache, programs are interned, term
-/// handles are arena ids and each node's abstract image is memoized in
-/// the domain's per-`N` image memo. Queries without a handle (the
-/// local-completeness queries, `find`'s images) ask the cache per call,
-/// which steps aside on small universes by itself.
+/// engines never branch on it. Under a cache, programs are interned,
+/// term ids are arena ids and each node's abstract image is memoized in
+/// the domain's per-`N` image memo; in the tables mode the concrete
+/// queries go through the cache's tables too.
 #[derive(Clone, Debug)]
-pub struct EnumAlgebra<'u> {
-    universe: &'u Universe,
-    cache: Option<SemCache>,
-    /// Whether interned nodes go through the cache's exec/wlp tables:
-    /// off at or under the cache's bypass threshold, so small universes
-    /// never pay a per-call probe while the image memo (which wins from
-    /// the first repeated subterm) stays on.
+pub struct Algebra<K: SetKernel, D> {
+    kernel: K,
+    cache: Option<SemCache<K::Set>>,
+    /// [`MemoMode::Tables`]; `false` with a cache is
+    /// [`MemoMode::ImageMemo`].
     tables: bool,
+    domain: PhantomData<fn() -> D>,
 }
 
-impl<'u> EnumAlgebra<'u> {
-    /// The algebra memoizing into `cache`.
-    pub fn with_cache(universe: &'u Universe, cache: SemCache) -> Self {
-        EnumAlgebra {
-            tables: !cache.is_bypassed(universe.size()),
-            cache: Some(cache),
-            ..Self::uncached(universe)
-        }
+/// The enumerative algebra: [`StateSet`] bitsets, [`EnumDomain`] closures
+/// and the bitset kernel; uncached, it is the reference path.
+pub type EnumAlgebra<'u> = Algebra<&'u Universe, EnumDomain>;
+
+/// The symbolic algebra: [`SymState`](air_lattice::SymState) diagrams,
+/// [`SymDomain`] closures and the exact diagram kernel. Built uncached,
+/// it memoizes nothing, so every abstract image is recomputed and every
+/// star round reaches the governor.
+pub type SymAlgebra<'u> = Algebra<SymEngine<'u>, SymDomain>;
+
+impl<K: SetKernel, D> Algebra<K, D> {
+    /// The algebra memoizing into `cache` in query mode; repairs and
+    /// `find` walks decide their own mode.
+    pub fn with_cache(kernel: K, cache: SemCache<K::Set>) -> Self {
+        let mut alg = Self::uncached(kernel);
+        alg.tables = memo_mode(alg.kernel.universe().size(), Run::Query, false) == MemoMode::Tables;
+        alg.cache = Some(cache);
+        alg
     }
 
     /// The algebra without memoization (the reference path).
-    pub fn uncached(universe: &'u Universe) -> Self {
-        EnumAlgebra {
-            universe,
+    pub fn uncached(kernel: K) -> Self {
+        Algebra {
+            kernel,
             cache: None,
             tables: false,
+            domain: PhantomData,
         }
     }
 
     /// The semantic cache, if memoization is on.
-    pub fn cache(&self) -> Option<&SemCache> {
+    pub fn cache(&self) -> Option<&SemCache<K::Set>> {
         self.cache.as_ref()
     }
 
-    /// Whether the cache asks for the symbolic engine
-    /// ([`SemCache::symbolic`]): the runs
-    /// [`SymAlgebra`](crate::SymAlgebra) takes over on an `Int` base.
-    pub fn is_symbolic(&self) -> bool {
-        self.cache.as_ref().is_some_and(SemCache::is_symbolic)
+    /// The cache's tables, in [`MemoMode::Tables`].
+    fn tables(&self) -> Option<&SemCache<K::Set>> {
+        self.cache.as_ref().filter(|_| self.tables)
+    }
+
+    /// This algebra in the mode [`memo_mode`] picks for `run`; a run kept
+    /// off the tables is recorded once, here.
+    fn for_run(&self, run: Run, interned: bool) -> Self
+    where
+        Self: Clone,
+    {
+        let mut alg = self.clone();
+        if let Some(cache) = &self.cache {
+            let mode = memo_mode(self.kernel.universe().size(), run, interned);
+            if mode != MemoMode::Tables {
+                cache.record_bypass();
+            }
+            alg.cache = alg.cache.filter(|_| mode != MemoMode::Direct);
+            alg.tables = mode == MemoMode::Tables;
+        }
+        alg
     }
 }
 
-impl StateAlgebra for EnumAlgebra<'_> {
-    type Set = StateSet;
-    type Domain = EnumDomain;
-    type Term = Option<TermId>;
+impl<K, D> StateAlgebra for Algebra<K, D>
+where
+    K: SetKernel + Clone + std::fmt::Debug,
+    D: PointedDomain<Set = K::Set>,
+{
+    type Set = K::Set;
+    type Domain = D;
 
     fn set_tracer(&self, tracer: &Tracer) {
         if let Some(cache) = &self.cache {
@@ -198,7 +238,7 @@ impl StateAlgebra for EnumAlgebra<'_> {
     }
 
     fn term(&self, r: &Reg) -> Option<TermId> {
-        self.cache.as_ref().map(|cache| cache.intern(r).root)
+        self.cache.as_ref().map(|c| c.arena().intern(r).root)
     }
 
     fn children(&self, t: Option<TermId>) -> (Option<TermId>, Option<TermId>) {
@@ -211,55 +251,46 @@ impl StateAlgebra for EnumAlgebra<'_> {
 
     fn abs_image<F>(
         &self,
-        dom: &EnumDomain,
+        dom: &D,
         t: Option<TermId>,
-        a: &StateSet,
+        a: &K::Set,
         compute: F,
-    ) -> Result<StateSet, SemError>
+    ) -> Result<K::Set, SemError>
     where
-        F: FnOnce() -> Result<StateSet, SemError>,
+        F: FnOnce() -> Result<K::Set, SemError>,
     {
-        match (t, &self.cache) {
-            (Some(id), Some(cache)) => dom
-                .abs_memo()
-                .try_get_or_insert_with(&(cache.arena().token(), id, a.clone()), compute),
+        match (t, &self.cache, dom.image_memo()) {
+            (Some(id), Some(cache), Some(memo)) => {
+                memo.try_get_or_insert_with(&(cache.arena().token(), id, a.clone()), compute)
+            }
             _ => compute(),
         }
     }
 
-    fn image(&self, t: Option<TermId>, e: &Exp, a: &StateSet) -> Result<StateSet, SemError> {
-        match &self.cache {
-            // Unmemoized (widened) walks ask the cache per call, which
-            // steps aside on small universes by itself.
-            Some(cache) if self.tables || t.is_none() => {
-                cache.exec_exp(&Concrete::new(self.universe), e, a)
+    fn exec(&self, t: Option<TermId>, r: &Reg, a: &K::Set) -> Result<K::Set, SemError> {
+        match self.tables() {
+            Some(cache) => {
+                let id = t.unwrap_or_else(|| cache.arena().intern(r).root);
+                self.kernel.exec_in(cache, false, r, Some(id), a)
             }
-            _ => self.universe.image(false, e, a),
+            None => self.kernel.exec(false, r, a),
         }
     }
 
-    fn exec(&self, r: &Reg, a: &StateSet) -> Result<StateSet, SemError> {
-        match &self.cache {
-            Some(cache) => cache.exec(&Concrete::new(self.universe), r, a),
-            None => self.universe.exec(false, r, a),
-        }
-    }
-
-    fn wlp(&self, t: Option<TermId>, r: &Reg, post: &StateSet) -> Result<StateSet, SemError> {
-        match (&self.cache, t) {
-            // `tables` is off exactly when the cache bypasses this universe.
-            (Some(cache), Some(id)) if self.tables => {
-                self.universe.wlp_in(cache, r, Some(id), post)
+    fn wlp(&self, t: Option<TermId>, r: &Reg, post: &K::Set) -> Result<K::Set, SemError> {
+        match self.tables() {
+            Some(cache) => {
+                let id = t.unwrap_or_else(|| cache.arena().intern(r).root);
+                self.kernel.wlp_in(cache, r, Some(id), post)
             }
-            (Some(cache), None) => cache.wlp_reg(&Wlp::new(self.universe), r, post),
-            _ => self.universe.wlp(r, post),
+            None => self.kernel.wlp(r, post),
         }
     }
 
-    fn sat(&self, b: &BExp) -> Result<StateSet, SemError> {
-        match &self.cache {
-            Some(cache) => cache.sat(&Concrete::new(self.universe), b),
-            None => self.universe.sat(b),
+    fn sat(&self, b: &BExp) -> Result<K::Set, SemError> {
+        match self.tables() {
+            Some(cache) => Memo::sat(cache, b, || self.kernel.sat(b)),
+            None => self.kernel.sat(b),
         }
     }
 
@@ -267,37 +298,108 @@ impl StateAlgebra for EnumAlgebra<'_> {
         let Some(cache) = &self.cache else {
             return (self.clone(), None);
         };
-        // One engine-level bypass decision for the whole run (counted and
-        // traced once; the predicate that set `tables`). A demoted
-        // universe's image memo only pays off when warm, so the first
-        // sight of a program (`fresh_nodes > 0`) runs the reference path
-        // instead of funding memo writes it will never read.
-        let demoted = cache.demote_for(self.universe.size());
-        let interned = cache.intern(r);
-        if !demoted || interned.fresh_nodes == 0 {
-            (self.clone(), Some(interned.root))
-        } else {
-            (EnumAlgebra::uncached(self.universe), None)
-        }
+        let interned = cache.arena().intern(r);
+        let alg = self.for_run(Run::Repair, interned.fresh_nodes == 0);
+        let root = alg.cache.as_ref().map(|_| interned.root);
+        (alg, root)
     }
 
     fn for_find(&self) -> Self {
-        // The same bypass predicate, decided once for the run (one
-        // counted and traced bypass): a demoted `find` walk contains no
-        // cache code at all.
-        match &self.cache {
-            Some(cache) if cache.demote_for(self.universe.size()) => {
-                EnumAlgebra::uncached(self.universe)
-            }
-            _ => self.clone(),
+        self.for_run(Run::Find, false)
+    }
+
+    fn lift(&self, s: &StateSet) -> K::Set {
+        self.kernel.lift(s)
+    }
+
+    fn lower(&self, s: K::Set) -> StateSet {
+        self.kernel.lower(s)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backward::BackwardRepair;
+    use crate::forward::ForwardRepair;
+    use crate::local::LocalCompleteness;
+    use air_domains::IntervalEnv;
+    use air_lang::{parse_bexp, parse_program};
+
+    #[test]
+    fn memo_mode_is_the_one_policy() {
+        use MemoMode::{Direct, ImageMemo, Tables};
+        let runs = [Run::Repair, Run::Find, Run::Query];
+        for (interned, modes) in [
+            (false, [Direct, Direct, ImageMemo]),
+            (true, [ImageMemo, Direct, ImageMemo]),
+        ] {
+            let small = runs.map(|run| memo_mode(SMALL_UNIVERSE, run, interned));
+            assert_eq!(small, modes, "interned: {interned}");
+            let large = runs.map(|run| memo_mode(SMALL_UNIVERSE + 1, run, interned));
+            assert_eq!(large, [Tables; 3]);
         }
     }
 
-    fn lift(&self, s: &StateSet) -> StateSet {
-        s.clone()
+    /// Cached backward, forward and local-completeness runs of the
+    /// countdown loop over `x, y ∈ [-2, hi]`, all into one cache; returns
+    /// the lookups of its exec, wlp and sat tables.
+    fn table_lookups(hi: i64) -> [u64; 3] {
+        let u = Universe::new(&[("x", -2, hi), ("y", -2, hi)]).unwrap();
+        let dom = EnumDomain::from_abstraction(&u, IntervalEnv::new(&u));
+        let prog = parse_program("while (x > 0) do { x := x - 1; y := y - 1 }").unwrap();
+        let pre = u.filter(|s| s[0] > 0 && s[0] <= 2);
+        let spec = u.filter(|s| s[1] <= 0);
+        let cache = SemCache::new();
+        BackwardRepair::with_cache(&u, cache.clone())
+            .repair(&dom, &pre, &prog, &spec)
+            .unwrap();
+        ForwardRepair::with_cache(&u, cache.clone())
+            .repair(dom.clone(), &prog, &pre)
+            .unwrap();
+        let lc = LocalCompleteness::with_cache(&u, cache.clone());
+        lc.sup_l(&dom, &prog, &pre).unwrap();
+        lc.guard_shell(&dom, &parse_bexp("x > 0").unwrap(), &pre)
+            .unwrap();
+        [cache.exec_stats(), cache.wlp_stats(), cache.sat_stats()].map(|s| s.lookups())
     }
 
-    fn lower(&self, s: StateSet) -> StateSet {
-        s
+    #[test]
+    fn small_universes_leave_the_tables_empty() {
+        assert_eq!(table_lookups(2), [0, 0, 0], "25 stores");
+    }
+
+    #[test]
+    fn large_universes_fill_the_tables() {
+        let [exec, wlp, sat] = table_lookups(6);
+        assert!(
+            exec > 0 && wlp > 0 && sat > 0,
+            "81 stores: {exec} {wlp} {sat}"
+        );
+    }
+
+    #[test]
+    fn warm_small_repairs_hit_the_image_memo() {
+        let u = Universe::new(&[("x", -2, 2), ("y", -2, 2)]).unwrap();
+        let dom = EnumDomain::from_abstraction(&u, IntervalEnv::new(&u));
+        let prog = parse_program("while (x > 0) do { x := x - 1; y := y - 1 }").unwrap();
+        let pre = u.filter(|s| s[0] > 0);
+        let spec = u.filter(|s| s[1] <= 0);
+        let cache = SemCache::new();
+        let engine = BackwardRepair::with_cache(&u, cache.clone());
+        let closures = || dom.cache_stats().lookups();
+        // First sight of the program: the direct path, no image memo.
+        let cold = engine.repair(&dom, &pre, &prog, &spec).unwrap();
+        let cold_closures = closures();
+        // Interned now: the same repair is answered by the image memo.
+        let warm = engine.repair(&dom, &pre, &prog, &spec).unwrap();
+        let warm_closures = closures() - cold_closures;
+        assert_eq!(warm.valid_input, cold.valid_input);
+        assert_eq!(warm.points, cold.points);
+        assert!(
+            warm_closures < cold_closures,
+            "warm {warm_closures} vs cold {cold_closures} closure lookups"
+        );
+        assert_eq!(cache.bypass_count(), 2, "one per run");
     }
 }

@@ -8,7 +8,7 @@
 //! The implementation follows the paper's pseudocode line by line, once,
 //! over any [`StateAlgebra`]: explicit bitsets ([`EnumAlgebra`], the
 //! default) or decision diagrams
-//! ([`SymAlgebra`](crate::symbolic::SymAlgebra)). The Kleene-star unroll
+//! ([`SymAlgebra`](crate::SymAlgebra)). The Kleene-star unroll
 //! can use either the abstract join (the printed algorithm) or the
 //! pointed widening `∇_N` of Definition 7.11 (the widened variant of
 //! Section 7.2, Example 7.13).
@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use air_lang::ast::Reg;
-use air_lang::{SemCache, StateSet, Universe};
+use air_lang::{SemCache, StateSet, TermId, Universe};
 use air_lattice::{ExhaustReason, Exhaustion, Governor};
 use air_trace::{EventKind, Tracer};
 
@@ -164,7 +164,7 @@ impl<A: StateAlgebra> Ctx<'_, A> {
         base: &A::Domain,
         n: &[PointId],
         r: &Reg,
-        t: A::Term,
+        t: Option<TermId>,
         p: &A::Set,
     ) -> Result<A::Set, RepairError> {
         let dom = Self::domain(&mut self.dom_cache, &self.points, base, n);
@@ -201,11 +201,6 @@ impl<'u> BackwardRepair<'u> {
     /// Creates the strategy without memoization (the reference path).
     pub fn uncached(universe: &'u Universe) -> Self {
         Self::from_algebra(universe, EnumAlgebra::uncached(universe))
-    }
-
-    /// The shared semantic cache, if caching is enabled.
-    pub fn cache(&self) -> Option<&SemCache> {
-        self.alg.cache()
     }
 }
 
@@ -357,7 +352,7 @@ impl<'u, A: StateAlgebra> BackwardRepair<'u, A> {
         mut n: Vec<PointId>,
         p: A::Set,
         r: &Reg,
-        t: A::Term,
+        t: Option<TermId>,
         s: &A::Set,
         ctx: &mut Ctx<'u, A>,
     ) -> Result<(A::Set, Vec<PointId>), RepairError> {
@@ -452,7 +447,7 @@ impl<'u, A: StateAlgebra> BackwardRepair<'u, A> {
         n: Vec<PointId>,
         p: A::Set,
         r: &Reg,
-        t: A::Term,
+        t: Option<TermId>,
         mut v1: A::Set,
         ctx: &mut Ctx<'u, A>,
     ) -> Result<(A::Set, Vec<PointId>), RepairError> {

@@ -22,14 +22,11 @@ use std::fmt;
 use std::sync::Arc;
 
 use air_domains::Abstraction;
-use air_lang::{StateSet, TermId, Universe};
+use air_lang::{StateSet, Universe};
 use air_lattice::{CacheStats, Interner, MemoTable};
 use air_trace::Tracer;
 
-/// Key of the abstract-image memo: `(arena token, term id, input)`. The
-/// token pins entries to the [`TermArena`](air_lang::TermArena) that
-/// issued the id, so two caches' ids can never alias one another.
-type AbsImageKey = (u64, TermId, StateSet);
+use crate::algebra::{ImageMemo, PointedDomain};
 
 /// A unary operator on state sets (the base closure).
 type SetOp = Box<dyn Fn(&StateSet) -> StateSet + Send + Sync>;
@@ -81,10 +78,10 @@ pub struct EnumDomain {
     interner: Interner<StateSet>,
     points: Vec<StateSet>,
     /// Memoized whole-term abstract images `⟦r⟧♯_{A⊞N}(a)` for *this*
-    /// point list, keyed by [`AbsImageKey`]. Shared by clones (same `N` ⇒
+    /// point list, an [`ImageMemo`]. Shared by clones (same `N` ⇒
     /// same images); replaced wholesale the moment the point list grows,
     /// since every image depends on `N`.
-    absmemo: MemoTable<AbsImageKey, StateSet>,
+    absmemo: ImageMemo<StateSet>,
 }
 
 impl fmt::Debug for EnumDomain {
@@ -215,13 +212,6 @@ impl EnumDomain {
         self.memo.stats()
     }
 
-    /// The whole-term abstract-image memo for this exact point list (see
-    /// the `absmemo` field). The abstract interpreter checks it at every
-    /// term node; anything else should treat it as opaque.
-    pub(crate) fn abs_memo(&self) -> &MemoTable<AbsImageKey, StateSet> {
-        &self.absmemo
-    }
-
     /// Empties the shared base-closure memo and the hash-consing pool in
     /// place — clones sharing them (e.g. the warm prototype a serve
     /// daemon keeps per universe) all observe the reset. Closure results
@@ -348,6 +338,34 @@ impl EnumDomain {
             seen.insert(self.close(c));
         }
         seen.len()
+    }
+}
+
+impl PointedDomain for EnumDomain {
+    type Set = StateSet;
+
+    fn close(&self, c: &StateSet) -> StateSet {
+        EnumDomain::close(self, c)
+    }
+
+    fn join(&self, x: &StateSet, y: &StateSet) -> StateSet {
+        EnumDomain::join(self, x, y)
+    }
+
+    fn pointed_widen(&self, x: &StateSet, y: &StateSet) -> StateSet {
+        EnumDomain::pointed_widen(self, x, y)
+    }
+
+    fn with_points<I: IntoIterator<Item = StateSet>>(&self, ps: I) -> Self {
+        EnumDomain::with_points(self, ps)
+    }
+
+    fn points(&self) -> &[StateSet] {
+        EnumDomain::points(self)
+    }
+
+    fn image_memo(&self) -> Option<&ImageMemo<StateSet>> {
+        Some(&self.absmemo)
     }
 }
 

@@ -219,11 +219,6 @@ impl<'u> ForwardRepair<'u> {
     pub fn uncached(universe: &'u Universe) -> Self {
         Self::from_algebra(universe, EnumAlgebra::uncached(universe))
     }
-
-    /// The shared semantic cache, if caching is enabled.
-    pub fn cache(&self) -> Option<&SemCache> {
-        self.alg.cache()
-    }
 }
 
 impl<'u, A: StateAlgebra> ForwardRepair<'u, A> {
@@ -386,7 +381,7 @@ impl<'u, A: StateAlgebra> ForwardRepair<'u, A> {
             Reg::Basic(e) => {
                 *checked += 1;
                 if lc.check_exp(dom, e, p)? {
-                    Ok(FindOutcome::Under(find.image(A::Term::default(), e, p)?))
+                    Ok(FindOutcome::Under(find.exec(None, r, p)?))
                 } else {
                     Ok(FindOutcome::Incomplete(Obligation {
                         input: p.clone(),

@@ -368,11 +368,6 @@ impl<'u> Lcl<'u> {
         });
     }
 
-    /// `⟦e⟧p`, asked of the algebra per call.
-    fn exec_exp(&self, e: &Exp, p: &StateSet) -> Result<StateSet, SemError> {
-        self.lc.algebra().image(None, e, p)
-    }
-
     /// Checks a derivation against the domain `A`: every rule's side
     /// conditions, including the local completeness obligations at the
     /// leaves.
@@ -392,7 +387,7 @@ impl<'u> Lcl<'u> {
                         exp: e.clone(),
                     });
                 }
-                let post = self.exec_exp(e, &triple.pre)?;
+                let post = self.lc.algebra().exec(None, &triple.reg, &triple.pre)?;
                 side(post == triple.post, "transfer", "postcondition is not ⟦e⟧P")
             }
             Derivation::Seq {
@@ -523,7 +518,7 @@ impl<'u> Lcl<'u> {
                         exp: e.clone(),
                     });
                 }
-                let post = self.exec_exp(e, p)?;
+                let post = self.lc.algebra().exec(None, r, p)?;
                 self.trace_rule("transfer");
                 Ok(Derivation::Transfer {
                     triple: Triple {
@@ -687,7 +682,7 @@ impl<'u> Lcl<'u> {
     ///
     /// Propagates evaluation errors.
     pub fn triple_sound(&self, dom: &EnumDomain, t: &Triple) -> Result<bool, SemError> {
-        let post = self.lc.algebra().exec(&t.reg, &t.pre)?;
+        let post = self.lc.algebra().exec(None, &t.reg, &t.pre)?;
         Ok(t.post.is_subset(&post) && post.is_subset(&dom.close(&t.post)))
     }
 

@@ -17,16 +17,18 @@
 //!
 //! - [`domain`] — `A ⊞ N` pointed refinements of enumerated domains (§3.1).
 //! - [`algebra`] — the state-algebra seam under Algorithms 1 and 2,
-//!   local completeness and `⟦·⟧♯_{A⊞N}`, and its enumerative
-//!   implementation ([`EnumAlgebra`]).
+//!   local completeness and `⟦·⟧♯_{A⊞N}`, its one implementation
+//!   ([`Algebra`]: a set kernel, its pointed domains and the memo policy
+//!   `memo_mode`) and the two pairings [`EnumAlgebra`] and
+//!   [`SymAlgebra`].
 //! - [`absint`] — the abstract semantics `⟦·⟧♯_{A⊞N}` with best correct
 //!   approximations of basic commands, plus pointed widening (§3.2, §7).
 //! - [`local`] — local completeness, the set `L^A_{c,f}`, pointed shells
 //!   and the Boolean-guard shell (§4).
 //! - [`forward`] — Algorithm 1, `fRepair` (§7.1).
 //! - [`backward`] — Algorithm 2, `bRepair` and `inv` (§7.2).
-//! - [`symbolic`] — the symbolic algebra ([`SymAlgebra`]): `Int ⊞ N` on
-//!   decision diagrams under the same engines.
+//! - [`symbolic`] — the symbolic pointed domain ([`SymDomain`]): `Int ⊞ N`
+//!   on decision diagrams under the same engines.
 //! - [`verify`] — the user-facing verifier built on Corollary 7.7.
 //! - [`question`] — the verification question every entry point poses
 //!   (variables, program, pre/spec, base domain, strategy): its one
@@ -88,7 +90,7 @@ pub mod symbolic;
 pub mod verify;
 
 pub use absint::{AbstractSemantics, StarStrategy};
-pub use algebra::{EnumAlgebra, PointedDomain, StateAlgebra, StoreSet};
+pub use algebra::{Algebra, EnumAlgebra, PointedDomain, StateAlgebra, StoreSet, SymAlgebra};
 pub use backward::{BackwardOutcome, BackwardRepair, UnrollStrategy};
 pub use domain::EnumDomain;
 pub use forward::{ForwardRepair, PartialRepair, RepairError, RepairOutcome, RepairRule};
@@ -98,5 +100,5 @@ pub use oracles::{run_oracle, OracleInstance, OracleOutcome, ORACLES};
 pub use question::{Built, DomainKind, Question, QuestionError, Strategy};
 pub use session::{RepairSession, ReuseStats, SessionOutcome};
 pub use summarize::{summarize, BoxSummary};
-pub use symbolic::{SymAlgebra, SymDomain};
+pub use symbolic::SymDomain;
 pub use verify::{Verdict, Verifier};

@@ -45,11 +45,11 @@ pub trait Additive<A: StateAlgebra> {
 /// A program's collecting semantics `⟦r⟧`, answered by the algebra.
 impl<A: StateAlgebra> Additive<A> for Reg {
     fn image(&self, alg: &A, c: &A::Set) -> Result<A::Set, SemError> {
-        alg.exec(self, c)
+        alg.exec(None, self, c)
     }
 
     fn wlp(&self, alg: &A, post: &A::Set) -> Result<A::Set, SemError> {
-        alg.wlp(A::Term::default(), self, post)
+        alg.wlp(None, self, post)
     }
 }
 

@@ -143,7 +143,7 @@ impl RepairSession {
         // Intern before the run so the outcome reports the structural
         // distance of *this revision* (the engine's own intern call then
         // sees zero fresh nodes).
-        let outcome = self.cache.intern(r);
+        let outcome = self.cache.arena().intern(r);
         let program_nodes = TermArena::new().intern(r).fresh_nodes;
         let incremental = self.runs > 0;
         let verdict = Verifier::with_cache(&self.universe, self.cache.clone())

@@ -1,4 +1,4 @@
-//! The symbolic state algebra — Algorithms 1 and 2 on decision diagrams.
+//! The symbolic pointed domain — Algorithms 1 and 2 on decision diagrams.
 //!
 //! The enumerative algebra pays `O(|Σ|)` per abstract closure, because
 //! [`EnumDomain`](crate::EnumDomain) wraps an enumerated `γ∘α`; on
@@ -7,21 +7,19 @@
 //! [`SymDomain`] represents `Int ⊞ N` directly on [`SymState`] diagrams —
 //! the base closure is the bounding box of the diagram (exactly `γ(α(c))`
 //! of `IntervalEnv` on a finite universe) and points are diagrams, so the
-//! refined closure never enumerates a store. [`SymAlgebra`] pairs it with
-//! the diagram kernel ([`SymEngine`]) and plugs both into the crate's one
-//! forward repair, one backward repair, one set of local-completeness
-//! queries and one abstract semantics: one algorithm, two algebras.
+//! refined closure never enumerates a store. Paired with the diagram
+//! kernel it is [`SymAlgebra`](crate::SymAlgebra): the crate's one
+//! [`Algebra`](crate::Algebra) and one set of engines on a second kernel.
 //! A [`SemCache::symbolic`](air_lang::SemCache::symbolic) cache selects it
 //! for `Int` bases; every other base runs the bitset kernel. The diagram
 //! kernel is exact and the closures coincide, so verdicts are
 //! byte-identical — the property fuzz axis 9 and the backend-agreement
 //! suites check on enumerable universes.
 
-use air_lang::ast::{BExp, Exp, Reg};
-use air_lang::{SemError, SetKernel, StateSet, SymEngine, Universe};
+use air_lang::Universe;
 use air_lattice::{SymShape, SymState};
 
-use crate::algebra::{PointedDomain, StateAlgebra};
+use crate::algebra::PointedDomain;
 
 /// The pointed refinement `Int ⊞ N` over decision diagrams.
 ///
@@ -126,63 +124,16 @@ impl PointedDomain for SymDomain {
     }
 }
 
-/// The symbolic algebra: [`SymState`] diagrams, [`SymDomain`] closures and
-/// the exact diagram kernel [`SymEngine`]. It memoizes nothing, so every
-/// abstract image is recomputed and every star round reaches the
-/// governor.
-#[derive(Clone, Debug)]
-pub struct SymAlgebra<'u> {
-    engine: SymEngine<'u>,
-}
-
-impl<'u> SymAlgebra<'u> {
-    /// The symbolic algebra over `universe`.
-    pub fn new(universe: &'u Universe) -> Self {
-        SymAlgebra {
-            engine: SymEngine::new(universe),
-        }
-    }
-}
-
-impl StateAlgebra for SymAlgebra<'_> {
-    type Set = SymState;
-    type Domain = SymDomain;
-    type Term = ();
-
-    fn image(&self, _t: (), e: &Exp, a: &SymState) -> Result<SymState, SemError> {
-        self.engine.image(false, e, a)
-    }
-
-    fn exec(&self, r: &Reg, a: &SymState) -> Result<SymState, SemError> {
-        self.engine.exec(false, r, a)
-    }
-
-    fn wlp(&self, _t: (), r: &Reg, post: &SymState) -> Result<SymState, SemError> {
-        self.engine.wlp(r, post)
-    }
-
-    fn sat(&self, b: &BExp) -> Result<SymState, SemError> {
-        self.engine.sat(b)
-    }
-
-    fn lift(&self, s: &StateSet) -> SymState {
-        self.engine.from_set(s)
-    }
-
-    fn lower(&self, s: SymState) -> StateSet {
-        self.engine.to_set(&s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::absint::{AbstractSemantics, StarStrategy};
+    use crate::algebra::{StateAlgebra, SymAlgebra};
     use crate::backward::{BackwardRepair, UnrollStrategy};
     use crate::domain::EnumDomain;
     use crate::forward::ForwardRepair;
     use air_domains::IntervalEnv;
-    use air_lang::parse_program;
+    use air_lang::{parse_program, Reg, StateSet, SymEngine};
     use air_lattice::ExhaustReason;
 
     fn int_dom(u: &Universe) -> EnumDomain {
@@ -192,7 +143,7 @@ mod tests {
     #[test]
     fn sym_domain_close_matches_enum_domain() {
         let u = Universe::new(&[("x", -8, 8), ("y", 0, 3)]).unwrap();
-        let alg = SymAlgebra::new(&u);
+        let alg = SymAlgebra::uncached(SymEngine::new(&u));
         let probes = [
             u.empty(),
             u.full(),
@@ -249,7 +200,7 @@ mod tests {
         for (name, prog, u, input) in &cases {
             let edom = int_dom(u);
             let sdom = SymDomain::interval(u);
-            let alg = SymAlgebra::new(u);
+            let alg = SymAlgebra::uncached(SymEngine::new(u));
             for strategy in [StarStrategy::Lfp, StarStrategy::PointedWidening] {
                 let e = AbstractSemantics::new(u)
                     .star_strategy(strategy)
@@ -284,7 +235,7 @@ mod tests {
                     .unroll_strategy(strategy)
                     .repair(&edom, pre, prog, spec)
                     .unwrap();
-                let sym = BackwardRepair::from_algebra(u, SymAlgebra::new(u))
+                let sym = BackwardRepair::from_algebra(u, SymAlgebra::uncached(SymEngine::new(u)))
                     .unroll_strategy(strategy)
                     .repair(&sdom, pre, prog, spec)
                     .unwrap();
@@ -313,7 +264,7 @@ mod tests {
                 .map(|(name, prog, u, pre, _)| (name, prog, u, pre)),
         );
         for (name, prog, u, pre) in &cases {
-            let alg = SymAlgebra::new(u);
+            let alg = SymAlgebra::uncached(SymEngine::new(u));
             let enm = ForwardRepair::new(u).repair(int_dom(u), prog, pre).unwrap();
             let sym = ForwardRepair::from_algebra(u, alg.clone())
                 .repair(SymDomain::interval(u), prog, pre)
@@ -341,7 +292,7 @@ mod tests {
     fn symbolic_backward_max_calls_exhaustion_matches() {
         let u = Universe::new(&[("x", 0, 4)]).unwrap();
         let prog = parse_program("while (x < 4) do { x := x + 1 }").unwrap();
-        let err = BackwardRepair::from_algebra(&u, SymAlgebra::new(&u))
+        let err = BackwardRepair::from_algebra(&u, SymAlgebra::uncached(SymEngine::new(&u)))
             .max_calls(1)
             .repair(
                 &SymDomain::interval(&u),

@@ -311,10 +311,6 @@ impl Abstraction for AffineDomain {
         "Karr"
     }
 
-    fn top(&self) -> Aff {
-        Aff::Rows(Vec::new())
-    }
-
     fn bottom(&self) -> Aff {
         Aff::Bot
     }
@@ -496,7 +492,7 @@ mod tests {
         // Two parallel lines span the plane.
         let l1 = dom.alpha_set(&u, &u.filter(|s| s[0] == s[1]));
         let l2 = dom.alpha_set(&u, &u.filter(|s| s[0] == s[1] + 1));
-        assert_eq!(dom.join(&l1, &l2), dom.top());
+        assert_eq!(dom.join(&l1, &l2), dom.alpha_set(&u, &u.full()));
     }
 
     #[test]
@@ -507,7 +503,7 @@ mod tests {
         let diag = dom.alpha_set(&u, &u.filter(|s| s[0] == s[1]));
         assert!(dom.leq(&point, &diag));
         assert!(!dom.leq(&diag, &point));
-        assert!(dom.leq(&diag, &dom.top()));
+        assert!(dom.leq(&diag, &dom.alpha_set(&u, &u.full())));
         assert!(dom.leq(&dom.bottom(), &point));
     }
 }

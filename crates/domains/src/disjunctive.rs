@@ -97,10 +97,6 @@ impl<A: Abstraction> Abstraction for Disjunctive<A> {
         &self.name
     }
 
-    fn top(&self) -> Self::Elem {
-        vec![self.base.top()]
-    }
-
     fn bottom(&self) -> Self::Elem {
         Vec::new()
     }

@@ -135,10 +135,6 @@ impl<V: AbstractValue> Abstraction for EnvDomain<V> {
         V::NAME
     }
 
-    fn top(&self) -> EnvElem<V> {
-        EnvElem::Vals(vec![V::top(); self.vars.len()])
-    }
-
     fn bottom(&self) -> EnvElem<V> {
         EnvElem::Bot
     }

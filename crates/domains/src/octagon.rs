@@ -208,15 +208,6 @@ impl OctagonDomain {
     fn n(&self) -> usize {
         self.vars.len()
     }
-
-    fn raw_top(&self) -> Vec<i64> {
-        let dim = 2 * self.n();
-        let mut m = vec![INF; dim * dim];
-        for i in 0..dim {
-            m[i * dim + i] = 0;
-        }
-        m
-    }
 }
 
 impl Abstraction for OctagonDomain {
@@ -224,13 +215,6 @@ impl Abstraction for OctagonDomain {
 
     fn name(&self) -> &str {
         "Oct"
-    }
-
-    fn top(&self) -> Oct {
-        Oct {
-            n: self.n(),
-            m: Some(self.raw_top()),
-        }
     }
 
     fn bottom(&self) -> Oct {
@@ -541,7 +525,10 @@ mod tests {
         let e = dom.alpha_set(&u, &u.filter(|s| (0..=3).contains(&s[0])));
         assert!(e.to_string().contains("[0, 3]"), "{e}");
         assert_eq!(dom.bottom().to_string(), "⊥");
-        assert_eq!(dom.top().to_string(), "⊤");
+        // Every bound unstable: widening drops them all.
+        let origin = dom.alpha_set(&u, &u.filter(|s| s[0] == 0 && s[1] == 0));
+        let top = dom.widen(&origin, &dom.alpha_set(&u, &u.full()));
+        assert_eq!(top.to_string(), "⊤");
     }
 
     #[test]

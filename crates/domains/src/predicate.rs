@@ -137,10 +137,6 @@ impl Abstraction for PredicateDomain {
         "Pred"
     }
 
-    fn top(&self) -> PredElem {
-        PredElem::Vals(vec![Tri::Unknown; self.preds.len()])
-    }
-
     fn bottom(&self) -> PredElem {
         PredElem::Bot
     }
@@ -234,10 +230,6 @@ impl BooleanPredicateDomain {
         }
         m
     }
-
-    fn all_minterms(&self) -> u32 {
-        (1u32 << (1 << self.preds.len())) - 1
-    }
 }
 
 impl Abstraction for BooleanPredicateDomain {
@@ -245,10 +237,6 @@ impl Abstraction for BooleanPredicateDomain {
 
     fn name(&self) -> &str {
         "BoolPred"
-    }
-
-    fn top(&self) -> MintermSet {
-        MintermSet(self.all_minterms())
     }
 
     fn bottom(&self) -> MintermSet {
@@ -351,14 +339,15 @@ mod tests {
         let (_, dom) = setup();
         let a = dom.alpha_store(&[0, 1, 1]); // p ∧ q
         let b = dom.alpha_store(&[1, 0, 2]); // ¬p ∧ ¬q
+        let (u, _) = setup();
         let j = dom.join(&a, &b);
-        assert_eq!(j, dom.top());
+        assert_eq!(j, dom.alpha_set(&u, &u.full()));
     }
 
     #[test]
     fn display_forms() {
-        let (_, dom) = setup();
-        assert_eq!(dom.top().to_string(), "⊤");
+        let (u, dom) = setup();
+        assert_eq!(dom.alpha_set(&u, &u.full()).to_string(), "⊤");
         assert_eq!(dom.bottom().to_string(), "⊥");
         assert_eq!(
             dom.elem(vec![Tri::True, Tri::False]).to_string(),

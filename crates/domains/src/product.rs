@@ -126,10 +126,6 @@ where
         &self.name
     }
 
-    fn top(&self) -> Self::Elem {
-        (self.left.top(), self.right.top())
-    }
-
     fn bottom(&self) -> Self::Elem {
         (self.left.bottom(), self.right.bottom())
     }

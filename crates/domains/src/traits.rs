@@ -32,9 +32,6 @@ pub trait Abstraction {
     /// Short human-readable domain name (e.g. `"Int"`, `"Oct"`).
     fn name(&self) -> &str;
 
-    /// The greatest element `⊤` (all stores).
-    fn top(&self) -> Self::Elem;
-
     /// The least element `⊥` (no store).
     fn bottom(&self) -> Self::Elem;
 

@@ -63,7 +63,7 @@ fn gamma_filter<A: Abstraction>(dom: &A, u: &Universe, e: &A::Elem) -> StateSet 
 }
 
 fn check<A: Abstraction>(dom: &A, u: &Universe, sets: &[StateSet]) -> Result<(), TestCaseError> {
-    let mut elems = vec![dom.bottom(), dom.top()];
+    let mut elems = vec![dom.bottom(), dom.alpha_set(u, &u.full())];
     for s in sets {
         let a = dom.alpha_set(u, s);
         prop_assert_eq!(

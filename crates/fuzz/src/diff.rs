@@ -275,12 +275,12 @@ pub fn differential_sweep(b: &BuiltCase) -> Result<Vec<String>, SemError> {
     // base) its verdict must match the enumerative one byte for byte.
     if u.size() <= SYMBOLIC_DIFF_BOUND {
         let eng = SymEngine::new(u);
-        let sym_exec = eng.exec(false, r, &eng.from_set(&b.pre));
-        if sym_exec.map(|s| eng.to_set(&s)) != u.exec(false, r, &b.pre) {
+        let sym_exec = eng.exec(false, r, &eng.lift(&b.pre));
+        if sym_exec.map(|s| eng.lower(s)) != u.exec(false, r, &b.pre) {
             diffs.push("symbolic axis: the kernels disagree on exec(r, pre)".into());
         }
-        let sym_wlp = eng.wlp(r, &eng.from_set(&b.spec));
-        if sym_wlp.map(|s| eng.to_set(&s)) != u.wlp(r, &b.spec) {
+        let sym_wlp = eng.wlp(r, &eng.lift(&b.spec));
+        if sym_wlp.map(|s| eng.lower(s)) != u.wlp(r, &b.spec) {
             diffs.push("symbolic axis: the kernels disagree on wlp(r, spec)".into());
         }
     }

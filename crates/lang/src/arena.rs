@@ -147,11 +147,6 @@ impl TermArena {
         (id, true)
     }
 
-    /// Interns a basic command as a leaf node.
-    pub fn intern_exp(&self, e: &Exp) -> TermId {
-        self.intern_node(TermNode::Basic(Arc::new(e.clone()))).0
-    }
-
     /// Interns a whole regular command bottom-up, reporting the root id
     /// and how many nodes were new (see [`InternOutcome`]).
     pub fn intern(&self, r: &Reg) -> InternOutcome {

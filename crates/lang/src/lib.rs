@@ -59,7 +59,7 @@ pub mod sym;
 
 pub use arena::{InternOutcome, TermArena, TermId, TermNode};
 pub use ast::{AExp, BExp, Exp, Reg};
-pub use cache::{SemCache, DEFAULT_BYPASS_THRESHOLD};
+pub use cache::SemCache;
 pub use parser::{parse_bexp, parse_program, ParseError};
 pub use semantics::{Concrete, Memo, NoMemo, SemError, SetKernel, StoreSet, Wlp};
 pub use store::{StateSet, Store, Universe, UniverseError};

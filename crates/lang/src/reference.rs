@@ -248,11 +248,11 @@ mod equivalence {
             let mut rng = XorShift::new(seed);
             let u = universe(&mut rng);
             let eng = SymEngine::new(&u);
-            let lower = |r: Result<_, SemError>| r.map(|d| eng.to_set(&d));
+            let lower = |r: Result<_, SemError>| r.map(|d| eng.lower(d));
             let inputs = [u.empty(), random_set(&u, &mut rng), u.full()];
             for e in commands(seed) {
                 for s in &inputs {
-                    let d = eng.from_set(s);
+                    let d = eng.lift(s);
                     for strict in [false, true] {
                         let want = exec_exp(&u, strict, &e, s);
                         prop_assert_eq!(

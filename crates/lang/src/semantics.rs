@@ -103,7 +103,7 @@ impl From<air_lattice::Exhaustion> for SemError {
 
 /// The set operations the semantics and the repair engines perform on
 /// stores.
-pub trait StoreSet: Clone + Eq + std::hash::Hash {
+pub trait StoreSet: Clone + Eq + std::hash::Hash + fmt::Debug {
     /// `self ∩ other`.
     fn intersection(&self, other: &Self) -> Self;
     /// `self ∪ other`.
@@ -166,6 +166,13 @@ pub trait Memo<S> {
     {
         compute()
     }
+    /// `compute()`, unless the guard set of `b` was memoized.
+    fn sat<F>(&self, _b: &BExp, compute: F) -> Result<S, SemError>
+    where
+        F: FnOnce() -> Result<S, SemError>,
+    {
+        compute()
+    }
 }
 
 /// The memo that keeps nothing: the recursion walks the [`Reg`] alone.
@@ -194,6 +201,10 @@ pub trait SetKernel: Sized {
     /// The stores satisfying `b` (the paper's overloading of `b` as
     /// `⟦b?⟧Σ`).
     fn sat(&self, b: &BExp) -> Result<Self::Set, SemError>;
+    /// Imports an explicit state set.
+    fn lift(&self, s: &StateSet) -> Self::Set;
+    /// Exports a set as an explicit state set.
+    fn lower(&self, s: Self::Set) -> StateSet;
 
     /// `⟦r⟧s`, memoized in `memo` at every node when `t` is `r`'s
     /// interned id.
@@ -302,6 +313,35 @@ pub trait SetKernel: Sized {
     /// As [`wlp_in`](Self::wlp_in).
     fn wlp(&self, r: &Reg, post: &Self::Set) -> Result<Self::Set, SemError> {
         self.wlp_in(&NoMemo, r, None, post)
+    }
+}
+
+/// A borrowed kernel is the kernel.
+impl<K: SetKernel> SetKernel for &K {
+    type Set = K::Set;
+
+    fn universe(&self) -> &Universe {
+        (*self).universe()
+    }
+
+    fn image(&self, strict: bool, e: &Exp, s: &K::Set) -> Result<K::Set, SemError> {
+        (*self).image(strict, e, s)
+    }
+
+    fn wlp_exp(&self, e: &Exp, post: &K::Set) -> Result<K::Set, SemError> {
+        (*self).wlp_exp(e, post)
+    }
+
+    fn sat(&self, b: &BExp) -> Result<K::Set, SemError> {
+        (*self).sat(b)
+    }
+
+    fn lift(&self, s: &StateSet) -> K::Set {
+        (*self).lift(s)
+    }
+
+    fn lower(&self, s: K::Set) -> StateSet {
+        (*self).lower(s)
     }
 }
 
@@ -423,6 +463,14 @@ impl SetKernel for Universe {
             }
         }
         Ok(out)
+    }
+
+    fn lift(&self, s: &StateSet) -> StateSet {
+        s.clone()
+    }
+
+    fn lower(&self, s: StateSet) -> StateSet {
+        s
     }
 }
 

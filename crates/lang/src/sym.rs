@@ -117,16 +117,6 @@ impl<'u> SymEngine<'u> {
         SymState::full(&self.shape)
     }
 
-    /// Imports an explicit state set.
-    pub fn from_set(&self, s: &StateSet) -> SymState {
-        SymState::from_bitset(&self.shape, s)
-    }
-
-    /// Exports a symbolic set as an explicit state set.
-    pub fn to_set(&self, s: &SymState) -> StateSet {
-        s.to_bitset()
-    }
-
     // ------------------------------------------------------------------
     // Tri-valued interval evaluation over bounding boxes
     // ------------------------------------------------------------------
@@ -476,6 +466,14 @@ impl SetKernel for SymEngine<'_> {
     fn sat(&self, b: &BExp) -> Result<SymState, SemError> {
         Ok(self.partition_bexp(b, &self.full())?.0)
     }
+
+    fn lift(&self, s: &StateSet) -> SymState {
+        SymState::from_bitset(&self.shape, s)
+    }
+
+    fn lower(&self, s: SymState) -> StateSet {
+        s.to_bitset()
+    }
 }
 
 /// The store at a box's lower corner (the box's only store on the levels
@@ -613,9 +611,7 @@ mod tests {
             for seed in 0..5u64 {
                 let s = random_set(&u, seed * 31 + 7);
                 let expected = sem.exec(&prog, &s);
-                let got = eng
-                    .exec(false, &prog, &eng.from_set(&s))
-                    .map(|r| eng.to_set(&r));
+                let got = eng.exec(false, &prog, &eng.lift(&s)).map(|r| eng.lower(r));
                 assert_eq!(got, expected, "exec mismatch on `{prog_src}` seed {seed}");
             }
         }
@@ -639,7 +635,7 @@ mod tests {
             for seed in 0..5u64 {
                 let post = random_set(&u, seed * 17 + 3);
                 let expected = w.reg(&prog, &post);
-                let got = eng.wlp(&prog, &eng.from_set(&post)).map(|r| eng.to_set(&r));
+                let got = eng.wlp(&prog, &eng.lift(&post)).map(|r| eng.lower(r));
                 assert_eq!(got, expected, "wlp mismatch on `{prog_src}` seed {seed}");
             }
         }
@@ -660,7 +656,7 @@ mod tests {
         ] {
             let b = parse_bexp(src).unwrap();
             let expected = sem.sat(&b);
-            let got = eng.sat(&b).map(|r| eng.to_set(&r));
+            let got = eng.sat(&b).map(|r| eng.lower(r));
             assert_eq!(got, expected, "sat mismatch on `{src}`");
         }
     }
@@ -680,7 +676,7 @@ mod tests {
         ] {
             let b = parse_bexp(src).unwrap();
             assert_eq!(
-                eng.sat(&b).map(|r| eng.to_set(&r)),
+                eng.sat(&b).map(|r| eng.lower(r)),
                 sem.sat(&b),
                 "short-circuit mismatch on `{src}`"
             );
@@ -695,9 +691,7 @@ mod tests {
         let prog = parse_program("x := x + 3").unwrap();
         let s = u.full();
         let expected = sem.exec(&prog, &s);
-        let got = eng
-            .exec(false, &prog, &eng.from_set(&s))
-            .map(|r| eng.to_set(&r));
+        let got = eng.exec(false, &prog, &eng.lift(&s)).map(|r| eng.lower(r));
         assert_eq!(got, expected);
         // Both must agree the error is Overflow at the same first store.
         assert!(matches!(got, Err(SemError::Overflow)));
@@ -711,9 +705,7 @@ mod tests {
         let prog = Exp::assign("x", AExp::var("x").add(1.into()));
         let s = u.filter(|st| st[0] >= 7);
         let expected = strict.exec_exp(&prog, &s);
-        let got = eng
-            .image(true, &prog, &eng.from_set(&s))
-            .map(|r| eng.to_set(&r));
+        let got = eng.image(true, &prog, &eng.lift(&s)).map(|r| eng.lower(r));
         assert_eq!(got, expected);
         assert!(matches!(
             got,
@@ -723,8 +715,8 @@ mod tests {
         let prog2 = Exp::assign("x", AExp::var("x").mul(3.into()));
         let expected2 = strict.exec_exp(&prog2, &u.full());
         let got2 = eng
-            .image(true, &prog2, &eng.from_set(&u.full()))
-            .map(|r| eng.to_set(&r));
+            .image(true, &prog2, &eng.lift(&u.full()))
+            .map(|r| eng.lower(r));
         assert_eq!(got2, expected2);
     }
 

@@ -380,7 +380,7 @@ impl ServeEngine {
                 // revision adds on top of everything the tenant's tables
                 // have seen (0 for a resubmission).
                 let reuse = (req.job == JobKind::Reverify).then(|| {
-                    let outcome = sem.intern(&prog);
+                    let outcome = sem.arena().intern(&prog);
                     ReuseSnapshot {
                         program_nodes: TermArena::new().intern(&prog).fresh_nodes,
                         fresh_nodes: outcome.fresh_nodes,

@@ -70,14 +70,13 @@ fn every_seed_agrees_across_engine_backends() {
         let (u, r) = (&built.universe, &case.program);
         let eng = SymEngine::new(u);
         assert_eq!(
-            eng.exec(false, r, &eng.from_set(&built.pre))
-                .map(|s| eng.to_set(&s)),
+            eng.exec(false, r, &eng.lift(&built.pre))
+                .map(|s| eng.lower(s)),
             u.exec(false, r, &built.pre),
             "{name}: the kernels disagree on exec"
         );
         assert_eq!(
-            eng.wlp(r, &eng.from_set(&built.spec))
-                .map(|s| eng.to_set(&s)),
+            eng.wlp(r, &eng.lift(&built.spec)).map(|s| eng.lower(s)),
             u.wlp(r, &built.spec),
             "{name}: the kernels disagree on wlp"
         );

@@ -6,7 +6,12 @@
 //! `two_phase`, so the refutation lines are pinned too). Each case
 //! renders what `air verify` prints from the box cover: the `input:`
 //! line, the verdict report, and on a refutation the valid and invalid
-//! inputs. The text must equal `tests/golden/reports.txt`.
+//! inputs. A second section decides each question through `LCL_A`
+//! ([`Lcl::prove_spec`]) under {int, oct, karr} with the header's
+//! precondition and renders the verdict, the derivation's size and
+//! postcondition, and the repaired domain's points (the full trees of
+//! `division` and `two_phase` alone would add half a megabyte). The text must equal
+//! `tests/golden/reports.txt`.
 //!
 //! On a mismatch the test writes what it rendered to
 //! `reports.actual.txt` under Cargo's per-target scratch directory and
@@ -17,7 +22,7 @@ use std::fmt::Write as _;
 
 use air::core::question::load_corpus;
 use air::core::summarize::display_set;
-use air::core::{DomainKind, Strategy, Verifier};
+use air::core::{DomainKind, Lcl, SpecVerdict, Strategy, Verifier};
 
 const GOLDEN: &str = include_str!("golden/reports.txt");
 
@@ -54,7 +59,47 @@ fn render_all() -> String {
             }
         }
     }
+    render_lcl(dir, &mut out);
     out
+}
+
+/// The `LCL_A` section: the verdict line `air prove` prints for each
+/// corpus header question, the derivation's size and post, and every
+/// repaired point.
+fn render_lcl(dir: &str, out: &mut String) {
+    for (name, question) in load_corpus(dir, DomainKind::Int).expect("corpus loads") {
+        for domain in [DomainKind::Int, DomainKind::Oct, DomainKind::Karr] {
+            let mut q = question.clone();
+            q.domain = domain;
+            let b = q.build().expect("corpus question builds");
+            let u = &b.universe;
+            let verdict = Lcl::new(u)
+                .prove_spec(b.domain, &b.pre, &b.program, &b.spec)
+                .expect("corpus question decides through LCL");
+            let _ = writeln!(out, "## {name} {} lcl pre \"{}\"", domain.name(), q.pre);
+            let (derivation, repaired) = match &verdict {
+                SpecVerdict::Valid { derivation, domain } => {
+                    out.push_str("SPEC VALID\n");
+                    (derivation, domain)
+                }
+                SpecVerdict::TrueAlarm {
+                    derivation,
+                    domain,
+                    witness,
+                } => {
+                    let store = u.display_store(&u.store_at(*witness));
+                    let _ = writeln!(out, "TRUE ALARM: reachable store {store} violates the spec");
+                    (derivation, domain)
+                }
+            };
+            let _ = writeln!(out, "derivation: {} rule applications", derivation.size());
+            let _ = writeln!(out, "post: {}", display_set(u, &derivation.triple().post));
+            let _ = writeln!(out, "points added: {}", repaired.num_points());
+            for point in repaired.points() {
+                let _ = writeln!(out, "  {}", display_set(u, point));
+            }
+        }
+    }
 }
 
 #[test]

@@ -291,7 +291,7 @@ pub fn measure_edit_loop(corpus: &[CorpusProgram]) -> Vec<EditLoopRow> {
 
         // Warm: one session verifies the base once, then re-verifies
         // every edit against the accumulated tables.
-        let mut session = RepairSession::new(task.universe.clone(), int_domain(&task.universe));
+        let session = RepairSession::new(task.universe.clone(), int_domain(&task.universe));
         session
             .verify(&task.prog, &task.pre, &task.spec)
             .expect("base verifies");

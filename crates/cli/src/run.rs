@@ -734,7 +734,7 @@ fn prove(task: Task) -> Result<Outcome, AirError> {
 /// Runs one revision through the warm session, printing its verdict and
 /// (for edits) the node-reuse line. Returns whether the spec was proved.
 fn repair_revision(
-    session: &mut air_core::RepairSession,
+    session: &air_core::RepairSession,
     u: &Universe,
     label: &str,
     (prog, pre, spec): &(air_lang::Reg, StateSet, StateSet),
@@ -779,14 +779,14 @@ fn repair(task: RepairTask) -> Result<Outcome, AirError> {
     let u = &b.universe;
     let trace_session = TraceSession::open(task.trace.as_deref(), false)?;
     let governor = Governor::new(build_budget(task.fuel, task.timeout_ms));
-    let mut session = air_core::RepairSession::new(u.clone(), b.domain)
+    let session = air_core::RepairSession::new(u.clone(), b.domain)
         .tracer(trace_session.tracer())
         .governor(governor);
     println!("base:      {name}");
     println!("universe:  {} stores", u.size());
     println!("domain:    {}\n", session.base().base_name());
     let revision = (b.program, b.pre, b.spec);
-    let mut all_proved = repair_revision(&mut session, u, &name, &revision, &task)?;
+    let mut all_proved = repair_revision(&session, u, &name, &revision, &task)?;
     for (i, edit) in task.edits.iter().enumerate() {
         let text = std::fs::read_to_string(edit)
             .map_err(|e| usage(format!("cannot read `{edit}`: {e}")))?;
@@ -809,7 +809,7 @@ fn repair(task: RepairTask) -> Result<Outcome, AirError> {
         let parts = question.parts(u)?;
         println!("\n--- edit {}: {edit} ---", i + 1);
         let label = format!("edit-{}", i + 1);
-        all_proved &= repair_revision(&mut session, u, &label, &parts, &task)?;
+        all_proved &= repair_revision(&session, u, &label, &parts, &task)?;
     }
     trace_session.finish()?;
     Ok(if all_proved {

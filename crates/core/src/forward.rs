@@ -340,7 +340,13 @@ impl<'u, A: StateAlgebra> ForwardRepair<'u, A> {
     /// Enriches a budget cutoff with the best partial result: the points
     /// added so far and the (always sound) abstract invariant in the
     /// partially repaired domain. Non-exhaustion errors pass through.
-    fn exhausted(&self, err: RepairError, dom: &A::Domain, r: &Reg, p: &A::Set) -> RepairError {
+    pub(crate) fn exhausted(
+        &self,
+        err: RepairError,
+        dom: &A::Domain,
+        r: &Reg,
+        p: &A::Set,
+    ) -> RepairError {
         let RepairError::Exhausted(mut partial) = err else {
             return err;
         };

@@ -43,8 +43,15 @@ use air_trace::{DotBuilder, EventKind, Tracer};
 
 use crate::algebra::{EnumAlgebra, StateAlgebra};
 use crate::domain::EnumDomain;
-use crate::forward::RepairError;
+use crate::forward::{ForwardRepair, RepairError};
 use crate::local::LocalCompleteness;
+
+/// The most `(rec)` unrolls one derivation nests. Each unroll is one
+/// level of [`Derivation::Rec`], and building, rendering, checking and
+/// dropping a tree all recurse once per level, so a deeper unroll would
+/// overflow the stack; it stops as a fuel exhaustion at
+/// `lcl.derive_star` instead.
+pub const MAX_UNROLLS: usize = 2048;
 
 /// A judgement `⊢_A [pre] reg [post]`.
 #[derive(Clone, Debug, PartialEq)]
@@ -239,11 +246,9 @@ pub enum LclError {
         /// Human-readable description.
         reason: String,
     },
-    /// Concrete evaluation failed.
+    /// Concrete evaluation failed, or the unroll cap or the budget ran
+    /// out.
     Sem(SemError),
-    /// The star unrolling exceeded the bound (cannot happen on finite
-    /// universes with correct semantics).
-    Divergence,
 }
 
 /// `Ok` when a rule's side condition holds, else the violation.
@@ -268,7 +273,6 @@ impl fmt::Display for LclError {
                 write!(f, "side condition of ({rule}) violated: {reason}")
             }
             LclError::Sem(e) => write!(f, "semantic evaluation failed: {e}"),
-            LclError::Divergence => write!(f, "star unrolling diverged"),
         }
     }
 }
@@ -346,17 +350,19 @@ impl<'u> Lcl<'u> {
         self.lc.cache()
     }
 
-    /// Emits `lcl_rule`/`incompleteness`/`shell_point`/`verdict` events
-    /// (and the cache's hit/miss/bypass telemetry) through `tracer`.
+    /// Emits `lcl_rule`/`verdict` events, forward repair's
+    /// `incompleteness`/`shell_point` events and the cache's
+    /// hit/miss/bypass telemetry through `tracer`.
     pub fn tracer(mut self, tracer: Tracer) -> Self {
         self.lc.algebra().set_tracer(&tracer);
         self.trace = tracer;
         self
     }
 
-    /// Enforces `governor` at the repair loop and star-unroll heads of
-    /// automatic derivation: exhaustion surfaces as
-    /// [`RepairError::Exhausted`] with the points added so far.
+    /// Enforces `governor` in the repair ([`ForwardRepair`]'s loop and
+    /// unroll heads) and at the derivation's star-unroll heads:
+    /// exhaustion surfaces as [`RepairError::Exhausted`] with the points
+    /// added so far and the sound partial invariant.
     pub fn governor(mut self, governor: Governor) -> Self {
         self.governor = governor;
         self
@@ -571,8 +577,13 @@ impl<'u> Lcl<'u> {
         body: &Reg,
         depth: usize,
     ) -> Result<Derivation, LclError> {
-        if depth > self.universe.size() {
-            return Err(LclError::Divergence);
+        if depth == MAX_UNROLLS {
+            let cap = Exhaustion {
+                phase: "lcl.derive_star".to_string(),
+                spent: MAX_UNROLLS as u64,
+                reason: ExhaustReason::Fuel,
+            };
+            return Err(SemError::from(cap).into());
         }
         self.governor
             .check_with(|| "lcl.derive_star".to_string())
@@ -605,74 +616,41 @@ impl<'u> Lcl<'u> {
         })
     }
 
-    /// The Section 9 integration: derive, and whenever a local
-    /// completeness obligation emerges, repair the domain with the pointed
-    /// shell (Theorem 4.11 for guards, Theorem 4.9 otherwise) and retry.
+    /// The Section 9 integration: repair the domain until every local
+    /// completeness obligation of `r` on `p` holds — Algorithm 1,
+    /// [`ForwardRepair`], which walks the program exactly as
+    /// [`derive`](Self::derive) does and settles each failed obligation
+    /// with a pointed shell (Theorem 4.11 for guards, Theorem 4.9
+    /// otherwise) — then derive the triple once in the repaired domain.
     /// Returns the derivation together with the repaired domain.
     ///
     /// # Errors
     ///
     /// Evaluation errors, or [`RepairError::Exhausted`] if the governor
-    /// budget or the 10 000-repair cap runs out (the error carries the
-    /// points added so far — each a sound pointed refinement).
+    /// budget, forward repair's refinement cap or the derivation's unroll
+    /// cap runs out (the error carries the points added so far — each a
+    /// sound pointed refinement — and the sound partial invariant).
     pub fn derive_with_repair(
         &self,
-        mut dom: EnumDomain,
+        dom: EnumDomain,
         p: &StateSet,
         r: &Reg,
     ) -> Result<(Derivation, EnumDomain), RepairError> {
         let _span = self.trace.span(|| "lcl.derive_with_repair".to_string());
-        for _ in 0..10_000u64 {
-            if let Err(e) = self.governor.check_with(|| "lcl.derive".to_string()) {
-                return Err(self.exhausted(e.into(), &dom));
-            }
-            match self.derive(&dom, p, r) {
-                Ok(d) => return Ok((d, dom)),
-                Err(LclError::Obligation { input, exp }) => {
-                    self.trace.emit_detail_with(|| EventKind::Incompleteness {
-                        exp: exp.to_string(),
-                        input_size: input.len(),
-                    });
-                    let (point, rule) = match self.lc.refine(&dom, &exp, &input) {
-                        Ok(found) => found,
-                        Err(e) => return Err(self.exhausted(e.into(), &dom)),
-                    };
-                    self.trace.emit_detail_with(|| EventKind::ShellPoint {
-                        rule: rule.to_string(),
-                        exp: exp.to_string(),
-                        point_size: point.len(),
-                    });
-                    dom.add_point(point);
-                }
-                Err(LclError::Sem(e)) => return Err(self.exhausted(RepairError::from(e), &dom)),
-                Err(other) => {
-                    // `derive` builds its own trees, so side conditions
-                    // cannot fail and star unrolls are bounded; anything
-                    // else here is an engine bug, not a user error.
-                    return Err(RepairError::Internal(format!(
-                        "automatic derivation failed unexpectedly: {other}"
-                    )));
-                }
-            }
+        let repair = ForwardRepair::from_algebra(self.universe, self.lc.algebra().clone())
+            .tracer(self.trace.clone())
+            .governor(self.governor.clone());
+        let repaired = repair.repair(dom, r, p)?.domain;
+        match self.derive(&repaired, p, r) {
+            Ok(d) => Ok((d, repaired)),
+            Err(LclError::Sem(e)) => Err(repair.exhausted(e.into(), &repaired, r, p)),
+            // Forward repair settled every obligation `derive` meets, and
+            // `derive` builds its own trees, so side conditions cannot
+            // fail; anything else is an engine bug, not a user error.
+            Err(other) => Err(RepairError::Internal(format!(
+                "derivation in the repaired domain failed: {other}"
+            ))),
         }
-        let cap = Exhaustion {
-            phase: "lcl.max_repairs".to_string(),
-            spent: 10_000,
-            reason: ExhaustReason::Fuel,
-        };
-        Err(self.exhausted(cap.into(), &dom))
-    }
-
-    /// Enriches a budget cutoff with the points added so far (the best
-    /// partial derivation state); other errors pass through.
-    fn exhausted(&self, err: RepairError, dom: &EnumDomain) -> RepairError {
-        let RepairError::Exhausted(mut partial) = err else {
-            return err;
-        };
-        if partial.points.is_empty() {
-            partial.points = dom.points().to_vec();
-        }
-        partial.traced(&self.trace)
     }
 
     /// The soundness invariant of a triple (used by tests and callers):
@@ -831,6 +809,27 @@ mod tests {
             "{rendered}"
         );
         assert!(rendered.contains("(iterate)"), "{rendered}");
+    }
+
+    /// A budget cut inside the repair carries forward repair's partial
+    /// result: the points so far and a sound invariant.
+    #[test]
+    fn budget_cut_carries_the_partial_invariant() {
+        let (u, dom) = setup();
+        let prog = parse_program("if (0 < x) then { x := x - 2 } else { x := x + 1 }").unwrap();
+        let p = u.of_values([0, 3]);
+        let governor = Governor::new(air_lattice::Budget::fuel(1));
+        let err = Lcl::new(&u)
+            .governor(governor)
+            .derive_with_repair(dom, &p, &prog)
+            .unwrap_err();
+        let RepairError::Exhausted(partial) = err else {
+            panic!("expected exhaustion, got {err:?}");
+        };
+        assert!(partial.exhaustion.phase.starts_with("repair.forward"));
+        let conc = air_lang::Concrete::new(&u).exec(&prog, &p).unwrap();
+        let inv = partial.invariant.expect("partial invariant computed");
+        assert!(conc.is_subset(&inv));
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //!   (variables, program, pre/spec, base domain, strategy): its one
 //!   text form, corpus header and build.
 //! - [`session`] — incremental re-repair: warm [`RepairSession`]s whose
-//!   re-verification cost tracks the structural distance of an edit.
+//!   re-verification cost tracks the structural distance of an edit
+//!   (`air repair --edit`, and every `air serve` table set).
 //! - [`summarize`](mod@summarize) — renders repaired abstract elements as unions of boxes
 //!   so they print like the paper's `P̄`, `R₁…R₃`, `V̄`.
 //!

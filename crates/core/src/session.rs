@@ -11,16 +11,26 @@
 //! the program: [`ReuseStats::fresh_nodes`] is exactly the structural
 //! distance between the new program and everything the session has seen.
 //!
+//! Clones share those tables, so one session serves many threads: the
+//! `air serve` registry keeps one per `(vars, domain)` key and hands
+//! every request a clone carrying that request's strategy and governor
+//! ([`checkout`](RepairSession::checkout)).
+//!
 //! Determinism: warm tables only memoize pure functions, so a session
 //! verdict is byte-identical to a from-scratch run of the same program
 //! (the edited-program equivalence tests in the umbrella crate pin this).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use air_lang::ast::Reg;
 use air_lang::{SemCache, StateSet, TermArena, Universe};
 use air_lattice::Governor;
 use air_trace::Tracer;
 
 use crate::domain::EnumDomain;
-use crate::verify::{Verdict, Verifier};
+use crate::question::Strategy;
+use crate::verify::{AlarmCounts, Verdict, Verifier};
 use crate::RepairError;
 
 /// What a session verification reused from its warm state.
@@ -32,8 +42,8 @@ pub struct ReuseStats {
     /// structural distance from everything verified before (`0` when
     /// re-verifying an unchanged program).
     pub fresh_nodes: usize,
-    /// `true` when the session had verified at least one program before
-    /// this call (so warm-table reuse was possible at all).
+    /// `true` when the session's arena held programs before this call
+    /// (so warm-table reuse was possible at all).
     pub incremental: bool,
 }
 
@@ -74,12 +84,15 @@ pub struct RepairSession {
     cache: SemCache,
     tracer: Tracer,
     governor: Governor,
-    runs: usize,
+    strategy: Strategy,
+    /// Checkouts so far, shared by every clone.
+    requests: Arc<AtomicU64>,
 }
 
 impl RepairSession {
     /// Creates a session over `universe` starting every verification
-    /// from `base` (the unrefined domain; repairs never mutate it).
+    /// from `base` (the unrefined domain; repairs never mutate it) by
+    /// backward repair.
     pub fn new(universe: Universe, base: EnumDomain) -> RepairSession {
         RepairSession {
             universe,
@@ -87,7 +100,8 @@ impl RepairSession {
             cache: SemCache::new(),
             tracer: Tracer::disabled(),
             governor: Governor::unlimited(),
-            runs: 0,
+            strategy: Strategy::Backward,
+            requests: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -98,9 +112,15 @@ impl RepairSession {
         self
     }
 
-    /// Enforces `governor` in every verification this session runs.
+    /// Enforces `governor` in every run this session makes.
     pub fn governor(mut self, governor: Governor) -> Self {
         self.governor = governor;
+        self
+    }
+
+    /// Verifies with `strategy` (backward repair by default).
+    pub fn strategy(mut self, strategy: Strategy) -> Self {
+        self.strategy = strategy;
         self
     }
 
@@ -120,50 +140,95 @@ impl RepairSession {
         &self.cache
     }
 
-    /// Verifications run so far.
-    pub fn runs(&self) -> usize {
-        self.runs
+    /// A handle for one more request on these tables — a clone sharing
+    /// the cache, the base memos and the request count — and whether
+    /// the tables had been checked out before (were warm).
+    pub fn checkout(&self) -> (RepairSession, bool) {
+        let before = self.requests.fetch_add(1, Ordering::Relaxed);
+        (self.clone(), before > 0)
     }
 
-    /// Verifies `⟦r⟧pre ≤ spec` by backward repair, reusing every warm
-    /// derivation from earlier calls. The first call is an ordinary cold
-    /// verification that warms the session; later calls — re-verifying
-    /// after an edit, or re-checking unchanged programs — pay roughly
-    /// per-fresh-node cost.
+    /// Checkouts so far, across every clone.
+    pub fn requests(&self) -> u64 {
+        self.requests.load(Ordering::Relaxed)
+    }
+
+    fn verifier(&self) -> Verifier<'_> {
+        Verifier::with_cache(&self.universe, self.cache.clone())
+            .tracer(self.tracer.clone())
+            .governor(self.governor.clone())
+    }
+
+    /// Interns `r` into the session arena and reports what it reused:
+    /// the structural distance of this revision from everything the
+    /// session has seen.
+    pub fn reuse(&self, r: &Reg) -> ReuseStats {
+        let arena = self.cache.arena();
+        let incremental = !arena.is_empty();
+        ReuseStats {
+            fresh_nodes: arena.intern(r).fresh_nodes,
+            program_nodes: TermArena::new().intern(r).fresh_nodes,
+            incremental,
+        }
+    }
+
+    /// Decides `⟦r⟧pre ≤ spec` with the session's strategy on the warm
+    /// tables.
     ///
     /// # Errors
     ///
-    /// Propagates [`RepairError`] exactly like [`Verifier::backward`].
+    /// Propagates [`RepairError`] exactly like [`Verifier::verify`].
+    pub fn verdict(
+        &self,
+        r: &Reg,
+        pre: &StateSet,
+        spec: &StateSet,
+    ) -> Result<Verdict, RepairError> {
+        self.verifier()
+            .verify(self.strategy, self.base.clone(), r, pre, spec)
+    }
+
+    /// Verifies `⟦r⟧pre ≤ spec`, reusing every warm derivation from
+    /// earlier calls. The first call is an ordinary cold verification
+    /// that warms the session; later calls — re-verifying after an edit,
+    /// or re-checking unchanged programs — pay roughly per-fresh-node
+    /// cost. The program is interned before the run
+    /// ([`reuse`](Self::reuse)), so the outcome reports the distance of
+    /// *this revision* and the run finds every node warm.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`RepairError`] exactly like [`Verifier::verify`].
     pub fn verify(
-        &mut self,
-        r: &air_lang::ast::Reg,
+        &self,
+        r: &Reg,
         pre: &StateSet,
         spec: &StateSet,
     ) -> Result<SessionOutcome, RepairError> {
-        // Intern before the run so the outcome reports the structural
-        // distance of *this revision* (the engine's own intern call then
-        // sees zero fresh nodes).
-        let outcome = self.cache.arena().intern(r);
-        let program_nodes = TermArena::new().intern(r).fresh_nodes;
-        let incremental = self.runs > 0;
-        let verdict = Verifier::with_cache(&self.universe, self.cache.clone())
-            .tracer(self.tracer.clone())
-            .governor(self.governor.clone())
-            .backward(self.base.clone(), r, pre, spec)?;
-        self.runs += 1;
-        Ok(SessionOutcome {
-            verdict,
-            reuse: ReuseStats {
-                program_nodes,
-                fresh_nodes: outcome.fresh_nodes,
-                incremental,
-            },
-        })
+        let reuse = self.reuse(r);
+        let verdict = self.verdict(r, pre, spec)?;
+        Ok(SessionOutcome { verdict, reuse })
     }
 
-    /// Drops every warm table (arena ids survive; memo entries do not).
-    /// The reset hook for long-lived daemons.
-    pub fn flush(&mut self) {
+    /// Counts the alarms of the unrepaired analysis in the base domain
+    /// (see [`Verifier::alarm_counts`]), on the warm tables.
+    ///
+    /// # Errors
+    ///
+    /// Propagates semantic errors and budget cutoffs.
+    pub fn alarm_counts(
+        &self,
+        r: &Reg,
+        pre: &StateSet,
+        spec: &StateSet,
+    ) -> Result<AlarmCounts, RepairError> {
+        self.verifier().alarm_counts(&self.base, r, pre, spec)
+    }
+
+    /// Drops every warm table (arena ids survive; memo entries do not),
+    /// for this session and every clone of it. The reset hook for
+    /// long-lived daemons.
+    pub fn flush(&self) {
         self.cache.reset();
         self.base.clear_caches();
     }
@@ -185,7 +250,7 @@ mod tests {
 
     #[test]
     fn reverifying_unchanged_program_reuses_everything() {
-        let (mut sess, pre, spec) = session();
+        let (sess, pre, spec) = session();
         let prog = parse_program("if (x >= 0) then { skip } else { x := 0 - x }").unwrap();
         let first = sess.verify(&prog, &pre, &spec).unwrap();
         assert!(first.verdict.is_proved());
@@ -200,7 +265,7 @@ mod tests {
 
     #[test]
     fn edits_cost_their_structural_distance() {
-        let (mut sess, pre, spec) = session();
+        let (sess, pre, spec) = session();
         let v1 = parse_program("if (x >= 0) then { skip } else { x := 0 - x }").unwrap();
         let v2 = parse_program("if (x >= 0) then { x := x } else { x := 0 - x }").unwrap();
         sess.verify(&v1, &pre, &spec).unwrap();
@@ -212,7 +277,7 @@ mod tests {
 
     #[test]
     fn session_verdict_matches_from_scratch() {
-        let (mut sess, pre, spec) = session();
+        let (sess, pre, spec) = session();
         let v1 = parse_program("if (x >= 0) then { skip } else { x := 0 - x }").unwrap();
         let v2 = parse_program("if (x > 0) then { skip } else { x := 0 - x }").unwrap();
         sess.verify(&v1, &pre, &spec).unwrap();
@@ -229,8 +294,27 @@ mod tests {
     }
 
     #[test]
+    fn checkouts_share_tables_and_the_request_count() {
+        let (sess, pre, spec) = session();
+        let prog = parse_program("if (x >= 0) then { skip } else { x := 0 - x }").unwrap();
+        let (first, warm) = sess.checkout();
+        assert!(!warm, "the first checkout finds cold tables");
+        first.verify(&prog, &pre, &spec).unwrap();
+        let (second, warm) = sess.checkout();
+        assert!(warm);
+        assert_eq!(sess.requests(), 2);
+        // The second clone sees the program the first one interned.
+        let again = second
+            .strategy(Strategy::Forward)
+            .verify(&prog, &pre, &spec)
+            .unwrap();
+        assert_eq!(again.reuse.fresh_nodes, 0);
+        assert!(again.verdict.is_proved());
+    }
+
+    #[test]
     fn flush_drops_warm_state_but_keeps_results_identical() {
-        let (mut sess, pre, spec) = session();
+        let (sess, pre, spec) = session();
         let prog = parse_program("if (x >= 0) then { skip } else { x := 0 - x }").unwrap();
         let before = sess.verify(&prog, &pre, &spec).unwrap();
         sess.flush();

@@ -94,14 +94,6 @@ impl<V: AbstractValue> EnvDomain<V> {
         }
     }
 
-    /// Creates the domain over an explicit variable list.
-    pub fn with_vars<I: IntoIterator<Item = S>, S: AsRef<str>>(vars: I) -> Self {
-        EnvDomain {
-            vars: vars.into_iter().map(|s| Arc::from(s.as_ref())).collect(),
-            _marker: PhantomData,
-        }
-    }
-
     /// The variable names in store order.
     pub fn vars(&self) -> &[Arc<str>] {
         &self.vars

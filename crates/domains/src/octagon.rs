@@ -198,13 +198,6 @@ impl OctagonDomain {
         }
     }
 
-    /// Creates the domain over an explicit variable list.
-    pub fn with_vars<I: IntoIterator<Item = S>, S: AsRef<str>>(vars: I) -> Self {
-        OctagonDomain {
-            vars: vars.into_iter().map(|s| s.as_ref().to_owned()).collect(),
-        }
-    }
-
     fn n(&self) -> usize {
         self.vars.len()
     }

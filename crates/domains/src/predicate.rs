@@ -99,24 +99,21 @@ impl fmt::Display for PredElem {
 /// ```
 #[derive(Clone, Debug)]
 pub struct PredicateDomain {
-    names: Vec<String>,
     /// The predicates, resolved to the universe's store slots once.
     preds: Vec<ResolvedBExp>,
 }
 
 impl PredicateDomain {
-    /// Creates the domain from `(name, predicate)` pairs.
+    /// Creates the domain from `(name, predicate)` pairs. Elements print
+    /// the predicates by position (`p0`, `p1`, …), so the names only
+    /// label the pairs at the call site.
     pub fn new<S: Into<String>>(universe: &Universe, preds: Vec<(S, BExp)>) -> Self {
-        let (names, preds) = preds
-            .into_iter()
-            .map(|(n, p)| (n.into(), ResolvedBExp::new(universe, &p)))
-            .unzip();
-        PredicateDomain { names, preds }
-    }
-
-    /// The predicate names.
-    pub fn pred_names(&self) -> &[String] {
-        &self.names
+        PredicateDomain {
+            preds: preds
+                .into_iter()
+                .map(|(_, p)| ResolvedBExp::new(universe, &p))
+                .collect(),
+        }
     }
 
     fn eval_pred(&self, i: usize, store: &[i64]) -> bool {

@@ -217,7 +217,7 @@ pub fn differential_sweep(b: &BuiltCase) -> Result<Vec<String>, SemError> {
     // single-statement edit of it, must reproduce the from-scratch
     // verdicts bit for bit: warm arenas and memo tables are pure, so
     // reuse may only change the cost, never the answer.
-    let mut session = RepairSession::new(b.universe.clone(), b.domain.clone());
+    let session = RepairSession::new(b.universe.clone(), b.domain.clone());
     let warm_first = session.verify(r, &b.pre, &b.spec);
     let warm_again = session.verify(r, &b.pre, &b.spec);
     match (&plain, &warm_again) {

@@ -13,15 +13,18 @@
 //! - Within one key, sharing across requests *and tenants* is sound:
 //!   the tables are pure memoization of deterministic functions
 //!   (`exec`, `wlp`, `sat`, the base closure), so a hit returns exactly
-//!   what recomputation would. Repair never mutates the warm prototype —
-//!   each request clones it (sharing the base memo, copying the points
-//!   list) and adds points only to its private clone.
+//!   what recomputation would. Each key's tables are one
+//!   [`RepairSession`]; every request runs on a clone of it, which shares
+//!   the tables and carries the request's strategy and governor. Repair
+//!   never mutates the session's base domain — each run clones it
+//!   (sharing the base memo, copying the points list) and adds points
+//!   only to its private clone.
 
-use crate::protocol::{CacheSnapshot, JobKind, JobRequest, Response, ReuseSnapshot};
+use crate::protocol::{CacheSnapshot, JobKind, JobRequest, Response};
 use air_core::question::{render_vars, universe};
 use air_core::summarize::display_set;
-use air_core::{EnumDomain, RepairError, Verifier};
-use air_lang::{SemCache, SemError, TermArena, Universe};
+use air_core::{RepairError, RepairSession};
+use air_lang::{SemCache, SemError};
 use air_lattice::{Budget, Exhaustion, Governor};
 use air_metrics::MetricsRegistry;
 use air_trace::{json, EventKind, Tracer};
@@ -29,25 +32,11 @@ use air_trace::{json, EventKind, Tracer};
 use crate::admission::TenantQuotas;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// A registry key: the canonical `vars` rendering and the domain name.
 type TableKey = (String, &'static str);
-
-/// A table set handed to one request: universe, domain clone, shared
-/// cache, and whether it was already warm.
-type Warm = (Arc<Universe>, EnumDomain, SemCache, bool);
-
-/// One warm table set: the universe it is valid for, a domain prototype
-/// whose clones share the base-closure memo and interner, and the
-/// semantic cache shared by every verifier over this universe.
-struct WarmEntry {
-    universe: Arc<Universe>,
-    proto: EnumDomain,
-    sem: SemCache,
-    requests: u64,
-}
 
 /// An admitted request: its governor plus the fuel reservation the
 /// admission holds against the tenant's allowance until
@@ -68,7 +57,7 @@ impl Admitted {
 
 /// The long-lived serving engine shared by all worker threads.
 pub struct ServeEngine {
-    registry: Mutex<HashMap<TableKey, WarmEntry>>,
+    registry: Mutex<HashMap<TableKey, RepairSession>>,
     quotas: TenantQuotas,
     tracer: Tracer,
     metrics: MetricsRegistry,
@@ -239,83 +228,56 @@ impl ServeEngine {
         }
     }
 
-    /// Looks up or builds the warm table set for a request. Returns
-    /// `(universe, domain clone, shared cache, was_warm)`.
+    /// Checks out the warm session for a request, building it on the
+    /// key's first request. Returns the request's clone and whether the
+    /// tables were already warm.
     #[allow(clippy::result_large_err)]
-    fn warm_entry(&self, req: &JobRequest) -> Result<Warm, Response> {
+    fn session(&self, req: &JobRequest) -> Result<(RepairSession, bool), Response> {
         let q = &req.question;
         let key = (render_vars(&q.vars), q.domain.name());
-        if let Some(hit) = self.lookup_warm(&key) {
-            return Ok(hit);
+        let found = self
+            .registry
+            .lock()
+            .expect("warm registry lock poisoned")
+            .get(&key)
+            .map(RepairSession::checkout);
+        let (session, warm) = match found {
+            Some(found) => found,
+            None => {
+                // Cold path: build outside the registry lock. The
+                // universe and the domain enumerate the store space and
+                // can be slow for large var ranges; holding the lock here
+                // would stall every warm hit on unrelated keys behind one
+                // cold request.
+                let universe = universe(&q.vars).map_err(|e| self.usage(req, e.to_string()))?;
+                let base = q.domain.build(&universe);
+                let built = RepairSession::new(universe, base).tracer(self.tracer.clone());
+                let mut registry = self.registry.lock().expect("warm registry lock poisoned");
+                // A lost build race adopts the first builder's tables, so
+                // every request on this key keeps sharing one table set.
+                let found = registry.entry(key.clone()).or_insert(built).checkout();
+                let tables = registry.len();
+                drop(registry);
+                self.metrics
+                    .set_gauge("air_serve_warm_tables", &[], tables as i64);
+                found
+            }
+        };
+        if warm {
+            self.warm_hits.fetch_add(1, Ordering::Relaxed);
         }
-        // Cold path: build outside the registry lock. The universe and
-        // the domain enumerate the store space and can be slow for
-        // large var ranges; holding the lock here would stall every warm
-        // hit on unrelated keys behind one cold request.
-        let universe = universe(&q.vars).map_err(|e| self.usage(req, e.to_string()))?;
-        let universe = Arc::new(universe);
-        let proto = q.domain.build(&universe);
-        let sem = SemCache::new();
-        sem.set_tracer(&self.tracer);
-        let mut registry = self.registry.lock().unwrap();
-        if let Some(entry) = registry.get_mut(&key) {
-            // Lost the build race: adopt the first builder's tables so
-            // every request on this key keeps sharing one table set.
-            let hit = self.warm_hit(entry);
-            drop(registry);
-            self.count_warm_lookup(&key, "hit");
-            return Ok(hit);
-        }
-        registry.insert(
-            key.clone(),
-            WarmEntry {
-                universe: Arc::clone(&universe),
-                proto: proto.clone(),
-                sem: sem.clone(),
-                requests: 1,
-            },
-        );
-        let tables = registry.len();
-        drop(registry);
-        self.count_warm_lookup(&key, "miss");
-        self.metrics
-            .set_gauge("air_serve_warm_tables", &[], tables as i64);
-        Ok((universe, proto, sem, false))
-    }
-
-    /// `air_serve_warm_lookups_total{vars, domain, result}`: one row per
-    /// table-set key and outcome. The sum of `result="hit"` rows always
-    /// equals [`ServeEngine::warm_hits`] — the differential test pins it.
-    fn count_warm_lookup(&self, key: &TableKey, result: &str) {
+        // `air_serve_warm_lookups_total{vars, domain, result}`: the sum of
+        // `result="hit"` rows always equals [`ServeEngine::warm_hits`] —
+        // the differential test pins it.
         self.metrics.inc(
             "air_serve_warm_lookups_total",
             &[
                 ("vars", key.0.as_str()),
                 ("domain", key.1),
-                ("result", result),
+                ("result", if warm { "hit" } else { "miss" }),
             ],
         );
-    }
-
-    /// Registry lookup for an existing table set.
-    fn lookup_warm(&self, key: &TableKey) -> Option<Warm> {
-        let mut registry = self.registry.lock().expect("warm registry lock poisoned");
-        let hit = self.warm_hit(registry.get_mut(key)?);
-        drop(registry);
-        self.count_warm_lookup(key, "hit");
-        Some(hit)
-    }
-
-    /// Hands out a warm table set, bumping its counters.
-    fn warm_hit(&self, entry: &mut WarmEntry) -> Warm {
-        entry.requests += 1;
-        self.warm_hits.fetch_add(1, Ordering::Relaxed);
-        (
-            Arc::clone(&entry.universe),
-            entry.proto.clone(),
-            entry.sem.clone(),
-            true,
-        )
+        Ok((session, warm))
     }
 
     fn usage(&self, req: &JobRequest, message: String) -> Response {
@@ -362,31 +324,23 @@ impl ServeEngine {
     }
 
     fn run_job(&self, req: &JobRequest, governor: &Governor, started: Instant) -> Response {
-        let (universe, domain, sem, warm) = match self.warm_entry(req) {
-            Ok(parts) => parts,
+        let (session, warm) = match self.session(req) {
+            Ok(found) => found,
             Err(resp) => return resp,
         };
-        let (prog, pre, spec) = match req.question.parts(&universe) {
+        let session = session.governor(governor.clone()).strategy(req.strategy);
+        let universe = session.universe();
+        let (prog, pre, spec) = match req.question.parts(universe) {
             Ok(parts) => parts,
             Err(e) => return self.usage(req, e.to_string()),
         };
-        let verifier = Verifier::with_cache(&universe, sem.clone())
-            .tracer(self.tracer.clone())
-            .governor(governor.clone());
         match req.job {
             JobKind::Verify | JobKind::Repair | JobKind::Reverify => {
-                // `reverify` measures the edit before the run: interning
-                // into the warm arena counts exactly the nodes this
-                // revision adds on top of everything the tenant's tables
-                // have seen (0 for a resubmission).
-                let reuse = (req.job == JobKind::Reverify).then(|| {
-                    let outcome = sem.arena().intern(&prog);
-                    ReuseSnapshot {
-                        program_nodes: TermArena::new().intern(&prog).fresh_nodes,
-                        fresh_nodes: outcome.fresh_nodes,
-                    }
-                });
-                let verdict = match verifier.verify(req.strategy, domain, &prog, &pre, &spec) {
+                // `reverify` measures the edit before the run: the nodes
+                // this revision adds on top of everything the tables have
+                // seen (0 for a resubmission).
+                let reuse = (req.job == JobKind::Reverify).then(|| session.reuse(&prog));
+                let verdict = match session.verdict(&prog, &pre, &spec) {
                     Ok(v) => v,
                     Err(e) => return self.engine_error(req, e),
                 };
@@ -401,9 +355,9 @@ impl ServeEngine {
                 let points: Vec<String> = verdict
                     .added_points()
                     .iter()
-                    .map(|p| display_set(&universe, p))
+                    .map(|p| display_set(universe, p))
                     .collect();
-                let report = verdict.report_of(&universe, &points);
+                let report = verdict.report_of(universe, &points);
                 let points_detail = if req.job == JobKind::Repair {
                     points
                 } else {
@@ -419,12 +373,12 @@ impl ServeEngine {
                     points_detail,
                     warm,
                     duration_ns: started.elapsed().as_nanos() as u64,
-                    cache: snapshot(&sem),
+                    cache: snapshot(session.cache()),
                     reuse,
                 }
             }
             JobKind::Analyze => {
-                let counts = match verifier.alarm_counts(&domain, &prog, &pre, &spec) {
+                let counts = match session.alarm_counts(&prog, &pre, &spec) {
                     Ok(c) => c,
                     Err(e) => return self.engine_error(req, e),
                 };
@@ -435,21 +389,20 @@ impl ServeEngine {
                     false_alarms: counts.false_alarms,
                     warm,
                     duration_ns: started.elapsed().as_nanos() as u64,
-                    cache: snapshot(&sem),
+                    cache: snapshot(session.cache()),
                 }
             }
         }
     }
 
-    /// Drops every warm table set after clearing its shared caches via
-    /// the reset hooks (`SemCache::reset`, `EnumDomain::clear_caches`),
-    /// so clones still held by in-flight requests also see empty tables.
-    /// Returns the number of table sets flushed.
+    /// Drops every warm table set after flushing its session
+    /// ([`RepairSession::flush`]), so clones still held by in-flight
+    /// requests also see empty tables. Returns the number of table sets
+    /// flushed.
     pub fn flush(&self) -> usize {
         let mut registry = self.registry.lock().unwrap();
-        for entry in registry.values() {
-            entry.sem.reset();
-            entry.proto.clear_caches();
+        for session in registry.values() {
+            session.flush();
         }
         let flushed = registry.len();
         registry.clear();
@@ -470,9 +423,9 @@ impl ServeEngine {
         let registry = self.registry.lock().unwrap();
         self.metrics
             .set_gauge("air_serve_warm_tables", &[], registry.len() as i64);
-        for ((vars, domain), entry) in registry.iter() {
-            let exec = entry.sem.exec_stats();
-            let closure = entry.proto.cache_stats();
+        for ((vars, domain), session) in registry.iter() {
+            let exec = session.cache().exec_stats();
+            let closure = session.base().cache_stats();
             for (layer, hits, misses) in [
                 ("exec", exec.hits, exec.misses),
                 ("closure", closure.hits, closure.misses),
@@ -524,9 +477,9 @@ impl ServeEngine {
         }
         out.push_str("},\"tables\":[");
         let registry = self.registry.lock().unwrap();
-        let mut rows: Vec<(&TableKey, &WarmEntry)> = registry.iter().collect();
+        let mut rows: Vec<(&TableKey, &RepairSession)> = registry.iter().collect();
         rows.sort_by_key(|(key, _)| *key);
-        for (i, ((vars, domain), entry)) in rows.into_iter().enumerate() {
+        for (i, ((vars, domain), session)) in rows.into_iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -534,12 +487,12 @@ impl ServeEngine {
             json::escape_str(vars, &mut out);
             out.push_str(",\"domain\":");
             json::escape_str(domain, &mut out);
-            let exec = entry.sem.exec_stats();
-            let closure = entry.proto.cache_stats();
+            let exec = session.cache().exec_stats();
+            let closure = session.base().cache_stats();
             out.push_str(&format!(
                 ",\"requests\":{},\"stores\":{},\"exec\":{{\"hits\":{},\"misses\":{},\"entries\":{}}},\"closure\":{{\"hits\":{},\"misses\":{},\"entries\":{}}}}}",
-                entry.requests,
-                entry.universe.size(),
+                session.requests(),
+                session.universe().size(),
                 exec.hits,
                 exec.misses,
                 exec.entries,
@@ -565,6 +518,7 @@ fn snapshot(sem: &SemCache) -> CacheSnapshot {
 mod tests {
     use super::*;
     use crate::protocol::Request;
+    use air_core::Verifier;
 
     fn job(json_text: &str) -> JobRequest {
         match crate::protocol::parse_request(json_text).unwrap() {
@@ -959,6 +913,7 @@ mod tests {
     #[test]
     fn admission_and_completion_emit_request_events() {
         use air_trace::MemorySink;
+        use std::sync::Arc;
         let sink = Arc::new(MemorySink::new());
         let eng = ServeEngine::new(None, Tracer::new(sink.clone()));
         let req = job(ABSVAL);

@@ -13,7 +13,7 @@
 //!   operator view).
 //! - [`admission`]: per-tenant lifetime fuel quotas and the priority
 //!   queue feeding the worker pool.
-//! - [`engine`]: the warm-table registry plus the request → verdict
+//! - [`engine`]: the registry of warm [`air_core::RepairSession`]s plus the request → verdict
 //!   path, byte-identical in its reports to the one-shot CLI.
 //! - [`server`]: the stdio/TCP transports, the supervised worker pool
 //!   and the in-flight cancellation registry.
@@ -32,6 +32,6 @@ pub use admission::{Admission, JobQueue, QuotaRejection, TenantQuotas};
 pub use engine::{Admitted, ServeEngine};
 pub use protocol::{
     read_frame, write_frame, CacheSnapshot, FrameError, JobKind, JobRequest, Request, Response,
-    ReuseSnapshot, DEFAULT_MAX_FRAME,
+    DEFAULT_MAX_FRAME,
 };
 pub use server::{start, RunningServer, ServeConfig, ServeReport, StopHandle};

@@ -17,7 +17,7 @@
 //! ([`air_core::question`]) spelled as on the CLI.
 
 use air_core::question::parse_vars;
-use air_core::{DomainKind, Question, Strategy};
+use air_core::{DomainKind, Question, ReuseStats, Strategy};
 use air_trace::json::{self, Value};
 use std::fmt;
 use std::io::{BufRead, Write};
@@ -374,17 +374,6 @@ pub fn parse_request(text: &str) -> Result<Request, ProtoError> {
     })))
 }
 
-/// Node-reuse accounting echoed on `reverify` verdicts: how much of the
-/// submitted revision was already interned in the tenant's warm tables.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReuseSnapshot {
-    /// Distinct structural nodes in the submitted program.
-    pub program_nodes: usize,
-    /// Nodes this request added to the warm arena (the structural
-    /// distance of the edit; `0` for a resubmitted program).
-    pub fresh_nodes: usize,
-}
-
 /// Semantic-cache counters echoed on every engine response, cumulative
 /// for the warm table the request hit — the load generator derives the
 /// hit-rate-over-time curve from consecutive snapshots.
@@ -423,7 +412,7 @@ pub enum Response {
         /// Cumulative cache counters of the warm table.
         cache: CacheSnapshot,
         /// Node-reuse accounting (`reverify` jobs only).
-        reuse: Option<ReuseSnapshot>,
+        reuse: Option<ReuseStats>,
     },
     /// A completed `analyze` job.
     Alarms {
@@ -551,7 +540,7 @@ impl Response {
                         ",\"reuse\":{{\"program_nodes\":{},\"fresh_nodes\":{},\"reused_nodes\":{}}}",
                         r.program_nodes,
                         r.fresh_nodes,
-                        r.program_nodes - r.fresh_nodes
+                        r.reused_nodes()
                     ));
                 }
                 if let Some(w) = witness {
@@ -928,9 +917,10 @@ mod tests {
             warm: true,
             duration_ns: 9,
             cache: CacheSnapshot::default(),
-            reuse: Some(ReuseSnapshot {
+            reuse: Some(ReuseStats {
                 program_nodes: 8,
                 fresh_nodes: 3,
+                incremental: true,
             }),
         };
         conforms(RESPONSE_SCHEMA, &resp.to_json());

@@ -313,7 +313,7 @@ fn edited_programs_reverify_byte_identical_to_scratch() {
         let pre = sat(&u, pre);
         let spec = sat(&u, spec);
         let dom = EnumDomain::from_abstraction(&u, IntervalEnv::new(&u));
-        let mut session = RepairSession::new(u.clone(), dom.clone());
+        let session = RepairSession::new(u.clone(), dom.clone());
         session.verify(&prog, &pre, &spec).unwrap();
         for (k, edited) in single_statement_edits(&prog).iter().enumerate() {
             let label = format!("{name} edit {k}");

@@ -26,7 +26,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use air_core::{RepairSession, Verifier};
+use air_core::{EnumAlgebra, RepairSession, Verifier};
 use air_lang::{Reg, SemCache};
 use air_lattice::{Budget, Governor};
 use air_trace::{Profiler, Tracer};
@@ -97,7 +97,7 @@ pub fn measure_programs(corpus: &[CorpusProgram]) -> Vec<ProgramRow> {
         for _ in 0..RUNS {
             let dom = int_domain(&task.universe);
             let (v, ms) = timed(|| {
-                Verifier::uncached(&task.universe)
+                Verifier::from_algebra(&task.universe, EnumAlgebra::uncached(&task.universe))
                     .backward(dom, &task.prog, &task.pre, &task.spec)
                     .expect("corpus program verifies")
             });
@@ -196,9 +196,10 @@ pub fn measure_sweep(corpus: &[CorpusProgram]) -> SweepResult {
         for _ in 0..SWEEP_PASSES {
             for task in corpus {
                 let dom = int_domain(&task.universe);
-                let v = Verifier::uncached(&task.universe)
-                    .backward(dom, &task.prog, &task.pre, &task.spec)
-                    .expect("corpus program verifies");
+                let v =
+                    Verifier::from_algebra(&task.universe, EnumAlgebra::uncached(&task.universe))
+                        .backward(dom, &task.prog, &task.pre, &task.spec)
+                        .expect("corpus program verifies");
                 assert!(v.is_proved());
             }
         }
@@ -214,10 +215,13 @@ pub fn measure_sweep(corpus: &[CorpusProgram]) -> SweepResult {
         for _ in 0..SWEEP_PASSES {
             let results = air_lattice::par_map(jobs, &indices, |&i| {
                 let task = &corpus[i];
-                Verifier::with_cache(&task.universe, caches[i].clone())
-                    .backward(doms[i].clone(), &task.prog, &task.pre, &task.spec)
-                    .expect("corpus program verifies")
-                    .is_proved()
+                Verifier::from_algebra(
+                    &task.universe,
+                    EnumAlgebra::with_cache(&task.universe, caches[i].clone()),
+                )
+                .backward(doms[i].clone(), &task.prog, &task.pre, &task.spec)
+                .expect("corpus program verifies")
+                .is_proved()
             });
             assert!(results.iter().all(|&p| p));
         }

@@ -87,7 +87,7 @@ pub fn backward_air_with_jobs(
 mod tests {
     use super::*;
     use crate::amc::AbstractTs;
-    use air_core::{LocalCompleteness, ShellResult};
+    use air_core::{EnumAlgebra, LocalCompleteness, ShellResult};
     use air_lattice::BitVecSet;
 
     fn fig2() -> (TransitionSystem, Partition) {
@@ -194,7 +194,7 @@ mod tests {
     fn lemma_6_1_spurious_iff_locally_incomplete() {
         let (ts, p) = fig2();
         let u = ts.universe();
-        let lc = LocalCompleteness::uncached(&u);
+        let lc = LocalCompleteness::from_algebra(&u, EnumAlgebra::uncached(&u));
         let dom = p.domain();
         // π = ⟨B0, B1, B2⟩ with S1 = B0; post_{π_0}(X) = post(X) ∩ B1.
         let post0 = ts.post_within(p.block(1));
@@ -213,7 +213,7 @@ mod tests {
     fn theorem_6_2_forward_shell() {
         let (ts, p) = fig2();
         let u = ts.universe();
-        let lc = LocalCompleteness::uncached(&u);
+        let lc = LocalCompleteness::from_algebra(&u, EnumAlgebra::uncached(&u));
         let dom = p.domain();
         let post1 = ts.post_within(p.block(2));
         let s2 = BitVecSet::from_indices(6, [2]); // dead states
@@ -233,7 +233,7 @@ mod tests {
     fn theorem_6_4_backward_shell() {
         let (ts, p) = fig2();
         let u = ts.universe();
-        let lc = LocalCompleteness::uncached(&u);
+        let lc = LocalCompleteness::from_algebra(&u, EnumAlgebra::uncached(&u));
         let dom = p.domain();
         // V_1 over B1 = {2,3,4} with T1 = {3} is {2,4}; the step goes into
         // V_2 = B2 ∖ T2 = ∅.
@@ -255,7 +255,7 @@ mod tests {
     fn theorem_4_4_sup_l_matches_brute_force() {
         let (ts, p) = fig2();
         let u = ts.universe();
-        let lc = LocalCompleteness::uncached(&u);
+        let lc = LocalCompleteness::from_algebra(&u, EnumAlgebra::uncached(&u));
         let dom = p.domain();
         let everything = BitVecSet::full(6);
         for b in p.blocks().chain([&everything]) {

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-pub use air_core::{DomainKind, Question, Strategy};
+pub use air_core::{DomainKind, Engine, Question, Strategy};
 
 /// Usage text shown on parse errors and `--help`.
 pub const USAGE: &str = "\
@@ -49,8 +49,8 @@ usage:
   `enumerative` (explicit bitsets, the default) or `symbolic` (on the int
   domain, repair on interval decision diagrams — same verdicts, scales to
   universes far beyond the enumerable bound; other domains run the bitset
-  engine); --engine symbolic is incompatible with --uncached (the choice
-  lives on the semantic cache)
+  engine); the engine is a value of its own, apart from the semantic
+  cache, so it combines with --uncached
   --stats prints cache hit/miss counters and timings; --stats-json prints the
   same as one JSON object; --uncached disables the memo tables (the
   reference path)
@@ -110,33 +110,6 @@ pub enum TraceFormat {
     Jsonl,
     /// Graphviz DOT of the LCL derivation tree (`prove` only).
     Dot,
-}
-
-/// The semantic engine backend.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum EngineKind {
-    /// Explicit bitset enumeration. Default.
-    #[default]
-    Enumerative,
-    /// Interval decision diagrams on the `Int` base; bitsets elsewhere.
-    Symbolic,
-}
-
-impl EngineKind {
-    /// The `--engine` spelling.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            EngineKind::Enumerative => "enumerative",
-            EngineKind::Symbolic => "symbolic",
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self, ArgError> {
-        [EngineKind::Enumerative, EngineKind::Symbolic]
-            .into_iter()
-            .find(|k| k.name() == s)
-            .ok_or_else(|| ArgError(format!("unknown engine `{s}`")))
-    }
 }
 
 /// A parsed CLI invocation.
@@ -385,7 +358,7 @@ pub struct Task {
     /// Repair strategy.
     pub strategy: Strategy,
     /// Semantic engine backend.
-    pub engine: EngineKind,
+    pub engine: Engine,
     /// Print cache hit/miss counters and timings after the run.
     pub stats: bool,
     /// Print the same statistics as one machine-readable JSON object.
@@ -439,7 +412,7 @@ pub struct CorpusTask {
     /// Repair strategy.
     pub strategy: Strategy,
     /// Semantic engine backend.
-    pub engine: EngineKind,
+    pub engine: Engine,
     /// Print per-program timings and cache counters.
     pub stats: bool,
     /// Print aggregate statistics as one machine-readable JSON object.
@@ -745,7 +718,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ArgError> {
             "--spec" => spec = Some(value(&mut it, flag)?),
             "--domain" => domain = DomainKind::parse(&value(&mut it, flag)?).map_err(ArgError)?,
             "--strategy" => strategy = Strategy::parse(&value(&mut it, flag)?).map_err(ArgError)?,
-            "--engine" => engine = Some(EngineKind::parse(&value(&mut it, flag)?)?),
+            "--engine" => engine = Some(Engine::parse(&value(&mut it, flag)?).map_err(ArgError)?),
             "--stats" => stats = true,
             "--uncached" => uncached = true,
             "--trace-format" => {
@@ -799,13 +772,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ArgError> {
         )));
     }
     let engine = engine.unwrap_or_default();
-    if engine == EngineKind::Symbolic && uncached {
-        return Err(ArgError(
-            "--engine symbolic is incompatible with --uncached (the engine \
-             choice lives on the semantic cache)"
-                .into(),
-        ));
-    }
     if sub == "corpus" {
         check_dist(&dist)?;
         if dist.requested() || dist.worker.is_some() {
@@ -1490,20 +1456,25 @@ mod tests {
         .unwrap() else {
             panic!("expected verify");
         };
-        assert_eq!(task.engine, EngineKind::Symbolic);
+        assert_eq!(task.engine, Engine::Symbolic);
         // Default is enumerative.
         let Command::Corpus(task) = parse(&argv(&["corpus"])).unwrap() else {
             panic!("expected corpus");
         };
-        assert_eq!(task.engine, EngineKind::Enumerative);
+        assert_eq!(task.engine, Engine::Enumerative);
         let Command::Corpus(task) = parse(&argv(&["corpus", "--engine", "symbolic"])).unwrap()
         else {
             panic!("expected corpus");
         };
-        assert_eq!(task.engine, EngineKind::Symbolic);
+        assert_eq!(task.engine, Engine::Symbolic);
         assert!(parse(&argv(&["corpus", "--engine", "quantum"])).is_err());
-        // The engine choice lives on the cache: --uncached conflicts.
-        assert!(parse(&argv(&["corpus", "--engine", "symbolic", "--uncached"])).is_err());
+        // The engine is chosen apart from the cache: --uncached combines.
+        let Command::Corpus(task) =
+            parse(&argv(&["corpus", "--engine", "symbolic", "--uncached"])).unwrap()
+        else {
+            panic!("expected corpus");
+        };
+        assert_eq!((task.engine, task.uncached), (Engine::Symbolic, true));
         // Only the repair commands take it.
         for sub in ["analyze", "prove"] {
             let args = [

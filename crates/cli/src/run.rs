@@ -15,9 +15,7 @@ use air_lattice::{par_map_governed, Budget, CacheStats, Exhaustion, Governor};
 use air_resilience::Checkpointer;
 use air_trace::{json, EventKind, JsonlSink, MultiSink, Profiler, Sink, Summary, Tracer};
 
-use crate::args::{
-    Command, CorpusTask, EngineKind, FuzzCmd, RepairTask, ServeTask, Task, TraceFormat,
-};
+use crate::args::{Command, CorpusTask, Engine, FuzzCmd, RepairTask, ServeTask, Task, TraceFormat};
 use crate::signal::CancelWatch;
 
 /// The sign of a completed run (drives the exit code).
@@ -493,14 +491,13 @@ fn trace_summarize(file: &str) -> Result<Outcome, AirError> {
     Ok(Outcome::Positive)
 }
 
-/// The algebra a task's `--engine` flag asks for: memoizing into a cache
-/// naming that engine, or the reference path under `--uncached` (args
-/// parsing already rejects `--uncached --engine symbolic`).
-fn build_algebra(u: &Universe, engine: EngineKind, uncached: bool) -> EnumAlgebra<'_> {
-    match (engine, uncached) {
-        (_, true) => EnumAlgebra::uncached(u),
-        (EngineKind::Enumerative, false) => EnumAlgebra::with_cache(u, SemCache::new()),
-        (EngineKind::Symbolic, false) => EnumAlgebra::with_cache(u, SemCache::symbolic()),
+/// The algebra a task runs in: memoizing into a fresh cache, or the
+/// reference path under `--uncached`.
+fn build_algebra(u: &Universe, uncached: bool) -> EnumAlgebra<'_> {
+    if uncached {
+        EnumAlgebra::uncached(u)
+    } else {
+        EnumAlgebra::with_cache(u, SemCache::new())
     }
 }
 
@@ -582,7 +579,8 @@ fn verify(task: Task) -> Result<Outcome, AirError> {
     println!("domain:    {}\n", b.domain.base_name());
     let session = TraceSession::open(task.trace.as_deref(), task.profile)?;
     let governor = Governor::new(build_budget(task.fuel, task.timeout_ms));
-    let verifier = Verifier::from_algebra(u, build_algebra(u, task.engine, task.uncached))
+    let verifier = Verifier::from_algebra(u, build_algebra(u, task.uncached))
+        .engine(task.engine)
         .tracer(session.tracer())
         .governor(governor);
     let verdict = verifier
@@ -613,7 +611,7 @@ fn analyze(task: Task) -> Result<Outcome, AirError> {
     let u = &b.universe;
     let session = TraceSession::open(task.trace.as_deref(), task.profile)?;
     let governor = Governor::new(build_budget(task.fuel, task.timeout_ms));
-    let verifier = Verifier::from_algebra(u, build_algebra(u, task.engine, task.uncached))
+    let verifier = Verifier::from_algebra(u, build_algebra(u, task.uncached))
         .tracer(session.tracer())
         .governor(governor);
     let counts = verifier
@@ -650,7 +648,7 @@ fn prove(task: Task) -> Result<Outcome, AirError> {
     };
     let session = TraceSession::open(jsonl_path, task.profile)?;
     let governor = Governor::new(build_budget(task.fuel, task.timeout_ms));
-    let lcl = Lcl::from_algebra(u, build_algebra(u, task.engine, task.uncached))
+    let lcl = Lcl::from_algebra(u, build_algebra(u, task.uncached))
         .tracer(session.tracer())
         .governor(governor);
     let write_dot = |derivation: &air_core::Derivation| -> Result<(), AirError> {
@@ -931,7 +929,8 @@ fn verify_corpus_program(
         }
     };
     let u = &b.universe;
-    let verifier = Verifier::from_algebra(u, build_algebra(u, sweep.engine, sweep.uncached))
+    let verifier = Verifier::from_algebra(u, build_algebra(u, sweep.uncached))
+        .engine(sweep.engine)
         .tracer(tracer)
         .governor(governor);
     let verdict = verifier.verify(sweep.strategy, b.domain, &b.program, &b.pre, &b.spec);
@@ -1206,8 +1205,8 @@ fn corpus(task: CorpusTask) -> Result<Outcome, AirError> {
 /// The sweep banner; `fanout` is `N job(s)` or, sharded, `N shard(s)`.
 pub(crate) fn print_corpus_banner(task: &CorpusTask, programs: usize, fanout: String) {
     let engine = match task.engine {
-        EngineKind::Symbolic => ", symbolic engine",
-        EngineKind::Enumerative => "",
+        Engine::Symbolic => ", symbolic engine",
+        Engine::Enumerative => "",
     };
     let uncached = if task.uncached { ", uncached" } else { "" };
     let strategy = task.strategy;
@@ -1328,7 +1327,7 @@ mod tests {
                 domain: DomainKind::Int,
             },
             strategy: Strategy::Backward,
-            engine: EngineKind::Enumerative,
+            engine: Engine::Enumerative,
             stats: false,
             stats_json: false,
             uncached: false,
@@ -1430,24 +1429,24 @@ mod tests {
             "x != 0",
             Some("x >= 1"),
         );
-        proved.engine = EngineKind::Symbolic;
+        proved.engine = Engine::Symbolic;
         assert_eq!(verify(proved).unwrap(), Outcome::Positive);
         let mut refuted = task("x := x + 1", "x >= 0 && x <= 5", Some("x <= 3"));
-        refuted.engine = EngineKind::Symbolic;
+        refuted.engine = Engine::Symbolic;
         assert_eq!(verify(refuted).unwrap(), Outcome::Negative);
         let mut alarms = task(
             "if (x >= 0) then { skip } else { x := 0 - x }",
             "x != 0",
             Some("x != 0"),
         );
-        alarms.engine = EngineKind::Symbolic;
+        alarms.engine = Engine::Symbolic;
         assert_eq!(analyze(alarms).unwrap(), Outcome::Negative);
     }
 
     #[test]
     fn corpus_sweep_with_symbolic_engine_proves_all_programs() {
         let mut t = corpus_task(corpus_dir());
-        t.engine = EngineKind::Symbolic;
+        t.engine = Engine::Symbolic;
         let out = corpus(t).unwrap();
         assert_eq!(out, Outcome::Positive);
     }

@@ -124,6 +124,36 @@ fn engine_flag_outside_verify_and_corpus_is_usage_exit_two() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
 
+/// The engine is chosen apart from the cache, so `--engine symbolic
+/// --uncached` runs the symbolic engine without memo tables and prints
+/// the `--engine symbolic` report.
+#[test]
+fn symbolic_engine_runs_uncached() {
+    let file = corpus_dir("corpus/two_phase.imp");
+    let question = [
+        "verify",
+        "--file",
+        file.as_str(),
+        "--vars",
+        "n:0..5,i:0..6,j:0..6",
+        "--pre",
+        "i = 0 && j = 0 && n >= 0",
+        "--spec",
+        "j = n",
+        "--domain",
+        "int",
+        "--engine",
+        "symbolic",
+    ];
+    let cached = air(&question);
+    let uncached = air(&[&question[..], &["--uncached"]].concat());
+    assert_eq!(uncached.status.code(), Some(0), "{uncached:?}");
+    assert_eq!(cached.status.code(), Some(0), "{cached:?}");
+    let report = String::from_utf8_lossy(&uncached.stdout);
+    assert!(report.contains("PROVED"), "{report}");
+    assert_eq!(uncached.stdout, cached.stdout);
+}
+
 #[test]
 fn deeply_nested_programs_are_usage_exit_two() {
     // Each shape overflowed the stack (exit 134) before the parser

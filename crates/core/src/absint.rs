@@ -61,13 +61,7 @@ impl<'u> AbstractSemantics<'u> {
     /// Creates the abstract interpreter with exact star fixpoints and a
     /// fresh transfer-function cache.
     pub fn new(universe: &'u Universe) -> Self {
-        Self::with_cache(universe, SemCache::new())
-    }
-
-    /// Creates the interpreter memoizing concrete transfer images into
-    /// `cache` (shareable across engines and threads).
-    pub fn with_cache(universe: &'u Universe, cache: SemCache) -> Self {
-        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, cache))
+        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, SemCache::new()))
     }
 }
 

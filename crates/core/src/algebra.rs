@@ -351,13 +351,14 @@ mod tests {
         let pre = u.filter(|s| s[0] > 0 && s[0] <= 2);
         let spec = u.filter(|s| s[1] <= 0);
         let cache = SemCache::new();
-        BackwardRepair::with_cache(&u, cache.clone())
+        let alg = EnumAlgebra::with_cache(&u, cache.clone());
+        BackwardRepair::from_algebra(&u, alg.clone())
             .repair(&dom, &pre, &prog, &spec)
             .unwrap();
-        ForwardRepair::with_cache(&u, cache.clone())
+        ForwardRepair::from_algebra(&u, alg.clone())
             .repair(dom.clone(), &prog, &pre)
             .unwrap();
-        let lc = LocalCompleteness::with_cache(&u, cache.clone());
+        let lc = LocalCompleteness::from_algebra(&u, alg);
         lc.sup_l(&dom, &prog, &pre).unwrap();
         lc.guard_shell(&dom, &parse_bexp("x > 0").unwrap(), &pre)
             .unwrap();
@@ -386,7 +387,7 @@ mod tests {
         let pre = u.filter(|s| s[0] > 0);
         let spec = u.filter(|s| s[1] <= 0);
         let cache = SemCache::new();
-        let engine = BackwardRepair::with_cache(&u, cache.clone());
+        let engine = BackwardRepair::from_algebra(&u, EnumAlgebra::with_cache(&u, cache.clone()));
         let closures = || dom.cache_stats().lookups();
         // First sight of the program: the direct path, no image memo.
         let cold = engine.repair(&dom, &pre, &prog, &spec).unwrap();

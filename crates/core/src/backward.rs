@@ -190,17 +190,7 @@ impl<'u> BackwardRepair<'u> {
     /// fresh shared cache (the recursive `bRepair` calls re-derive the
     /// same `wlp` and transfer images constantly).
     pub fn new(universe: &'u Universe) -> Self {
-        Self::with_cache(universe, SemCache::new())
-    }
-
-    /// Creates the strategy memoizing into `cache`.
-    pub fn with_cache(universe: &'u Universe, cache: SemCache) -> Self {
-        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, cache))
-    }
-
-    /// Creates the strategy without memoization (the reference path).
-    pub fn uncached(universe: &'u Universe) -> Self {
-        Self::from_algebra(universe, EnumAlgebra::uncached(universe))
+        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, SemCache::new()))
     }
 }
 

@@ -18,10 +18,11 @@
 //! share one allocation), and clones share both — which is how a single
 //! abstraction cache serves every worker of a parallel corpus sweep.
 
+use std::any::TypeId;
 use std::fmt;
 use std::sync::Arc;
 
-use air_domains::Abstraction;
+use air_domains::{Abstraction, IntervalEnv};
 use air_lang::{StateSet, Universe};
 use air_lattice::{CacheStats, Interner, MemoTable};
 use air_trace::Tracer;
@@ -36,6 +37,8 @@ type SetOp2 = Box<dyn Fn(&StateSet, &StateSet) -> StateSet + Send + Sync>;
 /// A closure function on state sets plus an optional base widening.
 struct Base {
     name: String,
+    /// The base is `Int` ([`IntervalEnv`]).
+    interval: bool,
     close: SetOp,
     /// `γ(α(x) ∇_A α(y))` of the base domain, used by the pointed widening
     /// of Definition 7.11; `None` falls back to the closed union.
@@ -115,6 +118,7 @@ impl EnumDomain {
             universe: universe.clone(),
             base: Arc::new(Base {
                 name,
+                interval: TypeId::of::<A>() == TypeId::of::<IntervalEnv>(),
                 close: Box::new(move |c| abs.closure_set(&u1, c)),
                 widen: Some(Box::new(move |x, y| {
                     let ax = abs2.alpha_set(&u2, x);
@@ -144,6 +148,7 @@ impl EnumDomain {
             universe: universe.clone(),
             base: Arc::new(Base {
                 name,
+                interval: false,
                 close: Box::new(move |c| {
                     let mut acc = full.clone();
                     for m in &members {
@@ -175,6 +180,11 @@ impl EnumDomain {
     /// The base domain's name.
     pub fn base_name(&self) -> &str {
         &self.base.name
+    }
+
+    /// Whether the base is `Int`, an [`IntervalEnv`] closure.
+    pub fn is_interval(&self) -> bool {
+        self.base.interval
     }
 
     /// The added points `N`, in insertion order.

@@ -207,17 +207,7 @@ impl<'u> ForwardRepair<'u> {
     /// and a fresh shared cache (obligations re-checked across the
     /// restarts of Algorithm 1 hit the memoized images).
     pub fn new(universe: &'u Universe) -> Self {
-        Self::with_cache(universe, SemCache::new())
-    }
-
-    /// Creates the strategy memoizing into `cache`.
-    pub fn with_cache(universe: &'u Universe, cache: SemCache) -> Self {
-        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, cache))
-    }
-
-    /// Creates the strategy without memoization (the reference path).
-    pub fn uncached(universe: &'u Universe) -> Self {
-        Self::from_algebra(universe, EnumAlgebra::uncached(universe))
+        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, SemCache::new()))
     }
 }
 

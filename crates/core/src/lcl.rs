@@ -322,15 +322,11 @@ impl<'u> Lcl<'u> {
     /// Creates the proof system for a universe with a fresh shared cache
     /// (derivation attempts repeated across repairs hit memoized images).
     pub fn new(universe: &'u Universe) -> Self {
-        Self::with_cache(universe, SemCache::new())
+        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, SemCache::new()))
     }
 
-    /// Creates the proof system memoizing into `cache`.
-    pub fn with_cache(universe: &'u Universe, cache: SemCache) -> Self {
-        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, cache))
-    }
-
-    /// Creates the proof system without memoization (the reference path).
+    /// Kept for `tests/differential.rs`: [`from_algebra`](Self::from_algebra)
+    /// without memoization (the reference path).
     pub fn uncached(universe: &'u Universe) -> Self {
         Self::from_algebra(universe, EnumAlgebra::uncached(universe))
     }

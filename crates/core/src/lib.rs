@@ -31,7 +31,7 @@
 //!   on decision diagrams under the same engines.
 //! - [`verify`] — the user-facing verifier built on Corollary 7.7.
 //! - [`question`] — the verification question every entry point poses
-//!   (variables, program, pre/spec, base domain, strategy): its one
+//!   (variables, program, pre/spec, base domain, strategy, engine): its one
 //!   text form, corpus header and build.
 //! - [`session`] — incremental re-repair: warm [`RepairSession`]s whose
 //!   re-verification cost tracks the structural distance of an edit
@@ -42,9 +42,10 @@
 //! Every definition, theorem and algorithm this crate implements
 //! (Definitions 4.1/4.3, Theorems 4.4/4.9/4.11, Algorithms 1–2,
 //! Definition 7.11, Corollary 7.7) is mapped to its function in
-//! `PAPER_MAP.md` at the repository root. All engines memoize through
-//! [`air_lang::SemCache`] by default; `uncached()` constructors give the
-//! bitwise-identical reference path.
+//! `PAPER_MAP.md` at the repository root. Engines are built by `new(u)`
+//! (a fresh [`air_lang::SemCache`]) or `from_algebra(u, alg)`, where
+//! [`EnumAlgebra::uncached`] is the bitwise-identical reference path;
+//! an [`Engine`] value given to [`Verifier::engine`] picks the kernel.
 //!
 //! # Quickstart (the paper's introduction, mechanized)
 //!
@@ -98,7 +99,7 @@ pub use forward::{ForwardRepair, PartialRepair, RepairError, RepairOutcome, Repa
 pub use lcl::{Derivation, Lcl, LclError, SpecVerdict, Triple};
 pub use local::{Additive, LocalCompleteness, ShellResult};
 pub use oracles::{run_oracle, OracleInstance, OracleOutcome, ORACLES};
-pub use question::{Built, DomainKind, Question, QuestionError, Strategy};
+pub use question::{Built, DomainKind, Engine, Question, QuestionError, Strategy};
 pub use session::{RepairSession, ReuseStats, SessionOutcome};
 pub use summarize::{summarize, BoxSummary};
 pub use symbolic::SymDomain;

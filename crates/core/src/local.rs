@@ -83,10 +83,11 @@ impl<S> ShellResult<S> {
 /// Local-completeness queries over a [`StateAlgebra`] — by default the
 /// enumerative one ([`EnumAlgebra`]).
 ///
-/// Created [`cached`](LocalCompleteness::new) by default: concrete
-/// images, `wlp`s and guard sets are memoized in a [`SemCache`] shared
-/// by all clones. Use [`uncached`](LocalCompleteness::uncached) for the
-/// reference path (differential tests, baseline benchmarks).
+/// [`new`](LocalCompleteness::new) memoizes concrete images, `wlp`s and
+/// guard sets in a fresh [`SemCache`] shared by all clones;
+/// [`from_algebra`](LocalCompleteness::from_algebra) over
+/// [`EnumAlgebra::uncached`] is the reference path (differential tests,
+/// baseline benchmarks).
 #[derive(Clone, Debug)]
 pub struct LocalCompleteness<'u, A = EnumAlgebra<'u>> {
     universe: &'u Universe,
@@ -96,19 +97,7 @@ pub struct LocalCompleteness<'u, A = EnumAlgebra<'u>> {
 impl<'u> LocalCompleteness<'u> {
     /// Creates the query context with a fresh shared cache.
     pub fn new(universe: &'u Universe) -> Self {
-        Self::with_cache(universe, SemCache::new())
-    }
-
-    /// Creates the query context memoizing into `cache` (share one cache
-    /// across engines and threads working on the same universe).
-    pub fn with_cache(universe: &'u Universe, cache: SemCache) -> Self {
-        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, cache))
-    }
-
-    /// Creates the query context without any memoization — every image is
-    /// recomputed. The reference path for differential tests.
-    pub fn uncached(universe: &'u Universe) -> Self {
-        Self::from_algebra(universe, EnumAlgebra::uncached(universe))
+        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, SemCache::new()))
     }
 
     /// The shared semantic cache, if caching is enabled.

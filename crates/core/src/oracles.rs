@@ -34,9 +34,10 @@
 //! always a bug, either in the engine or in the oracle itself.
 
 use air_lang::gen::XorShift;
-use air_lang::{BExp, Concrete, Reg, SemCache, SemError, StateSet, Universe, Wlp};
+use air_lang::{BExp, Concrete, Reg, SemError, StateSet, Universe, Wlp};
 
 use crate::absint::AbstractSemantics;
+use crate::algebra::EnumAlgebra;
 use crate::backward::BackwardRepair;
 use crate::domain::EnumDomain;
 use crate::forward::{ForwardRepair, RepairError};
@@ -85,10 +86,10 @@ pub struct OracleInstance<'u> {
     /// Seed for oracle-internal randomness (growth sets, widening
     /// chains); derived deterministically from the case seed.
     pub aux_seed: u64,
-    /// The semantic cache every repair engine in an oracle run memoizes
-    /// through. Ground-truth sides ([`Concrete`], [`Wlp`]) never use it —
-    /// that asymmetry is the point.
-    pub cache: SemCache,
+    /// The algebra every repair engine in an oracle run works in.
+    /// Ground-truth sides ([`Concrete`], [`Wlp`]) never use it — that
+    /// asymmetry is the point.
+    pub alg: EnumAlgebra<'u>,
 }
 
 /// Name and paper artifact of every oracle in this module, in the order
@@ -157,7 +158,7 @@ fn random_set(u: &Universe, seed: u64) -> StateSet {
 /// the repaired domain computes `A'(⟦r⟧P)`.
 pub fn forward_repair_postconditions(inst: &OracleInstance<'_>) -> Result<OracleOutcome, SemError> {
     let u = inst.universe;
-    let out = match ForwardRepair::with_cache(u, inst.cache.clone())
+    let out = match ForwardRepair::from_algebra(u, inst.alg.clone())
         .max_repairs(4_000)
         .repair(inst.domain.clone(), &inst.program, &inst.pre)
     {
@@ -169,11 +170,11 @@ pub fn forward_repair_postconditions(inst: &OracleInstance<'_>) -> Result<Oracle
     if out.under != exact {
         return violation("Thm 7.1: under-approximation Q differs from ⟦r⟧P");
     }
-    let lc = LocalCompleteness::with_cache(u, inst.cache.clone());
+    let lc = LocalCompleteness::from_algebra(u, inst.alg.clone());
     if !lc.check(&out.domain, &inst.program, &inst.pre)? {
         return violation("Thm 7.1: repaired domain is not locally complete on P");
     }
-    let asem = AbstractSemantics::with_cache(u, inst.cache.clone());
+    let asem = AbstractSemantics::from_algebra(u, inst.alg.clone());
     let abs = asem.exec(&out.domain, &inst.program, &out.domain.close(&inst.pre))?;
     if abs != out.domain.close(&out.under) {
         return violation("Thm 7.1: abstract analysis disagrees with A'(⟦r⟧P)");
@@ -188,7 +189,7 @@ pub fn backward_repair_postconditions(
     inst: &OracleInstance<'_>,
 ) -> Result<OracleOutcome, SemError> {
     let u = inst.universe;
-    let out = match BackwardRepair::with_cache(u, inst.cache.clone()).repair(
+    let out = match BackwardRepair::from_algebra(u, inst.alg.clone()).repair(
         &inst.domain,
         &inst.pre,
         &inst.program,
@@ -201,7 +202,7 @@ pub fn backward_repair_postconditions(
     if !repaired.is_expressible(&out.valid_input) {
         return violation("Thm 7.6: valid input is not expressible in A ⊞ N'");
     }
-    let asem = AbstractSemantics::with_cache(u, inst.cache.clone());
+    let asem = AbstractSemantics::from_algebra(u, inst.alg.clone());
     let abs = asem.exec(&repaired, &inst.program, &repaired.close(&out.valid_input))?;
     if !abs.is_subset(&inst.spec) {
         return violation("Thm 7.6: abstract run from V is not certified under Spec");
@@ -227,7 +228,7 @@ pub fn abstract_soundness(inst: &OracleInstance<'_>) -> Result<OracleOutcome, Se
     let u = inst.universe;
     let sem = Concrete::new(u);
     let conc = sem.exec(&inst.program, &inst.pre)?;
-    let asem = AbstractSemantics::with_cache(u, inst.cache.clone());
+    let asem = AbstractSemantics::from_algebra(u, inst.alg.clone());
     let abs = asem.exec(&inst.domain, &inst.program, &inst.domain.close(&inst.pre))?;
     if !conc.is_subset(&abs) {
         return violation(format!(
@@ -241,7 +242,7 @@ pub fn abstract_soundness(inst: &OracleInstance<'_>) -> Result<OracleOutcome, Se
 /// Theorem 4.4: the direct completeness check (defect emptiness) agrees
 /// with the `∨L`-expressibility characterization, and `∨L ≤ A(c)`.
 pub fn local_completeness_via_sup_l(inst: &OracleInstance<'_>) -> Result<OracleOutcome, SemError> {
-    let lc = LocalCompleteness::with_cache(inst.universe, inst.cache.clone());
+    let lc = LocalCompleteness::from_algebra(inst.universe, inst.alg.clone());
     let direct = lc.check(&inst.domain, &inst.program, &inst.pre)?;
     let via_sup = lc.check_via_sup(&inst.domain, &inst.program, &inst.pre)?;
     if direct != via_sup {
@@ -259,7 +260,7 @@ pub fn local_completeness_via_sup_l(inst: &OracleInstance<'_>) -> Result<OracleO
 /// Theorem 4.9: when the pointed shell exists, adding its point restores
 /// local completeness; the point is `∨L` itself.
 pub fn shell_existence_and_repair(inst: &OracleInstance<'_>) -> Result<OracleOutcome, SemError> {
-    let lc = LocalCompleteness::with_cache(inst.universe, inst.cache.clone());
+    let lc = LocalCompleteness::from_algebra(inst.universe, inst.alg.clone());
     match lc.pointed_shell(&inst.domain, &inst.program, &inst.pre)? {
         ShellResult::Shell { point } => {
             let sup = lc.sup_l(&inst.domain, &inst.program, &inst.pre)?;
@@ -288,7 +289,7 @@ pub fn shell_existence_and_repair(inst: &OracleInstance<'_>) -> Result<OracleOut
 /// Theorem 4.11: the Boolean-guard shell restores local completeness for
 /// both `b?` and `¬b?` on `P`.
 pub fn guard_shell_restores(inst: &OracleInstance<'_>) -> Result<OracleOutcome, SemError> {
-    let lc = LocalCompleteness::with_cache(inst.universe, inst.cache.clone());
+    let lc = LocalCompleteness::from_algebra(inst.universe, inst.alg.clone());
     let shell = lc.guard_shell(&inst.domain, &inst.guard, &inst.pre)?;
     let refined = inst.domain.with_point(shell);
     let pos = Reg::assume(inst.guard.clone());
@@ -305,7 +306,7 @@ pub fn guard_shell_restores(inst: &OracleInstance<'_>) -> Result<OracleOutcome, 
 /// Convexity remark after Definition 4.1: local completeness on `c`
 /// implies local completeness on every `x` with `c ≤ x ≤ A(c)`.
 pub fn completeness_convexity(inst: &OracleInstance<'_>) -> Result<OracleOutcome, SemError> {
-    let lc = LocalCompleteness::with_cache(inst.universe, inst.cache.clone());
+    let lc = LocalCompleteness::from_algebra(inst.universe, inst.alg.clone());
     if !lc.check(&inst.domain, &inst.program, &inst.pre)? {
         return Ok(OracleOutcome::Pass); // premise empty: vacuously true
     }
@@ -358,7 +359,7 @@ pub fn pointed_widening_laws(inst: &OracleInstance<'_>) -> Result<OracleOutcome,
 /// witness is a reachable store outside the spec.
 pub fn lcl_spec_decision(inst: &OracleInstance<'_>) -> Result<OracleOutcome, SemError> {
     let u = inst.universe;
-    let lcl = Lcl::with_cache(u, inst.cache.clone());
+    let lcl = Lcl::from_algebra(u, inst.alg.clone());
     let verdict = match lcl.prove_spec(inst.domain.clone(), &inst.pre, &inst.program, &inst.spec) {
         Ok(v) => v,
         Err(e) => return lift(e),
@@ -396,7 +397,7 @@ mod tests {
             spec: u.filter(|s| s[0] != 0),
             guard: air_lang::parse_bexp("x >= 0").unwrap(),
             aux_seed: 7,
-            cache: SemCache::new(),
+            alg: EnumAlgebra::with_cache(u, air_lang::SemCache::new()),
         }
     }
 

@@ -13,8 +13,9 @@
 //! - the sorted `*.imp` corpus listing ([`corpus_files`], [`load_corpus`]);
 //! - the one build from a question to its universe, base domain,
 //!   program and pre/spec sets ([`Question::build`]);
-//! - the names of the base domains and repair strategies, and the one
-//!   dispatch on a strategy ([`Verifier::verify`]).
+//! - the names of the base domains, repair strategies and engines, the
+//!   one dispatch on a strategy ([`Verifier::verify`]) and the one rule
+//!   for where the symbolic engine runs ([`Engine::on_diagrams`]).
 //!
 //! Fuzz seed files keep a format of their own (`# fuzz:` headers with
 //! `=` ranges, see `air_fuzz::seed`); they read it with the same clause
@@ -147,6 +148,41 @@ impl Strategy {
             .into_iter()
             .find(|k| k.name() == s)
             .ok_or_else(|| format!("unknown strategy `{s}`"))
+    }
+}
+
+/// The engine that runs a question's repairs.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum Engine {
+    /// Explicit bitset enumeration. Default.
+    #[default]
+    Enumerative,
+    /// Interval decision diagrams on the `Int` base; bitsets elsewhere.
+    Symbolic,
+}
+
+impl Engine {
+    /// The spelling of the CLI's `--engine`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Engine::Enumerative => "enumerative",
+            Engine::Symbolic => "symbolic",
+        }
+    }
+
+    /// The engine named `s`, else the error `unknown engine `s``.
+    pub fn parse(s: &str) -> Result<Engine, String> {
+        [Engine::Enumerative, Engine::Symbolic]
+            .into_iter()
+            .find(|k| k.name() == s)
+            .ok_or_else(|| format!("unknown engine `{s}`"))
+    }
+
+    /// Whether this engine repairs `base` on decision diagrams: the
+    /// symbolic engine does exactly on the `Int` base, the one base whose
+    /// closure has a diagram form ([`SymDomain`](crate::SymDomain)).
+    pub fn on_diagrams(self, base: &EnumDomain) -> bool {
+        self == Engine::Symbolic && base.is_interval()
     }
 }
 
@@ -463,6 +499,22 @@ mod tests {
             assert_eq!(Strategy::parse(s.name()), Ok(s));
         }
         assert!(Strategy::parse("sideways").is_err());
+        for e in [Engine::Enumerative, Engine::Symbolic] {
+            assert_eq!(Engine::parse(e.name()), Ok(e));
+        }
+        assert!(Engine::parse("quantum").is_err());
+    }
+
+    #[test]
+    fn the_symbolic_engine_runs_diagrams_exactly_on_int() {
+        let u = Universe::new(&[("x", -2, 2)]).unwrap();
+        for kind in DomainKind::ALL {
+            let base = kind.build(&u);
+            assert!(!Engine::Enumerative.on_diagrams(&base));
+            assert_eq!(Engine::Symbolic.on_diagrams(&base), kind == DomainKind::Int);
+        }
+        let toy = EnumDomain::from_family(&u, "Int", []);
+        assert!(!Engine::Symbolic.on_diagrams(&toy), "by type, not by name");
     }
 
     #[test]

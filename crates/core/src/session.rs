@@ -28,6 +28,7 @@ use air_lang::{SemCache, StateSet, TermArena, Universe};
 use air_lattice::Governor;
 use air_trace::Tracer;
 
+use crate::algebra::EnumAlgebra;
 use crate::domain::EnumDomain;
 use crate::question::Strategy;
 use crate::verify::{AlarmCounts, Verdict, Verifier};
@@ -154,7 +155,8 @@ impl RepairSession {
     }
 
     fn verifier(&self) -> Verifier<'_> {
-        Verifier::with_cache(&self.universe, self.cache.clone())
+        let u = &self.universe;
+        Verifier::from_algebra(u, EnumAlgebra::with_cache(u, self.cache.clone()))
             .tracer(self.tracer.clone())
             .governor(self.governor.clone())
     }

@@ -10,8 +10,9 @@
 //! refined closure never enumerates a store. Paired with the diagram
 //! kernel it is [`SymAlgebra`](crate::SymAlgebra): the crate's one
 //! [`Algebra`](crate::Algebra) and one set of engines on a second kernel.
-//! A [`SemCache::symbolic`](air_lang::SemCache::symbolic) cache selects it
-//! for `Int` bases; every other base runs the bitset kernel. The diagram
+//! A verifier on [`Engine::Symbolic`](crate::Engine) runs it for `Int`
+//! bases ([`Engine::on_diagrams`](crate::Engine::on_diagrams)); every
+//! other base runs the bitset kernel. The diagram
 //! kernel is exact and the closures coincide, so verdicts are
 //! byte-identical — the property fuzz axis 9 and the backend-agreement
 //! suites check on enumerable universes.

@@ -25,6 +25,7 @@ use crate::algebra::{EnumAlgebra, PointedDomain, StateAlgebra, SymAlgebra};
 use crate::backward::BackwardRepair;
 use crate::domain::EnumDomain;
 use crate::forward::{ForwardRepair, RepairError};
+use crate::question::Engine;
 use crate::summarize::display_set;
 use crate::symbolic::SymDomain;
 
@@ -141,6 +142,7 @@ impl Verdict {
 pub struct Verifier<'u> {
     universe: &'u Universe,
     alg: EnumAlgebra<'u>,
+    engine: Engine,
     trace: Tracer,
     governor: Governor,
 }
@@ -149,28 +151,43 @@ impl<'u> Verifier<'u> {
     /// Creates a verifier with a fresh semantic cache shared across all
     /// verification calls made through it.
     pub fn new(universe: &'u Universe) -> Self {
-        Self::with_cache(universe, SemCache::new())
+        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, SemCache::new()))
     }
 
-    /// Creates a verifier memoizing into `cache` (shareable across
-    /// verifiers and threads).
-    pub fn with_cache(universe: &'u Universe, cache: SemCache) -> Self {
-        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, cache))
-    }
-
-    /// Creates a verifier without memoization (the reference path).
-    pub fn uncached(universe: &'u Universe) -> Self {
-        Self::from_algebra(universe, EnumAlgebra::uncached(universe))
-    }
-
-    /// Creates a verifier over `alg`.
+    /// Creates a verifier over `alg` running the enumerative engine.
     pub fn from_algebra(universe: &'u Universe, alg: EnumAlgebra<'u>) -> Self {
         Verifier {
             universe,
             alg,
+            engine: Engine::Enumerative,
             trace: Tracer::disabled(),
             governor: Governor::unlimited(),
         }
+    }
+
+    /// Kept for `perfbench/src/oneshot.rs`: [`from_algebra`](Self::from_algebra)
+    /// memoizing into `cache`, on the symbolic [`Engine`] when `cache` is
+    /// [`SemCache::symbolic`].
+    pub fn with_cache(universe: &'u Universe, cache: SemCache) -> Self {
+        let engine = if cache.is_symbolic() {
+            Engine::Symbolic
+        } else {
+            Engine::Enumerative
+        };
+        Self::from_algebra(universe, EnumAlgebra::with_cache(universe, cache)).engine(engine)
+    }
+
+    /// Kept for `tests/differential.rs`: [`from_algebra`](Self::from_algebra)
+    /// without memoization (the reference path).
+    pub fn uncached(universe: &'u Universe) -> Self {
+        Self::from_algebra(universe, EnumAlgebra::uncached(universe))
+    }
+
+    /// Runs repairs on `engine`: the symbolic one repairs `Int` bases on
+    /// decision diagrams ([`Engine::on_diagrams`]).
+    pub fn engine(mut self, engine: Engine) -> Self {
+        self.engine = engine;
+        self
     }
 
     /// The shared semantic cache, if caching is enabled.
@@ -212,23 +229,21 @@ impl<'u> Verifier<'u> {
     }
 
     /// The symbolic algebra ([`SymAlgebra`]) and `domain` rebuilt over
-    /// it ([`SymDomain`]) when the repair should run on decision
-    /// diagrams: the cache is [`SemCache::symbolic`] and the base domain
-    /// is `Int`, the one base whose closure has a cheap diagram form.
-    /// `None` runs the verifier's own enumerative algebra.
+    /// it ([`SymDomain`]) when this verifier's engine runs `domain` on
+    /// decision diagrams. `None` runs the verifier's own enumerative
+    /// algebra.
     fn symbolic(&self, domain: &EnumDomain) -> Option<(SymAlgebra<'u>, SymDomain)> {
-        if !self.alg.cache().is_some_and(SemCache::is_symbolic) || domain.base_name() != "Int" {
-            return None;
-        }
-        let alg = SymAlgebra::uncached(SymEngine::new(self.universe));
-        let base = SymDomain::interval(self.universe)
-            .with_points(domain.points().iter().map(|p| alg.lift(p)));
-        Some((alg, base))
+        self.engine.on_diagrams(domain).then(|| {
+            let alg = SymAlgebra::uncached(SymEngine::new(self.universe));
+            let base = SymDomain::interval(self.universe)
+                .with_points(domain.points().iter().map(|p| alg.lift(p)));
+            (alg, base)
+        })
     }
 
     /// Verifies `⟦r⟧input ≤ spec` by backward repair (Algorithm 2 +
     /// Corollary 7.7), run in the symbolic algebra when this verifier's
-    /// cache is [`SemCache::symbolic`] and the base domain is `Int` —
+    /// engine is [`Engine::Symbolic`] and the base domain is `Int` —
     /// same verdict either way, the symbolic algebra just scales to
     /// universes the bitset algebra cannot enumerate.
     ///
@@ -541,6 +556,37 @@ mod tests {
         ] {
             assert!(kinds.contains(&expected), "missing {expected}: {kinds:?}");
         }
+    }
+
+    /// `perfbench`'s spelling of the symbolic engine, a
+    /// [`SemCache::symbolic`] cache, must still run `Int` repairs on
+    /// diagrams: their cache's exec and wlp tables stay unread.
+    #[test]
+    fn a_symbolic_cache_selects_the_symbolic_engine() {
+        let u = Universe::new(&[("x", -40, 40)]).unwrap();
+        assert!(u.size() > crate::algebra::SMALL_UNIVERSE, "tables in use");
+        let prog = parse_program("if (x >= 0) then { skip } else { x := 0 - x }").unwrap();
+        let odd = u.filter(|s| s[0] % 2 != 0);
+        let spec = u.filter(|s| s[0] != 0);
+        let run = |cache: SemCache| {
+            let dom = EnumDomain::from_abstraction(&u, IntervalEnv::new(&u));
+            let verifier = Verifier::with_cache(&u, cache);
+            let v = verifier.backward(dom, &prog, &odd, &spec).unwrap();
+            let cache = verifier.cache().unwrap();
+            let lookups = cache.exec_stats().lookups() + cache.wlp_stats().lookups();
+            (v.report(&u), lookups)
+        };
+        let (symbolic, symbolic_lookups) = run(SemCache::symbolic());
+        let (enumerative, enumerative_lookups) = run(SemCache::new());
+        assert_eq!(
+            symbolic_lookups, 0,
+            "the symbolic run used the bitset tables"
+        );
+        assert!(
+            enumerative_lookups > 0,
+            "the enumerative run skipped its tables"
+        );
+        assert_eq!(symbolic, enumerative);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Pairwise differential sweeps across engine configurations.
 //!
 //! The same instance is pushed through every configuration axis the
-//! ROADMAP exposes — cached vs uncached [`SemCache`], governed vs
+//! ROADMAP exposes — cached vs uncached [`SemCache`](air_lang::SemCache), governed vs
 //! ungoverned, sequential vs [`par_map_governed`] parallelism, the
 //! `LCL_A` prover vs the repair engines, (axis 7) a fault-injected
 //! run recovered by the [`Supervisor`] vs the fault-free run,
@@ -20,8 +20,10 @@
 use std::sync::Arc;
 
 use crate::case::BuiltCase;
-use air_core::{BackwardRepair, ForwardRepair, Lcl, RepairError, RepairSession, Verifier};
-use air_lang::{Concrete, Exp, Reg, SemCache, SemError, SetKernel, StateSet, SymEngine};
+use air_core::{
+    BackwardRepair, Engine, EnumAlgebra, ForwardRepair, Lcl, RepairError, RepairSession, Verifier,
+};
+use air_lang::{Concrete, Exp, Reg, SemError, SetKernel, StateSet, SymEngine};
 use air_lattice::{par_map_governed, Budget, Governor};
 use air_resilience::{
     FailSwitch, FaultInjector, FaultKind, FaultPlan, FaultSpec, InjectSink, RetryPolicy, Supervisor,
@@ -39,14 +41,17 @@ pub fn differential_sweep(b: &BuiltCase) -> Result<Vec<String>, SemError> {
     let u = &b.universe;
     let r = &b.case.program;
 
+    // Axes 1, 2 and 5 compare each engine with itself in the uncached
+    // reference algebra.
+    let bare = EnumAlgebra::uncached(u);
+
     // Axis 1 — forward repair, cached vs uncached.
     let fwd_cached = ForwardRepair::new(u)
         .max_repairs(4_000)
         .repair(b.domain.clone(), r, &b.pre);
-    let fwd_plain =
-        ForwardRepair::uncached(u)
-            .max_repairs(4_000)
-            .repair(b.domain.clone(), r, &b.pre);
+    let fwd_plain = ForwardRepair::from_algebra(u, bare.clone())
+        .max_repairs(4_000)
+        .repair(b.domain.clone(), r, &b.pre);
     match (&fwd_cached, &fwd_plain) {
         (Ok(c), Ok(p)) => {
             if c.under != p.under {
@@ -66,7 +71,8 @@ pub fn differential_sweep(b: &BuiltCase) -> Result<Vec<String>, SemError> {
 
     // Axis 2 — backward repair, cached vs uncached.
     let bwd_cached = BackwardRepair::new(u).repair(&b.domain, &b.pre, r, &b.spec);
-    let bwd_plain = BackwardRepair::uncached(u).repair(&b.domain, &b.pre, r, &b.spec);
+    let bwd_plain =
+        BackwardRepair::from_algebra(u, bare.clone()).repair(&b.domain, &b.pre, r, &b.spec);
     match (bwd_cached, bwd_plain) {
         (Ok(c), Ok(p)) => {
             if c.valid_input != p.valid_input {
@@ -135,7 +141,7 @@ pub fn differential_sweep(b: &BuiltCase) -> Result<Vec<String>, SemError> {
 
     // Axis 5 — LCL_A prover, cached vs uncached verdicts.
     let lcl_cached = Lcl::new(u).prove_spec(b.domain.clone(), &b.pre, r, &b.spec);
-    let lcl_plain = Lcl::uncached(u).prove_spec(b.domain.clone(), &b.pre, r, &b.spec);
+    let lcl_plain = Lcl::from_algebra(u, bare).prove_spec(b.domain.clone(), &b.pre, r, &b.spec);
     match (lcl_cached, lcl_plain) {
         (Ok(c), Ok(p)) => {
             if c.is_valid() != p.is_valid() {
@@ -284,8 +290,8 @@ pub fn differential_sweep(b: &BuiltCase) -> Result<Vec<String>, SemError> {
             diffs.push("symbolic axis: the kernels disagree on wlp(r, spec)".into());
         }
     }
-    if u.size() <= SYMBOLIC_DIFF_BOUND && b.domain.base_name() == "Int" {
-        let symbolic = Verifier::with_cache(u, SemCache::symbolic()).backward(
+    if u.size() <= SYMBOLIC_DIFF_BOUND && Engine::Symbolic.on_diagrams(&b.domain) {
+        let symbolic = Verifier::new(u).engine(Engine::Symbolic).backward(
             b.domain.clone(),
             r,
             &b.pre,

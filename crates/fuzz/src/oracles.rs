@@ -4,6 +4,7 @@
 
 use crate::case::BuiltCase;
 use air_core::oracles::{OracleInstance, OracleOutcome};
+use air_core::EnumAlgebra;
 use air_lang::{SemCache, SemError};
 
 /// CEGAR instances blow up as `locations × stores`; beyond this many
@@ -31,7 +32,7 @@ fn instance(b: &BuiltCase) -> OracleInstance<'_> {
         spec: b.spec.clone(),
         guard: b.case.pre.clone(),
         aux_seed: b.case.seed ^ 0x5DEE_CE66_D5DE_ECE6,
-        cache: SemCache::new(),
+        alg: EnumAlgebra::with_cache(&b.universe, SemCache::new()),
     }
 }
 

@@ -89,11 +89,10 @@ impl SemCache {
         SemCache::default()
     }
 
-    /// An empty cache that asks for the symbolic engine: verifiers over
-    /// it run `Int`-base repairs on decision diagrams (`air-core`'s
-    /// `SymAlgebra`). The cache itself behaves exactly like
-    /// [`SemCache::new`]'s; every other base runs the bitset kernel
-    /// through it.
+    /// An empty cache marked for the symbolic engine, an older spelling
+    /// of `air-core`'s `Engine::Symbolic` that only
+    /// `Verifier::with_cache` reads. The cache itself behaves exactly
+    /// like [`SemCache::new`]'s.
     pub fn symbolic() -> Self {
         SemCache {
             symbolic: true,

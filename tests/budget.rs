@@ -5,9 +5,9 @@
 //! pointed refinement; only precision needs the completed repair
 //! (Theorems 7.1/7.6 of the paper).
 
-use air::core::{BackwardRepair, EnumDomain, ForwardRepair, RepairError, Verifier};
+use air::core::{BackwardRepair, Engine, EnumDomain, ForwardRepair, RepairError, Verifier};
 use air::domains::IntervalEnv;
-use air::lang::{parse_program, Concrete, SemCache, Universe};
+use air::lang::{parse_program, Concrete, Universe};
 use air::lattice::{Budget, ExhaustReason, Governor};
 use std::time::Duration;
 
@@ -232,8 +232,9 @@ fn symbolic_backward_exhausts_with_sound_partial_invariant() {
     let input = u.filter(|s| s[0] == 0 && s[1] == 120);
     let spec = u.filter(|s| s[0] == 120 && s[1] == 0);
     let dom = EnumDomain::from_abstraction(&u, IntervalEnv::new(&u));
-    let verifier =
-        Verifier::with_cache(&u, SemCache::symbolic()).governor(Governor::new(Budget::fuel(5)));
+    let verifier = Verifier::new(&u)
+        .engine(Engine::Symbolic)
+        .governor(Governor::new(Budget::fuel(5)));
     let err = verifier.backward(dom, &prog, &input, &spec).unwrap_err();
     let RepairError::Exhausted(partial) = err else {
         panic!("expected exhaustion, got {err:?}");
@@ -257,8 +258,9 @@ fn symbolic_zero_fuel_exhausts_before_any_work() {
     let input = u.filter(|s| s[0] == 0 && s[1] == 120);
     let spec = u.filter(|s| s[0] == 120 && s[1] == 0);
     let dom = EnumDomain::from_abstraction(&u, IntervalEnv::new(&u));
-    let verifier =
-        Verifier::with_cache(&u, SemCache::symbolic()).governor(Governor::new(Budget::fuel(0)));
+    let verifier = Verifier::new(&u)
+        .engine(Engine::Symbolic)
+        .governor(Governor::new(Budget::fuel(0)));
     let err = verifier.backward(dom, &prog, &input, &spec).unwrap_err();
     let RepairError::Exhausted(partial) = err else {
         panic!("expected exhaustion, got {err:?}");
@@ -279,7 +281,9 @@ fn symbolic_cancellation_stops_the_engine() {
     let dom = EnumDomain::from_abstraction(&u, IntervalEnv::new(&u));
     let governor = Governor::cancellable();
     governor.cancel();
-    let verifier = Verifier::with_cache(&u, SemCache::symbolic()).governor(governor);
+    let verifier = Verifier::new(&u)
+        .engine(Engine::Symbolic)
+        .governor(governor);
     let err = verifier.backward(dom, &prog, &input, &spec).unwrap_err();
     let ex = err.exhaustion().expect("cancellation cutoff");
     assert_eq!(ex.reason, ExhaustReason::Cancelled);
@@ -311,7 +315,8 @@ fn symbolic_fuel_sweep_yields_sound_partial_or_the_enumerative_answer() {
         let mut exhausted = 0;
         for fuel in [0, 1, 2, 3, 5, 8, 1_000_000] {
             let case = format!("forward {forward}, fuel {fuel}");
-            let verifier = Verifier::with_cache(&u, SemCache::symbolic())
+            let verifier = Verifier::new(&u)
+                .engine(Engine::Symbolic)
                 .governor(Governor::new(Budget::fuel(fuel)));
             match run(verifier) {
                 Ok(v) => {

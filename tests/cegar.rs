@@ -7,7 +7,7 @@ use air::cegar::partition::Partition;
 use air::cegar::program_ts::ProgramTs;
 use air::cegar::spurious::SpuriousAnalysis;
 use air::cegar::ts::TransitionSystem;
-use air::core::{EnumDomain, LocalCompleteness, ShellResult};
+use air::core::{EnumAlgebra, EnumDomain, LocalCompleteness, ShellResult};
 use air::lang::{parse_program, Universe};
 use air::lattice::BitVecSet;
 
@@ -44,7 +44,7 @@ fn lemma_6_1_on_two_lane_family() {
         assert!(analysis.is_spurious());
         // Check the equivalence: spurious ⇔ ∃k locally incomplete.
         let u = ts.universe();
-        let lc = LocalCompleteness::uncached(&u);
+        let lc = LocalCompleteness::from_algebra(&u, EnumAlgebra::uncached(&u));
         let dom = p.domain();
         let mut any_incomplete = false;
         let mut s_k = analysis.blocks[0].clone();
@@ -77,7 +77,7 @@ fn theorem_6_2_forward_split_is_pointed_shell() {
         let dead = analysis.dead(&ts).unwrap();
         let irr = analysis.irrelevant(&ts).unwrap();
         let u = ts.universe();
-        let lc = LocalCompleteness::uncached(&u);
+        let lc = LocalCompleteness::from_algebra(&u, EnumAlgebra::uncached(&u));
         let post_k = ts.post_within(&analysis.blocks[k + 1]);
         let shell = lc
             .pointed_shell(&p.domain(), &post_k, &analysis.forward[k])

@@ -55,8 +55,8 @@ fn every_seed_agrees_across_engine_backends() {
     // verdict reports must match the enumerative ones byte for byte.
     // `symbolic-star.imp` is the dedicated regression for this axis (a
     // star over a product universe); the rest of the corpus rides along.
-    use air::core::{Strategy, Verifier};
-    use air::lang::{SemCache, SetKernel, SymEngine};
+    use air::core::{Engine, Strategy, Verifier};
+    use air::lang::{SetKernel, SymEngine};
     let files = corpus_files();
     assert!(
         files.iter().any(|p| p.ends_with("symbolic-star.imp")),
@@ -82,15 +82,16 @@ fn every_seed_agrees_across_engine_backends() {
         );
         if case.domain == "int" {
             for strategy in [Strategy::Backward, Strategy::Forward] {
-                let verify = |cache| {
-                    Verifier::with_cache(u, cache)
+                let verify = |engine| {
+                    Verifier::new(u)
+                        .engine(engine)
                         .verify(strategy, built.domain.clone(), r, &built.pre, &built.spec)
                         .map(|v| v.report(u))
                         .map_err(|e| e.to_string())
                 };
                 assert_eq!(
-                    verify(SemCache::new()),
-                    verify(SemCache::symbolic()),
+                    verify(Engine::Enumerative),
+                    verify(Engine::Symbolic),
                     "{name}: {strategy:?} reports diverge across engines"
                 );
             }

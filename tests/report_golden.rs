@@ -8,7 +8,8 @@
 //! line, the verdict report, and on a refutation the valid and invalid
 //! inputs. A second section decides each question through `LCL_A`
 //! ([`Lcl::prove_spec`]) under {int, oct, karr} with the header's
-//! precondition and renders the verdict, the derivation's size and
+//! precondition and renders the verdict, the derivation's size, how
+//! many lines of its rendered tree each rule concludes, its
 //! postcondition, and the repaired domain's points (the full trees of
 //! `division` and `two_phase` alone would add half a megabyte). The text must equal
 //! `tests/golden/reports.txt`.
@@ -93,6 +94,7 @@ fn render_lcl(dir: &str, out: &mut String) {
                 }
             };
             let _ = writeln!(out, "derivation: {} rule applications", derivation.size());
+            let _ = writeln!(out, "{}", rule_counts(&derivation.render(u)));
             let _ = writeln!(out, "post: {}", display_set(u, &derivation.triple().post));
             let _ = writeln!(out, "points added: {}", repaired.num_points());
             for point in repaired.points() {
@@ -100,6 +102,29 @@ fn render_lcl(dir: &str, out: &mut String) {
             }
         }
     }
+}
+
+/// How often each rule concludes a line of the rendered tree, read from
+/// the trailing `(rule)` token of every line, so the count depends on the
+/// rendering alone and not on how the tree is stored.
+fn rule_counts(rendered: &str) -> String {
+    let rules = ["transfer", "seq", "join", "rec", "iterate"];
+    let mut counts = [0usize; 5];
+    for line in rendered.lines() {
+        let token = line.rsplit(' ').next().unwrap_or("");
+        let rule = token.trim_start_matches('(').trim_end_matches(')');
+        let i = rules
+            .iter()
+            .position(|r| *r == rule)
+            .unwrap_or_else(|| panic!("unexpected rule in `{line}`"));
+        counts[i] += 1;
+    }
+    let fields: Vec<String> = rules
+        .iter()
+        .zip(counts)
+        .map(|(rule, n)| format!("{rule} {n}"))
+        .collect();
+    format!("rules: {}", fields.join(", "))
 }
 
 #[test]

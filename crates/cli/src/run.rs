@@ -509,6 +509,7 @@ fn print_stats(label: &str, cache: Option<&SemCache>, dom: &EnumDomain, elapsed:
             println!("exec cache:     {}", c.exec_stats());
             println!("wlp cache:      {}", c.wlp_stats());
             println!("sat cache:      {}", c.sat_stats());
+            println!("bypassed runs:  {}", c.bypass_count());
         }
         None => println!("semantic cache: disabled (--uncached)"),
     }
@@ -518,8 +519,8 @@ fn print_stats(label: &str, cache: Option<&SemCache>, dom: &EnumDomain, elapsed:
 
 fn cache_stats_json(stats: &CacheStats) -> String {
     format!(
-        "{{\"hits\":{},\"misses\":{},\"bypasses\":{},\"entries\":{}}}",
-        stats.hits, stats.misses, stats.bypasses, stats.entries
+        "{{\"hits\":{},\"misses\":{},\"entries\":{}}}",
+        stats.hits, stats.misses, stats.entries
     )
 }
 
@@ -534,10 +535,11 @@ fn stats_json(label: &str, cache: Option<&SemCache>, dom: &EnumDomain, elapsed: 
     out.push_str(&format!(",\"wall_ms\":{:.3}", elapsed * 1e3));
     match cache {
         Some(c) => out.push_str(&format!(
-            ",\"semantic_cache\":{{\"exec\":{},\"wlp\":{},\"sat\":{}}}",
+            ",\"semantic_cache\":{{\"exec\":{},\"wlp\":{},\"sat\":{},\"bypasses\":{}}}",
             cache_stats_json(&c.exec_stats()),
             cache_stats_json(&c.wlp_stats()),
             cache_stats_json(&c.sat_stats()),
+            c.bypass_count(),
         )),
         None => out.push_str(",\"semantic_cache\":null"),
     }

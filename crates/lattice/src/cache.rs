@@ -40,9 +40,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to compute (and then stored the result).
     pub misses: u64,
-    /// Lookups that skipped the table entirely by policy (e.g. the
-    /// small-universe bypass in `air-lang`'s `SemCache`).
-    pub bypasses: u64,
     /// Distinct keys currently stored.
     pub entries: usize,
 }
@@ -69,7 +66,6 @@ impl CacheStats {
         CacheStats {
             hits: self.hits + other.hits,
             misses: self.misses + other.misses,
-            bypasses: self.bypasses + other.bypasses,
             entries: self.entries + other.entries,
         }
     }
@@ -84,11 +80,7 @@ impl fmt::Display for CacheStats {
             self.misses,
             self.hit_rate() * 100.0,
             self.entries
-        )?;
-        if self.bypasses > 0 {
-            write!(f, " [{} bypassed]", self.bypasses)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -286,7 +278,6 @@ impl<K, V> MemoTable<K, V> {
         CacheStats {
             hits,
             misses,
-            bypasses: 0,
             entries: self.len(),
         }
     }
@@ -445,7 +436,6 @@ impl<T> Interner<T> {
         CacheStats {
             hits: self.inner.hits.load(Ordering::Relaxed),
             misses: self.inner.misses.load(Ordering::Relaxed),
-            bypasses: 0,
             entries: self.len(),
         }
     }
@@ -589,22 +579,17 @@ mod tests {
         let a = CacheStats {
             hits: 3,
             misses: 1,
-            bypasses: 2,
             entries: 1,
         };
         let b = CacheStats {
             hits: 1,
             misses: 3,
-            bypasses: 0,
             entries: 2,
         };
         let m = a.merged(&b);
-        assert_eq!((m.hits, m.misses, m.bypasses, m.entries), (4, 4, 2, 3));
+        assert_eq!((m.hits, m.misses, m.entries), (4, 4, 3));
         assert_eq!(m.hit_rate(), 0.5);
-        let text = format!("{m}");
-        assert!(text.contains("50.0%"));
-        assert!(text.contains("[2 bypassed]"));
-        assert!(!format!("{b}").contains("bypassed"));
+        assert!(format!("{m}").contains("50.0%"));
     }
 
     #[test]

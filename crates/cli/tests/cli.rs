@@ -280,28 +280,26 @@ fn trace_file_records_budget_exhaustion_event() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// An `LCL_A` derivation nests one `(rec)` level per loop unroll. Past
-/// `MAX_UNROLLS` levels `air prove` stops as a budget cutoff (exit 3)
+/// An `LCL_A` derivation records one step per loop unroll. Past
+/// `MAX_UNROLLS` unrolls `air prove` stops as a budget cutoff (exit 3)
 /// with the sound partial invariant, where it used to overflow the
-/// stack and abort.
+/// stack and abort. The cap stops the one walk of repair and derivation,
+/// so a fuel budget a little above it still ends at the cap.
 #[test]
 fn prove_past_the_unroll_cap_exits_three() {
     let n = air_core::lcl::MAX_UNROLLS + 50;
-    let out = air(&[
-        "prove",
-        "--vars",
-        &format!("x:0..{n}"),
-        "--code",
-        "while (x > 0) do { x := x - 1 }",
-        "--pre",
-        &format!("x = {n}"),
-        "--spec",
-        "x = 0",
-    ]);
-    assert_eq!(out.status.code(), Some(3), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("lcl.derive_star"), "{stdout}");
-    assert!(stdout.contains("partial invariant"), "{stdout}");
+    let fuel = (air_core::lcl::MAX_UNROLLS + 10).to_string();
+    for extra in [&[][..], &["--fuel", fuel.as_str()][..]] {
+        let (vars, pre) = (format!("x:0..{n}"), format!("x = {n}"));
+        let mut args = vec!["prove", "--vars", &vars, "--pre", &pre, "--spec", "x = 0"];
+        args.extend(["--code", "while (x > 0) do { x := x - 1 }"]);
+        args.extend(extra);
+        let out = air(&args);
+        assert_eq!(out.status.code(), Some(3), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("lcl.derive_star"), "{stdout}");
+        assert!(stdout.contains("partial invariant"), "{stdout}");
+    }
 }
 
 fn json_line(out: &Output) -> String {

@@ -8,6 +8,11 @@
 //! exists), and the analysis is restarted in the refined domain, exactly
 //! as the paper prescribes ("after any repair, the forward strategy must
 //! redo the abstract interpretation").
+//!
+//! The walk is also the `LCL_A` derivation (Section 9): `find` reports
+//! each rule's conclusion to a `Recorder`, and the record of the last
+//! pass — the one whose obligations all hold — is the derivation
+//! [`Lcl`](crate::lcl::Lcl) returns. Algorithm 1 alone records nothing.
 
 use std::fmt;
 
@@ -159,15 +164,35 @@ pub struct RepairOutcome<D = EnumDomain> {
     pub provenance: Vec<(RepairRule, Exp)>,
 }
 
-/// One violated proof obligation found by the oracle.
-struct Obligation<S> {
-    input: S,
-    exp: Exp,
+/// Why a `find` pass stopped short of the image.
+pub(crate) enum Stop<S> {
+    /// The first violated proof obligation `C^A_input(exp)`.
+    Incomplete { input: S, exp: Exp },
+    /// Evaluation failed, or a budget or the unroll cap ran out.
+    Sem(SemError),
 }
 
-enum FindOutcome<S> {
-    Under(S),
-    Incomplete(Obligation<S>),
+impl<S> From<SemError> for Stop<S> {
+    fn from(e: SemError) -> Self {
+        Stop::Sem(e)
+    }
+}
+
+/// What a `find` pass reports of its walk, so that the walk can be kept
+/// as an `LCL_A` derivation; `()` keeps nothing.
+pub(crate) trait Recorder<'r, S> {
+    /// `[pre] r [post]` holds, after the conclusions of its premises
+    /// (post-order); a star's comes after its `unrolls` body steps.
+    fn conclude(&mut self, r: &'r Reg, pre: &S, post: &S, unrolls: usize);
+    /// Unroll `n` (from 0) of a star is about to start.
+    fn unroll(&mut self, n: usize) -> Result<(), SemError>;
+}
+
+impl<S> Recorder<'_, S> for () {
+    fn conclude(&mut self, _: &Reg, _: &S, _: &S, _: usize) {}
+    fn unroll(&mut self, _: usize) -> Result<(), SemError> {
+        Ok(())
+    }
 }
 
 /// The forward repair strategy (Algorithm 1) over a [`StateAlgebra`] —
@@ -260,47 +285,61 @@ impl<'u, A: StateAlgebra> ForwardRepair<'u, A> {
     /// carries the points added so far and a sound partial invariant.
     pub fn repair(
         &self,
-        mut dom: A::Domain,
+        dom: A::Domain,
         r: &Reg,
         p: &StateSet,
     ) -> Result<RepairOutcome<A::Domain>, RepairError> {
+        self.repair_recorded::<()>(dom, r, p)
+            .map(|(outcome, ())| outcome)
+    }
+
+    /// [`repair`](Self::repair), recording each `find` pass in a fresh
+    /// `R`; returns the record of the last pass with the outcome.
+    pub(crate) fn repair_recorded<'r, R: Recorder<'r, A::Set> + Default>(
+        &self,
+        mut dom: A::Domain,
+        r: &'r Reg,
+        p: &StateSet,
+    ) -> Result<(RepairOutcome<A::Domain>, R), RepairError> {
         let _span = self.trace.span(|| "repair.forward".to_string());
         let find = self.alg.for_find();
         let lc = LocalCompleteness::from_algebra(self.universe, self.alg.clone());
         let p = self.alg.lift(p);
         let mut repairs = 0;
         let mut analysis_runs = 0;
-        let mut obligations_checked = 0;
+        let mut checked = 0;
         let mut provenance = Vec::new();
         loop {
             analysis_runs += 1;
             if let Err(e) = self.governor.check_with(|| "repair.forward".to_string()) {
                 return Err(self.exhausted(e.into(), &dom, r, &p));
             }
-            match self.find(&find, &lc, &dom, r, &p, &mut obligations_checked) {
-                Err(e) => return Err(self.exhausted(e, &dom, r, &p)),
-                Ok(FindOutcome::Under(q)) => {
+            let mut record = R::default();
+            match self.find(&find, &lc, &dom, r, &p, &mut checked, &mut record) {
+                Err(Stop::Sem(e)) => return Err(self.exhausted(e.into(), &dom, r, &p)),
+                Ok(q) => {
                     self.trace.emit_detail_with(|| EventKind::Counter {
                         name: "forward.analysis_runs".to_string(),
                         delta: analysis_runs as u64,
                     });
                     self.trace.emit_detail_with(|| EventKind::Counter {
                         name: "forward.obligations_checked".to_string(),
-                        delta: obligations_checked as u64,
+                        delta: checked as u64,
                     });
-                    return Ok(RepairOutcome {
+                    let outcome = RepairOutcome {
                         domain: dom,
                         under: self.alg.lower(q),
                         repairs,
                         analysis_runs,
-                        obligations_checked,
+                        obligations_checked: checked,
                         provenance,
-                    });
+                    };
+                    return Ok((outcome, record));
                 }
-                Ok(FindOutcome::Incomplete(ob)) => {
+                Err(Stop::Incomplete { input, exp }) => {
                     self.trace.emit_detail_with(|| EventKind::Incompleteness {
-                        exp: ob.exp.to_string(),
-                        input_size: ob.input.size(),
+                        exp: exp.to_string(),
+                        input_size: input.size(),
                     });
                     if repairs >= self.max_repairs {
                         let cap = Exhaustion {
@@ -310,16 +349,16 @@ impl<'u, A: StateAlgebra> ForwardRepair<'u, A> {
                         };
                         return Err(self.exhausted(cap.into(), &dom, r, &p));
                     }
-                    let (point, rule) = match lc.refine(&dom, &ob.exp, &ob.input) {
+                    let (point, rule) = match lc.refine(&dom, &exp, &input) {
                         Ok(found) => found,
                         Err(e) => return Err(self.exhausted(e.into(), &dom, r, &p)),
                     };
                     self.trace.emit_detail_with(|| EventKind::ShellPoint {
                         rule: rule.to_string(),
-                        exp: ob.exp.to_string(),
+                        exp: exp.to_string(),
                         point_size: point.size(),
                     });
-                    provenance.push((rule, ob.exp.clone()));
+                    provenance.push((rule, exp));
                     dom = dom.with_points([point]);
                     repairs += 1;
                 }
@@ -330,13 +369,7 @@ impl<'u, A: StateAlgebra> ForwardRepair<'u, A> {
     /// Enriches a budget cutoff with the best partial result: the points
     /// added so far and the (always sound) abstract invariant in the
     /// partially repaired domain. Non-exhaustion errors pass through.
-    pub(crate) fn exhausted(
-        &self,
-        err: RepairError,
-        dom: &A::Domain,
-        r: &Reg,
-        p: &A::Set,
-    ) -> RepairError {
+    fn exhausted(&self, err: RepairError, dom: &A::Domain, r: &Reg, p: &A::Set) -> RepairError {
         let RepairError::Exhausted(mut partial) = err else {
             return err;
         };
@@ -363,63 +396,55 @@ impl<'u, A: StateAlgebra> ForwardRepair<'u, A> {
     /// The structural `find_A` oracle: returns an under-approximation when
     /// every obligation along the (concrete) computation holds, or the
     /// first violated obligation. Its concrete images run in `find` (the
-    /// run's algebra); obligations are checked through `lc`.
-    fn find(
+    /// run's algebra); obligations are checked through `lc`; each rule's
+    /// conclusion goes to `record`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn find<'r, R: Recorder<'r, A::Set>>(
         &self,
         find: &A,
         lc: &LocalCompleteness<'u, A>,
         dom: &A::Domain,
-        r: &Reg,
+        r: &'r Reg,
         p: &A::Set,
         checked: &mut usize,
-    ) -> Result<FindOutcome<A::Set>, RepairError> {
-        match r {
+        record: &mut R,
+    ) -> Result<A::Set, Stop<A::Set>> {
+        let mut walk = |r, p: &A::Set| self.find(find, lc, dom, r, p, checked, record);
+        let post = match r {
             Reg::Basic(e) => {
                 *checked += 1;
-                if lc.check_exp(dom, e, p)? {
-                    Ok(FindOutcome::Under(find.exec(None, r, p)?))
-                } else {
-                    Ok(FindOutcome::Incomplete(Obligation {
-                        input: p.clone(),
-                        exp: e.clone(),
-                    }))
+                if !lc.check_exp(dom, e, p)? {
+                    let (input, exp) = (p.clone(), e.clone());
+                    return Err(Stop::Incomplete { input, exp });
                 }
+                find.exec(None, r, p)?
             }
-            Reg::Seq(r1, r2) => match self.find(find, lc, dom, r1, p, checked)? {
-                FindOutcome::Under(q) => self.find(find, lc, dom, r2, &q, checked),
-                incomplete => Ok(incomplete),
-            },
-            Reg::Choice(r1, r2) => {
-                let q1 = match self.find(find, lc, dom, r1, p, checked)? {
-                    FindOutcome::Under(q) => q,
-                    incomplete => return Ok(incomplete),
-                };
-                let q2 = match self.find(find, lc, dom, r2, p, checked)? {
-                    FindOutcome::Under(q) => q,
-                    incomplete => return Ok(incomplete),
-                };
-                Ok(FindOutcome::Under(q1.union(&q2)))
+            Reg::Seq(r1, r2) => {
+                let q = walk(r1, p)?;
+                walk(r2, &q)?
             }
+            Reg::Choice(r1, r2) => walk(r1, p)?.union(&walk(r2, p)?),
             Reg::Star(body) => {
                 // Concrete unrolling: obligations are raised on every
                 // intermediate input until the concrete fixpoint.
                 let mut acc = p.clone();
-                for _ in 0..=self.universe.size() {
+                for n in 0..=self.universe.size() {
                     self.governor
-                        .check_with(|| "repair.forward.find".to_string())?;
-                    let step = match self.find(find, lc, dom, body, &acc, checked)? {
-                        FindOutcome::Under(q) => q,
-                        incomplete => return Ok(incomplete),
-                    };
-                    let next = acc.union(&step);
+                        .check_with(|| "repair.forward.find".to_string())
+                        .map_err(SemError::from)?;
+                    record.unroll(n)?;
+                    let next = acc.union(&self.find(find, lc, dom, body, &acc, checked, record)?);
                     if next == acc {
-                        return Ok(FindOutcome::Under(acc));
+                        record.conclude(r, p, &acc, n + 1);
+                        return Ok(acc);
                     }
                     acc = next;
                 }
-                Err(RepairError::Sem(SemError::Divergence))
+                return Err(SemError::Divergence.into());
             }
-        }
+        };
+        record.conclude(r, p, &post, 0);
+        Ok(post)
     }
 }
 

@@ -17,6 +17,11 @@
 //! completeness proof obligation emerges, we can repair the abstract
 //! interpreter to settle such an obligation."*
 //!
+//! There is one walk; the derivation is the last `find` pass: forward
+//! repair's `find` oracle checks the obligations and computes the
+//! concrete images, and its record of the pass whose obligations all
+//! hold is the derivation.
+//!
 //! The rule set (side conditions checked by [`Lcl::check`]):
 //!
 //! ```text
@@ -39,18 +44,18 @@ use std::fmt;
 use air_lang::ast::{Exp, Reg};
 use air_lang::{SemCache, SemError, StateSet, Universe};
 use air_lattice::{ExhaustReason, Exhaustion, Governor};
-use air_trace::{DotBuilder, EventKind, Tracer};
+use air_trace::{DotBuilder, EventKind, NodeId, Tracer};
 
 use crate::algebra::{EnumAlgebra, StateAlgebra};
 use crate::domain::EnumDomain;
-use crate::forward::{ForwardRepair, RepairError};
+use crate::forward::{ForwardRepair, Recorder, RepairError, Stop};
 use crate::local::LocalCompleteness;
 
-/// The most `(rec)` unrolls one derivation nests. Each unroll is one
-/// level of [`Derivation::Rec`], and building, rendering, checking and
-/// dropping a tree all recurse once per level, so a deeper unroll would
-/// overflow the stack; it stops as a fuel exhaustion at
-/// `lcl.derive_star` instead.
+/// The most unrolls one star of a derivation records. There is one
+/// walk; the derivation is the last `find` pass, whose record keeps
+/// every unroll's step until the pass ends, so this bounds the record's
+/// memory, not the stack; a star that unrolls further stops the walk as
+/// a fuel exhaustion at `lcl.derive_star`.
 pub const MAX_UNROLLS: usize = 2048;
 
 /// A judgement `⊢_A [pre] reg [post]`.
@@ -92,20 +97,16 @@ pub enum Derivation {
         /// The derived triple (`post = Q₁ ∨ Q₂`).
         triple: Triple,
     },
-    /// `(rec)`: unroll the star once.
-    Rec {
-        /// One iteration from `pre`.
-        step: Box<Derivation>,
-        /// The star from the grown precondition `pre ∨ R`.
-        rest: Box<Derivation>,
-        /// The derived triple.
-        triple: Triple,
-    },
-    /// `(iterate)`: the loop invariant case `R ≤ P`.
-    Iterate {
-        /// One iteration whose result stays below `pre`.
-        step: Box<Derivation>,
-        /// The derived triple (`post = pre`).
+    /// A star, unrolled until its body stays inside the grown
+    /// precondition: one `(rec)` `[Pᵢ] r* [Q]` per unroll, where step `i`
+    /// derives the body from `Pᵢ` (`P₀ = P`, `Pᵢ₊₁ = Pᵢ ∨ Rᵢ`), then one
+    /// `(iterate)` `[Pₖ] r* [Pₖ]` whose step stays below `Pₖ = Q`.
+    Star {
+        /// The body derivation of each `(rec)` unroll, in order.
+        rec: Vec<Derivation>,
+        /// The body derivation of the closing `(iterate)`.
+        iterate: Box<Derivation>,
+        /// The derived triple `[P] r* [Q]`.
         triple: Triple,
     },
     /// `(relax)`: widen the precondition within `A(P)` and/or shrink the
@@ -125,66 +126,62 @@ impl Derivation {
             Derivation::Transfer { triple }
             | Derivation::Seq { triple, .. }
             | Derivation::Join { triple, .. }
-            | Derivation::Rec { triple, .. }
-            | Derivation::Iterate { triple, .. }
+            | Derivation::Star { triple, .. }
             | Derivation::Relax { triple, .. } => triple,
         }
     }
 
     /// The rule name at the root.
     pub fn rule(&self) -> &'static str {
+        self.conclusions()[0].0
+    }
+
+    /// The rule applications this node stands for, each with its rule,
+    /// pre and premises (`reg` and `post` are the node's own): one, or
+    /// for a star one per unroll, `(rec)` `[Pᵢ] r* [Q]` with `Pᵢ` its
+    /// step's pre (`P₀ = P`), then `(iterate)`.
+    fn conclusions(&self) -> Vec<(&'static str, &StateSet, Vec<&Derivation>)> {
+        let pre = &self.triple().pre;
         match self {
-            Derivation::Transfer { .. } => "transfer",
-            Derivation::Seq { .. } => "seq",
-            Derivation::Join { .. } => "join",
-            Derivation::Rec { .. } => "rec",
-            Derivation::Iterate { .. } => "iterate",
-            Derivation::Relax { .. } => "relax",
+            Derivation::Transfer { .. } => vec![("transfer", pre, vec![])],
+            Derivation::Seq { left, right, .. } => vec![("seq", pre, vec![left, right])],
+            Derivation::Join { left, right, .. } => vec![("join", pre, vec![left, right])],
+            Derivation::Relax { inner, .. } => vec![("relax", pre, vec![inner])],
+            Derivation::Star { rec, iterate, .. } => {
+                let mut unrolls: Vec<_> = rec
+                    .iter()
+                    .map(|s| ("rec", &s.triple().pre, vec![s]))
+                    .collect();
+                unrolls.push(("iterate", &iterate.triple().pre, vec![&**iterate]));
+                unrolls[0].1 = pre;
+                unrolls
+            }
         }
     }
 
     /// Number of rule applications in the tree.
     pub fn size(&self) -> usize {
-        match self {
-            Derivation::Transfer { .. } => 1,
-            Derivation::Seq { left, right, .. }
-            | Derivation::Join { left, right, .. }
-            | Derivation::Rec {
-                step: left,
-                rest: right,
-                ..
-            } => 1 + left.size() + right.size(),
-            Derivation::Iterate { step, .. } => 1 + step.size(),
-            Derivation::Relax { inner, .. } => 1 + inner.size(),
-        }
+        let conclusions = self.conclusions();
+        let premises = conclusions.iter().flat_map(|c| &c.2);
+        conclusions.len() + premises.map(|p| p.size()).sum::<usize>()
     }
 
-    /// Renders the derivation as an indented proof tree.
+    /// Renders the derivation as an indented proof tree; a star's
+    /// `(rec)`…`(iterate)` lines share the star's indentation.
     pub fn render(&self, universe: &Universe) -> String {
         fn go(d: &Derivation, universe: &Universe, depth: usize, out: &mut String) {
             let t = d.triple();
-            out.push_str(&"  ".repeat(depth));
-            out.push_str(&format!(
-                "[{}] {} [{}]   ({})\n",
-                crate::summarize::display_set(universe, &t.pre),
-                t.reg,
-                crate::summarize::display_set(universe, &t.post),
-                d.rule()
-            ));
-            match d {
-                Derivation::Transfer { .. } => {}
-                Derivation::Seq { left, right, .. }
-                | Derivation::Join { left, right, .. }
-                | Derivation::Rec {
-                    step: left,
-                    rest: right,
-                    ..
-                } => {
-                    go(left, universe, depth + 1, out);
-                    go(right, universe, depth + 1, out);
+            for (rule, pre, premises) in d.conclusions() {
+                out.push_str(&format!(
+                    "{}[{}] {} [{}]   ({rule})\n",
+                    "  ".repeat(depth),
+                    crate::summarize::display_set(universe, pre),
+                    t.reg,
+                    crate::summarize::display_set(universe, &t.post),
+                ));
+                for premise in premises {
+                    go(premise, universe, depth + 1, out);
                 }
-                Derivation::Iterate { step, .. } => go(step, universe, depth + 1, out),
-                Derivation::Relax { inner, .. } => go(inner, universe, depth + 1, out),
             }
         }
         let mut out = String::new();
@@ -197,30 +194,28 @@ impl Derivation {
     /// edges from each conclusion to its premises. The companion of
     /// [`render`](Self::render) for the CLI's `--trace-format dot`.
     pub fn to_dot(&self, universe: &Universe) -> String {
-        fn go(d: &Derivation, universe: &Universe, dot: &mut DotBuilder) -> air_trace::NodeId {
+        fn go(d: &Derivation, universe: &Universe, dot: &mut DotBuilder) -> NodeId {
             let t = d.triple();
-            let label = format!(
-                "({})\n[{}]\n{}\n[{}]",
-                d.rule(),
-                crate::summarize::display_set(universe, &t.pre),
-                t.reg,
-                crate::summarize::display_set(universe, &t.post),
-            );
-            let node = dot.node(&label);
-            let premises: Vec<&Derivation> = match d {
-                Derivation::Transfer { .. } => vec![],
-                Derivation::Seq { left, right, .. } | Derivation::Join { left, right, .. } => {
-                    vec![left, right]
+            let mut chain = Vec::new();
+            for (rule, pre, premises) in d.conclusions() {
+                let node = dot.node(&format!(
+                    "({rule})\n[{}]\n{}\n[{}]",
+                    crate::summarize::display_set(universe, pre),
+                    t.reg,
+                    crate::summarize::display_set(universe, &t.post),
+                ));
+                for premise in premises {
+                    let child = go(premise, universe, dot);
+                    dot.edge(node, child);
                 }
-                Derivation::Rec { step, rest, .. } => vec![step, rest],
-                Derivation::Iterate { step, .. } => vec![step],
-                Derivation::Relax { inner, .. } => vec![inner],
-            };
-            for premise in premises {
-                let child = go(premise, universe, dot);
-                dot.edge(node, child);
+                chain.push(node);
             }
-            node
+            // Each `(rec)` also concludes from the next unroll, edged
+            // innermost first as a nested tree would be.
+            for pair in chain.windows(2).rev() {
+                dot.edge(pair[0], pair[1]);
+            }
+            chain[0]
         }
         let mut dot = DotBuilder::new("lcl_derivation");
         go(self, universe, &mut dot);
@@ -355,8 +350,7 @@ impl<'u> Lcl<'u> {
         self
     }
 
-    /// Enforces `governor` in the repair ([`ForwardRepair`]'s loop and
-    /// unroll heads) and at the derivation's star-unroll heads:
+    /// Enforces `governor` at [`ForwardRepair`]'s loop and unroll heads:
     /// exhaustion surfaces as [`RepairError::Exhausted`] with the points
     /// added so far and the sound partial invariant.
     pub fn governor(mut self, governor: Governor) -> Self {
@@ -441,47 +435,46 @@ impl<'u> Lcl<'u> {
                     "postcondition is not Q₁ ∨ Q₂",
                 )
             }
-            Derivation::Rec { step, rest, triple } => {
-                self.check(dom, step)?;
-                self.check(dom, rest)?;
-                let (st, rt) = (step.triple(), rest.triple());
-                let Reg::Star(body) = &triple.reg else {
-                    return side(false, "rec", "program is not a star");
-                };
-                side(
-                    st.reg == **body && rt.reg == triple.reg,
-                    "rec",
-                    "premise programs do not match",
-                )?;
-                side(
-                    st.pre == triple.pre
-                        && rt.pre == triple.pre.union(&st.post)
-                        && rt.post == triple.post,
-                    "rec",
-                    "conditions do not chain through the unroll",
-                )
-            }
-            Derivation::Iterate { step, triple } => {
-                self.check(dom, step)?;
-                let st = step.triple();
+            Derivation::Star {
+                rec,
+                iterate,
+                triple,
+            } => {
+                let unrolls = d.conclusions();
+                for (.., step) in &unrolls {
+                    self.check(dom, step[0])?;
+                }
                 let Reg::Star(body) = &triple.reg else {
                     return side(false, "iterate", "program is not a star");
                 };
+                // The innermost rule first, as in a nested tree.
+                let pres: Vec<&StateSet> = unrolls.iter().map(|c| c.1).collect();
+                let (it, p) = (iterate.triple(), pres[rec.len()]);
                 side(
-                    st.reg == **body && st.pre == triple.pre,
+                    it.reg == **body && it.pre == *p,
                     "iterate",
                     "premise does not match",
                 )?;
                 side(
-                    st.post.is_subset(&triple.pre),
+                    it.post.is_subset(p),
                     "iterate",
                     "R ≤ P fails: the body escapes the invariant",
                 )?;
                 side(
-                    triple.post == triple.pre,
+                    triple.post == *p,
                     "iterate",
                     "postcondition must equal the invariant P",
-                )
+                )?;
+                for (i, step) in rec.iter().enumerate().rev() {
+                    let st = step.triple();
+                    side(st.reg == **body, "rec", "premise programs do not match")?;
+                    side(
+                        st.pre == *pres[i] && *pres[i + 1] == pres[i].union(&st.post),
+                        "rec",
+                        "conditions do not chain through the unroll",
+                    )?;
+                }
+                Ok(())
             }
             Derivation::Relax { inner, triple } => {
                 self.check(dom, inner)?;
@@ -504,128 +497,38 @@ impl<'u> Lcl<'u> {
         }
     }
 
-    /// Attempts to build a derivation of `⊢_A [p] r [Q]` automatically,
-    /// failing on the first violated local completeness obligation.
+    /// Attempts to build a derivation of `⊢_A [p] r [Q]` automatically:
+    /// one recorded `find` pass in `dom`, failing on the first violated
+    /// local completeness obligation.
     ///
     /// # Errors
     ///
     /// [`LclError::Obligation`] when the domain must be repaired;
     /// evaluation errors otherwise.
     pub fn derive(&self, dom: &EnumDomain, p: &StateSet, r: &Reg) -> Result<Derivation, LclError> {
-        match r {
-            Reg::Basic(e) => {
-                if !self.lc.check_exp(dom, e, p)? {
-                    return Err(LclError::Obligation {
-                        input: p.clone(),
-                        exp: e.clone(),
-                    });
-                }
-                let post = self.lc.algebra().exec(None, r, p)?;
-                self.trace_rule("transfer");
-                Ok(Derivation::Transfer {
-                    triple: Triple {
-                        pre: p.clone(),
-                        reg: r.clone(),
-                        post,
-                    },
-                })
-            }
-            Reg::Seq(r1, r2) => {
-                let left = self.derive(dom, p, r1)?;
-                let mid = left.triple().post.clone();
-                let right = self.derive(dom, &mid, r2)?;
-                let post = right.triple().post.clone();
-                self.trace_rule("seq");
-                Ok(Derivation::Seq {
-                    left: Box::new(left),
-                    right: Box::new(right),
-                    triple: Triple {
-                        pre: p.clone(),
-                        reg: r.clone(),
-                        post,
-                    },
-                })
-            }
-            Reg::Choice(r1, r2) => {
-                let left = self.derive(dom, p, r1)?;
-                let right = self.derive(dom, p, r2)?;
-                let post = left.triple().post.union(&right.triple().post);
-                self.trace_rule("join");
-                Ok(Derivation::Join {
-                    left: Box::new(left),
-                    right: Box::new(right),
-                    triple: Triple {
-                        pre: p.clone(),
-                        reg: r.clone(),
-                        post,
-                    },
-                })
-            }
-            Reg::Star(body) => self.derive_star(dom, p, r, body, 0),
+        let (repair, find) = (self.repair(), self.lc.algebra().for_find());
+        let mut record = Record::default();
+        match repair.find(&find, &self.lc, dom, r, p, &mut 0, &mut record) {
+            Ok(_) => Ok(self.derivation(record)),
+            Err(Stop::Incomplete { input, exp }) => Err(LclError::Obligation { input, exp }),
+            Err(Stop::Sem(e)) => Err(LclError::Sem(e)),
         }
-    }
-
-    fn derive_star(
-        &self,
-        dom: &EnumDomain,
-        p: &StateSet,
-        star: &Reg,
-        body: &Reg,
-        depth: usize,
-    ) -> Result<Derivation, LclError> {
-        if depth == MAX_UNROLLS {
-            let cap = Exhaustion {
-                phase: "lcl.derive_star".to_string(),
-                spent: MAX_UNROLLS as u64,
-                reason: ExhaustReason::Fuel,
-            };
-            return Err(SemError::from(cap).into());
-        }
-        self.governor
-            .check_with(|| "lcl.derive_star".to_string())
-            .map_err(SemError::from)?;
-        let step = self.derive(dom, p, body)?;
-        let r_post = step.triple().post.clone();
-        if r_post.is_subset(p) {
-            self.trace_rule("iterate");
-            return Ok(Derivation::Iterate {
-                step: Box::new(step),
-                triple: Triple {
-                    pre: p.clone(),
-                    reg: star.clone(),
-                    post: p.clone(),
-                },
-            });
-        }
-        let grown = p.union(&r_post);
-        let rest = self.derive_star(dom, &grown, star, body, depth + 1)?;
-        let post = rest.triple().post.clone();
-        self.trace_rule("rec");
-        Ok(Derivation::Rec {
-            step: Box::new(step),
-            rest: Box::new(rest),
-            triple: Triple {
-                pre: p.clone(),
-                reg: star.clone(),
-                post,
-            },
-        })
     }
 
     /// The Section 9 integration: repair the domain until every local
     /// completeness obligation of `r` on `p` holds — Algorithm 1,
-    /// [`ForwardRepair`], which walks the program exactly as
-    /// [`derive`](Self::derive) does and settles each failed obligation
-    /// with a pointed shell (Theorem 4.11 for guards, Theorem 4.9
-    /// otherwise) — then derive the triple once in the repaired domain.
-    /// Returns the derivation together with the repaired domain.
+    /// [`ForwardRepair`], settling each failed obligation with a pointed
+    /// shell (Theorem 4.11 for guards, Theorem 4.9 otherwise). The
+    /// derivation is the record of its last `find` pass, the one whose
+    /// obligations all hold. Returns it with the repaired domain.
     ///
     /// # Errors
     ///
     /// Evaluation errors, or [`RepairError::Exhausted`] if the governor
-    /// budget, forward repair's refinement cap or the derivation's unroll
-    /// cap runs out (the error carries the points added so far — each a
-    /// sound pointed refinement — and the sound partial invariant).
+    /// budget, forward repair's refinement cap or the unroll cap
+    /// ([`MAX_UNROLLS`]) runs out (the error carries the points added so
+    /// far — each a sound pointed refinement — and the sound partial
+    /// invariant).
     pub fn derive_with_repair(
         &self,
         dom: EnumDomain,
@@ -633,20 +536,61 @@ impl<'u> Lcl<'u> {
         r: &Reg,
     ) -> Result<(Derivation, EnumDomain), RepairError> {
         let _span = self.trace.span(|| "lcl.derive_with_repair".to_string());
-        let repair = ForwardRepair::from_algebra(self.universe, self.lc.algebra().clone())
+        let (outcome, record) = self.repair().repair_recorded::<Record>(dom, r, p)?;
+        Ok((self.derivation(record), outcome.domain))
+    }
+
+    /// Forward repair in this system's algebra, tracer and budget.
+    fn repair(&self) -> ForwardRepair<'u> {
+        ForwardRepair::from_algebra(self.universe, self.lc.algebra().clone())
             .tracer(self.trace.clone())
-            .governor(self.governor.clone());
-        let repaired = repair.repair(dom, r, p)?.domain;
-        match self.derive(&repaired, p, r) {
-            Ok(d) => Ok((d, repaired)),
-            Err(LclError::Sem(e)) => Err(repair.exhausted(e.into(), &repaired, r, p)),
-            // Forward repair settled every obligation `derive` meets, and
-            // `derive` builds its own trees, so side conditions cannot
-            // fail; anything else is an engine bug, not a user error.
-            Err(other) => Err(RepairError::Internal(format!(
-                "derivation in the repaired domain failed: {other}"
-            ))),
+            .governor(self.governor.clone())
+    }
+
+    /// The derivation a pass whose obligations all held recorded: each
+    /// conclusion takes its premises off a stack. Emits one `lcl_rule`
+    /// event per rule, in post-order.
+    fn derivation(&self, record: Record<'_>) -> Derivation {
+        fn pop(stack: &mut Vec<Derivation>) -> Box<Derivation> {
+            Box::new(
+                stack
+                    .pop()
+                    .expect("find concludes a rule after its premises"),
+            )
         }
+        let mut stack = Vec::new();
+        for (reg, pre, post, unrolls) in record.0 {
+            let triple = Triple {
+                pre,
+                reg: reg.clone(),
+                post,
+            };
+            // Fields evaluate in the order written: the last premise first.
+            let d = match reg {
+                Reg::Basic(_) => Derivation::Transfer { triple },
+                Reg::Seq(..) => Derivation::Seq {
+                    right: pop(&mut stack),
+                    left: pop(&mut stack),
+                    triple,
+                },
+                Reg::Choice(..) => Derivation::Join {
+                    right: pop(&mut stack),
+                    left: pop(&mut stack),
+                    triple,
+                },
+                Reg::Star(_) => Derivation::Star {
+                    iterate: pop(&mut stack),
+                    rec: stack.split_off(stack.len() + 1 - unrolls),
+                    triple,
+                },
+            };
+            // A nested tree concludes its innermost unroll first.
+            for (rule, ..) in d.conclusions().iter().rev() {
+                self.trace_rule(rule);
+            }
+            stack.push(d);
+        }
+        *pop(&mut stack)
     }
 
     /// The soundness invariant of a triple (used by tests and callers):
@@ -708,6 +652,29 @@ impl<'u> Lcl<'u> {
             derivation,
             domain: repaired,
         })
+    }
+}
+
+/// A `find` pass recorded as a derivation: each conclusion in post-order
+/// with its sets shared with the walk and its program borrowed, until
+/// [`Lcl::derivation`] builds the tree of the pass that succeeds.
+#[derive(Default)]
+struct Record<'r>(Vec<(&'r Reg, StateSet, StateSet, usize)>);
+
+impl<'r> Recorder<'r, StateSet> for Record<'r> {
+    fn conclude(&mut self, r: &'r Reg, pre: &StateSet, post: &StateSet, unrolls: usize) {
+        self.0.push((r, pre.clone(), post.clone(), unrolls));
+    }
+
+    fn unroll(&mut self, n: usize) -> Result<(), SemError> {
+        if n < MAX_UNROLLS {
+            return Ok(());
+        }
+        Err(SemError::from(Exhaustion {
+            phase: "lcl.derive_star".to_string(),
+            spent: MAX_UNROLLS as u64,
+            reason: ExhaustReason::Fuel,
+        }))
     }
 }
 
@@ -849,6 +816,84 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// `while (x > 0) do { x := x - 1 }` from `x = 3`: its star unrolls
+    /// three times by `(rec)`, from {3}, {2, 3} and {1, 2, 3}, then closes
+    /// by `(iterate)` on {0, …, 3}.
+    fn countdown_star(lcl: &Lcl, u: &Universe, dom: &EnumDomain) -> Derivation {
+        let prog = parse_program("while (x > 0) do { x := x - 1 }").unwrap();
+        let d = lcl.derive(dom, &u.of_values([3]), &prog).unwrap();
+        lcl.check(dom, &d).unwrap();
+        let Derivation::Seq { left, .. } = d else {
+            panic!("a while loop is a star then its exit guard");
+        };
+        *left
+    }
+
+    #[test]
+    fn check_rejects_a_broken_unroll_chain() {
+        let (u, dom) = setup();
+        let lcl = Lcl::new(&u);
+        let Derivation::Star {
+            rec,
+            iterate,
+            triple,
+        } = countdown_star(&lcl, &u, &dom)
+        else {
+            panic!("star expected");
+        };
+        assert_eq!(rec.len(), 3);
+        let Reg::Star(body) = &triple.reg else {
+            panic!("star program expected");
+        };
+        // Unroll 1 derived from a wider pre: every step checks on its own,
+        // but the pres no longer grow by each step's post.
+        let mut tampered = rec.clone();
+        tampered[1] = lcl.derive(&dom, &u.of_values([1, 2, 3]), body).unwrap();
+        let star = Derivation::Star {
+            rec: tampered,
+            iterate,
+            triple: triple.clone(),
+        };
+        let err = lcl.check(&dom, &star).unwrap_err();
+        let chain = "conditions do not chain through the unroll";
+        assert_eq!(err, side(false, "rec", chain).unwrap_err());
+        // The last `(rec)` step closing the star: its body escapes its pre.
+        let mut rec = rec;
+        let last = rec.pop().unwrap();
+        let star = Derivation::Star {
+            rec,
+            iterate: Box::new(last),
+            triple,
+        };
+        let err = lcl.check(&dom, &star).unwrap_err();
+        let escapes = "R ≤ P fails: the body escapes the invariant";
+        assert_eq!(err, side(false, "iterate", escapes).unwrap_err());
+    }
+
+    /// A 2,046-unroll countdown is one flat star: its size, rendering and
+    /// drop do not recurse per unroll, so a small stack holds them, and
+    /// the rendering stays linear in the tree.
+    #[test]
+    fn a_deep_countdown_is_one_flat_star() {
+        let u = Universe::new(&[("x", 0, 2046)]).unwrap();
+        let dom = EnumDomain::from_abstraction(&u, IntervalEnv::new(&u));
+        let prog = parse_program("while (x > 0) do { x := x - 1 }").unwrap();
+        let p = u.of_values([2046]);
+        let (d, _) = Lcl::new(&u).derive_with_repair(dom, &p, &prog).unwrap();
+        std::thread::scope(|scope| {
+            let walks = std::thread::Builder::new().stack_size(128 * 1024);
+            let walks = walks.spawn_scoped(scope, || {
+                assert_eq!(d.size(), 8190);
+                let rendered = d.render(&u);
+                assert!(rendered.len() < 1_000_000, "{} bytes", rendered.len());
+                let ending = |rule: &str| rendered.lines().filter(|l| l.ends_with(rule)).count();
+                assert_eq!((ending("(rec)"), ending("(iterate)")), (2046, 1));
+                drop(d);
+            });
+            walks.unwrap().join().unwrap();
+        });
     }
 
     #[test]

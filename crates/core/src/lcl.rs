@@ -552,11 +552,7 @@ impl<'u> Lcl<'u> {
     /// event per rule, in post-order.
     fn derivation(&self, record: Record<'_>) -> Derivation {
         fn pop(stack: &mut Vec<Derivation>) -> Box<Derivation> {
-            Box::new(
-                stack
-                    .pop()
-                    .expect("find concludes a rule after its premises"),
-            )
+            Box::new(stack.pop().expect("premises precede their rule"))
         }
         let mut stack = Vec::new();
         for (reg, pre, post, unrolls) in record.0 {

@@ -320,12 +320,6 @@ impl<'u> Lcl<'u> {
         Self::from_algebra(universe, EnumAlgebra::with_cache(universe, SemCache::new()))
     }
 
-    /// Kept for `tests/differential.rs`: [`from_algebra`](Self::from_algebra)
-    /// without memoization (the reference path).
-    pub fn uncached(universe: &'u Universe) -> Self {
-        Self::from_algebra(universe, EnumAlgebra::uncached(universe))
-    }
-
     /// Creates the proof system over `alg`.
     pub fn from_algebra(universe: &'u Universe, alg: EnumAlgebra<'u>) -> Self {
         Lcl {
@@ -636,10 +630,13 @@ impl<'u> Lcl<'u> {
                 witness,
             });
         }
-        debug_assert!(
-            repaired.close(q).is_subset(spec),
-            "A(Q) ≤ Spec after tightening"
-        );
+        // Checked in every build, so the counted closure lookup it makes
+        // is the same in debug and release.
+        if !repaired.close(q).is_subset(spec) {
+            return Err(RepairError::Internal(
+                "A(Q) ≰ Spec after tightening".to_string(),
+            ));
+        }
         self.trace.emit_detail_with(|| EventKind::Verdict {
             phase: "lcl.prove_spec".to_string(),
             verdict: "valid".to_string(),

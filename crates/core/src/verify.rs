@@ -177,12 +177,6 @@ impl<'u> Verifier<'u> {
         Self::from_algebra(universe, EnumAlgebra::with_cache(universe, cache)).engine(engine)
     }
 
-    /// Kept for `tests/differential.rs`: [`from_algebra`](Self::from_algebra)
-    /// without memoization (the reference path).
-    pub fn uncached(universe: &'u Universe) -> Self {
-        Self::from_algebra(universe, EnumAlgebra::uncached(universe))
-    }
-
     /// Runs repairs on `engine`: the symbolic one repairs `Int` bases on
     /// decision diagrams ([`Engine::on_diagrams`]).
     pub fn engine(mut self, engine: Engine) -> Self {

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use air::cegar::driver::{Cegar, Heuristic};
 use air::cegar::partition::Partition;
 use air::cegar::ts::TransitionSystem;
-use air::core::{EnumDomain, Lcl, RepairSession, Verdict, Verifier};
+use air::core::{EnumAlgebra, EnumDomain, Lcl, RepairSession, Verdict, Verifier};
 use air::domains::IntervalEnv;
 use air::lang::gen::{GenConfig, ProgramGen, XorShift};
 use air::lang::{parse_bexp, parse_program, Concrete, Reg, SemCache, StateSet, Universe, Wlp};
@@ -101,7 +101,7 @@ fn cached_matches_uncached_over_corpus() {
                 _ => verifier.forward(dom.clone(), &prog, &pre, &spec).unwrap(),
             };
             let cached = run(&Verifier::new(&u));
-            let uncached = run(&Verifier::uncached(&u));
+            let uncached = run(&Verifier::from_algebra(&u, EnumAlgebra::uncached(&u)));
             assert_verdict_eq(&format!("{name}/{strategy}"), &cached, &uncached);
         }
     }
@@ -145,7 +145,7 @@ fn lcl_cached_matches_uncached() {
         let (da, ra) = Lcl::new(&u)
             .derive_with_repair(dom.clone(), &pre, &prog)
             .unwrap();
-        let (db, rb) = Lcl::uncached(&u)
+        let (db, rb) = Lcl::from_algebra(&u, EnumAlgebra::uncached(&u))
             .derive_with_repair(dom, &pre, &prog)
             .unwrap();
         assert_eq!(da.triple().post, db.triple().post, "{name}: post");
@@ -202,7 +202,7 @@ fn trace_stream_cached_matches_uncached() {
                 normalized_stream(&sink)
             };
             let cached = traced(Verifier::new(&u));
-            let uncached = traced(Verifier::uncached(&u));
+            let uncached = traced(Verifier::from_algebra(&u, EnumAlgebra::uncached(&u)));
             assert!(!cached.is_empty(), "{name}/{strategy}: no events");
             assert_eq!(cached, uncached, "{name}/{strategy}: event stream");
         }
@@ -421,7 +421,7 @@ proptest! {
             let cached = Verifier::new(&u)
                 .backward(dom.clone(), &prog, &input, &spec)
                 .unwrap();
-            let uncached = Verifier::uncached(&u)
+            let uncached = Verifier::from_algebra(&u, EnumAlgebra::uncached(&u))
                 .backward(dom, &prog, &input, &spec)
                 .unwrap();
             prop_assert_eq!(cached.is_proved(), uncached.is_proved());

@@ -316,7 +316,7 @@ fn warm_hits(doc: &Value) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    /// `run` on `args`. Tests run in `crates/bench`, two levels below
+    /// `run` on `args`. Tests run in `crates/cli`, two levels below
     /// the repository root.
     fn check(args: &[&str]) -> Result<String, (u8, String)> {
         run(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())

@@ -52,8 +52,9 @@ pub type ImageMemo<S> = MemoTable<(u64, TermId, S), S>;
 
 /// Universes of at most this many stores keep runs off the exec/wlp/sat
 /// tables, where recomputing beats hashing a `(command, set)` key
-/// (`BENCH_repair.json`: 0.72×/0.86× on `nondet_walk` and `parity_flip`,
-/// 27 and 20 states, 0% hits); the corpus entries (225+) stay memoized.
+/// (cached vs uncached, measured when this bound was set: 0.72×/0.86× on
+/// `nondet_walk` and `parity_flip`, 27 and 20 states, 0% hits); the
+/// corpus entries (225+) stay memoized.
 pub(crate) const SMALL_UNIVERSE: usize = 64;
 
 /// The kind of run [`memo_mode`] decides for.

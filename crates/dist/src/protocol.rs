@@ -4,7 +4,7 @@
 //! transport of [`air_serve`] (`read_frame`/`write_frame`), with a
 //! `"frame"` tag naming the variant. The set is closed, and
 //! `schemas/dist-frame.schema.json` is its one source: the tests below
-//! check it against the variants, and in CI `cargo run -p air-bench
+//! check it against the variants, and in CI `cargo run -p air-cli
 //! --bin schema_check` checks a recorded `--dist-frame-log` against it.
 //!
 //! Direction of each frame:

@@ -22,8 +22,8 @@
 //! 3. **No-op when disabled.** [`MetricsRegistry::disabled`] mirrors
 //!    `Tracer::disabled`: every method is an early-return on `None`, so an
 //!    uninstrumented binary pays one branch per call site. The measured
-//!    enabled-vs-disabled throughput cost on the serve stack is the
-//!    `metrics_overhead` section of `BENCH_serve.json` (< 2% bar).
+//!    enabled-vs-disabled cost on the serve stack is in SERVING.md,
+//!    *Overhead* (< 2% bar).
 //! 4. **Fixed boundaries.** Histogram buckets are powers of two
 //!    (`le = 2^i - 1`), so histograms from different processes, tenants or
 //!    runs can be merged or compared without boundary negotiation, and a

@@ -16,7 +16,7 @@
 //! is either enabled (`Some(Arc<Inner>)`) or disabled
 //! ([`MetricsRegistry::disabled`]) — the disabled path is a single branch,
 //! which is what keeps the metrics plane affordable enough to leave on
-//! by default in `air serve` (measured in `BENCH_serve.json`).
+//! by default in `air serve` (SERVING.md, *Overhead*).
 //!
 //! Naming follows Prometheus conventions: `snake_case` names matching
 //! `[a-zA-Z_:][a-zA-Z0-9_:]*`, counters suffixed `_total`, durations in

@@ -2,8 +2,8 @@
 //!
 //! A [`Snapshot`] is plain owned data — sorted rows of counters, gauges
 //! and histograms — so it can be captured under the registry locks in
-//! microseconds and rendered (or asserted against, in tests and
-//! `bench_serve`) with no further synchronization. Two renderings:
+//! microseconds and rendered (or asserted against, in tests) with no
+//! further synchronization. Two renderings:
 //!
 //! * [`Snapshot::to_json`] — the closed document described by
 //!   `schemas/metrics-snapshot.schema.json` and checked by the

@@ -99,15 +99,6 @@ impl Summary {
         Ok(summary)
     }
 
-    /// Per-phase total times in milliseconds, sorted by phase name.
-    /// Used by `bench_tables` for the `phase_ms` breakdown.
-    pub fn phase_ms(&self) -> Vec<(String, f64)> {
-        self.phases
-            .iter()
-            .map(|(name, stat)| (name.clone(), stat.total_ns as f64 / 1e6))
-            .collect()
-    }
-
     /// Render the per-phase time/count/percentile table plus event-kind
     /// and counter tables as aligned plain text.
     pub fn render(&self) -> String {
@@ -213,7 +204,6 @@ mod tests {
         assert_eq!(s.counters["runs"], 2);
         assert_eq!(s.phases["p"].count, 2);
         assert_eq!(s.phases["p"].total_ns, 3_000_000);
-        assert_eq!(s.phase_ms(), vec![("p".to_string(), 3.0)]);
         let table = s.render();
         assert!(table.contains("phase"), "{table}");
         assert!(table.contains("3.000"), "{table}");

@@ -10,8 +10,9 @@
 //! - [`cache`] — sharded thread-safe memo tables, hash-consing interners
 //!   and hit/miss counters shared by the closure, transfer-function and
 //!   `wlp` caches of the repair engine.
-//! - [`parallel`] — deterministic work-stealing [`par_map`] over slices,
-//!   the substrate of the parallel corpus/CEGAR drivers.
+//! - [`parallel`] — deterministic work-stealing [`par_map`] over slices on
+//!   a pool of parked helper threads, the substrate of the parallel
+//!   corpus/CEGAR drivers.
 //! - [`governor`] — fuel counters, wall-clock deadlines and cooperative
 //!   cancellation ([`Governor`]), checked at every engine loop head so
 //!   divergent repairs surface structured exhaustion instead of hanging.
@@ -32,6 +33,8 @@
 //! assert!(a.union(&b).contains(5));
 //! assert!(!a.is_subset(&b));
 //! ```
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bitset;
 pub mod cache;

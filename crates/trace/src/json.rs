@@ -109,29 +109,35 @@ impl Value {
 /// nested deeper than [`MAX_NESTING`] are errors.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
-        bytes: text.as_bytes(),
+        text,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Always on a char boundary of `text`: the parser steps over single
+    /// ASCII bytes and over string runs that stop at an ASCII byte.
     pos: usize,
     /// Arrays and objects open at `pos`.
     depth: usize,
 }
 
 impl Parser<'_> {
+    fn bytes(&self) -> &[u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -141,7 +147,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -154,7 +160,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -200,7 +206,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
@@ -231,7 +237,7 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .bytes()
                                 .get(self.pos..self.pos + 4)
                                 .ok_or("truncated \\u escape")?;
                             let hex = std::str::from_utf8(hex)
@@ -247,12 +253,16 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Copy one UTF-8 character verbatim.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash
+                    // verbatim; both are ASCII, so the cut is a char
+                    // boundary.
+                    let rest = &self.bytes()[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -352,5 +362,32 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn strings_copy_whole_runs_between_escapes() {
+        let v = parse(r#"["ascii", "π≈3.14 — ok", "🦀 astral 𝔸", "a\"b\\c\u00e9d\n🦀e"]"#).unwrap();
+        let strs: Vec<&str> = v
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|s| s.as_str().unwrap())
+            .collect();
+        assert_eq!(
+            strs,
+            ["ascii", "π≈3.14 — ok", "🦀 astral 𝔸", "a\"b\\céd\n🦀e"]
+        );
+        assert_eq!(parse("\"abc").unwrap_err(), "unterminated string");
+        assert_eq!(parse("\"é\\").unwrap_err(), "unterminated escape");
+        assert_eq!(parse("\"\\q\"").unwrap_err(), "bad escape '\\q'");
+        // A 1 MiB string parses in one pass, not one re-validation of the
+        // rest of the input per character.
+        let big = "abcπ🦀".repeat((1 << 20) / 9 + 1);
+        assert!(big.len() >= 1 << 20);
+        let doc = format!("{{\"k\":\"{big}\"}}");
+        assert_eq!(
+            parse(&doc).unwrap().get("k").unwrap().as_str(),
+            Some(big.as_str())
+        );
     }
 }

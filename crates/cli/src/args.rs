@@ -37,7 +37,6 @@ usage:
               [--kill-workers N] [--kill-seed N] [--dist-frame-log FILE]
   air serve   [--stdio] [--tcp ADDR] [--workers N] [--quota FUEL]
               [--max-frame BYTES] [--trace FILE] [--metrics-addr ADDR]
-              [--no-metrics]
   air top     --connect ADDR [--interval-ms N] [--iterations N] [--plain]
 
   --vars declares bounded variables, e.g. \"x:-8..8,y:0..20\"
@@ -90,9 +89,9 @@ usage:
   (--stdio) and/or a TCP socket (--tcp HOST:PORT, port 0 = ephemeral),
   and warm caches persist across requests; --workers sizes the job pool,
   --quota caps each tenant's lifetime fuel, --max-frame caps a request's
-  size in bytes; --metrics-addr serves Prometheus text exposition on
-  HOST:PORT (curl- and nc-friendly); --no-metrics disables the metrics
-  plane entirely
+  size in bytes; the metrics plane is always on: the `metrics` job
+  answers a JSON snapshot, and --metrics-addr also serves Prometheus text
+  exposition on HOST:PORT (curl- and nc-friendly)
   top polls a running daemon's `metrics` job over --connect HOST:PORT
   and renders a one-screen live summary (req/s, p50/p99 cold and warm
   latency, warm hit rate, queue depth, per-tenant fuel spend) every
@@ -170,8 +169,6 @@ pub struct ServeTask {
     pub trace: Option<String>,
     /// Bind address of the Prometheus text exposition listener.
     pub metrics_addr: Option<String>,
-    /// Whether the metrics plane collects at all.
-    pub metrics: bool,
 }
 
 /// Distributed-campaign flags shared by `fuzz run`, `corpus` and
@@ -565,13 +562,11 @@ fn parse_serve(it: &mut Args<'_>) -> Result<Command, ArgError> {
     let mut max_frame = None;
     let mut trace = None;
     let mut metrics_addr = None;
-    let mut metrics = true;
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--stdio" => stdio = true,
             "--tcp" => tcp = Some(value(it, flag)?),
             "--metrics-addr" => metrics_addr = Some(value(it, flag)?),
-            "--no-metrics" => metrics = false,
             "--workers" => workers = num_flag(flag, &value(it, flag)?)?,
             "--quota" => quota = Some(num_flag(flag, &value(it, flag)?)?),
             "--max-frame" => max_frame = Some(num_flag(flag, &value(it, flag)?)?),
@@ -584,11 +579,6 @@ fn parse_serve(it: &mut Args<'_>) -> Result<Command, ArgError> {
             "serve needs a transport: --stdio and/or --tcp ADDR".into(),
         ));
     }
-    if !metrics && metrics_addr.is_some() {
-        return Err(ArgError(
-            "--metrics-addr needs the metrics plane; drop --no-metrics".into(),
-        ));
-    }
     Ok(Command::Serve(ServeTask {
         stdio,
         tcp,
@@ -597,7 +587,6 @@ fn parse_serve(it: &mut Args<'_>) -> Result<Command, ArgError> {
         max_frame,
         trace,
         metrics_addr,
-        metrics,
     }))
 }
 
@@ -1354,7 +1343,6 @@ mod tests {
                 max_frame: None,
                 trace: None,
                 metrics_addr: None,
-                metrics: true,
             })
         );
         assert_eq!(
@@ -1382,28 +1370,11 @@ mod tests {
                 max_frame: Some(4096),
                 trace: Some("s.jsonl".into()),
                 metrics_addr: Some("127.0.0.1:9100".into()),
-                metrics: true,
             })
         );
-        let Command::Serve(task) = parse(&argv(&["serve", "--stdio", "--no-metrics"])).unwrap()
-        else {
-            panic!("expected serve");
-        };
-        assert!(!task.metrics);
         assert!(parse(&argv(&["serve"])).is_err(), "needs a transport");
         assert!(parse(&argv(&["serve", "--stdio", "--workers", "x"])).is_err());
         assert!(parse(&argv(&["serve", "--stdio", "--bogus"])).is_err());
-        assert!(
-            parse(&argv(&[
-                "serve",
-                "--stdio",
-                "--no-metrics",
-                "--metrics-addr",
-                "127.0.0.1:9100",
-            ]))
-            .is_err(),
-            "exposition needs the plane on"
-        );
     }
 
     #[test]

@@ -17,14 +17,13 @@
 //! data, so identical seeds produce byte-identical reports.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use air_core::Verifier;
 use air_lang::Concrete;
 use air_lattice::{Budget, Governor};
 use air_resilience::{
     install_quiet_fault_hook, FailSwitch, FaultInjector, FaultPlan, FlakyWriter, InjectSink,
-    RetryPolicy, Supervisor,
+    Supervisor,
 };
 use air_trace::{json, JsonlSink, MultiSink, Sink, Tracer};
 
@@ -128,13 +127,7 @@ fn run_one(
     }
     // Plans carry up to 3 one-shot panics, so 4 attempts always converge
     // unless a *genuine* (non-injected) panic keeps recurring.
-    let supervisor = Supervisor::with_tracer(
-        RetryPolicy {
-            max_attempts: 4,
-            backoff: Duration::ZERO,
-        },
-        tracer.clone(),
-    );
+    let supervisor = Supervisor::with_tracer(4, tracer.clone());
     let site = format!("chaos.{}", p.name);
     let result = supervisor.run(&site, || {
         verifier.backward(b.domain.clone(), &b.program, &b.pre, &b.spec)

@@ -30,7 +30,6 @@ use air_core::DomainKind;
 use air_dist::{run_distributed, run_worker, DistConfig, DistHooks, DistStats, LeaseDone, Tile};
 use air_fuzz::checkpoint::{self, CheckpointState};
 use air_lattice::Governor;
-use air_metrics::MetricsRegistry;
 use air_trace::Tracer;
 
 use crate::args::{ChaosTask, CorpusTask, DistOpts};
@@ -44,21 +43,19 @@ const FUZZ_HEARTBEAT_EVERY: u64 = 8;
 
 /// Builds the fleet envelope shared by all three campaign kinds.
 fn fleet_config(dist: &DistOpts, base: u64, items: u64) -> DistConfig {
-    let defaults = DistConfig::default();
-    DistConfig {
+    let mut config = DistConfig {
         shards: dist.shards,
         base,
         items,
         lease_items: dist.lease,
-        hang_timeout: if dist.hang_ms > 0 {
-            Duration::from_millis(dist.hang_ms)
-        } else {
-            defaults.hang_timeout
-        },
         kill_workers: dist.kill_workers,
         kill_seed: dist.kill_seed,
-        ..defaults
+        ..DistConfig::default()
+    };
+    if dist.hang_ms > 0 {
+        config.hang_timeout = Duration::from_millis(dist.hang_ms);
     }
+    config
 }
 
 fn self_exe() -> Result<PathBuf, AirError> {
@@ -103,7 +100,6 @@ fn run_rows<T>(
         }),
         recover: Box::new(|_, _, _| None),
         tracer: Tracer::disabled(),
-        metrics: MetricsRegistry::new(),
         frame_log: dist.frame_log.as_ref().map(PathBuf::from),
         cancel: Some(token),
         halt_after: None,
@@ -311,7 +307,6 @@ pub(crate) fn fuzz_dist(a: FuzzDist) -> Result<Outcome, AirError> {
         }),
         recover: fuzz_recover(a.checkpoint.clone(), a.oracle.clone()),
         tracer: session.tracer(),
-        metrics: MetricsRegistry::new(),
         frame_log: a.dist.frame_log.as_ref().map(PathBuf::from),
         cancel: Some(token),
         // `--halt-after` counts campaign cases including a resumed

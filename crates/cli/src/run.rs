@@ -10,7 +10,7 @@ use air_core::summarize::display_set;
 use air_core::{
     EnumAlgebra, EnumDomain, Lcl, Question, QuestionError, RepairError, Verdict, Verifier,
 };
-use air_lang::{SemCache, SemError, StateSet, Universe};
+use air_lang::{SemCache, StateSet, Universe};
 use air_lattice::{par_map_governed, Budget, CacheStats, Exhaustion, Governor};
 use air_resilience::Checkpointer;
 use air_trace::{json, EventKind, JsonlSink, MultiSink, Profiler, Sink, Summary, Tracer};
@@ -122,8 +122,7 @@ fn engine_error(u: &Universe, e: RepairError) -> AirError {
             }
             budget_error(ex)
         }
-        RepairError::Sem(SemError::Exhausted(ex)) => budget_error(&ex),
-        RepairError::Sem(other) => AirError::Usage(other.to_string()),
+        RepairError::Sem(sem) => AirError::Usage(sem.to_string()),
         RepairError::Internal(msg) => AirError::Internal(msg),
     }
 }
@@ -165,7 +164,6 @@ fn serve(task: ServeTask) -> Result<Outcome, AirError> {
         tcp: task.tcp.clone(),
         workers: task.workers,
         quota: task.quota,
-        metrics: task.metrics,
         metrics_addr: task.metrics_addr.clone(),
         ..air_serve::ServeConfig::default()
     };
@@ -334,7 +332,6 @@ fn fuzz(cmd: FuzzCmd) -> Result<Outcome, AirError> {
                 resume,
                 halt_after,
                 watch: Some(watch),
-                ..air_fuzz::FuzzOptions::default()
             };
             let report = air_fuzz::run_campaign(&opts);
             let done = report.built + report.build_skips;
@@ -910,7 +907,8 @@ pub(crate) fn run_corpus_program(
         verify_corpus_program(name, question, sweep, tracer, governor)
     }))
     .unwrap_or_else(|payload| {
-        ProgramReport::bare(name, ProgramStatus::Panicked(panic_message(payload)), 0.0)
+        let message = air_resilience::panic_message(payload.as_ref());
+        ProgramReport::bare(name, ProgramStatus::Panicked(message), 0.0)
     })
 }
 
@@ -942,9 +940,6 @@ fn verify_corpus_program(
         Err(RepairError::Exhausted(partial)) => {
             return ProgramReport::bare(name, ProgramStatus::Budget(partial.exhaustion), millis)
         }
-        Err(RepairError::Sem(SemError::Exhausted(ex))) => {
-            return ProgramReport::bare(name, ProgramStatus::Budget(ex), millis)
-        }
         Err(e) => return ProgramReport::bare(name, ProgramStatus::Error(e.to_string()), millis),
     };
     let exec_cache = match verifier.cache() {
@@ -962,17 +957,6 @@ fn verify_corpus_program(
         millis,
         exec_cache,
         closure_cache: verdict.domain().cache_stats().to_string(),
-    }
-}
-
-/// Renders a panic payload (the argument of `panic!`) as text.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
     }
 }
 

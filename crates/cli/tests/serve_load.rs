@@ -18,7 +18,8 @@
 //! - `air top --iterations 1 --plain` renders a `requests` screen;
 //! - both metrics snapshots pass `schema_check`, the second with `--prev`
 //!   the first and `--require-warm-hits`;
-//! - a `shutdown` frame drains the daemon, which exits 0 with `aborts=0`.
+//! - a `shutdown` frame drains the daemon, which exits 0 with `aborts=0`
+//!   and a `served=` count of at least every job sent over both loads.
 //!
 //! Every socket read and write, the daemon's start-up and drain, and each
 //! child command run under [`DEADLINE`]; the daemon is killed on every
@@ -425,6 +426,16 @@ fn daemon_serves_two_loads_scrapes_and_drains() {
     let drained = daemon.wait_line("air-serve drained");
     assert!(status.success(), "daemon exited {status}");
     assert!(drained.contains("aborts=0"), "{drained}");
+    let served: u64 = drained
+        .split_whitespace()
+        .find_map(|field| field.strip_prefix("served="))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no served= count in `{drained}`"));
+    assert!(
+        served >= 2 * jobs_per_load as u64,
+        "drain line served={served} < {} jobs sent",
+        2 * jobs_per_load
+    );
 
     let responses = scratch("responses.jsonl");
     std::fs::write(&responses, transcript.join("\n") + "\n").expect("write transcript");

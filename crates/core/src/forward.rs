@@ -489,6 +489,25 @@ mod tests {
         assert!(lc.check(&out.domain, &prog, &odd).unwrap());
     }
 
+    /// Every path that turns a `SemError` into a `RepairError` sends a
+    /// budget cut to `RepairError::Exhausted`, so no caller needs a
+    /// `RepairError::Sem(SemError::Exhausted(_))` arm.
+    #[test]
+    fn sem_exhaustion_becomes_a_repair_exhaustion() {
+        let ex = Exhaustion {
+            phase: "lang.exec".to_string(),
+            spent: 7,
+            reason: ExhaustReason::Fuel,
+        };
+        match RepairError::from(SemError::Exhausted(ex.clone())) {
+            RepairError::Exhausted(partial) => {
+                assert_eq!(partial.exhaustion, ex);
+                assert!(partial.points.is_empty() && partial.invariant.is_none());
+            }
+            other => panic!("expected RepairError::Exhausted, got {other:?}"),
+        }
+    }
+
     #[test]
     fn already_complete_program_needs_no_repair() {
         let (u, dom) = setup();

@@ -41,7 +41,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use air_metrics::MetricsRegistry;
 use air_resilience::SplitMix64;
 use air_serve::{read_frame, DEFAULT_MAX_FRAME};
 use air_trace::{EventKind, Tracer};
@@ -64,14 +63,6 @@ pub struct DistConfig {
     pub lease_items: u64,
     /// A busy worker silent for this long is declared hung and killed.
     pub hang_timeout: Duration,
-    /// Restarts allowed per shard before it is abandoned.
-    pub max_restarts: u32,
-    /// Base delay before restarting a lost worker; doubles per restart
-    /// of that shard (deterministic exponential backoff).
-    pub restart_backoff: Duration,
-    /// Minimum remaining items that make a straggler worth stealing
-    /// from (the thief gets at least half of this).
-    pub steal_min: u64,
     /// Chaos axis: SIGKILL this many workers mid-campaign.
     pub kill_workers: u64,
     /// Seed for the deterministic kill schedule.
@@ -86,14 +77,22 @@ impl Default for DistConfig {
             items: 0,
             lease_items: 0,
             hang_timeout: Duration::from_secs(30),
-            max_restarts: 3,
-            restart_backoff: Duration::from_millis(50),
-            steal_min: 4,
             kill_workers: 0,
             kill_seed: 0,
         }
     }
 }
+
+/// Restarts allowed per shard before it is abandoned.
+const MAX_RESTARTS: u32 = 3;
+
+/// Base delay before restarting a lost worker; doubles per restart of
+/// that shard (deterministic exponential backoff).
+const RESTART_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Minimum remaining items that make a straggler worth stealing from
+/// (the thief gets at least half of this).
+const STEAL_MIN: u64 = 4;
 
 /// Crash-recovery hook: `(shard, lo, hi)` of a lost lease → salvaged
 /// `(stopped, payload)` from the shard's last checkpoint, or `None`.
@@ -113,8 +112,6 @@ pub struct DistHooks {
     /// Receives `worker_spawned` / `lease_issued` / `lease_stolen` /
     /// `worker_lost` / `worker_restarted` events.
     pub tracer: Tracer,
-    /// Gauges and counters under `air_dist_*`.
-    pub metrics: MetricsRegistry,
     /// When set, every frame sent/received is appended as JSONL
     /// (`{"dir":…,"shard":…,"frame":…}`), the document format of
     /// `schemas/dist-frame.schema.json`.
@@ -333,7 +330,6 @@ pub fn run_distributed(config: DistConfig, hooks: DistHooks) -> Result<DistOutco
     let outcome = co.event_loop(&rx);
     co.shutdown_fleet();
     let mut outcome = outcome?;
-    co.hooks.metrics.set_gauge("air_dist_workers_alive", &[], 0);
     outcome.stats = co.stats;
     Ok(outcome)
 }
@@ -353,9 +349,11 @@ fn kill_schedule(seed: u64, kills: u64, items: u64) -> VecDeque<u64> {
 
 /// Exponential backoff for the `attempt`-th restart (1-based), capped
 /// so a byzantine flapper cannot stall the campaign for minutes.
-fn backoff_for(base: Duration, attempt: u32) -> Duration {
+fn backoff_for(attempt: u32) -> Duration {
     let factor = 1u32 << attempt.saturating_sub(1).min(6);
-    base.saturating_mul(factor).min(Duration::from_secs(5))
+    RESTART_BACKOFF
+        .saturating_mul(factor)
+        .min(Duration::from_secs(5))
 }
 
 /// Length of the contiguous covered prefix starting at `base`.
@@ -380,11 +378,6 @@ impl Coordinator {
                 self.issue_leases();
                 self.try_steal();
             }
-            self.hooks.metrics.set_gauge(
-                "air_dist_pending_ranges",
-                &[],
-                i64::try_from(self.pending.len()).unwrap_or(i64::MAX),
-            );
             if self.drained() {
                 return self.finish();
             }
@@ -392,7 +385,7 @@ impl Coordinator {
                 return Err(err(format!(
                     "all {} worker(s) lost with work remaining (restart budget {} exhausted)",
                     self.slots.len(),
-                    self.cfg.max_restarts
+                    MAX_RESTARTS
                 )));
             }
             match rx.recv_timeout(Duration::from_millis(20)) {
@@ -527,7 +520,6 @@ impl Coordinator {
                 let attempt = u64::from(slot.restarts);
                 self.spawn_worker(&mut slot);
                 self.stats.workers_restarted += 1;
-                self.hooks.metrics.inc("air_dist_workers_restarted", &[]);
                 let shard = slot.shard;
                 self.hooks
                     .tracer
@@ -653,7 +645,6 @@ impl Coordinator {
             let shard = self.slots[i].shard;
             if let Some((stolen_lease, from_shard)) = range.stolen_from {
                 self.stats.leases_stolen += 1;
-                self.hooks.metrics.inc("air_dist_leases_stolen", &[]);
                 let at = range.lo;
                 self.hooks.tracer.emit_with(|| EventKind::LeaseStolen {
                     lease: stolen_lease,
@@ -677,7 +668,6 @@ impl Coordinator {
                 steal_to: None,
             });
             self.stats.leases_issued += 1;
-            self.hooks.metrics.inc("air_dist_leases_issued", &[]);
             let (lo, hi) = (range.lo, range.hi);
             self.hooks.tracer.emit_with(|| EventKind::LeaseIssued {
                 lease,
@@ -709,7 +699,7 @@ impl Coordinator {
                     continue; // one steal in flight per lease
                 }
                 let remaining = a.hi.saturating_sub(a.cursor);
-                if remaining >= self.cfg.steal_min * 2 && best.is_none_or(|(_, r)| remaining > r) {
+                if remaining >= STEAL_MIN * 2 && best.is_none_or(|(_, r)| remaining > r) {
                     best = Some((i, remaining));
                 }
             }
@@ -753,7 +743,6 @@ impl Coordinator {
                             self.hooks
                                 .tracer
                                 .emit_with(|| EventKind::WorkerSpawned { shard, pid });
-                            self.update_alive_gauge();
                         }
                     }
                     Frame::Heartbeat { lease, next } => {
@@ -894,7 +883,6 @@ impl Coordinator {
         self.slots[i].stdin = None;
         self.slots[i].epoch += 1; // orphan any in-flight events
         self.stats.workers_lost += 1;
-        self.hooks.metrics.inc("air_dist_workers_lost", &[]);
         {
             let reason = reason.to_string();
             self.hooks
@@ -930,32 +918,13 @@ impl Coordinator {
             }
         }
         self.slots[i].restarts += 1;
-        self.slots[i].state = if self.slots[i].restarts > self.cfg.max_restarts {
+        self.slots[i].state = if self.slots[i].restarts > MAX_RESTARTS {
             SlotState::Gone
         } else {
             SlotState::Waiting {
-                due: Instant::now() + backoff_for(self.cfg.restart_backoff, self.slots[i].restarts),
+                due: Instant::now() + backoff_for(self.slots[i].restarts),
             }
         };
-        self.update_alive_gauge();
-    }
-
-    fn update_alive_gauge(&self) {
-        let alive = self
-            .slots
-            .iter()
-            .filter(|s| {
-                matches!(
-                    s.state,
-                    SlotState::Idle | SlotState::Busy(_) | SlotState::Starting { .. }
-                )
-            })
-            .count();
-        self.hooks.metrics.set_gauge(
-            "air_dist_workers_alive",
-            &[],
-            i64::try_from(alive).unwrap_or(i64::MAX),
-        );
     }
 
     fn send_to(&mut self, i: usize, frame: &Frame) {
@@ -1052,11 +1021,10 @@ mod tests {
 
     #[test]
     fn backoff_doubles_then_caps() {
-        let base = Duration::from_millis(50);
-        assert_eq!(backoff_for(base, 1), Duration::from_millis(50));
-        assert_eq!(backoff_for(base, 2), Duration::from_millis(100));
-        assert_eq!(backoff_for(base, 3), Duration::from_millis(200));
-        assert!(backoff_for(base, 40) <= Duration::from_secs(5));
+        assert_eq!(backoff_for(1), Duration::from_millis(50));
+        assert_eq!(backoff_for(2), Duration::from_millis(100));
+        assert_eq!(backoff_for(3), Duration::from_millis(200));
+        assert!(backoff_for(40) <= Duration::from_secs(5));
     }
 
     #[test]
@@ -1071,7 +1039,6 @@ mod tests {
                 args_for: Box::new(|_| Vec::new()),
                 recover: Box::new(|_, _, _| None),
                 tracer: Tracer::disabled(),
-                metrics: MetricsRegistry::disabled(),
                 frame_log: None,
                 cancel: None,
                 halt_after: None,

@@ -26,8 +26,8 @@
 //!   advance; a missed deadline, a non-zero exit, or a SIGKILL marks
 //!   the worker lost, and its lease is reissued from the shard's last
 //!   crash-safe checkpoint under a bounded, deterministic
-//!   restart-with-backoff policy (the same shape as
-//!   [`air_resilience`]'s supervisor).
+//!   restart-with-backoff policy (three restarts per shard, 50 ms
+//!   doubling per restart).
 //! - **Deterministic merges**: a lease result is the same
 //!   checkpoint-format payload a crash would have left behind, so
 //!   partial results from crashes and clean completions merge through

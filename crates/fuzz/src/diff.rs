@@ -26,7 +26,7 @@ use air_core::{
 use air_lang::{Concrete, Exp, Reg, SemError, SetKernel, StateSet, SymEngine};
 use air_lattice::{par_map_governed, Budget, Governor};
 use air_resilience::{
-    FailSwitch, FaultInjector, FaultKind, FaultPlan, FaultSpec, InjectSink, RetryPolicy, Supervisor,
+    FailSwitch, FaultInjector, FaultKind, FaultPlan, FaultSpec, InjectSink, Supervisor,
 };
 use air_trace::{MemorySink, Tracer};
 
@@ -90,10 +90,12 @@ pub fn differential_sweep(b: &BuiltCase) -> Result<Vec<String>, SemError> {
         }
     }
 
-    // Axis 3 — verifier, plain vs unlimited governor (the disabled
-    // governor must be the zero-cost path).
+    // Axis 3 — verifier, ungoverned vs a cancellable governor that is
+    // never cancelled: the governed path `air corpus` and every serve
+    // request run (shared state, every tick counted) must not change
+    // the answer.
     let plain = Verifier::new(u).backward(b.domain.clone(), r, &b.pre, &b.spec);
-    let governed = Verifier::new(u).governor(Governor::unlimited()).backward(
+    let governed = Verifier::new(u).governor(Governor::cancellable()).backward(
         b.domain.clone(),
         r,
         &b.pre,
@@ -102,10 +104,10 @@ pub fn differential_sweep(b: &BuiltCase) -> Result<Vec<String>, SemError> {
     match (&plain, &governed) {
         (Ok(p), Ok(g)) => {
             if p.is_proved() != g.is_proved() {
-                diffs.push("verify: unlimited governor changed the verdict".into());
+                diffs.push("verify: cancellable governor changed the verdict".into());
             }
             if p.added_points() != g.added_points() {
-                diffs.push("verify: unlimited governor changed the repair points".into());
+                diffs.push("verify: cancellable governor changed the repair points".into());
             }
         }
         (Err(e), _) | (_, Err(e)) => check_repair_error(e)?,
@@ -189,7 +191,7 @@ pub fn differential_sweep(b: &BuiltCase) -> Result<Vec<String>, SemError> {
     let sink = InjectSink::new(Arc::new(MemorySink::new()), injector.clone());
     let tracer = Tracer::new(Arc::new(sink));
     injector.set_tracer(&tracer);
-    let supervisor = Supervisor::new(RetryPolicy::default());
+    let supervisor = Supervisor::default();
     match supervisor.run("diff.fault_axis", || {
         Verifier::new(u)
             .tracer(tracer.clone())
@@ -445,7 +447,7 @@ mod tests {
         let sink = InjectSink::new(Arc::new(MemorySink::new()), injector.clone());
         let tracer = Tracer::new(Arc::new(sink));
         injector.set_tracer(&tracer);
-        let supervisor = Supervisor::new(RetryPolicy::default());
+        let supervisor = Supervisor::default();
         let out = supervisor.run("test.fault_axis", || {
             Verifier::new(&built.universe)
                 .tracer(tracer.clone())

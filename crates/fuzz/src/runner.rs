@@ -86,6 +86,9 @@ impl Default for CampaignWatch {
     }
 }
 
+/// Cases between two checkpoint writes of a campaign.
+const CHECKPOINT_EVERY: u64 = 16;
+
 /// Options for one campaign.
 #[derive(Clone, Debug)]
 pub struct FuzzOptions {
@@ -100,11 +103,8 @@ pub struct FuzzOptions {
     /// Optional tracer receiving `fuzz_case` / `fuzz_shrink` events.
     pub tracer: Option<Tracer>,
     /// Checkpoint file for crash-safe progress (atomic write-tmp-rename
-    /// every [`checkpoint_every`](Self::checkpoint_every) cases; removed
-    /// when the campaign completes cleanly).
+    /// every 16 cases; removed when the campaign completes cleanly).
     pub checkpoint: Option<PathBuf>,
-    /// Cases between checkpoint writes (clamped to ≥ 1).
-    pub checkpoint_every: u64,
     /// Resume from [`checkpoint`](Self::checkpoint) instead of starting
     /// over. Ignored when the file is absent, malformed, or was written
     /// by a campaign with different options.
@@ -127,7 +127,6 @@ impl Default for FuzzOptions {
             shrink: true,
             tracer: None,
             checkpoint: None,
-            checkpoint_every: 16,
             resume: false,
             halt_after: None,
             watch: None,
@@ -327,7 +326,7 @@ pub fn run_campaign(opts: &FuzzOptions) -> CampaignReport {
     let mut checkpointer = opts.checkpoint.as_ref().map(|path| {
         Checkpointer::new(
             path.clone(),
-            opts.checkpoint_every,
+            CHECKPOINT_EVERY,
             opts.tracer.clone().unwrap_or_else(Tracer::disabled),
         )
     });

@@ -19,10 +19,10 @@
 //!    only to *find or create* a series. Callers that update one series in
 //!    a tight loop can hoist the lookup with the `*_handle` methods and
 //!    pay zero locks per update.
-//! 3. **No-op when disabled.** [`MetricsRegistry::disabled`] mirrors
-//!    `Tracer::disabled`: every method is an early-return on `None`, so an
-//!    uninstrumented binary pays one branch per call site. The measured
-//!    enabled-vs-disabled cost on the serve stack is in SERVING.md,
+//! 3. **Always on, one store.** There is no disabled mode: a registry
+//!    always records, so a counter kept here is kept nowhere else (the
+//!    serve layer's `served`/`warm_hits` are sums over its series). The
+//!    last measured cost on the serve stack is in SERVING.md,
 //!    *Overhead* (< 2% bar).
 //! 4. **Fixed boundaries.** Histogram buckets are powers of two
 //!    (`le = 2^i - 1`), so histograms from different processes, tenants or

@@ -12,11 +12,9 @@
 //! fixed series in a loop hoist a `*_handle` once and pay no locks at
 //! all.
 //!
-//! Like `air_trace::Tracer`, a registry is a cheap clonable handle that
-//! is either enabled (`Some(Arc<Inner>)`) or disabled
-//! ([`MetricsRegistry::disabled`]) — the disabled path is a single branch,
-//! which is what keeps the metrics plane affordable enough to leave on
-//! by default in `air serve` (SERVING.md, *Overhead*).
+//! A registry is a cheap clonable handle on one shared set of tables.
+//! It is always on: there is no disabled mode, so the registry is the
+//! only store of every counter it holds (SERVING.md, *Overhead*).
 //!
 //! Naming follows Prometheus conventions: `snake_case` names matching
 //! `[a-zA-Z_:][a-zA-Z0-9_:]*`, counters suffixed `_total`, durations in
@@ -162,33 +160,31 @@ struct Inner {
 /// Cheap clonable handle to a metrics registry; see module docs.
 #[derive(Clone, Default)]
 pub struct MetricsRegistry {
-    inner: Option<Arc<Inner>>,
+    inner: Arc<Inner>,
 }
 
-/// Lock-free handle to one counter series (no-op when disabled).
-#[derive(Clone, Default)]
-pub struct CounterHandle(Option<Arc<AtomicU64>>);
+/// Lock-free handle to one counter series.
+#[derive(Clone)]
+pub struct CounterHandle(Arc<AtomicU64>);
 
-/// Lock-free handle to one gauge series (no-op when disabled).
-#[derive(Clone, Default)]
-pub struct GaugeHandle(Option<Arc<AtomicI64>>);
+/// Lock-free handle to one gauge series.
+#[derive(Clone)]
+pub struct GaugeHandle(Arc<AtomicI64>);
 
-/// Lock-free handle to one histogram series (no-op when disabled).
-#[derive(Clone, Default)]
-pub struct HistogramHandle(Option<Arc<Histogram>>);
+/// Lock-free handle to one histogram series.
+#[derive(Clone)]
+pub struct HistogramHandle(Arc<Histogram>);
 
 impl CounterHandle {
     /// Add `delta` to the counter (1 for plain increments).
     #[inline]
     pub fn add(&self, delta: u64) {
-        if let Some(c) = &self.0 {
-            c.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Current value (0 when disabled).
+    /// Current value.
     pub fn value(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -196,22 +192,18 @@ impl GaugeHandle {
     /// Set the gauge to an absolute value.
     #[inline]
     pub fn set(&self, v: i64) {
-        if let Some(g) = &self.0 {
-            g.store(v, Ordering::Relaxed);
-        }
+        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Add `delta` (possibly negative) to the gauge.
     #[inline]
     pub fn add(&self, delta: i64) {
-        if let Some(g) = &self.0 {
-            g.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Current value (0 when disabled).
+    /// Current value.
     pub fn value(&self) -> i64 {
-        self.0.as_ref().map_or(0, |g| g.load(Ordering::Relaxed))
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -219,9 +211,7 @@ impl HistogramHandle {
     /// Record one observation.
     #[inline]
     pub fn observe(&self, v: u64) {
-        if let Some(h) = &self.0 {
-            h.observe(v);
-        }
+        self.0.observe(v);
     }
 }
 
@@ -239,31 +229,15 @@ fn debug_check_name(name: &str) {
 }
 
 impl MetricsRegistry {
-    /// An enabled, empty registry.
+    /// An empty registry.
     pub fn new() -> Self {
-        Self {
-            inner: Some(Arc::new(Inner::default())),
-        }
-    }
-
-    /// A registry on which every operation is a no-op and every
-    /// snapshot is empty. Handles vended by a disabled registry are
-    /// themselves no-ops.
-    pub fn disabled() -> Self {
-        Self { inner: None }
-    }
-
-    /// Whether this handle records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        Self::default()
     }
 
     /// Add `delta` to a counter series, creating it at 0 on first use.
     #[inline]
     pub fn add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        if self.inner.is_some() {
-            self.counter_handle(name, labels).add(delta);
-        }
+        self.counter_handle(name, labels).add(delta);
     }
 
     /// Increment a counter series by 1.
@@ -275,56 +249,37 @@ impl MetricsRegistry {
     /// Set a gauge series to an absolute value, creating it on first use.
     #[inline]
     pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], v: i64) {
-        if self.inner.is_some() {
-            self.gauge_handle(name, labels).set(v);
-        }
+        self.gauge_handle(name, labels).set(v);
     }
 
     /// Record one observation into a histogram series, creating it on
     /// first use.
     #[inline]
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], v: u64) {
-        if self.inner.is_some() {
-            self.histogram_handle(name, labels).observe(v);
-        }
+        self.histogram_handle(name, labels).observe(v);
     }
 
     /// Intern a counter series and return its lock-free handle.
     pub fn counter_handle(&self, name: &str, labels: &[(&str, &str)]) -> CounterHandle {
-        CounterHandle(
-            self.inner
-                .as_ref()
-                .map(|inner| inner.counters.intern(name, labels)),
-        )
+        CounterHandle(self.inner.counters.intern(name, labels))
     }
 
     /// Intern a gauge series and return its lock-free handle.
     pub fn gauge_handle(&self, name: &str, labels: &[(&str, &str)]) -> GaugeHandle {
-        GaugeHandle(
-            self.inner
-                .as_ref()
-                .map(|inner| inner.gauges.intern(name, labels)),
-        )
+        GaugeHandle(self.inner.gauges.intern(name, labels))
     }
 
     /// Intern a histogram series and return its lock-free handle.
     pub fn histogram_handle(&self, name: &str, labels: &[(&str, &str)]) -> HistogramHandle {
-        HistogramHandle(
-            self.inner
-                .as_ref()
-                .map(|inner| inner.histograms.intern(name, labels)),
-        )
+        HistogramHandle(self.inner.histograms.intern(name, labels))
     }
 
     /// Capture every registered series into a sorted, self-contained
     /// [`Snapshot`]. Concurrent updates during the capture can only
     /// *add* to what the snapshot sees (histograms keep
-    /// `sum(buckets) >= count`, see `histogram` module docs); a disabled
-    /// registry snapshots empty.
+    /// `sum(buckets) >= count`, see `histogram` module docs).
     pub fn snapshot(&self) -> Snapshot {
-        let Some(inner) = &self.inner else {
-            return Snapshot::default();
-        };
+        let inner = &self.inner;
         let mut counters = Vec::new();
         inner.counters.for_each(|name, labels, v| {
             counters.push(CounterRow {
@@ -379,21 +334,6 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
     use std::thread;
-
-    #[test]
-    fn disabled_registry_is_a_no_op() {
-        let m = MetricsRegistry::disabled();
-        m.inc("air_x_total", &[]);
-        m.set_gauge("air_g", &[("k", "v")], 7);
-        m.observe("air_h_ns", &[], 1234);
-        let snap = m.snapshot();
-        assert!(!m.is_enabled());
-        assert!(snap.counters.is_empty() && snap.gauges.is_empty() && snap.histograms.is_empty());
-        // Handles from a disabled registry are no-ops too.
-        let c = m.counter_handle("air_x_total", &[]);
-        c.add(5);
-        assert_eq!(c.value(), 0);
-    }
 
     #[test]
     fn labels_are_order_insensitive() {

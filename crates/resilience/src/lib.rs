@@ -41,9 +41,7 @@ pub use fault::{
     SITE_VOCABULARY,
 };
 pub use pool::{PoolStats, WorkerPool};
-pub use supervisor::{
-    install_quiet_fault_hook, panic_message, RetryPolicy, Supervisor, TaskFailure,
-};
+pub use supervisor::{install_quiet_fault_hook, panic_message, Supervisor, TaskFailure};
 
 /// SplitMix64: the tiny, well-distributed PRNG used to expand a plan
 /// seed into a fault schedule. Deterministic and dependency-free.

@@ -133,7 +133,6 @@ impl WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::supervisor::RetryPolicy;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
@@ -178,10 +177,7 @@ mod tests {
         let r2 = Arc::clone(&ran);
         let pool = WorkerPool::start(
             1,
-            Supervisor::new(RetryPolicy {
-                max_attempts: 2,
-                backoff: std::time::Duration::ZERO,
-            }),
+            Supervisor::new(2),
             move || q.lock().unwrap().pop(),
             |j: &u64| format!("job.{j}"),
             move |j| {
@@ -208,10 +204,7 @@ mod tests {
         let q = Arc::clone(&queue);
         let pool = WorkerPool::start(
             2,
-            Supervisor::new(RetryPolicy {
-                max_attempts: 1,
-                backoff: std::time::Duration::ZERO,
-            }),
+            Supervisor::new(1),
             move || q.lock().unwrap().pop(),
             |j: &u64| format!("job.{j}"),
             |j| {

@@ -14,26 +14,9 @@ use air_trace::{EventKind, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// How often and how patiently a supervised task is retried.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included). `1` disables retry.
-    pub max_attempts: u32,
-    /// Base backoff; attempt *n* sleeps `base << (n-1)`. Zero (the
-    /// default) keeps supervised runs wall-clock free and deterministic.
-    pub backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::ZERO,
-        }
-    }
-}
+/// Attempts a [`Supervisor::default`] gives a task, first try included.
+const DEFAULT_ATTEMPTS: u32 = 3;
 
 /// A task that kept panicking: every attempt, the last panic message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,7 +37,10 @@ impl std::fmt::Display for TaskFailure {
 }
 
 struct SupervisorInner {
-    policy: RetryPolicy,
+    /// Total attempts (first try included); `1` disables retry. Retries
+    /// follow at once, so supervised runs stay wall-clock free and
+    /// deterministic.
+    max_attempts: u32,
     tracer: Tracer,
     retries: AtomicU64,
 }
@@ -68,26 +54,21 @@ pub struct Supervisor {
 
 impl Default for Supervisor {
     fn default() -> Self {
-        Self::new(RetryPolicy::default())
+        Self::new(DEFAULT_ATTEMPTS)
     }
 }
 
 impl Supervisor {
-    pub fn new(policy: RetryPolicy) -> Self {
-        Supervisor {
-            inner: Arc::new(SupervisorInner {
-                policy,
-                tracer: Tracer::disabled(),
-                retries: AtomicU64::new(0),
-            }),
-        }
+    /// A supervisor giving each task `max_attempts` tries (at least one).
+    pub fn new(max_attempts: u32) -> Self {
+        Self::with_tracer(max_attempts, Tracer::disabled())
     }
 
     /// Same, but retries emit `task_retried` events through `tracer`.
-    pub fn with_tracer(policy: RetryPolicy, tracer: Tracer) -> Self {
+    pub fn with_tracer(max_attempts: u32, tracer: Tracer) -> Self {
         Supervisor {
             inner: Arc::new(SupervisorInner {
-                policy,
+                max_attempts,
                 tracer,
                 retries: AtomicU64::new(0),
             }),
@@ -98,9 +79,8 @@ impl Supervisor {
     /// Returns the first successful result, or a [`TaskFailure`] carrying
     /// the final panic message. Never unwinds into the caller.
     pub fn run<T>(&self, site: &str, mut f: impl FnMut() -> T) -> Result<T, TaskFailure> {
-        let policy = self.inner.policy;
         let mut last = String::new();
-        let attempts = policy.max_attempts.max(1);
+        let attempts = self.inner.max_attempts.max(1);
         for attempt in 1..=attempts {
             match catch_unwind(AssertUnwindSafe(&mut f)) {
                 Ok(value) => return Ok(value),
@@ -114,9 +94,6 @@ impl Supervisor {
                     site: site.to_string(),
                     attempt: u64::from(attempt),
                 });
-                if !policy.backoff.is_zero() {
-                    std::thread::sleep(policy.backoff * 2u32.saturating_pow(attempt - 1));
-                }
             }
         }
         Err(TaskFailure {
@@ -135,7 +112,7 @@ impl Supervisor {
 impl std::fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Supervisor")
-            .field("policy", &self.inner.policy)
+            .field("max_attempts", &self.inner.max_attempts)
             .field("retries", &self.retry_count())
             .finish()
     }
@@ -207,13 +184,7 @@ mod tests {
     #[test]
     fn persistent_panic_becomes_a_structured_failure() {
         let sink = Arc::new(MemorySink::new());
-        let sup = Supervisor::with_tracer(
-            RetryPolicy {
-                max_attempts: 3,
-                backoff: Duration::ZERO,
-            },
-            Tracer::new(sink.clone()),
-        );
+        let sup = Supervisor::with_tracer(3, Tracer::new(sink.clone()));
         let result: Result<(), _> = sup.run("corpus.gauss_sum", || panic!("hard fault"));
         let failure = result.expect_err("must fail after the budget");
         assert_eq!(failure.attempts, 3);
@@ -233,10 +204,7 @@ mod tests {
 
     #[test]
     fn max_attempts_one_never_retries() {
-        let sup = Supervisor::new(RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-        });
+        let sup = Supervisor::new(1);
         let result: Result<(), _> = sup.run("s", || panic!("boom"));
         assert_eq!(result.unwrap_err().attempts, 1);
         assert_eq!(sup.retry_count(), 0);

@@ -24,14 +24,14 @@ use crate::protocol::{CacheSnapshot, JobKind, JobRequest, Response};
 use air_core::question::{render_vars, universe};
 use air_core::summarize::display_set;
 use air_core::{RepairError, RepairSession};
-use air_lang::{SemCache, SemError};
+use air_lang::SemCache;
 use air_lattice::{Budget, Exhaustion, Governor};
 use air_metrics::MetricsRegistry;
 use air_trace::{json, EventKind, Tracer};
 
 use crate::admission::TenantQuotas;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -61,22 +61,19 @@ pub struct ServeEngine {
     quotas: TenantQuotas,
     tracer: Tracer,
     metrics: MetricsRegistry,
-    served: AtomicU64,
-    warm_hits: AtomicU64,
 }
 
 impl ServeEngine {
     /// `quota` is the per-tenant lifetime fuel allowance (`None` =
-    /// unlimited); engine events flow through `tracer`. The metrics
-    /// plane is disabled — the daemon path uses
-    /// [`ServeEngine::with_metrics`].
+    /// unlimited); engine events flow through `tracer`, and request,
+    /// quota and warm-cache telemetry into a registry of its own.
     pub fn new(quota: Option<u64>, tracer: Tracer) -> ServeEngine {
-        Self::with_metrics(quota, tracer, MetricsRegistry::disabled())
+        Self::with_metrics(quota, tracer, MetricsRegistry::new())
     }
 
     /// Like [`ServeEngine::new`], but aggregating request, quota and
-    /// warm-cache telemetry into `metrics` (see the metric inventory in
-    /// `SERVING.md` § Monitoring).
+    /// warm-cache telemetry into the given `metrics` (see the metric
+    /// inventory in `SERVING.md` § Monitoring).
     pub fn with_metrics(
         quota: Option<u64>,
         tracer: Tracer,
@@ -87,8 +84,6 @@ impl ServeEngine {
             quotas: TenantQuotas::new(quota),
             tracer,
             metrics,
-            served: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
         }
     }
 
@@ -97,8 +92,7 @@ impl ServeEngine {
         self.tracer.clone()
     }
 
-    /// The metrics registry this engine reports into (disabled unless
-    /// built via [`ServeEngine::with_metrics`]).
+    /// The metrics registry this engine reports into.
     pub fn metrics(&self) -> MetricsRegistry {
         self.metrics.clone()
     }
@@ -182,28 +176,26 @@ impl ServeEngine {
         let started = Instant::now();
         let response = self.run_job(req, &admitted.governor, started);
         self.settle(req, admitted);
-        self.served.fetch_add(1, Ordering::Relaxed);
-        if self.metrics.is_enabled() {
-            self.metrics.inc(
-                "air_serve_requests_total",
+        // The only count of served jobs: [`ServeEngine::served`] sums it.
+        self.metrics.inc(
+            "air_serve_requests_total",
+            &[
+                ("tenant", req.tenant.as_str()),
+                ("job", req.job.name()),
+                ("status", response.status_name()),
+            ],
+        );
+        // Latency histograms only for runs that reached the engine
+        // (errors have no meaningful warm/cold temperature).
+        if let Some(warm) = response.warm_flag() {
+            self.metrics.observe(
+                "air_serve_request_duration_ns",
                 &[
                     ("tenant", req.tenant.as_str()),
-                    ("job", req.job.name()),
-                    ("status", response.status_name()),
+                    ("temp", if warm { "warm" } else { "cold" }),
                 ],
+                started.elapsed().as_nanos() as u64,
             );
-            // Latency histograms only for runs that reached the engine
-            // (errors have no meaningful warm/cold temperature).
-            if let Some(warm) = response.warm_flag() {
-                self.metrics.observe(
-                    "air_serve_request_duration_ns",
-                    &[
-                        ("tenant", req.tenant.as_str()),
-                        ("temp", if warm { "warm" } else { "cold" }),
-                    ],
-                    started.elapsed().as_nanos() as u64,
-                );
-            }
         }
         response
     }
@@ -263,12 +255,9 @@ impl ServeEngine {
                 found
             }
         };
-        if warm {
-            self.warm_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        // `air_serve_warm_lookups_total{vars, domain, result}`: the sum of
-        // `result="hit"` rows always equals [`ServeEngine::warm_hits`] —
-        // the differential test pins it.
+        // `air_serve_warm_lookups_total{vars, domain, result}`: its
+        // `result="hit"` rows are the only count of warm hits, which
+        // [`ServeEngine::warm_hits`] sums.
         self.metrics.inc(
             "air_serve_warm_lookups_total",
             &[
@@ -310,8 +299,7 @@ impl ServeEngine {
     fn engine_error(&self, req: &JobRequest, e: RepairError) -> Response {
         match e {
             RepairError::Exhausted(partial) => self.budget(req, &partial.exhaustion),
-            RepairError::Sem(SemError::Exhausted(ex)) => self.budget(req, &ex),
-            RepairError::Sem(other) => self.usage(req, other.to_string()),
+            RepairError::Sem(sem) => self.usage(req, sem.to_string()),
             RepairError::Internal(message) => Response::Error {
                 id: req.id.clone(),
                 code: 4,
@@ -417,9 +405,6 @@ impl ServeEngine {
     /// exposition scrape; between scrapes the gauges just hold their
     /// last sampled value.
     pub fn refresh_gauges(&self) {
-        if !self.metrics.is_enabled() {
-            return;
-        }
         let registry = self.registry.lock().unwrap();
         self.metrics
             .set_gauge("air_serve_warm_tables", &[], registry.len() as i64);
@@ -445,14 +430,20 @@ impl ServeEngine {
         }
     }
 
-    /// Total engine jobs completed (any status).
+    /// Total engine jobs completed (any status): the sum of
+    /// `air_serve_requests_total` over every label set.
     pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
+        self.metrics
+            .snapshot()
+            .counter_sum("air_serve_requests_total")
     }
 
-    /// Jobs that found their table set already warm.
+    /// Jobs that found their table set already warm: the sum of the
+    /// `result="hit"` rows of `air_serve_warm_lookups_total`.
     pub fn warm_hits(&self) -> u64 {
-        self.warm_hits.load(Ordering::Relaxed)
+        self.metrics
+            .snapshot()
+            .counter_sum_where("air_serve_warm_lookups_total", "result", "hit")
     }
 
     /// The `stats` admin payload: counters, per-tenant spend and one row
@@ -836,10 +827,8 @@ mod tests {
 
     #[test]
     fn metrics_agree_with_stats_counters() {
-        // The differential check behind the serve-layer instrumentation:
-        // whatever the `stats` job reports must be recoverable from the
-        // metrics snapshot, so the two observability surfaces can never
-        // drift apart silently.
+        // The `stats` counters are sums over the metrics registry, so
+        // both are checked against the requests actually sent.
         let eng = ServeEngine::with_metrics(None, Tracer::disabled(), MetricsRegistry::new());
         let warm_req = job(ABSVAL);
         let other = job(r#"{"id":"r9","job":"verify","tenant":"t1","vars":"y:0..3",
@@ -849,11 +838,8 @@ mod tests {
         }
         eng.refresh_gauges();
         let snap = eng.metrics().snapshot();
-        assert_eq!(snap.counter_sum("air_serve_requests_total"), eng.served());
-        assert_eq!(
-            snap.counter_sum_where("air_serve_warm_lookups_total", "result", "hit"),
-            eng.warm_hits()
-        );
+        assert_eq!(eng.served(), 4);
+        assert_eq!(eng.warm_hits(), 2);
         assert_eq!(
             snap.gauge("air_serve_warm_tables", &[]),
             Some(2),

@@ -19,12 +19,12 @@ use crate::engine::{Admitted, ServeEngine};
 use crate::protocol::{read_frame, write_frame, JobRequest, Request, Response};
 use air_lattice::Governor;
 use air_metrics::MetricsRegistry;
-use air_resilience::{PoolStats, RetryPolicy, Supervisor, TaskFailure, WorkerPool};
+use air_resilience::{PoolStats, Supervisor, TaskFailure, WorkerPool};
 use air_trace::{EventKind, MetricsBridge, Tracer};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read as _, Write};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -55,11 +55,6 @@ pub struct ServeConfig {
     pub quota: Option<u64>,
     /// Maximum accepted frame payload, in bytes.
     pub max_frame: usize,
-    /// Retry policy for panicking jobs.
-    pub retry: RetryPolicy,
-    /// Whether the metrics plane collects at all (on by default; the
-    /// bench harness turns it off to measure its overhead).
-    pub metrics: bool,
     /// Bind address for the Prometheus text exposition listener
     /// (`None` = no listener; the `metrics` wire job still works).
     pub metrics_addr: Option<String>,
@@ -73,8 +68,6 @@ impl Default for ServeConfig {
             workers: 2,
             quota: None,
             max_frame: crate::protocol::DEFAULT_MAX_FRAME,
-            retry: RetryPolicy::default(),
-            metrics: true,
             metrics_addr: None,
         }
     }
@@ -122,7 +115,6 @@ struct Shared {
     /// any connection declaring the same tenant.
     inflight: Mutex<HashMap<InflightKey, Governor>>,
     shutdown: AtomicBool,
-    aborts: AtomicU64,
     max_frame: usize,
     /// The pool's live utilization counters, filled in right after the
     /// pool starts (the pool's closures need `Shared` first).
@@ -148,15 +140,13 @@ impl Shared {
     /// so the two views always agree on what "current" means.
     fn metrics_snapshot(&self) -> air_metrics::Snapshot {
         let metrics = self.engine.metrics();
-        if metrics.is_enabled() {
-            self.engine.refresh_gauges();
-            metrics.set_gauge("air_serve_queue_depth", &[], self.queue.len() as i64);
-            metrics.set_gauge("air_serve_workers", &[], self.workers as i64);
-            if let Some(stats) = self.pool_stats.get() {
-                metrics.set_gauge("air_serve_workers_busy", &[], stats.busy() as i64);
-                metrics.set_gauge("air_serve_jobs_completed", &[], stats.completed() as i64);
-                metrics.set_gauge("air_serve_jobs_failed", &[], stats.failed() as i64);
-            }
+        self.engine.refresh_gauges();
+        metrics.set_gauge("air_serve_queue_depth", &[], self.queue.len() as i64);
+        metrics.set_gauge("air_serve_workers", &[], self.workers as i64);
+        if let Some(stats) = self.pool_stats.get() {
+            metrics.set_gauge("air_serve_workers_busy", &[], stats.busy() as i64);
+            metrics.set_gauge("air_serve_jobs_completed", &[], stats.completed() as i64);
+            metrics.set_gauge("air_serve_jobs_failed", &[], stats.failed() as i64);
         }
         metrics.snapshot()
     }
@@ -415,7 +405,6 @@ fn run_job(shared: &Arc<Shared>, job: &Job) {
 
 /// Exhausted-retries path: the job keeps panicking; tell the client.
 fn fail_job(shared: &Arc<Shared>, job: Job, failure: TaskFailure) {
-    shared.aborts.fetch_add(1, Ordering::Relaxed);
     // Every attempt died inside `handle`, before its settle: bill the
     // fuel the aborted attempts burned and release the reservation.
     shared.engine.settle(&job.request, &job.admitted);
@@ -500,11 +489,12 @@ impl RunningServer {
         if let Some(acceptor) = self.metrics_acceptor {
             let _ = acceptor.join();
         }
+        let pool_stats = self.pool.stats();
         self.pool.join();
         ServeReport {
             served: self.shared.engine.served(),
             warm_hits: self.shared.engine.warm_hits(),
-            aborts: self.shared.aborts.load(Ordering::Relaxed),
+            aborts: pool_stats.failed(),
         }
     }
 }
@@ -522,27 +512,18 @@ pub fn start(config: ServeConfig, tracer: Tracer) -> Result<RunningServer, Strin
     if !config.stdio && config.tcp.is_none() {
         return Err("no transport enabled: pass --stdio and/or --tcp ADDR".into());
     }
-    let metrics = if config.metrics {
-        MetricsRegistry::new()
-    } else {
-        MetricsRegistry::disabled()
-    };
+    let metrics = MetricsRegistry::new();
     // Engine-phase telemetry (span durations, cache events, budget
     // exhaustions) arrives via the trace stream: a bridge sink rides
     // next to whatever sink the operator configured, folding events
     // into the same registry the serve-layer metrics land in.
-    let tracer = if metrics.is_enabled() {
-        tracer.tee(Arc::new(MetricsBridge::new(metrics.clone())))
-    } else {
-        tracer
-    };
+    let tracer = tracer.tee(Arc::new(MetricsBridge::new(metrics.clone())));
     let workers = config.workers.max(1);
     let shared = Arc::new(Shared {
         engine: ServeEngine::with_metrics(config.quota, tracer, metrics),
         queue: JobQueue::new(),
         inflight: Mutex::new(HashMap::new()),
         shutdown: AtomicBool::new(false),
-        aborts: AtomicU64::new(0),
         max_frame: config.max_frame,
         pool_stats: OnceLock::new(),
         workers,
@@ -553,7 +534,7 @@ pub fn start(config: ServeConfig, tracer: Tracer) -> Result<RunningServer, Strin
         let s_fail = Arc::clone(&shared);
         WorkerPool::start(
             workers,
-            Supervisor::new(config.retry),
+            Supervisor::default(),
             move || s_next.queue.pop(),
             |job: &Job| format!("serve.job.{}", job.request.id),
             move |job| run_job(&s_run, job),
@@ -916,7 +897,8 @@ mod tests {
             snap.get("schema").and_then(Value::as_str),
             Some(air_metrics::SCHEMA_ID)
         );
-        // Differential: the metrics snapshot recovers the stats counters.
+        assert_eq!((served, warm_hits), (3.0, 2.0));
+        // The wire snapshot carries the same counts.
         let counters = snap.get("counters").and_then(Value::as_arr).unwrap();
         let sum_where = |name: &str, key: &str, val: &str| -> f64 {
             counters
@@ -1003,34 +985,6 @@ mod tests {
             assert!(page.contains("le=\"+Inf\""), "{page}");
             assert!(page.contains("air_serve_warm_tables 1"), "{page}");
         }
-        server.stop();
-        server.join();
-    }
-
-    #[test]
-    fn metrics_disabled_serves_empty_snapshot() {
-        let server = start(
-            ServeConfig {
-                tcp: Some("127.0.0.1:0".into()),
-                metrics: false,
-                ..ServeConfig::default()
-            },
-            Tracer::disabled(),
-        )
-        .expect("server boots");
-        let mut client = Client::connect(server.addr().unwrap());
-        client.roundtrip(
-            r#"{"id":"v","job":"verify","vars":"x:-4..4",
-               "code":"x := x + 1","pre":"x = 0","spec":"x = 1"}"#,
-        );
-        let doc = client.roundtrip(r#"{"id":"m","job":"metrics"}"#);
-        assert_eq!(status(&doc), "ok");
-        let counters = doc
-            .get("stats")
-            .and_then(|s| s.get("counters"))
-            .and_then(Value::as_arr)
-            .unwrap();
-        assert!(counters.is_empty(), "disabled plane collects nothing");
         server.stop();
         server.join();
     }

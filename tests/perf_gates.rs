@@ -10,7 +10,8 @@
 //!   backward on a fresh uncached engine, one after another, against three
 //!   passes on `available_jobs()` threads whose semantic caches and domains
 //!   persist across passes (the regime of a long-lived `air serve` daemon).
-//!   The warm side must be at least 5x faster.
+//!   Each side is timed as the best of three repeats, every repeat from
+//!   fresh caches and domains. The warm side must be at least 5x faster.
 //!
 //! Both are timing bars, so they run only in optimized builds
 //! (`cargo test --release --test perf_gates`). One test measures both,
@@ -29,6 +30,8 @@ use air::lattice::{available_jobs, par_map};
 const SWEEP_PASSES: usize = 3;
 /// Best-of repeats for each side of the edit loop.
 const EDIT_RUNS: usize = 5;
+/// Best-of repeats for each side of the warm sweep.
+const SWEEP_RUNS: usize = 3;
 
 /// Every `corpus/` question, named; each run takes a fresh
 /// [`int_domain`] rather than the built domain, whose clones share caches.
@@ -117,7 +120,24 @@ fn edit_loop(corpus: &[(String, Built)]) -> (f64, f64) {
 /// The warm sweep's speedup over the uncached sequential one.
 fn sweep(corpus: &[(String, Built)]) -> f64 {
     let jobs = available_jobs();
-    let uncached_ms = timed_ms(|| {
+    let uncached_ms = (0..SWEEP_RUNS)
+        .map(|_| uncached_passes(corpus))
+        .fold(f64::INFINITY, f64::min);
+    let cached_ms = (0..SWEEP_RUNS)
+        .map(|_| cached_passes(corpus, jobs))
+        .fold(f64::INFINITY, f64::min);
+    let speedup = uncached_ms / cached_ms.max(1e-9);
+    eprintln!(
+        "corpus sweep ({SWEEP_PASSES} passes, {jobs} jobs, best of {SWEEP_RUNS}): sequential \
+         uncached {uncached_ms:.3} ms, warm cached {cached_ms:.3} ms ({speedup:.2}x)"
+    );
+    speedup
+}
+
+/// One timing of [`SWEEP_PASSES`] sequential passes, each program on a
+/// fresh uncached engine, in ms.
+fn uncached_passes(corpus: &[(String, Built)]) -> f64 {
+    timed_ms(|| {
         for _ in 0..SWEEP_PASSES {
             for (name, task) in corpus {
                 let u = &task.universe;
@@ -127,7 +147,12 @@ fn sweep(corpus: &[(String, Built)]) -> f64 {
                 assert!(v.is_proved(), "{name}");
             }
         }
-    });
+    })
+}
+
+/// One timing of [`SWEEP_PASSES`] passes on `jobs` threads, starting
+/// from fresh caches and domains, in ms.
+fn cached_passes(corpus: &[(String, Built)], jobs: usize) -> f64 {
     // Clones share the cache and domain interiors, so every pass after
     // the first finds the tables the earlier passes filled.
     let caches: Vec<SemCache> = corpus.iter().map(|_| SemCache::new()).collect();
@@ -136,7 +161,7 @@ fn sweep(corpus: &[(String, Built)]) -> f64 {
         .map(|(_, t)| int_domain(&t.universe))
         .collect();
     let indices: Vec<usize> = (0..corpus.len()).collect();
-    let cached_ms = timed_ms(|| {
+    timed_ms(|| {
         for _ in 0..SWEEP_PASSES {
             let proved = par_map(jobs, &indices, |&i| {
                 let task = &corpus[i].1;
@@ -148,13 +173,7 @@ fn sweep(corpus: &[(String, Built)]) -> f64 {
             });
             assert!(proved.iter().all(|&p| p));
         }
-    });
-    let speedup = uncached_ms / cached_ms.max(1e-9);
-    eprintln!(
-        "corpus sweep ({SWEEP_PASSES} passes, {jobs} jobs): sequential uncached \
-         {uncached_ms:.3} ms, warm cached {cached_ms:.3} ms ({speedup:.2}x)"
-    );
-    speedup
+    })
 }
 
 #[test]

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use air::lang::{parse_program, Concrete, SemCache, Universe};
 use air::lattice::{par_map_governed, Budget, Governor};
 use air::resilience::{
-    FailSwitch, FaultInjector, FaultKind, FaultPlan, FaultSpec, InjectSink, RetryPolicy, Supervisor,
+    FailSwitch, FaultInjector, FaultKind, FaultPlan, FaultSpec, InjectSink, Supervisor,
 };
 use air::trace::{MemorySink, Tracer};
 
@@ -47,7 +47,7 @@ fn supervised_panic_races_governor_cancellation() {
         Arc::new(MemorySink::new()),
         injector.clone(),
     )));
-    let supervisor = Supervisor::new(RetryPolicy::default());
+    let supervisor = Supervisor::default();
     let items: Vec<usize> = (0..8).collect();
     // One worker keeps the schedule deterministic: the cancel at item 5
     // must skip exactly items 6 and 7.

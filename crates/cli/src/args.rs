@@ -12,10 +12,10 @@ usage:
               [--engine enumerative|symbolic] [--stats] [--stats-json] [--uncached]
               [--trace FILE] [--profile] [--fuel N] [--timeout-ms N]
   air analyze --vars SPEC --code PROG|--file PATH --pre BEXP --spec BEXP [--domain ...]
-              [--stats] [--stats-json] [--uncached] [--trace FILE] [--profile]
-              [--fuel N] [--timeout-ms N]
+              [--engine ...] [--stats] [--stats-json] [--uncached] [--trace FILE]
+              [--profile] [--fuel N] [--timeout-ms N]
   air prove   --vars SPEC --code PROG|--file PATH --pre BEXP [--spec BEXP] [--domain ...]
-              [--stats] [--stats-json] [--uncached] [--trace FILE]
+              [--engine ...] [--stats] [--stats-json] [--uncached] [--trace FILE]
               [--trace-format jsonl|dot] [--profile] [--fuel N] [--timeout-ms N]
   air corpus  [--dir PATH] [--jobs N] [--domain ...] [--strategy ...] [--engine ...]
               [--stats] [--stats-json] [--uncached] [--trace FILE] [--profile]
@@ -44,12 +44,12 @@ usage:
   BEXP is a boolean expression over the variables, e.g. \"x != 0 && y <= 5\"
   corpus sweeps every *.imp under --dir (default `corpus/`), reading each
   file's `# Verified with:` header, fanning programs out over --jobs threads
-  --engine (verify and corpus only) selects the repair engine:
-  `enumerative` (explicit bitsets, the default) or `symbolic` (on the int
-  domain, repair on interval decision diagrams — same verdicts, scales to
-  universes far beyond the enumerable bound; other domains run the bitset
-  engine); the engine is a value of its own, apart from the semantic
-  cache, so it combines with --uncached
+  --engine selects the engine every question runs on: `enumerative`
+  (explicit bitsets, the default) or `symbolic` (on the int domain,
+  repairs, analyses and LCL_A derivations on interval decision diagrams —
+  same verdicts, scales to universes far beyond the enumerable bound;
+  other domains run the bitset engine); the engine is a value of its own,
+  apart from the semantic cache, so it combines with --uncached
   --stats prints cache hit/miss counters and timings; --stats-json prints the
   same as one JSON object; --uncached disables the memo tables (the
   reference path)
@@ -684,7 +684,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ArgError> {
     let mut spec = None;
     let mut domain = DomainKind::default();
     let mut strategy = Strategy::default();
-    let mut engine = None;
+    let mut engine = Engine::default();
     let mut stats = false;
     let mut uncached = false;
     let mut dir = String::from("corpus");
@@ -707,7 +707,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ArgError> {
             "--spec" => spec = Some(value(&mut it, flag)?),
             "--domain" => domain = DomainKind::parse(&value(&mut it, flag)?).map_err(ArgError)?,
             "--strategy" => strategy = Strategy::parse(&value(&mut it, flag)?).map_err(ArgError)?,
-            "--engine" => engine = Some(Engine::parse(&value(&mut it, flag)?).map_err(ArgError)?),
+            "--engine" => engine = Engine::parse(&value(&mut it, flag)?).map_err(ArgError)?,
             "--stats" => stats = true,
             "--uncached" => uncached = true,
             "--trace-format" => {
@@ -754,13 +754,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ArgError> {
         ));
     }
     let trace_format = trace_format.unwrap_or_default();
-    if engine.is_some() && sub != "verify" && sub != "corpus" {
-        return Err(ArgError(format!(
-            "--engine is only available for `verify` and `corpus` (`{sub}` \
-             runs the enumerative engine)"
-        )));
-    }
-    let engine = engine.unwrap_or_default();
     if sub == "corpus" {
         check_dist(&dist)?;
         if dist.requested() || dist.worker.is_some() {
@@ -1446,22 +1439,17 @@ mod tests {
             panic!("expected corpus");
         };
         assert_eq!((task.engine, task.uncached), (Engine::Symbolic, true));
-        // Only the repair commands take it.
+        // Every question takes it: analyze and prove too.
         for sub in ["analyze", "prove"] {
             let args = [
-                sub,
-                "--vars",
-                "x:0..3",
-                "--code",
-                "skip",
-                "--pre",
-                "true",
-                "--spec",
-                "true",
-                "--engine",
-                "enumerative",
+                sub, "--vars", "x:0..3", "--code", "skip", "--pre", "true", "--spec", "true",
+                "--engine", "symbolic",
             ];
-            assert!(parse(&argv(&args)).is_err(), "{sub} accepted --engine");
+            let (Ok(Command::Analyze(task)) | Ok(Command::Prove(task))) = parse(&argv(&args))
+            else {
+                panic!("{sub} refused --engine");
+            };
+            assert_eq!(task.engine, Engine::Symbolic, "{sub}");
         }
     }
 

@@ -611,6 +611,7 @@ fn analyze(task: Task) -> Result<Outcome, AirError> {
     let session = TraceSession::open(task.trace.as_deref(), task.profile)?;
     let governor = Governor::new(build_budget(task.fuel, task.timeout_ms));
     let verifier = Verifier::from_algebra(u, build_algebra(u, task.uncached))
+        .engine(task.engine)
         .tracer(session.tracer())
         .governor(governor);
     let counts = verifier
@@ -636,37 +637,26 @@ fn prove(task: Task) -> Result<Outcome, AirError> {
     let u = &b.universe;
     // With `--trace-format dot` the trace file receives the derivation
     // tree, not a JSONL event log, so the session opens without it.
-    let dot_path = match (task.trace_format, &task.trace) {
-        (TraceFormat::Dot, Some(path)) => Some(path.clone()),
-        _ => None,
-    };
-    let jsonl_path = if dot_path.is_some() {
-        None
-    } else {
-        task.trace.as_deref()
+    let (dot_path, jsonl_path) = match (task.trace_format, task.trace.as_deref()) {
+        (TraceFormat::Dot, Some(path)) => (Some(path), None),
+        (_, path) => (None, path),
     };
     let session = TraceSession::open(jsonl_path, task.profile)?;
     let governor = Governor::new(build_budget(task.fuel, task.timeout_ms));
     let lcl = Lcl::from_algebra(u, build_algebra(u, task.uncached))
+        .engine(task.engine)
         .tracer(session.tracer())
         .governor(governor);
-    let write_dot = |derivation: &air_core::Derivation| -> Result<(), AirError> {
-        if let Some(path) = &dot_path {
-            std::fs::write(path, derivation.to_dot(u))
-                .map_err(|e| usage(format!("cannot write `{path}`: {e}")))?;
-            println!("wrote DOT derivation to {path}");
-        }
-        Ok(())
-    };
     let started = Instant::now();
     // With a spec, decide it through the logic; otherwise just derive.
-    if task.question.spec.is_some() {
+    let spec = task.question.spec.is_some();
+    let (derivation, repaired, outcome) = if spec {
         let verdict = lcl
             .prove_spec(b.domain, &b.pre, &b.program, &b.spec)
             .or_else(|e| session.fail(u, e))?;
-        let (derivation, repaired, outcome) = match &verdict {
+        match verdict {
             air_core::SpecVerdict::Valid { derivation, domain } => {
-                println!("SPEC VALID");
+                println!("SPEC VALID\n");
                 (derivation, domain, Outcome::Positive)
             }
             air_core::SpecVerdict::TrueAlarm {
@@ -674,37 +664,17 @@ fn prove(task: Task) -> Result<Outcome, AirError> {
                 domain,
                 witness,
             } => {
-                println!(
-                    "TRUE ALARM: reachable store {} violates the spec",
-                    u.display_store(&u.store_at(*witness))
-                );
+                let store = u.display_store(&u.store_at(witness));
+                println!("TRUE ALARM: reachable store {store} violates the spec\n");
                 (derivation, domain, Outcome::Negative)
             }
-        };
-        println!(
-            "\nLCL_A derivation ({} rule applications):\n",
-            derivation.size()
-        );
-        print!("{}", derivation.render(u));
-        println!(
-            "\nrepaired domain: {} (points added: {})",
-            repaired.base_name(),
-            repaired.num_points()
-        );
-        write_dot(derivation)?;
-        report_stats(
-            &task,
-            "prove",
-            lcl.cache(),
-            repaired,
-            started.elapsed().as_secs_f64(),
-        );
-        session.finish()?;
-        return Ok(outcome);
-    }
-    let (derivation, repaired) = lcl
-        .derive_with_repair(b.domain, &b.pre, &b.program)
-        .or_else(|e| session.fail(u, e))?;
+        }
+    } else {
+        let (derivation, repaired) = lcl
+            .derive_with_repair(b.domain, &b.pre, &b.program)
+            .or_else(|e| session.fail(u, e))?;
+        (derivation, repaired, Outcome::Positive)
+    };
     println!(
         "LCL_A derivation ({} rule applications):\n",
         derivation.size()
@@ -715,17 +685,18 @@ fn prove(task: Task) -> Result<Outcome, AirError> {
         repaired.base_name(),
         repaired.num_points()
     );
-    println!("post: {}", display_set(u, &derivation.triple().post));
-    write_dot(&derivation)?;
-    report_stats(
-        &task,
-        "prove",
-        lcl.cache(),
-        &repaired,
-        started.elapsed().as_secs_f64(),
-    );
+    if !spec {
+        println!("post: {}", display_set(u, &derivation.triple().post));
+    }
+    if let Some(path) = dot_path {
+        std::fs::write(path, derivation.to_dot(u))
+            .map_err(|e| usage(format!("cannot write `{path}`: {e}")))?;
+        println!("wrote DOT derivation to {path}");
+    }
+    let elapsed = started.elapsed().as_secs_f64();
+    report_stats(&task, "prove", lcl.cache(), &repaired, elapsed);
     session.finish()?;
-    Ok(Outcome::Positive)
+    Ok(outcome)
 }
 
 /// Runs one revision through the warm session, printing its verdict and

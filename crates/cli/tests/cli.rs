@@ -97,31 +97,20 @@ fn bad_flags_are_usage_exit_two() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
 
-/// `--engine` picks the repair engine, so only `verify` and `corpus`
-/// take it; `analyze` and `prove` refuse it as a usage error instead of
-/// running the default engine under a symbolic label.
+/// `--engine` picks the engine of every question: under `--engine
+/// symbolic`, `analyze` and `prove` exit with the default engine's code
+/// and print its verdict lines (their whole output, without `--stats`).
 #[test]
-fn engine_flag_outside_verify_and_corpus_is_usage_exit_two() {
+fn analyze_and_prove_take_the_engine_flag() {
     for sub in ["analyze", "prove"] {
-        for engine in ["symbolic", "enumerative"] {
-            let args = [&[sub], ABSVAL, &["--spec", "x >= 1", "--engine", engine]].concat();
-            let out = air(&args);
-            assert_eq!(
-                out.status.code(),
-                Some(2),
-                "{sub} --engine {engine}: {out:?}"
-            );
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(stderr.contains("--engine"), "{stderr}");
+        for (spec, code) in [("x >= 1", 0), ("x >= 2", 1)] {
+            let run = |extra: &[&str]| air(&[&[sub], ABSVAL, &["--spec", spec], extra].concat());
+            let (default, symbolic) = (run(&[]), run(&["--engine", "symbolic"]));
+            let (codes, want) = ((default.status.code(), symbolic.status.code()), Some(code));
+            assert_eq!(codes, (want, want), "{sub} {spec}: {symbolic:?}");
+            assert_eq!(default.stdout, symbolic.stdout, "{sub} {spec}");
         }
     }
-    let out = air(&[
-        &["verify"],
-        ABSVAL,
-        &["--spec", "x >= 1", "--engine", "symbolic"],
-    ]
-    .concat());
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
 
 /// The engine is chosen apart from the cache, so `--engine symbolic

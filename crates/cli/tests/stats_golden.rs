@@ -6,7 +6,7 @@
 //! - `air verify` under all seven domains × {backward, forward} ×
 //!   {default, `--uncached`, `--engine symbolic`};
 //! - `air analyze` and `air prove` under {int, oct, karr} × {default,
-//!   `--uncached`}.
+//!   `--uncached`, `--engine symbolic`}.
 //!
 //! Each case records a `## name domain strategy mode` line (the
 //! strategy column is the subcommand for `analyze`/`prove`), the verdict
@@ -14,7 +14,8 @@
 //! The semantic-cache, closure-cache and interner counters are
 //! deterministic, so the text must equal `tests/golden/stats.txt`. The
 //! `--engine symbolic` rows on `int` show zero exec/wlp lookups: those
-//! repairs run on decision diagrams, which memoize nothing.
+//! repairs, analyses and derivations run on decision diagrams, which
+//! memoize nothing.
 //!
 //! On a mismatch the test writes what it rendered to `stats.actual.txt`
 //! under Cargo's per-target scratch directory and names the first
@@ -29,6 +30,13 @@ use air_core::question::{load_corpus, render_vars};
 use air_core::DomainKind;
 
 const GOLDEN: &str = include_str!("../../../tests/golden/stats.txt");
+
+/// The run modes of every question, with their extra flags.
+const MODES: [(&str, &[&str]); 3] = [
+    ("default", &[]),
+    ("uncached", &["--uncached"]),
+    ("symbolic", &["--engine", "symbolic"]),
+];
 
 /// Stdout lines that carry a verdict, by prefix.
 const VERDICT_LINES: [&str; 7] = [
@@ -98,11 +106,7 @@ fn render_all() -> String {
         ];
         for domain in DomainKind::ALL {
             for strategy in ["backward", "forward"] {
-                for (mode, extra) in [
-                    ("default", &[][..]),
-                    ("uncached", &["--uncached"][..]),
-                    ("symbolic", &["--engine", "symbolic"][..]),
-                ] {
+                for (mode, extra) in MODES {
                     let mut args = vec!["verify", "--domain", domain.name()];
                     args.extend(["--strategy", strategy]);
                     args.extend(question);
@@ -114,7 +118,7 @@ fn render_all() -> String {
         }
         for sub in ["analyze", "prove"] {
             for domain in [DomainKind::Int, DomainKind::Oct, DomainKind::Karr] {
-                for (mode, extra) in [("default", &[][..]), ("uncached", &["--uncached"][..])] {
+                for (mode, extra) in MODES {
                     let mut args = vec![sub, "--domain", domain.name()];
                     args.extend(question);
                     args.extend(extra);

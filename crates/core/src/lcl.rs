@@ -39,6 +39,7 @@
 //! exhaustively in this module's tests and by the workspace property
 //! tests.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use air_lang::ast::{Exp, Reg};
@@ -46,10 +47,11 @@ use air_lang::{SemCache, SemError, StateSet, Universe};
 use air_lattice::{ExhaustReason, Exhaustion, Governor};
 use air_trace::{DotBuilder, EventKind, NodeId, Tracer};
 
-use crate::algebra::{EnumAlgebra, StateAlgebra};
+use crate::algebra::{EnumAlgebra, PointedDomain, StateAlgebra, StoreSet};
 use crate::domain::EnumDomain;
 use crate::forward::{ForwardRepair, Recorder, RepairError, Stop};
 use crate::local::LocalCompleteness;
+use crate::question::{Engine, On, OnAlgebra};
 
 /// The most unrolls one star of a derivation records. There is one
 /// walk; the derivation is the last `find` pass, whose record keeps
@@ -309,6 +311,7 @@ impl From<SemError> for LclError {
 pub struct Lcl<'u> {
     universe: &'u Universe,
     lc: LocalCompleteness<'u>,
+    engine: Engine,
     trace: Tracer,
     governor: Governor,
 }
@@ -320,14 +323,22 @@ impl<'u> Lcl<'u> {
         Self::from_algebra(universe, EnumAlgebra::with_cache(universe, SemCache::new()))
     }
 
-    /// Creates the proof system over `alg`.
+    /// Creates the proof system over `alg`, on the enumerative engine.
     pub fn from_algebra(universe: &'u Universe, alg: EnumAlgebra<'u>) -> Self {
         Lcl {
             universe,
             lc: LocalCompleteness::from_algebra(universe, alg),
+            engine: Engine::Enumerative,
             trace: Tracer::disabled(),
             governor: Governor::unlimited(),
         }
+    }
+
+    /// Walks on `engine`, as [`Verifier::engine`](crate::Verifier::engine)
+    /// repairs; [`check`](Self::check) stays on bitsets.
+    pub fn engine(mut self, engine: Engine) -> Self {
+        self.engine = engine;
+        self
     }
 
     /// The shared semantic cache, if caching is enabled.
@@ -500,13 +511,7 @@ impl<'u> Lcl<'u> {
     /// [`LclError::Obligation`] when the domain must be repaired;
     /// evaluation errors otherwise.
     pub fn derive(&self, dom: &EnumDomain, p: &StateSet, r: &Reg) -> Result<Derivation, LclError> {
-        let (repair, find) = (self.repair(), self.lc.algebra().for_find());
-        let mut record = Record::default();
-        match repair.find(&find, &self.lc, dom, r, p, &mut 0, &mut record) {
-            Ok(_) => Ok(self.derivation(record)),
-            Err(Stop::Incomplete { input, exp }) => Err(LclError::Obligation { input, exp }),
-            Err(Stop::Sem(e)) => Err(LclError::Sem(e)),
-        }
+        self.run(Cow::Borrowed(dom), Derive(self, p, r))
     }
 
     /// The Section 9 integration: repair the domain until every local
@@ -530,30 +535,34 @@ impl<'u> Lcl<'u> {
         r: &Reg,
     ) -> Result<(Derivation, EnumDomain), RepairError> {
         let _span = self.trace.span(|| "lcl.derive_with_repair".to_string());
-        let (outcome, record) = self.repair().repair_recorded::<Record>(dom, r, p)?;
-        Ok((self.derivation(record), outcome.domain))
+        self.run(Cow::Owned(dom), Repaired(self, p, r))
     }
 
-    /// Forward repair in this system's algebra, tracer and budget.
-    fn repair(&self) -> ForwardRepair<'u> {
-        ForwardRepair::from_algebra(self.universe, self.lc.algebra().clone())
+    /// `q` in the algebra this system's engine picks for `dom`.
+    fn run<Q: OnAlgebra>(&self, dom: Cow<'_, EnumDomain>, q: Q) -> Q::Out {
+        self.engine.run(self.universe, self.lc.algebra(), dom, q)
+    }
+
+    /// Forward repair in `alg` with this system's tracer and budget.
+    fn repair<A: StateAlgebra>(&self, alg: A) -> ForwardRepair<'u, A> {
+        ForwardRepair::from_algebra(self.universe, alg)
             .tracer(self.trace.clone())
             .governor(self.governor.clone())
     }
 
-    /// The derivation a pass whose obligations all held recorded: each
-    /// conclusion takes its premises off a stack. Emits one `lcl_rule`
-    /// event per rule, in post-order.
-    fn derivation(&self, record: Record<'_>) -> Derivation {
+    /// The derivation a pass whose obligations all held recorded, its
+    /// sets lowered out of `alg`: each conclusion takes its premises off
+    /// a stack. Emits one `lcl_rule` event per rule, in post-order.
+    fn derivation<A: StateAlgebra>(&self, alg: &A, record: Record<'_, A::Set>) -> Derivation {
         fn pop(stack: &mut Vec<Derivation>) -> Box<Derivation> {
             Box::new(stack.pop().expect("premises precede their rule"))
         }
         let mut stack = Vec::new();
-        for (reg, pre, post, unrolls) in record.0 {
+        for (reg, pre, post, unrolls) in record {
             let triple = Triple {
-                pre,
+                pre: alg.lower(pre),
                 reg: reg.clone(),
-                post,
+                post: alg.lower(post),
             };
             // Fields evaluate in the order written: the last premise first.
             let d = match reg {
@@ -590,8 +599,7 @@ impl<'u> Lcl<'u> {
     ///
     /// Propagates evaluation errors.
     pub fn triple_sound(&self, dom: &EnumDomain, t: &Triple) -> Result<bool, SemError> {
-        let post = self.lc.algebra().exec(None, &t.reg, &t.pre)?;
-        Ok(t.post.is_subset(&post) && post.is_subset(&dom.close(&t.post)))
+        self.run(Cow::Borrowed(dom), t)
     }
 
     /// Decides a specification through the logic (the §1 claim): derive a
@@ -648,15 +656,59 @@ impl<'u> Lcl<'u> {
     }
 }
 
-/// A `find` pass recorded as a derivation: each conclusion in post-order
-/// with its sets shared with the walk and its program borrowed, until
-/// [`Lcl::derivation`] builds the tree of the pass that succeeds.
-#[derive(Default)]
-struct Record<'r>(Vec<(&'r Reg, StateSet, StateSet, usize)>);
+/// [`Lcl::derive`]'s one recorded `find` pass of `r` from `p`.
+struct Derive<'a, 'u>(&'a Lcl<'u>, &'a StateSet, &'a Reg);
 
-impl<'r> Recorder<'r, StateSet> for Record<'r> {
-    fn conclude(&mut self, r: &'r Reg, pre: &StateSet, post: &StateSet, unrolls: usize) {
-        self.0.push((r, pre.clone(), post.clone(), unrolls));
+/// [`Lcl::derive_with_repair`]'s recorded repair of `r` from `p`.
+struct Repaired<'a, 'u>(&'a Lcl<'u>, &'a StateSet, &'a Reg);
+
+impl OnAlgebra for Derive<'_, '_> {
+    type Out = Result<Derivation, LclError>;
+    fn run<A: StateAlgebra>(self, on: On<'_, A>) -> Self::Out {
+        let (Derive(lcl, p, r), alg) = (self, on.alg);
+        let lc = LocalCompleteness::from_algebra(lcl.universe, alg.clone());
+        let (repair, find) = (lcl.repair(alg.clone()), alg.for_find());
+        let (p, mut record) = (alg.lift(p), Vec::new());
+        match repair.find(&find, &lc, &on.dom, r, &p, &mut 0, &mut record) {
+            Ok(_) => Ok(lcl.derivation(&alg, record)),
+            Err(Stop::Incomplete { input, exp }) => Err(LclError::Obligation {
+                input: alg.lower(input),
+                exp,
+            }),
+            Err(Stop::Sem(e)) => Err(LclError::Sem(e)),
+        }
+    }
+}
+
+impl OnAlgebra for Repaired<'_, '_> {
+    type Out = Result<(Derivation, EnumDomain), RepairError>;
+    fn run<A: StateAlgebra>(self, on: On<'_, A>) -> Self::Out {
+        let Repaired(lcl, p, r) = self;
+        let repair = lcl.repair(on.alg.clone());
+        let (outcome, record) = repair.repair_recorded(on.dom.into_owned(), r, p)?;
+        Ok((lcl.derivation(&on.alg, record), (on.lower)(outcome.domain)))
+    }
+}
+
+/// [`Lcl::triple_sound`]: `Q ≤ ⟦r⟧P ≤ A(Q)`.
+impl OnAlgebra for &Triple {
+    type Out = Result<bool, SemError>;
+    fn run<A: StateAlgebra>(self, on: On<'_, A>) -> Self::Out {
+        let (pre, post) = (on.alg.lift(&self.pre), on.alg.lift(&self.post));
+        let image = on.alg.exec(None, &self.reg, &pre)?;
+        Ok(post.is_subset(&image) && image.is_subset(&on.dom.close(&post)))
+    }
+}
+
+/// A `find` pass recorded as a derivation: each conclusion in post-order
+/// with its sets, still in the walk's algebra, and its program borrowed,
+/// until [`Lcl::derivation`] lowers them once and builds the tree of the
+/// pass that succeeds.
+type Record<'r, S> = Vec<(&'r Reg, S, S, usize)>;
+
+impl<'r, S: Clone> Recorder<'r, S> for Record<'r, S> {
+    fn conclude(&mut self, r: &'r Reg, pre: &S, post: &S, unrolls: usize) {
+        self.push((r, pre.clone(), post.clone(), unrolls));
     }
 
     fn unroll(&mut self, n: usize) -> Result<(), SemError> {

@@ -45,7 +45,8 @@
 //! `PAPER_MAP.md` at the repository root. Engines are built by `new(u)`
 //! (a fresh [`air_lang::SemCache`]) or `from_algebra(u, alg)`, where
 //! [`EnumAlgebra::uncached`] is the bitwise-identical reference path;
-//! an [`Engine`] value given to [`Verifier::engine`] picks the kernel.
+//! an [`Engine`] value given to [`Verifier::engine`] or [`Lcl::engine`]
+//! picks the kernel.
 //!
 //! # Quickstart (the paper's introduction, mechanized)
 //!

@@ -14,13 +14,14 @@
 //! - the one build from a question to its universe, base domain,
 //!   program and pre/spec sets ([`Question::build`]);
 //! - the names of the base domains, repair strategies and engines, the
-//!   one dispatch on a strategy ([`Verifier::verify`]) and the one rule
-//!   for where the symbolic engine runs ([`Engine::on_diagrams`]).
+//!   one dispatch on a strategy ([`Verifier::verify`]) and the one on an
+//!   engine (`Engine::run`, by the rule [`Engine::on_diagrams`]).
 //!
 //! Fuzz seed files keep a format of their own (`# fuzz:` headers with
 //! `=` ranges, see `air_fuzz::seed`); they read it with the same clause
 //! reader and `vars` grammar.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -28,10 +29,12 @@ use air_domains::{
     AffineDomain, CongruenceEnv, ConstantEnv, IntervalEnv, OctagonDomain, ParityEnv, SignEnv,
 };
 use air_lang::gen::DOMAIN_NAMES;
-use air_lang::{parse_bexp, parse_program, BExp, Concrete, Reg, StateSet, Universe};
+use air_lang::{parse_bexp, parse_program, BExp, Concrete, Reg, StateSet, SymEngine, Universe};
 
+use crate::algebra::{EnumAlgebra, PointedDomain, StateAlgebra, SymAlgebra};
 use crate::domain::EnumDomain;
 use crate::forward::RepairError;
+use crate::symbolic::SymDomain;
 use crate::verify::{Verdict, Verifier};
 
 /// A declared bounded variable: `(name, lo, hi)`.
@@ -180,10 +183,51 @@ impl Engine {
 
     /// Whether this engine repairs `base` on decision diagrams: the
     /// symbolic engine does exactly on the `Int` base, the one base whose
-    /// closure has a diagram form ([`SymDomain`](crate::SymDomain)).
+    /// closure has a diagram form ([`SymDomain`]).
     pub fn on_diagrams(self, base: &EnumDomain) -> bool {
         self == Engine::Symbolic && base.is_interval()
     }
+
+    /// Answers `q` from `dom` in `alg`, or, where this engine runs `dom`
+    /// on diagrams, in an uncached [`SymAlgebra`] from `dom` rebuilt as a
+    /// [`SymDomain`], whose grown domains `On::lower` adds back onto
+    /// `dom`. The one engine dispatch of every question.
+    pub(crate) fn run<'u, Q: OnAlgebra>(
+        self,
+        universe: &'u Universe,
+        alg: &EnumAlgebra<'u>,
+        dom: Cow<'_, EnumDomain>,
+        q: Q,
+    ) -> Q::Out {
+        if !self.on_diagrams(&dom) {
+            let (alg, lower) = (alg.clone(), Box::new(|d| d));
+            return q.run(On { alg, dom, lower });
+        }
+        let (alg, base) = (SymAlgebra::uncached(SymEngine::new(universe)), dom);
+        let points = base.points().iter().map(|p| alg.lift(p));
+        let dom = Cow::Owned(SymDomain::interval(universe).with_points(points));
+        let kernel = alg.clone();
+        let lower = Box::new(move |d: SymDomain| {
+            let mut out = base.into_owned();
+            out.add_points(d.points().iter().map(|p| kernel.lower(p.clone())));
+            out
+        });
+        q.run(On { alg, dom, lower })
+    }
+}
+
+/// A question's base domain in the algebra [`Engine::run`] picked, and
+/// the way back to an [`EnumDomain`] from a domain grown from it.
+pub(crate) struct On<'d, A: StateAlgebra> {
+    pub alg: A,
+    pub dom: Cow<'d, A::Domain>,
+    pub lower: Box<dyn FnOnce(A::Domain) -> EnumDomain + 'd>,
+}
+
+/// A question written once over every [`StateAlgebra`].
+pub(crate) trait OnAlgebra {
+    type Out;
+    fn run<A: StateAlgebra>(self, on: On<'_, A>) -> Self::Out;
 }
 
 impl Verifier<'_> {

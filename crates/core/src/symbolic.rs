@@ -10,7 +10,7 @@
 //! refined closure never enumerates a store. Paired with the diagram
 //! kernel it is [`SymAlgebra`](crate::SymAlgebra): the crate's one
 //! [`Algebra`](crate::Algebra) and one set of engines on a second kernel.
-//! A verifier on [`Engine::Symbolic`](crate::Engine) runs it for `Int`
+//! Every question on [`Engine::Symbolic`](crate::Engine) runs it for `Int`
 //! bases ([`Engine::on_diagrams`](crate::Engine::on_diagrams)); every
 //! other base runs the bitset kernel. The diagram
 //! kernel is exact and the closures coincide, so verdicts are

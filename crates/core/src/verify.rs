@@ -13,21 +13,21 @@
 //! characterizes the *greatest valid input* `V`, deciding
 //! `⟦r⟧P' ≤ Spec ⇔ P' ≤ V` for every `P' ≤ A(P)` at once.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use air_lang::ast::Reg;
-use air_lang::{Concrete, SemCache, StateSet, Store, SymEngine, Universe};
+use air_lang::{Concrete, SemCache, StateSet, Store, Universe};
 use air_lattice::Governor;
 use air_trace::{EventKind, Tracer};
 
 use crate::absint::AbstractSemantics;
-use crate::algebra::{EnumAlgebra, PointedDomain, StateAlgebra, SymAlgebra};
-use crate::backward::BackwardRepair;
+use crate::algebra::{EnumAlgebra, PointedDomain, StateAlgebra};
+use crate::backward::{BackwardOutcome, BackwardRepair};
 use crate::domain::EnumDomain;
 use crate::forward::{ForwardRepair, RepairError};
-use crate::question::Engine;
+use crate::question::{Engine, On, OnAlgebra};
 use crate::summarize::display_set;
-use crate::symbolic::SymDomain;
 
 /// The verification result.
 #[derive(Clone, Debug)]
@@ -203,18 +203,6 @@ impl<'u> Verifier<'u> {
         self
     }
 
-    fn backward_engine<A: StateAlgebra>(&self, alg: A) -> BackwardRepair<'u, A> {
-        BackwardRepair::from_algebra(self.universe, alg)
-            .tracer(self.trace.clone())
-            .governor(self.governor.clone())
-    }
-
-    fn forward_engine<A: StateAlgebra>(&self, alg: A) -> ForwardRepair<'u, A> {
-        ForwardRepair::from_algebra(self.universe, alg)
-            .tracer(self.trace.clone())
-            .governor(self.governor.clone())
-    }
-
     fn trace_verdict(&self, phase: &'static str, proved: bool) {
         self.trace.emit_detail_with(|| EventKind::Verdict {
             phase: phase.to_string(),
@@ -222,17 +210,9 @@ impl<'u> Verifier<'u> {
         });
     }
 
-    /// The symbolic algebra ([`SymAlgebra`]) and `domain` rebuilt over
-    /// it ([`SymDomain`]) when this verifier's engine runs `domain` on
-    /// decision diagrams. `None` runs the verifier's own enumerative
-    /// algebra.
-    fn symbolic(&self, domain: &EnumDomain) -> Option<(SymAlgebra<'u>, SymDomain)> {
-        self.engine.on_diagrams(domain).then(|| {
-            let alg = SymAlgebra::uncached(SymEngine::new(self.universe));
-            let base = SymDomain::interval(self.universe)
-                .with_points(domain.points().iter().map(|p| alg.lift(p)));
-            (alg, base)
-        })
+    /// `q` in the algebra this verifier's engine picks for `domain`.
+    fn run<Q: OnAlgebra>(&self, domain: Cow<'_, EnumDomain>, q: Q) -> Q::Out {
+        self.engine.run(self.universe, &self.alg, domain, q)
     }
 
     /// Verifies `⟦r⟧input ≤ spec` by backward repair (Algorithm 2 +
@@ -252,12 +232,7 @@ impl<'u> Verifier<'u> {
         spec: &StateSet,
     ) -> Result<Verdict, RepairError> {
         let _span = self.trace.span(|| "verify.backward".to_string());
-        let out = match self.symbolic(&domain) {
-            Some((alg, base)) => self.backward_engine(alg).repair(&base, input, r, spec),
-            None => self
-                .backward_engine(self.alg.clone())
-                .repair(&domain, input, r, spec),
-        }?;
+        let (out, domain) = self.run(Cow::Owned(domain), Backward(self, r, input, spec))?;
         let repaired = out.domain(&domain);
         if input.is_subset(&out.valid_input) {
             self.trace_verdict("verify.backward", true);
@@ -298,19 +273,7 @@ impl<'u> Verifier<'u> {
         spec: &StateSet,
     ) -> Result<Verdict, RepairError> {
         let _span = self.trace.span(|| "verify.forward".to_string());
-        let (repaired, under) = match self.symbolic(&domain) {
-            Some((alg, base)) => {
-                let out = self.forward_engine(alg.clone()).repair(base, r, input)?;
-                let points = out.domain.points().iter().map(|p| alg.lower(p.clone()));
-                (domain.with_points(points), out.under)
-            }
-            None => {
-                let out = self
-                    .forward_engine(self.alg.clone())
-                    .repair(domain, r, input)?;
-                (out.domain, out.under)
-            }
-        };
+        let (repaired, under) = self.run(Cow::Owned(domain), Forward(self, r, input))?;
         let post_closure = repaired.close(&under);
         let points: Vec<StateSet> = repaired.points().to_vec();
         if post_closure.is_subset(spec) {
@@ -366,10 +329,10 @@ impl<'u> Verifier<'u> {
         }
     }
 
-    /// Counts alarms of a plain (unrepaired) abstract analysis: the stores
-    /// in `γ(⟦r⟧♯A(input)) ∖ spec`. Paired with the concrete true alarms
-    /// `⟦r⟧input ∖ spec`, this quantifies false alarms before/after repair
-    /// (experiment T6).
+    /// Counts alarms of a plain (unrepaired) abstract analysis, on this
+    /// verifier's engine: the stores in `γ(⟦r⟧♯A(input)) ∖ spec`. With the
+    /// concrete true alarms `⟦r⟧input ∖ spec`, this quantifies false
+    /// alarms before/after repair (experiment T6).
     ///
     /// # Errors
     ///
@@ -381,13 +344,54 @@ impl<'u> Verifier<'u> {
         input: &StateSet,
         spec: &StateSet,
     ) -> Result<AlarmCounts, RepairError> {
-        let asem = AbstractSemantics::from_algebra(self.universe, self.alg.clone())
-            .tracer(self.trace.clone())
-            .governor(self.governor.clone());
-        let abstract_out = asem.exec(domain, r, &domain.close(input))?;
-        let concrete_out = self.alg.exec(None, r, input)?;
+        self.run(Cow::Borrowed(domain), Alarms(self, r, input, spec))
+    }
+}
+
+/// Algorithm 2 on a [`Verifier`]'s question `r`, input, spec.
+struct Backward<'a, 'u>(&'a Verifier<'u>, &'a Reg, &'a StateSet, &'a StateSet);
+
+/// Algorithm 1 on a [`Verifier`]'s question `r`, input.
+struct Forward<'a, 'u>(&'a Verifier<'u>, &'a Reg, &'a StateSet);
+
+/// The alarms of an unrepaired analysis of `r` on input, spec.
+struct Alarms<'a, 'u>(&'a Verifier<'u>, &'a Reg, &'a StateSet, &'a StateSet);
+
+impl OnAlgebra for Backward<'_, '_> {
+    type Out = Result<(BackwardOutcome, EnumDomain), RepairError>;
+    fn run<A: StateAlgebra>(self, on: On<'_, A>) -> Self::Out {
+        let Backward(v, r, input, spec) = self;
+        let out = BackwardRepair::from_algebra(v.universe, on.alg)
+            .tracer(v.trace.clone())
+            .governor(v.governor.clone())
+            .repair(&on.dom, input, r, spec)?;
+        Ok((out, (on.lower)(on.dom.into_owned())))
+    }
+}
+
+impl OnAlgebra for Forward<'_, '_> {
+    type Out = Result<(EnumDomain, StateSet), RepairError>;
+    fn run<A: StateAlgebra>(self, on: On<'_, A>) -> Self::Out {
+        let Forward(v, r, input) = self;
+        let out = ForwardRepair::from_algebra(v.universe, on.alg)
+            .tracer(v.trace.clone())
+            .governor(v.governor.clone())
+            .repair(on.dom.into_owned(), r, input)?;
+        Ok(((on.lower)(out.domain), out.under))
+    }
+}
+
+impl OnAlgebra for Alarms<'_, '_> {
+    type Out = Result<AlarmCounts, RepairError>;
+    fn run<A: StateAlgebra>(self, on: On<'_, A>) -> Self::Out {
+        let (Alarms(v, r, input, spec), alg) = (self, on.alg);
+        let input = alg.lift(input);
+        let asem = AbstractSemantics::from_algebra(v.universe, alg.clone())
+            .tracer(v.trace.clone())
+            .governor(v.governor.clone());
+        let abstract_out = alg.lower(asem.exec(&on.dom, r, &on.dom.close(&input))?);
         let total = abstract_out.difference(spec).len();
-        let true_alarms = concrete_out.difference(spec).len();
+        let true_alarms = alg.lower(alg.exec(None, r, &input)?).difference(spec).len();
         Ok(AlarmCounts {
             total,
             true_alarms,

@@ -6,7 +6,8 @@
 //! `[2^(i-1), 2^i)`, and the inclusive upper bound of bucket `i` is
 //! `2^i - 1` (saturating to `u64::MAX` for the last bucket). 65 buckets
 //! cover the full `u64` range, so `observe` never clamps and never
-//! allocates: it is three `Relaxed` atomic adds.
+//! allocates: it is three `Relaxed` atomic adds and one `fetch_max` of
+//! the largest observation, which caps every quantile.
 //!
 //! ## Snapshot ordering
 //!
@@ -50,6 +51,7 @@ pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
+    max: AtomicU64,
 }
 
 impl Default for Histogram {
@@ -59,6 +61,7 @@ impl Default for Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
         }
     }
 }
@@ -69,10 +72,11 @@ impl Histogram {
         Self::default()
     }
 
-    /// Record one observation. Three `Relaxed` RMWs, no locks, no
+    /// Record one observation. Four `Relaxed` RMWs, no locks, no
     /// allocation; safe to call from any number of threads.
     #[inline]
     pub fn observe(&self, v: u64) {
+        self.max.fetch_max(v, Ordering::Relaxed);
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         // Count last: readers loading `count` before `buckets` see
@@ -102,12 +106,26 @@ impl Histogram {
         out
     }
 
+    /// The largest observation so far (0 for an empty histogram).
+    pub fn max(&self) -> u64 {
+        self.max.load(Ordering::Relaxed)
+    }
+
     /// Upper-bound estimate of the `q`-quantile (`0.0 ..= 1.0`): the
     /// inclusive upper bound of the first bucket whose cumulative count
-    /// reaches `ceil(q * count)`. At most one bucket (≤ 2x) of relative
-    /// error by construction; returns 0 for an empty histogram.
+    /// reaches `ceil(q * count)`, clamped to [`max`](Self::max). At most
+    /// one bucket (≤ 2x) of relative error by construction, never above
+    /// the data; returns 0 for an empty histogram.
     pub fn quantile(&self, q: f64) -> u64 {
-        quantile_from_counts(&self.counts(), q)
+        let counts = self.counts();
+        let total: u64 = counts.iter().sum();
+        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        let bucket = counts.iter().position(|&c| {
+            seen += c;
+            seen >= rank
+        });
+        bucket.map_or(0, |i| bucket_upper_bound(i).min(self.max()))
     }
 }
 
@@ -118,6 +136,7 @@ impl Clone for Histogram {
         // if the source is being written concurrently.
         out.count.store(self.count(), Ordering::Relaxed);
         out.sum.store(self.sum(), Ordering::Relaxed);
+        out.max.store(self.max(), Ordering::Relaxed);
         for (dst, src) in out.buckets.iter().zip(self.buckets.iter()) {
             dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
         }
@@ -129,30 +148,12 @@ impl PartialEq for Histogram {
     fn eq(&self, other: &Self) -> bool {
         self.count() == other.count()
             && self.sum() == other.sum()
+            && self.max() == other.max()
             && self.counts() == other.counts()
     }
 }
 
 impl Eq for Histogram {}
-
-/// Quantile estimate over a raw bucket array (shared by [`Histogram`]
-/// and snapshot rows that only kept the nonzero buckets).
-pub(crate) fn quantile_from_counts(counts: &[u64; BUCKETS], q: f64) -> u64 {
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return 0;
-    }
-    let q = q.clamp(0.0, 1.0);
-    let rank = ((q * total as f64).ceil() as u64).max(1);
-    let mut seen = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            return bucket_upper_bound(i);
-        }
-    }
-    bucket_upper_bound(BUCKETS - 1)
-}
 
 #[cfg(test)]
 mod tests {
@@ -193,11 +194,27 @@ mod tests {
         for _ in 0..99 {
             h.observe(10); // bucket 4, ub 15
         }
-        h.observe(1000); // bucket 10, ub 1023
+        h.observe(1000); // bucket 10, ub 1023, clamped to the max
         assert_eq!(h.quantile(0.5), 15);
         assert_eq!(h.quantile(0.99), 15);
-        assert_eq!(h.quantile(1.0), 1023);
+        assert_eq!(h.quantile(1.0), 1000);
         assert_eq!(Histogram::new().quantile(0.5), 0);
+    }
+
+    /// One sample: every quantile is that sample, not its bucket's bound.
+    #[test]
+    fn one_sample_quantiles_are_the_sample() {
+        let h = Histogram::new();
+        h.observe(171_800_000); // bucket 28, ub 268_435_455
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(h.quantile(q), 171_800_000, "q = {q}");
+        }
+        assert_eq!(h.max(), 171_800_000);
+        assert_eq!(h.clone(), h, "Clone carries the max");
+        let (a, b) = (Histogram::new(), Histogram::new());
+        [4, 7].into_iter().for_each(|v| a.observe(v));
+        [5, 6].into_iter().for_each(|v| b.observe(v));
+        assert_ne!(a, b, "same buckets and sum: PartialEq reads the max");
     }
 
     /// Satellite 3 (part 1): thread-stress the snapshot-consistency

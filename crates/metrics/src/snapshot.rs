@@ -323,9 +323,10 @@ mod tests {
         assert!(json
             .contains("{\"name\":\"air_req_total\",\"labels\":{\"tenant\":\"anon\"},\"value\":3}"));
         assert!(json.contains("{\"name\":\"air_queue_depth\",\"labels\":{},\"value\":2}"));
-        // 5 -> bucket ub 7 (x2), 900 -> bucket ub 1023 (x1).
+        // 5 -> bucket ub 7 (x2), 900 -> bucket ub 1023 (x1); quantiles
+        // are clamped to the largest observation, 900.
         assert!(json.contains(
-            "\"count\":3,\"sum\":910,\"p50\":7,\"p90\":1023,\"p99\":1023,\
+            "\"count\":3,\"sum\":910,\"p50\":7,\"p90\":900,\"p99\":900,\
              \"buckets\":[{\"le\":7,\"count\":2},{\"le\":1023,\"count\":1}]"
         ));
     }

@@ -5,7 +5,9 @@
 //! pointed refinement; only precision needs the completed repair
 //! (Theorems 7.1/7.6 of the paper).
 
-use air::core::{BackwardRepair, Engine, EnumDomain, ForwardRepair, RepairError, Verifier};
+use air::core::{
+    BackwardRepair, Engine, EnumDomain, ForwardRepair, Lcl, RepairError, SpecVerdict, Verifier,
+};
 use air::domains::IntervalEnv;
 use air::lang::{parse_program, Concrete, Universe};
 use air::lattice::{Budget, ExhaustReason, Governor};
@@ -341,6 +343,52 @@ fn symbolic_fuel_sweep_yields_sound_partial_or_the_enumerative_answer() {
         }
         assert!(exhausted >= 3, "the tight fuel levels must actually trip");
     }
+    // LCL_A on the symbolic engine, swept the same way on the short
+    // countdown: a cut carries a sound invariant, and a completed proof
+    // is the enumerative one (verdict, derivation and repaired points).
+    let n = 8;
+    let u = Universe::new(&[("x", 0, n), ("y", 0, n)]).unwrap();
+    let input = u.filter(|s| s[0] == 0 && s[1] == n);
+    let spec = u.filter(|s| s[0] == n && s[1] == 0);
+    let dom = EnumDomain::from_abstraction(&u, IntervalEnv::new(&u));
+    let conc = Concrete::new(&u).exec(&prog, &input).unwrap();
+    let prove = |lcl: Lcl| {
+        lcl.prove_spec(dom.clone(), &input, &prog, &spec).map(|v| {
+            let (SpecVerdict::Valid { derivation, domain }
+            | SpecVerdict::TrueAlarm {
+                derivation, domain, ..
+            }) = &v;
+            let render = derivation.render(&u);
+            (v.is_valid(), render, domain.points().to_vec())
+        })
+    };
+    let unbudgeted = prove(Lcl::new(&u)).unwrap();
+    assert!(unbudgeted.0, "the countdown meets its spec");
+    let mut exhausted = 0;
+    for fuel in [0, 1, 2, 3, 5, 8, 1_000_000] {
+        let governor = Governor::new(Budget::fuel(fuel));
+        match prove(Lcl::new(&u).engine(Engine::Symbolic).governor(governor)) {
+            Ok(v) => assert_eq!(v, unbudgeted, "lcl, fuel {fuel}: symbolic proof differs"),
+            Err(RepairError::Exhausted(partial)) => {
+                exhausted += 1;
+                assert_eq!(
+                    partial.exhaustion.reason,
+                    ExhaustReason::Fuel,
+                    "fuel {fuel}"
+                );
+                let inv = partial.invariant.as_ref().expect("partial invariant");
+                assert!(
+                    conc.is_subset(inv),
+                    "lcl, fuel {fuel}: unsound partial invariant"
+                );
+            }
+            Err(e) => panic!("lcl, fuel {fuel}: unexpected error {e:?}"),
+        }
+    }
+    assert!(
+        exhausted >= 3,
+        "the tight fuel levels must actually trip LCL_A"
+    );
 }
 
 #[test]

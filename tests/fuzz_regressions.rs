@@ -52,10 +52,12 @@ fn every_seed_agrees_across_engine_backends() {
     // the diagram set kernel must reproduce the bitset kernel's
     // `⟦r⟧pre` and `wlp(r, spec)`, errors included, and on `int` seeds
     // (where a symbolic cache runs the symbolic algebra) both strategies'
-    // verdict reports must match the enumerative ones byte for byte.
+    // verdict reports must match the enumerative ones byte for byte, as
+    // must LCL_A's (verdict, derivation size and rendering, repaired
+    // points) and the unrepaired analysis's alarm counts.
     // `symbolic-star.imp` is the dedicated regression for this axis (a
     // star over a product universe); the rest of the corpus rides along.
-    use air::core::{Engine, Strategy, Verifier};
+    use air::core::{Engine, Lcl, SpecVerdict, Strategy, Verifier};
     use air::lang::{SetKernel, SymEngine};
     let files = corpus_files();
     assert!(
@@ -95,6 +97,43 @@ fn every_seed_agrees_across_engine_backends() {
                     "{name}: {strategy:?} reports diverge across engines"
                 );
             }
+            let prove = |engine| {
+                let lcl = Lcl::new(u).engine(engine);
+                let verdict = lcl.prove_spec(built.domain.clone(), &built.pre, r, &built.spec);
+                verdict.map_err(|e| e.to_string()).map(|v| {
+                    let (witness, derivation, domain) = match v {
+                        SpecVerdict::Valid { derivation, domain } => (None, derivation, domain),
+                        SpecVerdict::TrueAlarm {
+                            derivation,
+                            domain,
+                            witness,
+                        } => (Some(witness), derivation, domain),
+                    };
+                    let size = derivation.size();
+                    (
+                        witness,
+                        size,
+                        derivation.render(u),
+                        domain.points().to_vec(),
+                    )
+                })
+            };
+            assert_eq!(
+                prove(Engine::Enumerative),
+                prove(Engine::Symbolic),
+                "{name}: LCL_A diverges across engines"
+            );
+            let alarms = |engine| {
+                let verifier = Verifier::new(u).engine(engine);
+                verifier
+                    .alarm_counts(&built.domain, r, &built.pre, &built.spec)
+                    .map_err(|e| e.to_string())
+            };
+            assert_eq!(
+                alarms(Engine::Enumerative),
+                alarms(Engine::Symbolic),
+                "{name}: alarm counts diverge across engines"
+            );
         }
     }
 }

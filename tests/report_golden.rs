@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 
 use air::core::question::load_corpus;
 use air::core::summarize::display_set;
-use air::core::{DomainKind, Lcl, SpecVerdict, Strategy, Verifier};
+use air::core::{DomainKind, Engine, Lcl, SpecVerdict, Strategy, Verifier};
 
 const GOLDEN: &str = include_str!("golden/reports.txt");
 
@@ -125,6 +125,44 @@ fn rule_counts(rendered: &str) -> String {
         .map(|(rule, n)| format!("{rule} {n}"))
         .collect();
     format!("rules: {}", fields.join(", "))
+}
+
+/// On every corpus header question under `int`, what `air prove` and
+/// `air analyze` print is the same on both engines: the LCL_A verdict,
+/// the derivation's size, its whole rendered tree and post, the repaired
+/// points, and the unrepaired analysis's alarm counts.
+#[test]
+fn corpus_lcl_and_alarms_agree_across_engines() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
+    for (name, mut question) in load_corpus(dir, DomainKind::Int).expect("corpus loads") {
+        question.domain = DomainKind::Int;
+        let b = question.build().expect("corpus question builds");
+        let u = &b.universe;
+        let answer = |engine| {
+            let lcl = Lcl::new(u).engine(engine);
+            let verdict = lcl.prove_spec(b.domain.clone(), &b.pre, &b.program, &b.spec);
+            let (witness, derivation, domain) = match verdict.expect("decides through LCL") {
+                SpecVerdict::Valid { derivation, domain } => (None, derivation, domain),
+                SpecVerdict::TrueAlarm {
+                    derivation,
+                    domain,
+                    witness,
+                } => (Some(witness), derivation, domain),
+            };
+            let alarms = Verifier::new(u)
+                .engine(engine)
+                .alarm_counts(&b.domain, &b.program, &b.pre, &b.spec)
+                .expect("analyzes");
+            let tree = (derivation.size(), derivation.render(u));
+            let post = display_set(u, &derivation.triple().post);
+            (witness, tree, post, domain.points().to_vec(), alarms)
+        };
+        assert_eq!(
+            answer(Engine::Enumerative),
+            answer(Engine::Symbolic),
+            "{name}"
+        );
+    }
 }
 
 #[test]
